@@ -72,8 +72,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "p_llm_hallucinated": 0.5,
         "single_pivot": True,
         "hop_type": "single",
-        "check_questions": 50,
-        "sweep": [0.0, 0.25, 0.5, 0.75, 1.0],
     },
 }
 
@@ -215,25 +213,33 @@ def _backend_token(spec: dict, service: str) -> str | None:
     return spec.get("token") or _env(f"{service.upper()}_TOKEN") or _env("TOKEN")
 
 
+def _cached(cfg: PipelineConfig, backend, identity: str, source: str | None = None):
+    """Route every call of ``backend`` through the response cache, if one is
+    configured. ``identity`` names the backend in the cache keys; for a
+    backend that answers from a file, ``source``, the file's digest is added,
+    so a file rewritten in place never replays the old file's answers."""
+    if cfg.cache is None:
+        return backend
+    if source is not None:
+        identity += ":" + hashlib.sha256(Path(source).read_bytes()).hexdigest()
+    return CachingBackend(backend, cfg.cache, identity)
+
+
 def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
     spec = cfg.raw["scorer"]
     backend = spec["backend"]
     if backend == "lexical":
-        scorer = LexicalMockScorer.from_examples(examples)
-    elif backend == "file":
+        return _cached(cfg, LexicalMockScorer.from_examples(examples), "scorer:lexical", cfg.dataset)
+    if backend == "file":
         store = spec.get("store")
         if not store:
             raise ContractViolation("scorer backend 'file' needs scorer.store (a matrix dump path)")
         scorer = FileScoreStore.from_matrix_dump(store, examples)
-    elif backend == "remote":
-        return RemoteScorer(
-            _backend_url(spec, "scorer"), _backend_token(spec, "scorer"), cache=cfg.cache
-        )
-    else:
-        raise ContractViolation(f"unknown scorer backend {backend!r}")
-    if cfg.cache is not None:
-        return CachingBackend(scorer, cfg.cache)
-    return scorer
+        return _cached(cfg, scorer, "scorer:file", store)
+    if backend == "remote":
+        url = _backend_url(spec, "scorer")
+        return _cached(cfg, RemoteScorer(url, _backend_token(spec, "scorer")), f"scorer:remote:{url}")
+    raise ContractViolation(f"unknown scorer backend {backend!r}")
 
 
 def build_predictor(cfg: PipelineConfig):
@@ -244,13 +250,11 @@ def build_predictor(cfg: PipelineConfig):
         if not truth_path:
             raise ContractViolation("predictor backend 'sim' needs predictor.truth (a truth file)")
         predictor = sim.SimPredictor(sim.load_truth(truth_path))
-        if cfg.cache is not None:
-            return CachingBackend(predictor, cfg.cache)
-        return predictor
+        return _cached(cfg, predictor, "predictor:sim", truth_path)
     if backend == "remote":
-        return RemotePredictor(
-            _backend_url(spec, "predictor"), _backend_token(spec, "predictor"), cache=cfg.cache
-        )
+        url = _backend_url(spec, "predictor")
+        predictor = RemotePredictor(url, _backend_token(spec, "predictor"))
+        return _cached(cfg, predictor, f"predictor:remote:{url}")
     raise ContractViolation(f"unknown predictor backend {backend!r}")
 
 
@@ -280,7 +284,9 @@ def _map_items(
             results.append(payload)
         else:
             item, exc = payload
-            qid = getattr(item, "question_id", str(item))
+            # match and serialize items are tuples led by the question id or example
+            head = item[0] if isinstance(item, tuple) else item
+            qid = getattr(head, "question_id", str(head))
             errors.append({"stage": label, "question_id": qid, "error": str(exc)})
             logger.warning("%s: %s failed: %s", label, qid, exc)
             if cfg.strict:
@@ -396,6 +402,10 @@ def cmd_match(cfg: PipelineConfig) -> int:
 
     def match(item) -> matching.PairMatching:
         qid, example, matrix = item
+        if example is not None and matrix is not None and (matrix.m, matrix.n) != (example.m, example.n):
+            raise PipelineError(
+                f"{qid}: matrix is {matrix.m}x{matrix.n} but the dataset has {example.m}x{example.n}"
+            )
         item_seed = derive_seed(cfg.seed, qid)
         if strategy is matching.Strategy.OPTIMAL:
             if matrix is None:
@@ -603,59 +613,9 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     truth_path = cfg.out / "sim_truth.jsonl"
     write_examples(corpus_path, examples)
     sim.write_truth(truth_path, truth)
+    _write_report(cfg, "simulate", {"questions": len(examples)})
     print(f"synthesized {len(examples)} questions -> {corpus_path}")
-
-    failures = 0
-
-    examples_again, _ = sim.generate_corpus(spec)
-    deterministic = [e1 == e2 for e1, e2 in zip(examples, examples_again)]
-    ok = all(deterministic) and len(examples_again) == len(examples)
-    print(f"{'PASS' if ok else 'FAIL'} determinism: corpus regenerates identically from seed")
-    failures += 0 if ok else 1
-
-    if spec.single_pivot:
-        check = min(int(sim_cfg["check_questions"]), len(examples))
-        predictor = sim.SimPredictor(truth)
-        mismatches = 0
-        for example in examples[:check]:
-            qt = truth.questions[example.question_id]
-            pivots = qt.supporting_ids(source=sim.Source.RETRIEVED)
-            labels = mining.mine_consistency(example, predictor)
-            for label in labels:
-                rp_id = example.retrieved[label.rp_index].id
-                lp_id = example.generated[label.lp_index].id
-                faithful = qt.chains[lp_id].supports
-                if label.verdict is mining.Verdict.POSITIVE:
-                    mismatches += not (rp_id in pivots and faithful)
-                elif label.verdict is mining.Verdict.NEGATIVE:
-                    mismatches += not (rp_id in pivots and not faithful)
-                elif rp_id in pivots:
-                    mismatches += 1
-        ok = mismatches == 0
-        print(
-            f"{'PASS' if ok else 'FAIL'} mining soundness: labels match ground truth "
-            f"on {check} questions ({mismatches} mismatches)"
-        )
-        failures += 0 if ok else 1
-
-    sweep = [float(p) for p in sim_cfg["sweep"]]
-    means = []
-    for p in sweep:
-        swept_spec = dataclasses.replace(spec, p_llm_hallucinated=p)
-        swept, _ = sim.generate_corpus(swept_spec)
-        rates = [analysis.conflicting_rate(ex).conflicting_rate for ex in swept]
-        means.append(sum(rates) / len(rates))
-    ok = all(means[k] <= means[k + 1] for k in range(len(means) - 1))
-    trend = ", ".join(f"{p:.2f}->{r:.3f}" for p, r in zip(sweep, means))
-    print(f"{'PASS' if ok else 'FAIL'} monotonicity: mean conflicting rate nondecreasing ({trend})")
-    failures += 0 if ok else 1
-
-    _write_report(
-        cfg,
-        "simulate",
-        {"questions": len(examples), "sweep": dict(zip(map(str, sweep), means)), "failures": failures},
-    )
-    return 1 if failures else 0
+    return 0
 
 
 COMMANDS = {

@@ -271,20 +271,13 @@ def example_to_record(example: QAExample) -> dict:
     }
 
 
-def load_examples(
-    path: str | Path,
-    format_hint: str = "jsonl",
-    report: IngestionReport | None = None,
-) -> Iterator[QAExample]:
+def load_examples(path: str | Path, report: IngestionReport | None = None) -> Iterator[QAExample]:
     """Stream examples from a dataset file in file order.
 
-    ``format_hint`` is ``"jsonl"`` (the native format) or ``"auto"``, which
-    tolerates the same layout. Malformed records are recorded in ``report``
-    (line number + message) and skipped; empty passage pools are flagged as
-    warnings but the example is still yielded.
+    Malformed records are recorded in ``report`` (line number + message)
+    and skipped; empty passage pools are flagged as warnings but the
+    example is still yielded.
     """
-    if format_hint not in ("jsonl", "auto"):
-        raise ContractViolation(f"unknown format_hint {format_hint!r}")
     if report is None:
         report = IngestionReport()
     for lineno, record in read_jsonl(path, report):

@@ -8,6 +8,7 @@ stage with identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -66,13 +67,26 @@ def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Itera
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write records canonically; returns the number of lines written."""
+    """Write records canonically; returns the number of lines written.
+
+    The file is replaced atomically (temp file in the same directory, then
+    ``os.replace``): a reader sees the old file or the complete new one,
+    never a prefix that would load as a smaller result.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # Not mkstemp: that would leave the output readable by its owner only.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(dumps_canonical(record))
-            fh.write("\n")
-            count += 1
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for record in records:
+                fh.write(dumps_canonical(record))
+                fh.write("\n")
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        if tmp.exists():
+            tmp.unlink()
+        raise
     return count

@@ -8,10 +8,11 @@ Wire schemas (one JSON object per call):
 * generator: ``{"question", "n", "mode"}`` ->
   ``{"passages": [[str, ...], ...]}``
 
-Remote calls retry with exponential backoff and go through an on-disk
-response cache keyed by a content hash of the request body, so that
-re-running a mining or scoring pass replays identical bytes. Backends are
-duck-typed: a scorer exposes ``score(req) -> float`` and a predictor
+Remote calls retry with exponential backoff. Any backend, remote or
+offline, can be wrapped in ``CachingBackend``, an on-disk response cache
+keyed by the backend's identity and a content hash of the request body, so
+that re-running a mining or scoring pass replays identical bytes. Backends
+are duck-typed: a scorer exposes ``score(req) -> float`` and a predictor
 ``predict(req) -> str``.
 """
 
@@ -37,15 +38,6 @@ from .lineio import dumps_canonical, read_jsonl
 
 logger = logging.getLogger(__name__)
 
-SINGLE_HOP_PROMPT = (
-    "Provide a background document from Wikipedia to answer the given question. "
-    "\n\n {question} \n\n"
-)
-MULTI_HOP_PROMPT = (
-    "You are an assistant designed to provide a chain of two 100-word documents "
-    "from Wikipedia that can be combined together to answer the user's question. "
-    'Here\'s an example of your output format: Document 1: ""\n\n Document 2: ""\n\n {question}'
-)
 DOC1_MARKER = "Document 1:"
 DOC2_MARKER = "Document 2:"
 
@@ -69,14 +61,6 @@ class GenerationRequest:
     def __post_init__(self):
         if self.num_passages < 1:
             raise ContractViolation("num_passages must be >= 1")
-
-    def prompt(self) -> str:
-        template = (
-            SINGLE_HOP_PROMPT
-            if self.mode is GenerationMode.SINGLE_HOP_BACKGROUND
-            else MULTI_HOP_PROMPT
-        )
-        return template.format(question=self.question)
 
     def wire_body(self) -> dict:
         return {"question": self.question, "n": self.num_passages, "mode": self.mode.value}
@@ -214,29 +198,21 @@ class RemoteScorer:
         self,
         url: str,
         token: str | None = None,
-        cache: ResponseCache | None = None,
         max_retries: int = 3,
         backoff: float = 0.5,
         timeout: float = 30.0,
     ):
         self.url = url
         self.token = token
-        self.cache = cache
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
 
     def score(self, req: ScoreRequest) -> float:
         body = req.wire_body()
-        if self.cache is not None:
-            cached = self.cache.get("scorer", body)
-            if cached is not None:
-                return _clamp_probability(cached.get("probability"), "scorer cache")
         payload = _post_json(self.url, body, self.token, self.max_retries, self.backoff, self.timeout)
         if "probability" not in payload:
             raise ProtocolError("scorer response missing 'probability'")
-        if self.cache is not None:
-            self.cache.put("scorer", body, payload)
         return _clamp_probability(payload["probability"], self.url)
 
 
@@ -247,57 +223,56 @@ class RemotePredictor:
         self,
         url: str,
         token: str | None = None,
-        cache: ResponseCache | None = None,
         max_retries: int = 3,
         backoff: float = 0.5,
         timeout: float = 60.0,
     ):
         self.url = url
         self.token = token
-        self.cache = cache
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
 
     def predict(self, req: PredictRequest) -> str:
         body = req.wire_body()
-        if self.cache is not None:
-            cached = self.cache.get("predictor", body)
-            if cached is not None and isinstance(cached.get("answer"), str):
-                return cached["answer"]
         payload = _post_json(self.url, body, self.token, self.max_retries, self.backoff, self.timeout)
         answer = payload.get("answer")
         if not isinstance(answer, str):
             raise ProtocolError("predictor response missing string 'answer'")
-        if self.cache is not None:
-            self.cache.put("predictor", body, payload)
         return answer
 
 
 class CachingBackend:
-    """Wrap any scorer/predictor with a ResponseCache (for offline backends
-    the cache doubles as a replay log)."""
+    """Wrap any scorer/predictor with a ResponseCache, the one caching path
+    for every backend (for offline backends the cache doubles as a replay
+    log).
 
-    def __init__(self, inner, cache: ResponseCache):
+    ``service`` names the backend that answers, e.g. ``"scorer:remote:<url>"``;
+    it is part of every cache key, so backends that share a cache
+    directory never replay each other's answers.
+    """
+
+    def __init__(self, inner, cache: ResponseCache, service: str):
         self.inner = inner
         self.cache = cache
+        self.service = service
 
     def score(self, req: ScoreRequest) -> float:
         body = req.wire_body()
-        cached = self.cache.get("scorer", body)
+        cached = self.cache.get(self.service, body)
         if cached is not None:
             return _clamp_probability(cached.get("probability"), "scorer cache")
         value = self.inner.score(req)
-        self.cache.put("scorer", body, {"probability": value})
+        self.cache.put(self.service, body, {"probability": value})
         return value
 
     def predict(self, req: PredictRequest) -> str:
         body = req.wire_body()
-        cached = self.cache.get("predictor", body)
+        cached = self.cache.get(self.service, body)
         if cached is not None and isinstance(cached.get("answer"), str):
             return cached["answer"]
         answer = self.inner.predict(req)
-        self.cache.put("predictor", body, {"answer": answer})
+        self.cache.put(self.service, body, {"answer": answer})
         return answer
 
 
@@ -438,8 +413,3 @@ def _parse_generated_item(item, mode: GenerationMode, index: int) -> PassageChai
         for k, t in enumerate(texts)
     )
     return PassageChain(segments=segments, source=Source.LLM_GENERATED)
-
-
-def generate_passages(req: GenerationRequest, generator: RemoteGenerator) -> list[PassageChain]:
-    """Fetch up to ``req.num_passages`` LLM-generated chains."""
-    return generator.generate(req)

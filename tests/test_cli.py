@@ -70,6 +70,24 @@ class TestScoreMatchSerialize:
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == strategy for m in matchings)
 
+    def test_shared_cache_dir_keeps_backends_apart(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        cache = tmp / "cache"
+        assert run("score", "--dataset", dataset, "--out", tmp / "lexical", "--cache_dir", cache) == 0
+        store = tmp / "store.jsonl"
+        out = tmp / "file"
+        argv = ["score", "--dataset", dataset, "--out", out, "--scorer.backend", "file", "--scorer.store", store]
+        # the second store is rewritten in place at the same path
+        for probability in (0.25, 0.5):
+            with open(store, "w") as fh:
+                for line in (tmp / "lexical" / "matrices.jsonl").read_text().splitlines():
+                    record = json.loads(line)
+                    record.update(evidentiality=probability, consistency=probability, combined=probability)
+                    fh.write(json.dumps(record) + "\n")
+            assert run(*argv, "--cache_dir", cache) == 0
+            records = [json.loads(l) for l in (out / "matrices.jsonl").read_text().splitlines()]
+            assert {r["evidentiality"] for r in records} == {r["consistency"] for r in records} == {probability}
+
     def test_workers_do_not_change_output(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         out1, out4 = tmp / "w1", tmp / "w4"
@@ -129,27 +147,14 @@ class TestAnalyze:
 class TestSimulate:
     def test_simulate_passes_and_writes(self, tmp_path, capsys):
         out = tmp_path / "sim"
-        code = run(
-            "simulate",
-            "--out",
-            out,
-            "--seed",
-            11,
-            "--simulate.num_questions",
-            12,
-            "--simulate.n",
-            4,
-            "--simulate.m",
-            3,
-            "--simulate.check_questions",
-            6,
-        )
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert captured.count("PASS") == 3
-        assert "FAIL" not in captured
+        argv = ["simulate", "--out", out, "--seed", 11, "--simulate.num_questions", 12]
+        assert run(*argv, "--simulate.n", 4, "--simulate.m", 3) == 0
         assert (out / "sim_corpus.jsonl").exists()
         assert (out / "sim_truth.jsonl").exists()
+        assert json.loads((out / "simulate_report.json").read_text()) == {"questions": 12}
+        # the self-checks and their knobs are gone
+        assert run(*argv, "--simulate.check_questions", 6) == 1
+        assert "check_questions" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -193,6 +198,23 @@ class TestErrorHandling:
         assert run("score", "--dataset", dataset, "--out", out) == 0
         report = json.loads((out / "score_report.json").read_text())
         assert any(e["stage"] == "ingest" for e in report["errors"])
+
+    def test_truncated_dump_is_a_per_item_error(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        out = tmp / "truncated"
+        assert run("score", "--dataset", dataset, "--out", out) == 0
+        lines = (out / "matrices.jsonl").read_text().splitlines()
+        last = json.loads(lines[-1])
+        # drop the last row of the last question: it would load as (m-1) x n
+        row = (last["question_id"], last["i"])
+        kept = [line for line in lines if (json.loads(line)["question_id"], json.loads(line)["i"]) != row]
+        (out / "matrices.jsonl").write_text("\n".join(kept) + "\n")
+        assert run("match", "--dataset", dataset, "--out", out) == 0
+        report = json.loads((out / "match_report.json").read_text())
+        assert report["matched"] == 7
+        assert [e["question_id"] for e in report["errors"]] == [last["question_id"]]
+        assert "2x4" in report["errors"][0]["error"]
+        assert run("match", "--dataset", dataset, "--out", out, "--strict") == 1
 
     def test_strict_mode_aborts(self, sim_workspace):
         tmp, dataset, _ = sim_workspace

@@ -282,9 +282,3 @@ class TestIngestion:
         out2 = tmp_path / "out2.jsonl"
         write_examples(out2, second)
         assert out.read_bytes() == out2.read_bytes()
-
-    def test_bad_format_hint(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(ContractViolation):
-            list(load_examples(path, format_hint="parquet"))

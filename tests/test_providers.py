@@ -9,7 +9,6 @@ from pairqa.providers import (
     GenerationMode,
     GenerationRequest,
     LexicalMockScorer,
-    MULTI_HOP_PROMPT,
     PredictRequest,
     RemoteGenerator,
     RemotePredictor,
@@ -17,7 +16,6 @@ from pairqa.providers import (
     ResponseCache,
     ScoreKind,
     ScoreRequest,
-    SINGLE_HOP_PROMPT,
     split_two_documents,
 )
 
@@ -74,20 +72,6 @@ class TestRequestContracts:
         }
 
 
-class TestPromptTemplates:
-    def test_single_hop_template(self):
-        prompt = GenerationRequest("who won", 1).prompt()
-        assert prompt.startswith("Provide a background document from Wikipedia")
-        assert "who won" in prompt
-        assert SINGLE_HOP_PROMPT.count("{question}") == 1
-
-    def test_multi_hop_template(self):
-        prompt = GenerationRequest("who won", 1, GenerationMode.MULTI_HOP_CHAIN).prompt()
-        assert "a chain of two 100-word documents" in prompt
-        assert 'Document 1: ""' in prompt and 'Document 2: ""' in prompt
-        assert MULTI_HOP_PROMPT.count("{question}") == 1
-
-
 class TestRemoteScorer:
     def test_scores_and_records_wire_shape(self, http_service):
         http_service.responses["/score"] = {"probability": 0.73}
@@ -124,14 +108,14 @@ class TestRemoteScorer:
 
     def test_cache_replays_without_calls(self, http_service, tmp_path):
         http_service.responses["/score"] = {"probability": 0.25}
-        cache = ResponseCache(tmp_path / "cache")
-        scorer = RemoteScorer(http_service.url("/score"), cache=cache, backoff=0.0)
+        url = http_service.url("/score")
+        scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         first = scorer.score(evid_request())
         second = scorer.score(evid_request())
         assert first == second == 0.25
         assert len(http_service.requests["/score"]) == 1
         # a fresh client with the same cache never touches the service
-        other = RemoteScorer(http_service.url("/score"), cache=ResponseCache(tmp_path / "cache"), backoff=0.0)
+        other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         assert other.score(evid_request()) == 0.25
         assert len(http_service.requests["/score"]) == 1
 
@@ -159,7 +143,7 @@ class TestRemotePredictor:
                 return "yes"
 
         inner = Flaky()
-        cached = CachingBackend(inner, ResponseCache(tmp_path / "cache"))
+        cached = CachingBackend(inner, ResponseCache(tmp_path / "cache"), "flaky")
         req = PredictRequest("q", ("b",))
         assert cached.predict(req) == cached.predict(req) == "yes"
         assert inner.calls == 1

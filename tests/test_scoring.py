@@ -181,3 +181,18 @@ class TestDumpRoundTrip:
         )
         with pytest.raises(ContractViolation, match="missing cells"):
             load_matrix_dump(dump)
+
+    def test_failed_write_keeps_the_previous_dump(self, tmp_path):
+        from pairqa.lineio import write_jsonl
+
+        dump = tmp_path / "m.jsonl"
+        write_jsonl(dump, [{"a": 1}])
+
+        def records():
+            yield {"a": 2}
+            raise MissingScoreError(("q", None, "r"))
+
+        with pytest.raises(MissingScoreError):
+            write_jsonl(dump, records())
+        assert dump.read_text() == '{"a":1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
