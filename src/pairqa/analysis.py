@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import QAExample, contains_answer, exact_match
 from .errors import ContractViolation
+from .lineio import atomic_open
 from .scoring import CompatibilityMatrix, PairType, classify_pair
 
 logger = logging.getLogger(__name__)
@@ -182,9 +183,7 @@ def bin_report_rows(report: BinReport) -> Iterable[dict]:
 
 
 def write_bin_report_csv(path: str | Path, report: BinReport) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=["bin_lower", "bin_upper", "fraction", "method", "em"])
         writer.writeheader()
         for row in bin_report_rows(report):

@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, Passage, PassageChain, QAExample, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import read_jsonl, write_jsonl
+from .lineio import atomic_open, read_jsonl, write_jsonl
 from .providers import (
     CachingBackend,
     FileScoreStore,
@@ -307,9 +307,7 @@ def _load_dataset(cfg: PipelineConfig) -> tuple[list[QAExample], list[dict]]:
 
 
 def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / f"{stage}_report.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(cfg.out / f"{stage}_report.json") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -467,10 +465,10 @@ def load_matchings(path: str | Path) -> list[matching.PairMatching]:
 def cmd_mine(cfg: PipelineConfig) -> int:
     examples, errors = _load_dataset(cfg)
     predictor = build_predictor(cfg)
-    kinds = set(cfg.raw["mine"]["kinds"])
-    unknown = kinds - {"evidentiality", "consistency"}
-    if unknown:
-        raise ContractViolation(f"unknown mine kinds: {sorted(unknown)}")
+    try:
+        kinds = {mining.LabelKind(kind) for kind in cfg.raw["mine"]["kinds"]}
+    except ValueError as exc:
+        raise ContractViolation(f"unknown mine kind: {exc}") from None
     minable = []
     for ex in examples:
         if ex.n < 2:
@@ -478,22 +476,13 @@ def cmd_mine(cfg: PipelineConfig) -> int:
         else:
             minable.append(ex)
 
-    def mine_one(example: QAExample) -> list[mining.SilverLabel]:
-        labels: list[mining.SilverLabel] = []
-        if "evidentiality" in kinds:
-            labels.extend(mining.mine_evidentiality(example, predictor))
-        if "consistency" in kinds and example.m >= 1:
-            labels.extend(mining.mine_consistency(example, predictor))
-        return labels
-
-    label_lists = _map_items(minable, mine_one, cfg, errors, "mine")
+    label_lists = _map_items(minable, lambda ex: mining.mine_question(ex, predictor, kinds), cfg, errors, "mine")
     labels = [label for batch in label_lists for label in batch]
     counts = {}
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    for kind in sorted(kinds):
-        kind_labels = [l for l in labels if l.kind.value == kind]
-        out_path = cfg.out / f"labels.{kind}.jsonl"
-        counts[kind] = dict(mining.emit_training_records(kind_labels, out_path, examples))
+    for kind in sorted(kinds, key=lambda k: k.value):
+        kind_labels = [l for l in labels if l.kind is kind]
+        out_path = cfg.out / f"labels.{kind.value}.jsonl"
+        counts[kind.value] = dict(mining.emit_training_records(kind_labels, out_path, examples))
     audit_path = cfg.out / "mining_audit.jsonl"
     write_jsonl(audit_path, mining.audit_records(labels))
     _write_report(
@@ -521,9 +510,18 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
             errors.append({"stage": "serialize", "question_id": qid, "error": "not in dataset"})
         else:
             items.append((example, m))
+    items += [(ex, None) for ex in examples if ex.question_id not in matchings]
 
     def serialize(item) -> readerio.ReaderExample:
         example, m = item
+        if m is None:
+            raise PipelineError(f"{example.question_id}: no matching")
+        lps, rps = {i for i, _, _ in m.pairs}, {j for _, j, _ in m.pairs}
+        if len(m.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
+            raise PipelineError(
+                f"{example.question_id}: matching has {len(m.pairs)} pairs over {len(lps)} generated and"
+                f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
+            )
         budget = cfg.budget if cfg.budget is not None else readerio.default_budget(example.hop_type, cfg.variant)
         return readerio.serialize_variant(
             example, m, cfg.variant, budget, seed=derive_seed(cfg.seed, example.question_id)
@@ -548,7 +546,6 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
         if ex.m < 1 or ex.n < 1:
             errors.append({"stage": "analyze", "question_id": ex.question_id, "error": "empty passage pool"})
     stats = [analysis.conflicting_rate(ex) for ex in usable]
-    cfg.out.mkdir(parents=True, exist_ok=True)
     write_jsonl(cfg.out / "conflict_stats.jsonl", (s.to_record() for s in stats))
     mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
     print(f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}")
@@ -608,7 +605,6 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
         single_pivot=bool(sim_cfg["single_pivot"]),
     )
     examples, truth = sim.generate_corpus(spec)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     corpus_path = cfg.out / "sim_corpus.jsonl"
     truth_path = cfg.out / "sim_truth.jsonl"
     write_examples(corpus_path, examples)

@@ -274,18 +274,23 @@ def example_to_record(example: QAExample) -> dict:
 def load_examples(path: str | Path, report: IngestionReport | None = None) -> Iterator[QAExample]:
     """Stream examples from a dataset file in file order.
 
-    Malformed records are recorded in ``report`` (line number + message)
-    and skipped; empty passage pools are flagged as warnings but the
-    example is still yielded.
+    Malformed records, and second and later records of a question_id, are
+    recorded in ``report`` (line number + message) and skipped; empty
+    passage pools are flagged as warnings but the example is still yielded.
     """
     if report is None:
         report = IngestionReport()
+    seen: set[str] = set()
     for lineno, record in read_jsonl(path, report):
         try:
             example = example_from_record(record)
         except ContractViolation as exc:
             report.error(lineno, str(exc))
             continue
+        if example.question_id in seen:
+            report.error(lineno, f"duplicate question_id {example.question_id!r}")
+            continue
+        seen.add(example.question_id)
         if not example.retrieved:
             report.warn(lineno, f"{example.question_id}: empty retrieved pool")
         if not example.generated:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
+
+from .errors import ContractViolation
 
 
 @dataclass
@@ -43,10 +46,12 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs; malformed lines go to the report.
+    """Yield (line_number, record) pairs.
 
     Line numbers are 1-based. A missing or unreadable file raises OSError
-    (fatal by contract); bad JSON on a line is recorded and skipped.
+    (fatal by contract). A line that is not a JSON object is recorded in
+    ``report`` and skipped; without a report it raises ContractViolation
+    naming the file and line, so no handoff silently loses a record.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -56,37 +61,47 @@ def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Itera
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
-                if report is not None:
-                    report.error(lineno, f"invalid JSON: {exc}")
-                continue
-            if not isinstance(obj, dict):
-                if report is not None:
-                    report.error(lineno, "record is not an object")
-                continue
-            yield lineno, obj
+                problem = f"invalid JSON: {exc}"
+            else:
+                problem = None if isinstance(obj, dict) else "record is not an object"
+            if problem is None:
+                yield lineno, obj
+            elif report is None:
+                raise ContractViolation(f"{path} line {lineno}: {problem}")
+            else:
+                report.error(lineno, problem)
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write records canonically; returns the number of lines written.
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a text file for writing that replaces ``path`` atomically.
 
-    The file is replaced atomically (temp file in the same directory, then
-    ``os.replace``): a reader sees the old file or the complete new one,
-    never a prefix that would load as a smaller result.
+    Writes go to a temp file in the same directory, which ``os.replace``
+    moves over ``path`` when the block ends without an exception: a reader
+    sees the old file or the complete new one, never a prefix that would
+    load as a smaller result. Newlines are written as given.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Not mkstemp: that would leave the output readable by its owner only.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    count = 0
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(dumps_canonical(record))
-                fh.write("\n")
-                count += 1
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if tmp.exists():
             tmp.unlink()
         raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write records canonically through ``atomic_open``; returns the
+    number of lines written."""
+    count = 0
+    with atomic_open(path) as fh:
+        for record in records:
+            fh.write(dumps_canonical(record))
+            fh.write("\n")
+            count += 1
     return count

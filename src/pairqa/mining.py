@@ -15,6 +15,12 @@ conflicting when I is correct and II, III, IV are all incorrect. Both
 patterns require (I correct, II incorrect), so III and IV are only ever
 evaluated behind that gate; every non-gated pair is undetermined without
 issuing the extra calls.
+
+Both kinds share I and II. Mining a question with N retrieved passages for
+both kinds costs 1 + N + 2 * (number of gated pairs) reader calls: I once,
+II once per retrieved passage, III once per generated passage in a gated
+pair and IV once per gated pair. When a generated passage is in several
+gated pairs, its III call is shared and the count is lower.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .corpus import QAExample, exact_match
 from .errors import ContractViolation, PipelineError
@@ -54,9 +60,14 @@ class LabelKind(Enum):
 
 @dataclass(frozen=True)
 class ConfigOutcome:
+    """One reader call: its configuration, the generated passage it adds
+    (III, IV) and the retrieved passage it drops (II, IV)."""
+
     config: Config
     prediction: str
     correct: bool
+    lp_index: int | None = None
+    rp_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -100,155 +111,65 @@ def consistency_verdict(outcomes: Sequence[ConfigOutcome]) -> Verdict:
     return Verdict.UNDETERMINED
 
 
-class _QuestionRun:
-    """Shared prediction plumbing for one question's mining pass."""
+def mine_question(example: QAExample, predictor, kinds: Collection[LabelKind]) -> list[SilverLabel]:
+    """Labels of the given kinds for one question, from one reader pass.
 
-    def __init__(self, example: QAExample, predictor):
-        self.example = example
-        self.predictor = predictor
-        self.retrieved_blocks = [chain.text() for chain in example.retrieved]
-
-    def predict(self, blocks: Sequence[str]) -> tuple[str, bool]:
-        req = PredictRequest(question=self.example.question, passages=tuple(blocks))
-        prediction = self.predictor.predict(req)
-        verdict = exact_match(prediction, self.example.answers)
-        return prediction, verdict.exact_match
-
-    def drop(self, j: int) -> list[str]:
-        return self.retrieved_blocks[:j] + self.retrieved_blocks[j + 1 :]
-
-
-def mine_evidentiality(example: QAExample, predictor) -> list[SilverLabel]:
-    """Leave-one-out evidentiality labels for every retrieved passage."""
+    Predicts I once and II once per retrieved passage, which both kinds
+    share; III and IV only for gated pairs. Returns the evidentiality labels
+    by retrieved index, then the consistency labels by (generated, retrieved)
+    index. A failed reader call leaves the labels that need it undetermined,
+    with a note.
+    """
     if example.n < 2:
         raise ContractViolation(f"{example.question_id}: leave-one-out mining needs N >= 2")
-    run = _QuestionRun(example, predictor)
-    labels = []
-    try:
-        full_pred, full_ok = run.predict(run.retrieved_blocks)
-    except PipelineError as exc:
-        logger.warning("%s: base prediction failed: %s", example.question_id, exc)
-        return [
-            SilverLabel(
-                question_id=example.question_id,
-                kind=LabelKind.EVIDENTIALITY,
-                rp_index=j,
-                verdict=Verdict.UNDETERMINED,
-                outcomes=(),
-                note=f"predictor error: {exc}",
-            )
-            for j in range(example.n)
-        ]
-    full_outcome = ConfigOutcome(Config.I_FULL, full_pred, full_ok)
-    for j in range(example.n):
+    slots = [(LabelKind.EVIDENTIALITY, None, j) for j in range(example.n) if LabelKind.EVIDENTIALITY in kinds]
+    if LabelKind.CONSISTENCY in kinds:
+        slots += [(LabelKind.CONSISTENCY, i, j) for i in range(example.m) for j in range(example.n)]
+    if not slots:
+        return []
+    qid = example.question_id
+    blocks = [chain.text() for chain in example.retrieved]
+
+    def attempt(config: Config, passages: list[str], lp: int | None = None, rp: int | None = None):
+        """The outcome of one reader call, or a note naming its failure."""
         try:
-            drop_pred, drop_ok = run.predict(run.drop(j))
+            prediction = predictor.predict(PredictRequest(question=example.question, passages=tuple(passages)))
         except PipelineError as exc:
-            labels.append(
-                SilverLabel(
-                    question_id=example.question_id,
-                    kind=LabelKind.EVIDENTIALITY,
-                    rp_index=j,
-                    verdict=Verdict.UNDETERMINED,
-                    outcomes=(full_outcome,),
-                    note=f"predictor error: {exc}",
-                )
-            )
+            logger.warning("%s: config %s failed (lp %s, rp %s): %s", qid, config.value, lp, rp, exc)
+            return f"predictor error: {exc}"
+        return ConfigOutcome(config, prediction, exact_match(prediction, example.answers).exact_match, lp, rp)
+
+    full = attempt(Config.I_FULL, blocks)
+    if isinstance(full, str):
+        return [SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (), i, full) for kind, i, j in slots]
+    drops = [attempt(Config.II_DROP_RP, blocks[:j] + blocks[j + 1 :], rp=j) for j in range(example.n)]
+    adds: dict[int, ConfigOutcome | str] = {}
+    labels = []
+    for kind, i, j in slots:
+        drop = drops[j]
+        if isinstance(drop, str):
+            labels.append(SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (full,), i, drop))
             continue
-        labels.append(
-            SilverLabel(
-                question_id=example.question_id,
-                kind=LabelKind.EVIDENTIALITY,
-                rp_index=j,
-                verdict=evidentiality_verdict(full_ok, drop_ok),
-                outcomes=(full_outcome, ConfigOutcome(Config.II_DROP_RP, drop_pred, drop_ok)),
-            )
-        )
-    return labels
-
-
-def mine_consistency(example: QAExample, predictor) -> list[SilverLabel]:
-    """Four-configuration consistency labels for every (lp, rp) pair.
-
-    Per question this issues one call for I, one per retrieved passage for
-    II, and III/IV calls only for gated pairs, so the total stays within
-    N + 1 + 2 * (number of gated pairs) before caching.
-    """
-    if example.n < 2 or example.m < 1:
-        raise ContractViolation(f"{example.question_id}: consistency mining needs N >= 2 and M >= 1")
-    run = _QuestionRun(example, predictor)
-
-    def undetermined(i: int, j: int, outcomes: tuple[ConfigOutcome, ...], note: str | None = None):
-        return SilverLabel(
-            question_id=example.question_id,
-            kind=LabelKind.CONSISTENCY,
-            rp_index=j,
-            lp_index=i,
-            verdict=Verdict.UNDETERMINED,
-            outcomes=outcomes,
-            note=note,
-        )
-
-    try:
-        full_pred, full_ok = run.predict(run.retrieved_blocks)
-    except PipelineError as exc:
-        logger.warning("%s: base prediction failed: %s", example.question_id, exc)
-        return [
-            undetermined(i, j, (), f"predictor error: {exc}")
-            for i in range(example.m)
-            for j in range(example.n)
-        ]
-    outcome_i = ConfigOutcome(Config.I_FULL, full_pred, full_ok)
-
-    outcome_ii: list[ConfigOutcome | None] = []
-    for j in range(example.n):
-        try:
-            pred, ok = run.predict(run.drop(j))
-            outcome_ii.append(ConfigOutcome(Config.II_DROP_RP, pred, ok))
-        except PipelineError as exc:
-            logger.warning("%s: config II failed for rp %d: %s", example.question_id, j, exc)
-            outcome_ii.append(None)
-
-    labels = []
-    for i, lp in enumerate(example.generated):
-        lp_block = lp.text()
-        outcome_iii: ConfigOutcome | None = None
-        iii_failed: str | None = None
-        for j in range(example.n):
-            o_ii = outcome_ii[j]
-            if o_ii is None:
-                labels.append(undetermined(i, j, (outcome_i,), "predictor error on config II"))
-                continue
-            gate = full_ok and not o_ii.correct
-            if not gate:
-                labels.append(undetermined(i, j, (outcome_i, o_ii)))
-                continue
-            if outcome_iii is None and iii_failed is None:
-                try:
-                    pred, ok = run.predict(run.retrieved_blocks + [lp_block])
-                    outcome_iii = ConfigOutcome(Config.III_ADD_LP, pred, ok)
-                except PipelineError as exc:
-                    iii_failed = str(exc)
-            if outcome_iii is None:
-                labels.append(undetermined(i, j, (outcome_i, o_ii), f"predictor error: {iii_failed}"))
-                continue
-            try:
-                pred, ok = run.predict(run.drop(j) + [lp_block])
-                outcome_iv = ConfigOutcome(Config.IV_SWAP_LP_FOR_RP, pred, ok)
-            except PipelineError as exc:
-                labels.append(undetermined(i, j, (outcome_i, o_ii, outcome_iii), f"predictor error: {exc}"))
-                continue
-            outcomes = (outcome_i, o_ii, outcome_iii, outcome_iv)
-            labels.append(
-                SilverLabel(
-                    question_id=example.question_id,
-                    kind=LabelKind.CONSISTENCY,
-                    rp_index=j,
-                    lp_index=i,
-                    verdict=consistency_verdict(outcomes),
-                    outcomes=outcomes,
-                )
-            )
+        outcomes: tuple[ConfigOutcome, ...] = (full, drop)
+        if kind is LabelKind.EVIDENTIALITY:
+            labels.append(SilverLabel(qid, kind, j, evidentiality_verdict(full.correct, drop.correct), outcomes))
+            continue
+        note = None
+        if full.correct and not drop.correct:
+            lp_block = example.generated[i].text()
+            if i not in adds:
+                adds[i] = attempt(Config.III_ADD_LP, blocks + [lp_block], lp=i)
+            add = adds[i]
+            if isinstance(add, str):
+                note = add
+            else:
+                outcomes += (add,)
+                swap = attempt(Config.IV_SWAP_LP_FOR_RP, blocks[:j] + blocks[j + 1 :] + [lp_block], lp=i, rp=j)
+                if isinstance(swap, str):
+                    note = swap
+                else:
+                    outcomes += (swap,)
+        labels.append(SilverLabel(qid, kind, j, consistency_verdict(outcomes), outcomes, i, note))
     return labels
 
 
@@ -273,23 +194,16 @@ def emit_training_records(
     out: str | Path,
     examples: Iterable[QAExample],
 ) -> Counter:
-    """Write classifier-ready records, dropping undetermined labels.
-
-    With a single label kind the records go to ``out`` itself; when both
-    kinds are present, each goes to a sibling file tagged with the kind
-    (``labels.jsonl`` -> ``labels.evidentiality.jsonl`` and
-    ``labels.consistency.jsonl``). Returns counts per emitted class for
+    """Write classifier-ready records for labels of one kind to ``out``,
+    dropping undetermined labels. Returns counts per emitted class for
     downstream loss weighting.
     """
-    out = Path(out)
     by_id = {ex.question_id: ex for ex in examples}
-    decided = [l for l in labels if l.verdict is not Verdict.UNDETERMINED]
-    kinds = sorted({l.kind for l in decided}, key=lambda k: k.value)
     counts: Counter = Counter({1: 0, 0: 0})
 
-    def records_for(kind: LabelKind):
-        for label in decided:
-            if label.kind is not kind:
+    def records():
+        for label in labels:
+            if label.verdict is Verdict.UNDETERMINED:
                 continue
             example = by_id.get(label.question_id)
             if example is None:
@@ -298,27 +212,25 @@ def emit_training_records(
             counts[record["label"]] += 1
             yield record
 
-    if len(kinds) <= 1:
-        kind = kinds[0] if kinds else LabelKind.EVIDENTIALITY
-        write_jsonl(out, records_for(kind) if kinds else iter(()))
-    else:
-        for kind in kinds:
-            target = out.with_name(f"{out.stem}.{kind.value}{out.suffix or '.jsonl'}")
-            write_jsonl(target, records_for(kind))
+    write_jsonl(out, records())
     return counts
 
 
-def audit_records(labels: Sequence[SilverLabel]) -> Iterable[dict]:
-    """One record per configuration outcome, for the mining audit log."""
+def audit_records(labels: Sequence[SilverLabel]) -> Iterator[dict]:
+    """One record per reader call, for the mining audit log, in first-use
+    order. Labels of one question share outcomes; each is logged once."""
+    seen = set()
     for label in labels:
         for outcome in label.outcomes:
+            key = (label.question_id, outcome.config, outcome.lp_index, outcome.rp_index)
+            if key in seen:
+                continue
+            seen.add(key)
             yield {
                 "question_id": label.question_id,
-                "kind": label.kind.value,
-                "lp_index": label.lp_index,
-                "rp_index": label.rp_index,
                 "config": outcome.config.value,
+                "lp_index": outcome.lp_index,
+                "rp_index": outcome.rp_index,
                 "prediction": outcome.prediction,
                 "correct": outcome.correct,
-                "verdict": label.verdict.value,
             }

@@ -114,6 +114,8 @@ class TestMine:
         assert (out / "labels.consistency.jsonl").exists()
         audit = [json.loads(l) for l in (out / "mining_audit.jsonl").read_text().splitlines()]
         assert audit and {"question_id", "config", "prediction", "correct"} <= set(audit[0])
+        # one record per reader call: I, II per retrieved passage, III and IV per generated one
+        assert len(audit) == 8 * (1 + 4 + 2 * 3)
         report = json.loads((out / "mine_report.json").read_text())
         assert report["questions"] == 8
         cons = [
@@ -215,6 +217,47 @@ class TestErrorHandling:
         assert [e["question_id"] for e in report["errors"]] == [last["question_id"]]
         assert "2x4" in report["errors"][0]["error"]
         assert run("match", "--dataset", dataset, "--out", out, "--strict") == 1
+
+    def _matched(self, sim_workspace, name):
+        tmp, dataset, _ = sim_workspace
+        out = tmp / name
+        assert run("score", "--dataset", dataset, "--out", out) == 0
+        assert run("match", "--dataset", dataset, "--out", out) == 0
+        return dataset, out, (out / "matchings.jsonl").read_text().splitlines()
+
+    def test_question_without_matching_is_a_per_item_error(self, sim_workspace):
+        dataset, out, lines = self._matched(sim_workspace, "unmatched")
+        (out / "matchings.jsonl").write_text("\n".join(lines[1:]) + "\n")
+        assert run("serialize", "--dataset", dataset, "--out", out) == 0
+        report = json.loads((out / "serialize_report.json").read_text())
+        assert report["serialized"] == 7
+        assert [e["question_id"] for e in report["errors"]] == [json.loads(lines[0])["question_id"]]
+        assert "no matching" in report["errors"][0]["error"]
+        assert run("serialize", "--dataset", dataset, "--out", out, "--strict") == 1
+
+    def test_matching_short_of_the_pools_is_a_per_item_error(self, sim_workspace):
+        dataset, out, lines = self._matched(sim_workspace, "short")
+        record = json.loads(lines[2])
+        record["pairs"] = record["pairs"][:1]
+        lines[2] = json.dumps(record)
+        (out / "matchings.jsonl").write_text("\n".join(lines) + "\n")
+        assert run("serialize", "--dataset", dataset, "--out", out) == 0
+        report = json.loads((out / "serialize_report.json").read_text())
+        assert report["serialized"] == 7
+        assert [e["question_id"] for e in report["errors"]] == [record["question_id"]]
+        assert "3x4" in report["errors"][0]["error"]
+        assert run("serialize", "--dataset", dataset, "--out", out, "--strict") == 1
+
+    def test_garbled_handoff_line_is_fatal(self, sim_workspace, capsys):
+        dataset, out, lines = self._matched(sim_workspace, "garbled")
+        lines[1] = lines[1][:-5]
+        (out / "matchings.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("serialize", "--dataset", dataset, "--out", out) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ContractViolation"
+        assert "matchings.jsonl line 2" in summary["message"]
+        assert not (out / "reader_inputs.jsonl").exists()
 
     def test_strict_mode_aborts(self, sim_workspace):
         tmp, dataset, _ = sim_workspace

@@ -193,6 +193,16 @@ class TestIngestion:
         assert [e.question_id for e in examples] == ["q1", "q2"]
         assert report.ok
 
+    def test_duplicate_question_id_is_an_error(self, tmp_path):
+        import json
+
+        path = tmp_path / "data.jsonl"
+        _write_lines(path, [json.dumps(_record("q1")), json.dumps(_record("q2")), json.dumps(_record("q1"))])
+        examples, report = read_examples(path)
+        assert [e.question_id for e in examples] == ["q1", "q2"]
+        assert [e.line for e in report.errors] == [3]
+        assert "q1" in report.errors[0].message
+
     def test_empty_question_is_an_error(self, tmp_path):
         import json
 

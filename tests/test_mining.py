@@ -13,8 +13,7 @@ from pairqa.mining import (
     consistency_verdict,
     emit_training_records,
     evidentiality_verdict,
-    mine_consistency,
-    mine_evidentiality,
+    mine_question,
 )
 
 from conftest import make_example
@@ -25,6 +24,9 @@ PIVOT = "the pivotal passage states gold entity"
 FILLER = ["filler passage one", "filler passage two"]
 GOOD_LP = "a faithful account of gold entity"
 BAD_LP = "a hallucinated account of wrong entity"
+EVIDENTIALITY = {LabelKind.EVIDENTIALITY}
+CONSISTENCY = {LabelKind.CONSISTENCY}
+BOTH = EVIDENTIALITY | CONSISTENCY
 
 
 def pivot_example(generated=(GOOD_LP, BAD_LP)):
@@ -92,7 +94,7 @@ class TestVerdictRules:
 class TestMineEvidentiality:
     def test_pivot_is_positive_fillers_undetermined(self):
         example = pivot_example()
-        labels = mine_evidentiality(example, ScriptedPredictor())
+        labels = mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
         assert [l.verdict for l in labels] == [
             Verdict.POSITIVE,
             Verdict.UNDETERMINED,
@@ -105,14 +107,14 @@ class TestMineEvidentiality:
             def predict(self, req):
                 return WRONG if PIVOT in " ".join(req.passages) else GOLD
 
-        labels = mine_evidentiality(pivot_example(), MisledPredictor())
+        labels = mine_question(pivot_example(), MisledPredictor(), EVIDENTIALITY)
         assert labels[0].verdict is Verdict.NEGATIVE
         assert labels[1].verdict is Verdict.UNDETERMINED
 
     def test_requires_two_passages(self):
         example = make_example(retrieved_texts=("only one",))
         with pytest.raises(ContractViolation):
-            mine_evidentiality(example, ScriptedPredictor())
+            mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
 
     def test_predictor_failure_yields_undetermined_with_note(self):
         class Failing:
@@ -125,7 +127,7 @@ class TestMineEvidentiality:
                     raise PipelineError("service down")
                 return GOLD
 
-        labels = mine_evidentiality(pivot_example(), Failing())
+        labels = mine_question(pivot_example(), Failing(), EVIDENTIALITY)
         assert all(l.verdict is Verdict.UNDETERMINED for l in labels)
         assert all("service down" in l.note for l in labels)
 
@@ -134,7 +136,7 @@ class TestMineConsistency:
     def test_verdicts_against_ground_truth(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        labels = mine_consistency(example, predictor)
+        labels = mine_question(example, predictor, CONSISTENCY)
         by_pair = {(l.lp_index, l.rp_index): l.verdict for l in labels}
         assert by_pair[(0, 0)] is Verdict.POSITIVE  # faithful lp, pivotal rp
         assert by_pair[(1, 0)] is Verdict.NEGATIVE  # hallucinated lp, pivotal rp
@@ -145,7 +147,7 @@ class TestMineConsistency:
     def test_generated_calls_only_behind_the_gate(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        mine_consistency(example, predictor)
+        mine_question(example, predictor, CONSISTENCY)
         # gate holds only for rp 0, so III+IV appear once per generated passage
         gated_pairs = example.m  # (i, pivot) for each i
         assert len(predictor.calls_with_generated()) == 2 * gated_pairs
@@ -153,7 +155,7 @@ class TestMineConsistency:
     def test_call_count_bound(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        labels = mine_consistency(example, predictor)
+        labels = mine_question(example, predictor, CONSISTENCY)
         gated = sum(
             1
             for l in labels
@@ -172,12 +174,24 @@ class TestMineConsistency:
 
         example = pivot_example()
         predictor = AlwaysWrong()
-        labels = mine_consistency(example, predictor)
+        labels = mine_question(example, predictor, CONSISTENCY)
         assert all(l.verdict is Verdict.UNDETERMINED for l in labels)
         assert predictor.calls == 1 + example.n  # I once, II per retrieved passage
 
+    def test_both_kinds_share_one_pass(self):
+        example = pivot_example()
+        predictor = ScriptedPredictor()
+        labels = mine_question(example, predictor, BOTH)
+        gated = example.m  # (i, pivot) for each generated passage
+        assert len(predictor.calls) == 1 + example.n + 2 * gated
+        assert [(l.lp_index, l.rp_index) for l in labels[example.n :]] == [
+            (i, j) for i in range(example.m) for j in range(example.n)
+        ]
+        assert labels[: example.n] == mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
+        assert labels[example.n :] == mine_question(example, ScriptedPredictor(), CONSISTENCY)
+
     def test_verdict_purity(self):
-        labels = mine_consistency(pivot_example(), ScriptedPredictor())
+        labels = mine_question(pivot_example(), ScriptedPredictor(), CONSISTENCY)
         for label in labels:
             assert consistency_verdict(label.outcomes) is label.verdict
 
@@ -211,17 +225,6 @@ def _evid_label(qid, j, verdict):
     )
 
 
-def _cons_label(qid, i, j, verdict):
-    return SilverLabel(
-        question_id=qid,
-        kind=LabelKind.CONSISTENCY,
-        rp_index=j,
-        lp_index=i,
-        verdict=verdict,
-        outcomes=(ConfigOutcome(Config.I_FULL, "p", True),),
-    )
-
-
 class TestEmitTrainingRecords:
     def test_counts_per_class(self, tmp_path):
         example = pivot_example()
@@ -249,25 +252,24 @@ class TestEmitTrainingRecords:
         assert counts == {1: 0, 0: 0}
         assert out.read_text() == ""
 
-    def test_mixed_kinds_split_into_two_files(self, tmp_path):
-        example = pivot_example()
-        labels = [
-            _evid_label("q1", 0, Verdict.POSITIVE),
-            _cons_label("q1", 0, 0, Verdict.NEGATIVE),
-        ]
-        out = tmp_path / "labels.jsonl"
-        emit_training_records(labels, out, [example])
-        evid_file = tmp_path / "labels.evidentiality.jsonl"
-        cons_file = tmp_path / "labels.consistency.jsonl"
-        assert evid_file.exists() and cons_file.exists()
-        import json
-
-        cons_record = json.loads(cons_file.read_text().splitlines()[0])
-        assert set(cons_record) == {"question", "generated", "retrieved", "label"}
-        assert cons_record["label"] == 0
-
     def test_audit_covers_every_outcome(self):
-        labels = mine_consistency(pivot_example(), ScriptedPredictor())
+        predictor = ScriptedPredictor()
+        labels = mine_question(pivot_example(), predictor, BOTH)
         records = list(audit_records(labels))
-        assert len(records) == sum(len(l.outcomes) for l in labels)
-        assert all({"question_id", "config", "prediction", "correct"} <= set(r) for r in records)
+        assert len(records) == len(predictor.calls)
+        assert all(
+            set(r) == {"question_id", "config", "lp_index", "rp_index", "prediction", "correct"} for r in records
+        )
+        by_call = {
+            (r["config"], r["lp_index"], r["rp_index"]): ConfigOutcome(Config(r["config"]), r["prediction"], r["correct"])
+            for r in records
+        }
+        assert len(by_call) == len(records)
+        for label in labels:
+            i, j = label.lp_index, label.rp_index
+            full, drop = by_call[("I", None, None)], by_call[("II", None, j)]
+            if label.kind is LabelKind.EVIDENTIALITY:
+                assert evidentiality_verdict(full.correct, drop.correct) is label.verdict
+            else:
+                extra = [by_call[k] for k in (("III", i, None), ("IV", i, j)) if k in by_call]
+                assert consistency_verdict([full, drop, *extra]) is label.verdict

@@ -9,7 +9,7 @@ from pairqa.analysis import conflicting_rate
 from pairqa.corpus import HopType, Source, contains_answer
 from pairqa.errors import ContractViolation
 from pairqa.matching import equalize_pools, match_optimal
-from pairqa.mining import Verdict, mine_consistency, mine_evidentiality
+from pairqa.mining import LabelKind, Verdict, mine_question
 from pairqa.providers import LexicalMockScorer, PredictRequest
 from pairqa.scoring import CombineMode, build_matrix
 from pairqa.sim import (
@@ -134,7 +134,7 @@ class TestMiningSoundness:
         for example in examples:
             qt = truth.questions[example.question_id]
             pivots = qt.supporting_ids(Source.RETRIEVED)
-            labels = mine_consistency(example, predictor)
+            labels = mine_question(example, predictor, {LabelKind.CONSISTENCY})
             for label in labels:
                 rp_id = example.retrieved[label.rp_index].id
                 faithful = qt.chains[example.generated[label.lp_index].id].supports
@@ -149,7 +149,7 @@ class TestMiningSoundness:
         predictor = SimPredictor(truth)
         for example in examples:
             pivots = truth.questions[example.question_id].supporting_ids(Source.RETRIEVED)
-            for label in mine_evidentiality(example, predictor):
+            for label in mine_question(example, predictor, {LabelKind.EVIDENTIALITY}):
                 rp_id = example.retrieved[label.rp_index].id
                 expected = Verdict.POSITIVE if rp_id in pivots else Verdict.UNDETERMINED
                 assert label.verdict is expected
