@@ -138,19 +138,16 @@ def bin_report(
 
 
 def pair_type_distribution(matrices: Sequence[CompatibilityMatrix]) -> dict[PairType, float]:
-    """Fraction of each pair type over all cells of all complete matrices."""
+    """Fraction of each pair type over all cells of all matrices."""
     counts = {t: 0 for t in PairType}
     total = 0
     for matrix in matrices:
-        if not matrix.complete:
-            logger.warning("excluding incomplete matrix for %s", matrix.question_id)
-            continue
         for row in matrix.scores:
             for cell in row:
                 counts[classify_pair(cell)] += 1
                 total += 1
     if total == 0:
-        raise ContractViolation("no complete matrices to classify")
+        raise ContractViolation("no matrices to classify")
     return {t: counts[t] / total for t in PairType}
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import analysis, matching, mining, readerio, scoring, sim
-from .corpus import HopType, Passage, PassageChain, QAExample, read_examples, write_examples
+from .corpus import HopType, PassageChain, QAExample, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
 from .lineio import atomic_open, read_jsonl, write_jsonl
 from .providers import (
@@ -172,7 +172,10 @@ def apply_dotted_overrides(config: dict, pairs: Sequence[tuple[str, str]]) -> di
         leaf = parts[-1]
         if leaf not in node:
             raise ContractViolation(f"unknown config field --{dotted}")
-        node[leaf] = _coerce_like(node[leaf], text)
+        try:
+            node[leaf] = _coerce_like(node[leaf], text)
+        except ValueError as exc:
+            raise ContractViolation(f"--{dotted}: {exc}") from None
     return config
 
 
@@ -265,7 +268,12 @@ def _map_items(
     errors: list[dict],
     label: str,
 ):
-    """Run fn over items (bounded pool), collecting per-item failures."""
+    """Run fn over items (bounded pool), collecting per-item failures.
+
+    This is every stage's one per-item error path: a failure is recorded in
+    ``errors`` under its question id, and ``--strict`` makes it fatal. Items
+    are examples, or tuples led by the question id.
+    """
 
     def run(item):
         try:
@@ -284,9 +292,7 @@ def _map_items(
             results.append(payload)
         else:
             item, exc = payload
-            # match and serialize items are tuples led by the question id or example
-            head = item[0] if isinstance(item, tuple) else item
-            qid = getattr(head, "question_id", str(head))
+            qid = item[0] if isinstance(item, tuple) else item.question_id
             errors.append({"stage": label, "question_id": qid, "error": str(exc)})
             logger.warning("%s: %s failed: %s", label, qid, exc)
             if cfg.strict:
@@ -340,32 +346,16 @@ def cmd_generate(cfg: PipelineConfig) -> int:
 
 def cmd_score(cfg: PipelineConfig) -> int:
     examples, errors = _load_dataset(cfg)
-    scorable = [ex for ex in examples if ex.m >= 1 and ex.n >= 1]
-    for ex in examples:
-        if ex.m < 1 or ex.n < 1:
-            errors.append({"stage": "score", "question_id": ex.question_id, "error": "empty passage pool"})
-    scorer = build_scorer(cfg, scorable)
+    scorer = build_scorer(cfg, examples)
 
     def score(example: QAExample) -> scoring.CompatibilityMatrix:
         return scoring.build_matrix(example, scorer, cfg.scoring_mode)
 
-    matrices = _map_items(scorable, score, cfg, errors, "score")
-    incomplete = [m.question_id for m in matrices if not m.complete]
-    for qid in incomplete:
-        errors.append({"stage": "score", "question_id": qid, "error": "matrix incomplete"})
+    matrices = _map_items(examples, score, cfg, errors, "score")
     out_path = cfg.out / "matrices.jsonl"
     scoring.write_matrix_dump(out_path, matrices)
-    _write_report(
-        cfg,
-        "score",
-        {
-            "questions": len(examples),
-            "scored": sum(1 for m in matrices if m.complete),
-            "incomplete": incomplete,
-            "errors": errors,
-        },
-    )
-    print(f"scored {sum(1 for m in matrices if m.complete)}/{len(examples)} questions -> {out_path}")
+    _write_report(cfg, "score", {"questions": len(examples), "scored": len(matrices), "errors": errors})
+    print(f"scored {len(matrices)}/{len(examples)} questions -> {out_path}")
     return 0
 
 
@@ -375,7 +365,6 @@ def _matrices_path(cfg: PipelineConfig, key: str) -> Path:
 
 
 def cmd_match(cfg: PipelineConfig) -> int:
-    errors: list[dict] = []
     strategy = cfg.strategy
     matrices: dict[str, scoring.CompatibilityMatrix] = {}
     matrices_file = _matrices_path(cfg, "matching")
@@ -384,10 +373,7 @@ def cmd_match(cfg: PipelineConfig) -> int:
     elif strategy in (matching.Strategy.OPTIMAL, matching.Strategy.GREEDY):
         raise ContractViolation(f"strategy {strategy.value} needs a matrix dump at {matrices_file}")
 
-    examples: list[QAExample] = []
-    if cfg.dataset:
-        examples, ingest_errors = _load_dataset(cfg)
-        errors.extend(ingest_errors)
+    examples, errors = _load_dataset(cfg) if cfg.dataset else ([], [])
     if strategy is matching.Strategy.SAME_ANSWER and not examples:
         raise ContractViolation("same-answer matching needs --dataset for gold answers")
 
@@ -458,7 +444,7 @@ def load_matchings(path: str | Path) -> list[matching.PairMatching]:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"line {lineno}: bad matching record: {exc}") from None
+            raise ContractViolation(f"{path} line {lineno}: bad matching record: {exc}") from None
     return out
 
 
@@ -469,14 +455,7 @@ def cmd_mine(cfg: PipelineConfig) -> int:
         kinds = {mining.LabelKind(kind) for kind in cfg.raw["mine"]["kinds"]}
     except ValueError as exc:
         raise ContractViolation(f"unknown mine kind: {exc}") from None
-    minable = []
-    for ex in examples:
-        if ex.n < 2:
-            errors.append({"stage": "mine", "question_id": ex.question_id, "error": "needs N >= 2"})
-        else:
-            minable.append(ex)
-
-    label_lists = _map_items(minable, lambda ex: mining.mine_question(ex, predictor, kinds), cfg, errors, "mine")
+    label_lists = _map_items(examples, lambda ex: mining.mine_question(ex, predictor, kinds), cfg, errors, "mine")
     labels = [label for batch in label_lists for label in batch]
     counts = {}
     for kind in sorted(kinds, key=lambda k: k.value):
@@ -488,9 +467,9 @@ def cmd_mine(cfg: PipelineConfig) -> int:
     _write_report(
         cfg,
         "mine",
-        {"questions": len(minable), "labels": len(labels), "class_counts": counts, "errors": errors},
+        {"questions": len(label_lists), "labels": len(labels), "class_counts": counts, "errors": errors},
     )
-    print(f"mined {len(labels)} labels over {len(minable)} questions -> {cfg.out}")
+    print(f"mined {len(labels)} labels over {len(label_lists)} questions -> {cfg.out}")
     return 0
 
 
@@ -503,29 +482,23 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
     matchings = {m.question_id: m for m in load_matchings(matchings_path)}
     by_id = {ex.question_id: ex for ex in examples}
 
-    items = []
-    for qid, m in matchings.items():
-        example = by_id.get(qid)
-        if example is None:
-            errors.append({"stage": "serialize", "question_id": qid, "error": "not in dataset"})
-        else:
-            items.append((example, m))
-    items += [(ex, None) for ex in examples if ex.question_id not in matchings]
+    items = [(qid, by_id.get(qid), m) for qid, m in matchings.items()]
+    items += [(ex.question_id, ex, None) for ex in examples if ex.question_id not in matchings]
 
     def serialize(item) -> readerio.ReaderExample:
-        example, m = item
+        qid, example, m = item
+        if example is None:
+            raise PipelineError(f"{qid}: not in dataset")
         if m is None:
-            raise PipelineError(f"{example.question_id}: no matching")
+            raise PipelineError(f"{qid}: no matching")
         lps, rps = {i for i, _, _ in m.pairs}, {j for _, j, _ in m.pairs}
         if len(m.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
             raise PipelineError(
-                f"{example.question_id}: matching has {len(m.pairs)} pairs over {len(lps)} generated and"
+                f"{qid}: matching has {len(m.pairs)} pairs over {len(lps)} generated and"
                 f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
             )
         budget = cfg.budget if cfg.budget is not None else readerio.default_budget(example.hop_type, cfg.variant)
-        return readerio.serialize_variant(
-            example, m, cfg.variant, budget, seed=derive_seed(cfg.seed, example.question_id)
-        )
+        return readerio.serialize_variant(example, m, cfg.variant, budget, seed=derive_seed(cfg.seed, qid))
 
     reader_examples = _map_items(items, serialize, cfg, errors, "serialize")
     out_path = cfg.out / "reader_inputs.jsonl"
@@ -541,11 +514,7 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
 
 def cmd_analyze(cfg: PipelineConfig) -> int:
     examples, errors = _load_dataset(cfg)
-    usable = [ex for ex in examples if ex.m >= 1 and ex.n >= 1]
-    for ex in examples:
-        if ex.m < 1 or ex.n < 1:
-            errors.append({"stage": "analyze", "question_id": ex.question_id, "error": "empty passage pool"})
-    stats = [analysis.conflicting_rate(ex) for ex in usable]
+    stats = _map_items(examples, analysis.conflicting_rate, cfg, errors, "analyze")
     write_jsonl(cfg.out / "conflict_stats.jsonl", (s.to_record() for s in stats))
     mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
     print(f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}")
@@ -555,7 +524,7 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
         predictions = {
             method: readerio.ingest_predictions(path) for method, path in sorted(predictions_cfg.items())
         }
-        report = analysis.bin_report(stats, predictions, usable)
+        report = analysis.bin_report(stats, predictions, examples)
         print(analysis.format_bin_report(report))
         write_jsonl(cfg.out / "bin_report.jsonl", analysis.bin_report_rows(report))
         analysis.write_bin_report_csv(cfg.out / "bin_report.csv", report)
@@ -574,9 +543,12 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
     annotations_file = cfg.raw["analyze"]["annotations"]
     if annotations_file:
         predicted, annotated = [], []
-        for _, rec in read_jsonl(annotations_file):
-            predicted.append(scoring.PairType(rec["predicted"]))
-            annotated.append(scoring.PairType(rec["annotated"]))
+        for lineno, rec in read_jsonl(annotations_file):
+            try:
+                predicted.append(scoring.PairType(rec["predicted"]))
+                annotated.append(scoring.PairType(rec["annotated"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {exc}") from None
         counts, accuracy = analysis.label_confusion(predicted, annotated)
         print(f"label confusion accuracy: {accuracy:.3f}")
         write_jsonl(

@@ -20,7 +20,7 @@ class TransportError(PipelineError):
 
 
 class ProtocolError(PipelineError):
-    """A remote service answered with a malformed or incomplete body."""
+    """A remote service answered with a malformed body or one missing a field."""
 
 
 class MissingScoreError(PipelineError):

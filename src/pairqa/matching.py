@@ -92,15 +92,11 @@ def equalize_weights(weights: Sequence[Sequence[float]]) -> WeightedBipartiteGra
 
 
 def equalize_pools(matrix: CompatibilityMatrix) -> WeightedBipartiteGraph:
-    if not matrix.complete:
-        raise ContractViolation(f"{matrix.question_id}: cannot match an incomplete matrix")
     return equalize_weights(matrix.combined_grid())
 
 
 def equalize_pair_types(matrix: CompatibilityMatrix) -> tuple[tuple[PairType, ...], ...]:
     """Pair-type grid expanded with the same cyclic duplication as the weights."""
-    if not matrix.complete:
-        raise ContractViolation(f"{matrix.question_id}: cannot classify an incomplete matrix")
     k = max(matrix.m, matrix.n)
     row_origin = _cyclic(k, matrix.m)
     col_origin = _cyclic(k, matrix.n)

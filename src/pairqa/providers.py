@@ -21,8 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -34,7 +32,7 @@ import requests
 
 from .corpus import Passage, PassageChain, QAExample, Source, text_contains_answer
 from .errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
-from .lineio import dumps_canonical, read_jsonl
+from .lineio import atomic_open, dumps_canonical, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +108,9 @@ class PredictRequest:
 class ResponseCache:
     """Persistent response store, one JSON file per request hash.
 
-    Writes are atomic (temp file + rename) and serialized by a lock, so
-    concurrent workers racing on the same key settle on identical bytes.
+    Writes go through ``atomic_open`` and are serialized by a lock (its temp
+    name is per process, so threads must not share it at once); concurrent
+    workers racing on the same key settle on identical bytes.
     """
 
     def __init__(self, root: str | Path):
@@ -134,51 +133,57 @@ class ResponseCache:
     def put(self, service: str, body: Mapping, response: Mapping) -> None:
         path = self.root / f"{self.key(service, body)}.json"
         data = dumps_canonical(dict(response))
-        with self._lock:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        with self._lock, atomic_open(path) as fh:
+            fh.write(data)
+
+
+class _ServiceClient:
+    """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
+    retrying transport failures with exponential backoff; ``timeout``
+    defaults to the class's ``default_timeout``."""
+
+    default_timeout = 30.0
+
+    def __init__(
+        self,
+        url: str,
+        token: str | None = None,
+        max_retries: int = 3,
+        backoff: float = 0.5,
+        timeout: float | None = None,
+    ):
+        self.url = url
+        self.token = token
+        self.max_retries = max_retries
+        self.backoff = backoff
+        self.timeout = self.default_timeout if timeout is None else timeout
+
+    def _post(self, body: Mapping) -> dict:
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
+        attempt = 0
+        while True:
+            attempt += 1
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
-
-def _post_json(
-    url: str,
-    body: Mapping,
-    token: str | None,
-    max_retries: int,
-    backoff: float,
-    timeout: float,
-) -> dict:
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-            resp.raise_for_status()
-        except requests.RequestException as exc:
-            if attempt > max_retries:
-                raise TransportError(
-                    f"POST {url} failed after {attempt} attempts: {exc}", attempts=attempt
-                ) from exc
-            delay = backoff * (2 ** (attempt - 1))
-            logger.warning("POST %s attempt %d failed (%s); retrying in %.2fs", url, attempt, exc, delay)
-            time.sleep(delay)
-            continue
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise ProtocolError(f"POST {url}: response is not JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ProtocolError(f"POST {url}: response is not an object")
-        return payload
+                resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
+                resp.raise_for_status()
+            except requests.RequestException as exc:
+                if attempt > self.max_retries:
+                    raise TransportError(
+                        f"POST {self.url} failed after {attempt} attempts: {exc}", attempts=attempt
+                    ) from exc
+                delay = self.backoff * (2 ** (attempt - 1))
+                logger.warning("POST %s attempt %d failed (%s); retrying in %.2fs", self.url, attempt, exc, delay)
+                time.sleep(delay)
+                continue
+            try:
+                payload = resp.json()
+            except ValueError as exc:
+                raise ProtocolError(f"POST {self.url}: response is not JSON: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise ProtocolError(f"POST {self.url}: response is not an object")
+            return payload
 
 
 def _clamp_probability(value, origin: str) -> float:
@@ -191,51 +196,23 @@ def _clamp_probability(value, origin: str) -> float:
     return p
 
 
-class RemoteScorer:
+class RemoteScorer(_ServiceClient):
     """HTTP client for the discriminator scoring service."""
 
-    def __init__(
-        self,
-        url: str,
-        token: str | None = None,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 30.0,
-    ):
-        self.url = url
-        self.token = token
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
-
     def score(self, req: ScoreRequest) -> float:
-        body = req.wire_body()
-        payload = _post_json(self.url, body, self.token, self.max_retries, self.backoff, self.timeout)
+        payload = self._post(req.wire_body())
         if "probability" not in payload:
             raise ProtocolError("scorer response missing 'probability'")
         return _clamp_probability(payload["probability"], self.url)
 
 
-class RemotePredictor:
+class RemotePredictor(_ServiceClient):
     """HTTP client for the QA predictor (reader) service."""
 
-    def __init__(
-        self,
-        url: str,
-        token: str | None = None,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 60.0,
-    ):
-        self.url = url
-        self.token = token
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
+    default_timeout = 60.0
 
     def predict(self, req: PredictRequest) -> str:
-        body = req.wire_body()
-        payload = _post_json(self.url, body, self.token, self.max_retries, self.backoff, self.timeout)
+        payload = self._post(req.wire_body())
         answer = payload.get("answer")
         if not isinstance(answer, str):
             raise ProtocolError("predictor response missing string 'answer'")
@@ -292,15 +269,20 @@ class FileScoreStore:
         by_id = {ex.question_id: ex for ex in examples}
         scores: dict[tuple[str, str | None, str], float] = {}
         for lineno, rec in read_jsonl(path):
-            qid = rec["question_id"]
-            example = by_id.get(qid)
-            if example is None:
-                raise ContractViolation(f"line {lineno}: unknown question_id {qid!r} in matrix dump")
-            i, j = int(rec["i"]), int(rec["j"])
-            lp_id = example.generated[i].id
-            rp_id = example.retrieved[j].id
-            scores[(qid, None, rp_id)] = float(rec["evidentiality"])
-            scores[(qid, lp_id, rp_id)] = float(rec["consistency"])
+            try:
+                qid = rec["question_id"]
+                example = by_id.get(qid)
+                if example is None:
+                    raise ContractViolation(f"unknown question_id {qid!r}")
+                i, j = int(rec["i"]), int(rec["j"])
+                if not (0 <= i < example.m and 0 <= j < example.n):
+                    raise ContractViolation(f"cell ({i}, {j}) is outside the {example.m}x{example.n} pools")
+                lp_id = example.generated[i].id
+                rp_id = example.retrieved[j].id
+                scores[(qid, None, rp_id)] = float(rec["evidentiality"])
+                scores[(qid, lp_id, rp_id)] = float(rec["consistency"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ContractViolation(f"{path} line {lineno}: bad matrix record: {exc}") from None
         return cls(scores)
 
     def score(self, req: ScoreRequest) -> float:
@@ -364,27 +346,13 @@ def split_two_documents(raw: str) -> tuple[str, str]:
     return seg1, seg2
 
 
-class RemoteGenerator:
+class RemoteGenerator(_ServiceClient):
     """HTTP client for the passage generation service."""
 
-    def __init__(
-        self,
-        url: str,
-        token: str | None = None,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 120.0,
-    ):
-        self.url = url
-        self.token = token
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
+    default_timeout = 120.0
 
     def generate(self, req: GenerationRequest) -> list[PassageChain]:
-        payload = _post_json(
-            self.url, req.wire_body(), self.token, self.max_retries, self.backoff, self.timeout
-        )
+        payload = self._post(req.wire_body())
         raw_passages = payload.get("passages")
         if not isinstance(raw_passages, list):
             raise ProtocolError("generator response missing 'passages' array")

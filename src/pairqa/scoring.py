@@ -9,18 +9,15 @@ pairs can never outrank evidential ones during matching.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import QAExample
-from .errors import ContractViolation, PipelineError
+from .errors import ContractViolation
 from .lineio import read_jsonl, write_jsonl
 from .providers import ScoreKind, ScoreRequest
-
-logger = logging.getLogger(__name__)
 
 
 class CombineMode(Enum):
@@ -48,9 +45,7 @@ class CompatibilityMatrix:
     """Dense M x N grid of pair scores for one question.
 
     ``mode`` is None for matrices reconstructed from a dump, where the
-    combined scores are already materialized. ``complete`` is False when a
-    scorer error aborted the build; such matrices carry no scores and are
-    excluded from matching.
+    combined scores are already materialized.
     """
 
     question_id: str
@@ -58,8 +53,6 @@ class CompatibilityMatrix:
     n: int
     scores: tuple[tuple[PairScore, ...], ...]
     mode: CombineMode | None = CombineMode.CUTOFF
-    complete: bool = True
-    error: str | None = None
 
     def cell(self, i: int, j: int) -> PairScore:
         return self.scores[i][j]
@@ -91,62 +84,50 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
 
     Issues exactly N evidentiality queries (evidentiality depends only on
     the retrieved passage, so each column shares one value) and M*N
-    consistency queries. Any scorer failure marks the matrix incomplete
-    instead of imputing values.
+    consistency queries. A scorer failure propagates: no value is imputed,
+    and the caller records the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
             f"{example.question_id}: matching needs M >= 1 and N >= 1 (got M={example.m}, N={example.n})"
         )
-    try:
-        evidentiality = [
-            scorer.score(
+    evidentiality = [
+        scorer.score(
+            ScoreRequest(
+                kind=ScoreKind.EVIDENTIALITY,
+                question=example.question,
+                retrieved_text=chain.text(),
+                question_id=example.question_id,
+                retrieved_id=chain.id,
+            )
+        )
+        for chain in example.retrieved
+    ]
+    rows = []
+    for i, lp in enumerate(example.generated):
+        row = []
+        for j, rp in enumerate(example.retrieved):
+            consistency = scorer.score(
                 ScoreRequest(
-                    kind=ScoreKind.EVIDENTIALITY,
+                    kind=ScoreKind.CONSISTENCY,
                     question=example.question,
-                    retrieved_text=chain.text(),
+                    retrieved_text=rp.text(),
+                    generated_text=lp.text(),
                     question_id=example.question_id,
-                    retrieved_id=chain.id,
+                    retrieved_id=rp.id,
+                    generated_id=lp.id,
                 )
             )
-            for chain in example.retrieved
-        ]
-        rows = []
-        for i, lp in enumerate(example.generated):
-            row = []
-            for j, rp in enumerate(example.retrieved):
-                consistency = scorer.score(
-                    ScoreRequest(
-                        kind=ScoreKind.CONSISTENCY,
-                        question=example.question,
-                        retrieved_text=rp.text(),
-                        generated_text=lp.text(),
-                        question_id=example.question_id,
-                        retrieved_id=rp.id,
-                        generated_id=lp.id,
-                    )
+            row.append(
+                PairScore(
+                    lp_index=i,
+                    rp_index=j,
+                    evidentiality=evidentiality[j],
+                    consistency=consistency,
+                    combined=combine(evidentiality[j], consistency, mode),
                 )
-                row.append(
-                    PairScore(
-                        lp_index=i,
-                        rp_index=j,
-                        evidentiality=evidentiality[j],
-                        consistency=consistency,
-                        combined=combine(evidentiality[j], consistency, mode),
-                    )
-                )
-            rows.append(tuple(row))
-    except PipelineError as exc:
-        logger.warning("%s: scoring failed, matrix marked incomplete: %s", example.question_id, exc)
-        return CompatibilityMatrix(
-            question_id=example.question_id,
-            m=example.m,
-            n=example.n,
-            scores=(),
-            mode=mode,
-            complete=False,
-            error=str(exc),
-        )
+            )
+        rows.append(tuple(row))
     return CompatibilityMatrix(
         question_id=example.question_id, m=example.m, n=example.n, scores=tuple(rows), mode=mode
     )
@@ -166,12 +147,7 @@ def matrix_to_records(matrix: CompatibilityMatrix) -> Iterable[dict]:
 
 
 def write_matrix_dump(path: str | Path, matrices: Sequence[CompatibilityMatrix]) -> int:
-    def records():
-        for matrix in matrices:
-            if matrix.complete:
-                yield from matrix_to_records(matrix)
-
-    return write_jsonl(path, records())
+    return write_jsonl(path, (rec for matrix in matrices for rec in matrix_to_records(matrix)))
 
 
 def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:
@@ -192,7 +168,7 @@ def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:
                 combined=float(rec["combined"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"line {lineno}: bad matrix record: {exc}") from None
+            raise ContractViolation(f"{path} line {lineno}: bad matrix record: {exc}") from None
         cells.setdefault(qid, {})[(cell.lp_index, cell.rp_index)] = cell
     matrices = []
     for qid, grid in cells.items():

@@ -214,16 +214,19 @@ def write_truth(path: str | Path, truth: GroundTruth) -> int:
 
 def load_truth(path: str | Path) -> GroundTruth:
     questions = {}
-    for _, rec in read_jsonl(path):
-        chains = {
-            c["id"]: ChainTruth(c["id"], Source(c["source"]), c["text"], bool(c["supports"]))
-            for c in rec["chains"]
-        }
-        questions[rec["question_id"]] = QuestionTruth(
-            question_id=rec["question_id"],
-            question=rec["question"],
-            gold=rec["gold"],
-            distractor=rec["distractor"],
-            chains=chains,
-        )
+    for lineno, rec in read_jsonl(path):
+        try:
+            chains = {
+                c["id"]: ChainTruth(c["id"], Source(c["source"]), c["text"], bool(c["supports"]))
+                for c in rec["chains"]
+            }
+            questions[rec["question_id"]] = QuestionTruth(
+                question_id=rec["question_id"],
+                question=rec["question"],
+                gold=rec["gold"],
+                distractor=rec["distractor"],
+                chains=chains,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"{path} line {lineno}: bad truth record: {exc}") from None
     return GroundTruth(questions=questions)

@@ -226,14 +226,6 @@ class TestPairTypeDistribution:
         dist = pair_type_distribution(matrices)
         assert abs(sum(dist.values()) - 1.0) < 1e-12
 
-    def test_incomplete_excluded(self):
-        good = matrix_from_grid([[(0.9, 0.9)]])
-        bad = CompatibilityMatrix(
-            question_id="q2", m=1, n=1, scores=(), mode=CombineMode.CUTOFF, complete=False
-        )
-        dist = pair_type_distribution([good, bad])
-        assert dist[PairType.COMPATIBLE] == 1.0
-
 
 class TestLabelConfusion:
     def test_identical_lists(self):

@@ -25,6 +25,98 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def _copy_with_first_record(src, dst, edit) -> dict:
+    """Copy a line-delimited JSON file, applying ``edit`` to its first record
+    (a record ``edit`` returns as None is dropped); returns that record as read."""
+    lines = src.read_text().splitlines()
+    first = json.loads(lines[0])
+    edited = edit(json.loads(lines[0]))
+    lines[0] = json.dumps(edited) if edited is not None else ""
+    dst.write_text("".join(line + "\n" for line in lines if line))
+    return first
+
+
+def _drop(record):
+    return None
+
+
+def _no_generated(record):
+    record["generated"] = []
+    return record
+
+
+def _one_retrieved(record):
+    record["retrieved"] = record["retrieved"][:1]
+    return record
+
+
+def _serialize_not_in_dataset(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    assert run("match", "--dataset", dataset, "--out", out) == 0
+    smaller = tmp / "smaller.jsonl"
+    qid = _copy_with_first_record(dataset, smaller, _drop)["question_id"]
+    return ["serialize", "--dataset", smaller, "--out", out], qid, "not in dataset"
+
+
+def _score_scorer_failure(tmp, dataset, truth):
+    assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
+    store = tmp / "store.jsonl"
+    # the first record holds the question's only consistency score for (g0, r0)
+    qid = _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", store, _drop)["question_id"]
+    argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--scorer.backend", "file", "--scorer.store", store]
+    return argv, qid, "no stored score"
+
+
+def _score_empty_pool(tmp, dataset, truth):
+    edited = tmp / "edited.jsonl"
+    qid = _copy_with_first_record(dataset, edited, _no_generated)["question_id"]
+    return ["score", "--dataset", edited, "--out", tmp / "out"], qid, "M >= 1"
+
+
+def _analyze_empty_pool(tmp, dataset, truth):
+    edited = tmp / "edited.jsonl"
+    qid = _copy_with_first_record(dataset, edited, _no_generated)["question_id"]
+    return ["analyze", "--dataset", edited, "--out", tmp / "out"], qid, "empty generated pool"
+
+
+def _mine_one_retrieved(tmp, dataset, truth):
+    edited = tmp / "edited.jsonl"
+    qid = _copy_with_first_record(dataset, edited, _one_retrieved)["question_id"]
+    return ["mine", "--dataset", edited, "--out", tmp / "out", "--predictor.truth", truth], qid, "N >= 2"
+
+
+def _truth_without_chains(tmp, dataset, truth):
+    bad = tmp / "bad_truth.jsonl"
+    _copy_with_first_record(truth, bad, lambda rec: {k: v for k, v in rec.items() if k != "chains"})
+    return ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad], "bad_truth.jsonl line 1"
+
+
+def _bad_store(edit):
+    def case(tmp, dataset, truth):
+        assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
+        store = tmp / "store.jsonl"
+        _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", store, edit)
+        argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--scorer.backend", "file", "--scorer.store", store]
+        return argv, "store.jsonl line 1"
+
+    return case
+
+
+def _bad_annotation(record):
+    def case(tmp, dataset, truth):
+        annotations = tmp / "annotations.jsonl"
+        annotations.write_text(json.dumps(record) + "\n")
+        argv = ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.annotations", annotations]
+        return argv, "annotations.jsonl line 1"
+
+    return case
+
+
+def _unparsable_override(tmp, dataset, truth):
+    return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "--simulate.n"
+
+
 class TestScoreMatchSerialize:
     def test_full_pipeline_with_lexical_scorer(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
@@ -258,6 +350,54 @@ class TestErrorHandling:
         assert summary["error"] == "ContractViolation"
         assert "matchings.jsonl line 2" in summary["message"]
         assert not (out / "reader_inputs.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        [_serialize_not_in_dataset, _score_scorer_failure, _score_empty_pool, _analyze_empty_pool, _mine_one_retrieved],
+        ids=["serialize-not-in-dataset", "score-scorer-failure", "score-empty-pool", "analyze-empty-pool", "mine-n-1"],
+    )
+    def test_per_item_failure_is_reported_and_strict_exits_1(self, sim_workspace, case):
+        tmp = sim_workspace[0]
+        argv, qid, message = case(*sim_workspace)
+        stage = argv[0]
+        assert run(*argv) == 0
+        report = json.loads((tmp / "out" / f"{stage}_report.json").read_text())
+        assert [(e["stage"], e["question_id"]) for e in report["errors"]] == [(stage, qid)]
+        assert message in report["errors"][0]["error"]
+        if stage == "score":
+            matrices = (tmp / "out" / "matrices.jsonl").read_text().splitlines()
+            assert qid not in {json.loads(line)["question_id"] for line in matrices}
+        assert run(*argv, "--strict") == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _truth_without_chains,
+            _bad_store(lambda rec: {k: v for k, v in rec.items() if k != "j"}),
+            _bad_store(lambda rec: {**rec, "i": 3}),
+            _bad_store(lambda rec: {**rec, "i": -1}),
+            _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
+            _bad_annotation({"predicted": "compatible"}),
+            _unparsable_override,
+        ],
+        ids=[
+            "truth-without-chains",
+            "store-without-j",
+            "store-i-past-pool",
+            "store-negative-i",
+            "annotation-bogus-type",
+            "annotation-missing-key",
+            "override-not-an-int",
+        ],
+    )
+    def test_malformed_handoff_record_stops_with_summary(self, sim_workspace, case, capsys):
+        argv, where = case(*sim_workspace)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert set(summary) == {"error", "message"}
+        assert summary["error"] == "ContractViolation"
+        assert where in summary["message"]
 
     def test_strict_mode_aborts(self, sim_workspace):
         tmp, dataset, _ = sim_workspace

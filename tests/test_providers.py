@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import stat
+
 import pytest
 
 from pairqa.errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
+from pairqa.lineio import write_jsonl
 from pairqa.providers import (
     CachingBackend,
     FileScoreStore,
@@ -118,6 +121,14 @@ class TestRemoteScorer:
         other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         assert other.score(evid_request()) == 0.25
         assert len(http_service.requests["/score"]) == 1
+
+
+@pytest.mark.parametrize(
+    "client, default", [(RemoteScorer, 30.0), (RemotePredictor, 60.0), (RemoteGenerator, 120.0)]
+)
+def test_clients_keep_their_default_timeouts(client, default):
+    assert client("http://127.0.0.1:9").timeout == default
+    assert client("http://127.0.0.1:9", timeout=5.0).timeout == 5.0
 
 
 class TestRemotePredictor:
@@ -242,3 +253,10 @@ class TestResponseCache:
         assert cache.get("scorer", {"q": 1}) is None
         cache.put("scorer", {"q": 1}, {"probability": 0.5})
         assert cache.get("scorer", {"q": 1}) == {"probability": 0.5}
+
+    def test_entry_has_the_mode_of_other_outputs(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        cache.put("scorer", {"q": 1}, {"probability": 0.5})
+        write_jsonl(tmp_path / "out.jsonl", [{"q": 1}])
+        (entry,) = (tmp_path / "cache").iterdir()
+        assert stat.S_IMODE(entry.stat().st_mode) == stat.S_IMODE((tmp_path / "out.jsonl").stat().st_mode)

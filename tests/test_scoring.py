@@ -103,7 +103,7 @@ class TestBuildMatrix:
         matrix = build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
         assert scorer.evid_calls == 10
         assert scorer.cons_calls == 100
-        assert matrix.m == matrix.n == 10 and matrix.complete
+        assert matrix.m == matrix.n == 10
 
     def test_single_cell_cutoff_and_product(self):
         example = make_example(retrieved_texts=("r",), generated_texts=("g",))
@@ -118,15 +118,13 @@ class TestBuildMatrix:
             column = {matrix.cell(i, j).evidentiality for i in range(matrix.m)}
             assert len(column) == 1
 
-    def test_scorer_failure_marks_matrix_incomplete(self):
+    def test_scorer_failure_propagates(self):
         class FailingScorer:
             def score(self, req):
                 raise MissingScoreError(("q", None, "r"))
 
-        matrix = build_matrix(make_example(), FailingScorer(), CombineMode.CUTOFF)
-        assert matrix.complete is False
-        assert matrix.scores == ()
-        assert "no stored score" in matrix.error
+        with pytest.raises(MissingScoreError, match="no stored score"):
+            build_matrix(make_example(), FailingScorer(), CombineMode.CUTOFF)
 
     def test_empty_pool_is_a_contract_violation(self):
         example = make_example()
@@ -158,15 +156,6 @@ class TestDumpRoundTrip:
         for i in range(10):
             for j in range(10):
                 assert rebuilt.cell(i, j) == matrix.cell(i, j)
-
-    def test_incomplete_matrices_are_not_dumped(self, tmp_path):
-        class FailingScorer:
-            def score(self, req):
-                raise MissingScoreError(("q", None, "r"))
-
-        bad = build_matrix(make_example(), FailingScorer(), CombineMode.CUTOFF)
-        dump = tmp_path / "matrices.jsonl"
-        assert write_matrix_dump(dump, [bad]) == 0
 
     def test_missing_cells_rejected_on_load(self, tmp_path):
         from pairqa.lineio import write_jsonl
