@@ -55,7 +55,7 @@ def run_point(p: float, args) -> dict:
         for name, result in results.items():
             totals[name] += result.total_weight
             lp, rp, _ = result.pairs[0]
-            if scoring.classify_pair(matrix.cell(lp, rp)) is PairType.COMPATIBLE:
+            if matrix.pair_type(lp, rp) is PairType.COMPATIBLE:
                 top_compatible[name] += 1
     q = len(examples)
     return {

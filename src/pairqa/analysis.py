@@ -10,7 +10,6 @@ containment, not discriminator output, defines it.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -18,9 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import QAExample, contains_answer, exact_match
 from .errors import ContractViolation
 from .lineio import atomic_open
-from .scoring import CompatibilityMatrix, PairType, classify_pair
-
-logger = logging.getLogger(__name__)
+from .scoring import CompatibilityMatrix, PairType
 
 # Left-closed bins; the last bin includes 1.0.
 BIN_EDGES = ((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5), (0.5, 1.0))
@@ -97,8 +94,8 @@ def bin_report(
 ) -> BinReport:
     """Per-bin EM for each method in ``predictions`` (method -> qid -> answer).
 
-    Questions missing a prediction for any method are excluded entirely,
-    with a warning, so all methods are compared on the same subset.
+    Questions missing a prediction for any method are excluded entirely
+    (and counted), so all methods are compared on the same subset.
     """
     answers = {ex.question_id: ex.answers for ex in examples}
     methods = sorted(predictions)
@@ -108,7 +105,6 @@ def bin_report(
         if stat.question_id not in answers:
             raise ContractViolation(f"no example for question {stat.question_id!r}")
         if any(stat.question_id not in predictions[m] for m in methods):
-            logger.warning("excluding %s: missing prediction for some method", stat.question_id)
             excluded += 1
             continue
         kept.append((bin_index(stat.conflicting_rate), stat.question_id))
@@ -142,10 +138,10 @@ def pair_type_distribution(matrices: Sequence[CompatibilityMatrix]) -> dict[Pair
     counts = {t: 0 for t in PairType}
     total = 0
     for matrix in matrices:
-        for row in matrix.scores:
-            for cell in row:
-                counts[classify_pair(cell)] += 1
-                total += 1
+        for i in range(matrix.m):
+            for j in range(matrix.n):
+                counts[matrix.pair_type(i, j)] += 1
+        total += matrix.m * matrix.n
     if total == 0:
         raise ContractViolation("no matrices to classify")
     return {t: counts[t] / total for t in PairType}

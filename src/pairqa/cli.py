@@ -34,10 +34,9 @@ from typing import Any, Callable, Sequence
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, PassageChain, QAExample, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import atomic_open, read_jsonl, write_jsonl
+from .lineio import IngestionReport, atomic_open, read_jsonl, write_jsonl
 from .providers import (
     CachingBackend,
-    FileScoreStore,
     GenerationMode,
     GenerationRequest,
     LexicalMockScorer,
@@ -237,8 +236,7 @@ def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
         store = spec.get("store")
         if not store:
             raise ContractViolation("scorer backend 'file' needs scorer.store (a matrix dump path)")
-        scorer = FileScoreStore.from_matrix_dump(store, examples)
-        return _cached(cfg, scorer, "scorer:file", store)
+        return _cached(cfg, scoring.load_score_store(store, examples), "scorer:file", store)
     if backend == "remote":
         url = _backend_url(spec, "scorer")
         return _cached(cfg, RemoteScorer(url, _backend_token(spec, "scorer")), f"scorer:remote:{url}")
@@ -300,16 +298,22 @@ def _map_items(
     return results
 
 
+def _ingest_errors(cfg: PipelineConfig, report: IngestionReport, what: str, **where) -> list[dict]:
+    """Stage-report entries for the lines an ingest rejected; ``--strict``
+    makes any of them fatal."""
+    errors = [{"stage": "ingest", **where, "line": e.line, "error": e.message} for e in report.errors]
+    if cfg.strict and errors:
+        raise PipelineError(f"{len(errors)} malformed {what} records")
+    return errors
+
+
 def _load_dataset(cfg: PipelineConfig) -> tuple[list[QAExample], list[dict]]:
     if not cfg.dataset:
         raise ContractViolation("this command needs --dataset (or config dataset)")
     examples, report = read_examples(cfg.dataset)
-    errors = [{"stage": "ingest", "line": e.line, "error": e.message} for e in report.errors]
     for w in report.warnings:
         logger.warning("ingest line %d: %s", w.line, w.message)
-    if cfg.strict and errors:
-        raise PipelineError(f"{len(errors)} malformed dataset records")
-    return examples, errors
+    return examples, _ingest_errors(cfg, report, "dataset")
 
 
 def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
@@ -521,9 +525,19 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
 
     predictions_cfg = cfg.raw["analyze"]["predictions"]
     if predictions_cfg:
-        predictions = {
-            method: readerio.ingest_predictions(path) for method, path in sorted(predictions_cfg.items())
-        }
+        predictions = {}
+        for method, path in sorted(predictions_cfg.items()):
+            ingest = IngestionReport()
+            predictions[method] = readerio.ingest_predictions(path, ingest)
+            errors += _ingest_errors(cfg, ingest, f"{method} prediction", file=str(path))
+
+        def predicted_by_every_method(stat: analysis.ConflictStats) -> None:
+            missing = [method for method in predictions if stat.question_id not in predictions[method]]
+            if missing:
+                raise PipelineError(f"{stat.question_id}: no prediction from {', '.join(missing)}")
+
+        # the bin report leaves these questions out; this records each one
+        _map_items(stats, predicted_by_every_method, cfg, errors, "analyze")
         report = analysis.bin_report(stats, predictions, examples)
         print(analysis.format_bin_report(report))
         write_jsonl(cfg.out / "bin_report.jsonl", analysis.bin_report_rows(report))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .corpus import QAExample, contains_answer
 from .errors import ContractViolation
-from .scoring import CompatibilityMatrix, PairType, classify_pair
+from .scoring import CompatibilityMatrix, PairType
 
 Pair = tuple[int, int, float]
 
@@ -100,9 +100,7 @@ def equalize_pair_types(matrix: CompatibilityMatrix) -> tuple[tuple[PairType, ..
     k = max(matrix.m, matrix.n)
     row_origin = _cyclic(k, matrix.m)
     col_origin = _cyclic(k, matrix.n)
-    return tuple(
-        tuple(classify_pair(matrix.cell(ri, cj)) for cj in col_origin) for ri in row_origin
-    )
+    return tuple(tuple(matrix.pair_type(ri, cj) for cj in col_origin) for ri in row_origin)
 
 
 def _sorted_pairs(pairs: Sequence[Pair]) -> tuple[Pair, ...]:

@@ -13,7 +13,9 @@ offline, can be wrapped in ``CachingBackend``, an on-disk response cache
 keyed by the backend's identity and a content hash of the request body, so
 that re-running a mining or scoring pass replays identical bytes. Backends
 are duck-typed: a scorer exposes ``score(req) -> float`` and a predictor
-``predict(req) -> str``.
+``predict(req) -> str``. ``FileScoreStore`` answers from stored
+probabilities and parses no file itself: ``scoring.load_score_store``
+fills it from a matrix dump.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import requests
 
 from .corpus import Passage, PassageChain, QAExample, Source, text_contains_answer
 from .errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
-from .lineio import atomic_open, dumps_canonical, read_jsonl
+from .lineio import atomic_open, dumps_canonical
 
 logger = logging.getLogger(__name__)
 
@@ -257,33 +259,13 @@ class FileScoreStore:
     """Offline scorer backed by stored probabilities.
 
     Keys are ``(question_id, generated_id, retrieved_id)`` with
-    ``generated_id=None`` for evidentiality entries. A matrix dump can be
-    loaded back as a store, which makes score audits round-trip.
+    ``generated_id=None`` for evidentiality entries.
+    ``scoring.load_score_store`` builds one from a matrix dump, which makes
+    score audits round-trip.
     """
 
     def __init__(self, scores: Mapping[tuple[str, str | None, str], float]):
         self._scores = dict(scores)
-
-    @classmethod
-    def from_matrix_dump(cls, path: str | Path, examples: Iterable[QAExample]) -> "FileScoreStore":
-        by_id = {ex.question_id: ex for ex in examples}
-        scores: dict[tuple[str, str | None, str], float] = {}
-        for lineno, rec in read_jsonl(path):
-            try:
-                qid = rec["question_id"]
-                example = by_id.get(qid)
-                if example is None:
-                    raise ContractViolation(f"unknown question_id {qid!r}")
-                i, j = int(rec["i"]), int(rec["j"])
-                if not (0 <= i < example.m and 0 <= j < example.n):
-                    raise ContractViolation(f"cell ({i}, {j}) is outside the {example.m}x{example.n} pools")
-                lp_id = example.generated[i].id
-                rp_id = example.retrieved[j].id
-                scores[(qid, None, rp_id)] = float(rec["evidentiality"])
-                scores[(qid, lp_id, rp_id)] = float(rec["consistency"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ContractViolation(f"{path} line {lineno}: bad matrix record: {exc}") from None
-        return cls(scores)
 
     def score(self, req: ScoreRequest) -> float:
         if req.question_id is None or req.retrieved_id is None:

@@ -1,10 +1,16 @@
 """Per-question compatibility matrices from discriminator probabilities.
 
-A pair's combined score either multiplies the two probabilities or, in
-cutoff mode, keeps the consistency probability only when the retrieved
-passage's evidentiality strictly exceeds 0.5 (zero otherwise). The cutoff
-binarizes a poorly calibrated evidentiality signal so that non-evidential
-pairs can never outrank evidential ones during matching.
+A matrix holds what the discriminators return: one evidentiality
+probability per retrieved passage and one consistency probability per
+(generated, retrieved) pair. A pair's combined score either multiplies the
+two or, in cutoff mode, keeps the consistency probability only when the
+retrieved passage's evidentiality strictly exceeds 0.5 (zero otherwise).
+The cutoff binarizes a poorly calibrated evidentiality signal so that
+non-evidential pairs can never outrank evidential ones during matching.
+
+The matrix dump (``matrices.jsonl``) holds one record per question,
+``{"question_id", "mode", "evidentiality": [N], "consistency": [[N] x M]}``;
+combined scores are recomputed from it, which gives back the same floats.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterable, Sequence
 from .corpus import QAExample
 from .errors import ContractViolation
 from .lineio import read_jsonl, write_jsonl
-from .providers import ScoreKind, ScoreRequest
+from .providers import FileScoreStore, ScoreKind, ScoreRequest
 
 
 class CombineMode(Enum):
@@ -31,153 +37,156 @@ class PairType(Enum):
     NON_EVIDENTIAL = "non_evidential"
 
 
-@dataclass(frozen=True)
-class PairScore:
-    lp_index: int
-    rp_index: int
-    evidentiality: float
-    consistency: float
-    combined: float
-
-
-@dataclass(frozen=True)
-class CompatibilityMatrix:
-    """Dense M x N grid of pair scores for one question.
-
-    ``mode`` is None for matrices reconstructed from a dump, where the
-    combined scores are already materialized.
-    """
-
-    question_id: str
-    m: int
-    n: int
-    scores: tuple[tuple[PairScore, ...], ...]
-    mode: CombineMode | None = CombineMode.CUTOFF
-
-    def cell(self, i: int, j: int) -> PairScore:
-        return self.scores[i][j]
-
-    def combined_grid(self) -> list[list[float]]:
-        return [[cell.combined for cell in row] for row in self.scores]
+def _check_probability(name: str, p: float) -> float:
+    if not 0.0 <= p <= 1.0:
+        raise ContractViolation(f"{name} {p!r} outside [0,1]")
+    return p
 
 
 def combine(evidentiality: float, consistency: float, mode: CombineMode) -> float:
     """Combined compatibility of one pair; cutoff uses a strict > 0.5 gate."""
-    for name, p in (("evidentiality", evidentiality), ("consistency", consistency)):
-        if not 0.0 <= p <= 1.0:
-            raise ContractViolation(f"{name} {p!r} outside [0,1]")
+    _check_probability("evidentiality", evidentiality)
+    _check_probability("consistency", consistency)
     if mode is CombineMode.CUTOFF:
         return consistency if evidentiality > 0.5 else 0.0
     return evidentiality * consistency
 
 
-def classify_pair(score: PairScore) -> PairType:
-    if score.evidentiality <= 0.5:
+def classify_pair(evidentiality: float, consistency: float) -> PairType:
+    if evidentiality <= 0.5:
         return PairType.NON_EVIDENTIAL
-    if score.consistency <= 0.5:
+    if consistency <= 0.5:
         return PairType.CONFLICTING
     return PairType.COMPATIBLE
+
+
+@dataclass(frozen=True)
+class CompatibilityMatrix:
+    """Discriminator scores of one question: ``evidentiality[j]`` of
+    retrieved passage j and ``consistency[i][j]`` of the pair (generated
+    passage i, retrieved passage j). M and N are the grid's shape."""
+
+    question_id: str
+    evidentiality: tuple[float, ...]
+    consistency: tuple[tuple[float, ...], ...]
+    mode: CombineMode
+
+    @property
+    def m(self) -> int:
+        return len(self.consistency)
+
+    @property
+    def n(self) -> int:
+        return len(self.evidentiality)
+
+    def combined_grid(self) -> list[list[float]]:
+        return [[combine(e, c, self.mode) for e, c in zip(self.evidentiality, row)] for row in self.consistency]
+
+    def pair_type(self, i: int, j: int) -> PairType:
+        return classify_pair(self.evidentiality[j], self.consistency[i][j])
+
+    def to_record(self) -> dict:
+        return {
+            "question_id": self.question_id,
+            "mode": self.mode.value,
+            "evidentiality": self.evidentiality,
+            "consistency": self.consistency,
+        }
 
 
 def build_matrix(example: QAExample, scorer, mode: CombineMode) -> CompatibilityMatrix:
     """Score all M x N pairs of one question.
 
     Issues exactly N evidentiality queries (evidentiality depends only on
-    the retrieved passage, so each column shares one value) and M*N
-    consistency queries. A scorer failure propagates: no value is imputed,
-    and the caller records the question as failed.
+    the retrieved passage) and M*N consistency queries. A scorer failure,
+    or a probability outside [0, 1], propagates: no value is imputed, and
+    the caller records the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
             f"{example.question_id}: matching needs M >= 1 and N >= 1 (got M={example.m}, N={example.n})"
         )
-    evidentiality = [
-        scorer.score(
-            ScoreRequest(
-                kind=ScoreKind.EVIDENTIALITY,
-                question=example.question,
-                retrieved_text=chain.text(),
-                question_id=example.question_id,
-                retrieved_id=chain.id,
-            )
+
+    def ask(kind: ScoreKind, rp, lp=None) -> float:
+        request = ScoreRequest(
+            kind=kind,
+            question=example.question,
+            retrieved_text=rp.text(),
+            generated_text=None if lp is None else lp.text(),
+            question_id=example.question_id,
+            retrieved_id=rp.id,
+            generated_id=None if lp is None else lp.id,
         )
-        for chain in example.retrieved
-    ]
-    rows = []
-    for i, lp in enumerate(example.generated):
-        row = []
-        for j, rp in enumerate(example.retrieved):
-            consistency = scorer.score(
-                ScoreRequest(
-                    kind=ScoreKind.CONSISTENCY,
-                    question=example.question,
-                    retrieved_text=rp.text(),
-                    generated_text=lp.text(),
-                    question_id=example.question_id,
-                    retrieved_id=rp.id,
-                    generated_id=lp.id,
-                )
-            )
-            row.append(
-                PairScore(
-                    lp_index=i,
-                    rp_index=j,
-                    evidentiality=evidentiality[j],
-                    consistency=consistency,
-                    combined=combine(evidentiality[j], consistency, mode),
-                )
-            )
-        rows.append(tuple(row))
+        return _check_probability(kind.value, scorer.score(request))
+
     return CompatibilityMatrix(
-        question_id=example.question_id, m=example.m, n=example.n, scores=tuple(rows), mode=mode
+        question_id=example.question_id,
+        evidentiality=tuple(ask(ScoreKind.EVIDENTIALITY, rp) for rp in example.retrieved),
+        consistency=tuple(
+            tuple(ask(ScoreKind.CONSISTENCY, rp, lp) for rp in example.retrieved) for lp in example.generated
+        ),
+        mode=mode,
     )
 
 
-def matrix_to_records(matrix: CompatibilityMatrix) -> Iterable[dict]:
-    for row in matrix.scores:
-        for cell in row:
-            yield {
-                "question_id": matrix.question_id,
-                "i": cell.lp_index,
-                "j": cell.rp_index,
-                "evidentiality": cell.evidentiality,
-                "consistency": cell.consistency,
-                "combined": cell.combined,
-            }
-
-
 def write_matrix_dump(path: str | Path, matrices: Sequence[CompatibilityMatrix]) -> int:
-    return write_jsonl(path, (rec for matrix in matrices for rec in matrix_to_records(matrix)))
+    return write_jsonl(path, (matrix.to_record() for matrix in matrices))
+
+
+_DUMP_FIELDS = ["consistency", "evidentiality", "mode", "question_id"]
+
+
+def _floats(values) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not an array")
+    return tuple(float(v) for v in values)
 
 
 def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:
-    """Rebuild matrices from a dump, in first-seen question order.
+    """Read a dump back, one matrix per record in file order.
 
-    Dumps carry materialized scores but not the combine mode, so the
-    reconstructed matrices have ``mode=None``.
+    A record that does not have the dump's shape (an old per-cell record
+    included), a ragged grid, an unknown mode or a repeated question raises
+    ContractViolation naming the file and line.
     """
-    cells: dict[str, dict[tuple[int, int], PairScore]] = {}
+    matrices: dict[str, CompatibilityMatrix] = {}
     for lineno, rec in read_jsonl(path):
         try:
+            if sorted(rec) != _DUMP_FIELDS or not isinstance(rec["question_id"], str):
+                raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {sorted(rec)}")
             qid = rec["question_id"]
-            cell = PairScore(
-                lp_index=int(rec["i"]),
-                rp_index=int(rec["j"]),
-                evidentiality=float(rec["evidentiality"]),
-                consistency=float(rec["consistency"]),
-                combined=float(rec["combined"]),
+            if qid in matrices:
+                raise ValueError(f"repeated question_id {qid!r}")
+            matrix = CompatibilityMatrix(
+                question_id=qid,
+                evidentiality=_floats(rec["evidentiality"]),
+                consistency=tuple(_floats(row) for row in rec["consistency"]),
+                mode=CombineMode(rec["mode"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            lengths = sorted({len(row) for row in matrix.consistency})
+            if lengths != [matrix.n] or matrix.n == 0:
+                raise ValueError(f"ragged or empty grid: rows of {lengths} values, {matrix.n} retrieved passages")
+        except (TypeError, ValueError) as exc:
             raise ContractViolation(f"{path} line {lineno}: bad matrix record: {exc}") from None
-        cells.setdefault(qid, {})[(cell.lp_index, cell.rp_index)] = cell
-    matrices = []
-    for qid, grid in cells.items():
-        m = max(i for i, _ in grid) + 1
-        n = max(j for _, j in grid) + 1
-        if len(grid) != m * n:
-            raise ContractViolation(f"{qid}: matrix dump is missing cells ({len(grid)} of {m * n})")
-        rows = tuple(tuple(grid[(i, j)] for j in range(n)) for i in range(m))
-        matrices.append(
-            CompatibilityMatrix(question_id=qid, m=m, n=n, scores=rows, mode=None)
-        )
-    return matrices
+        matrices[qid] = matrix
+    return list(matrices.values())
+
+
+def load_score_store(path: str | Path, examples: Iterable[QAExample]) -> FileScoreStore:
+    """A file scorer that answers with the probabilities of a matrix dump,
+    keyed by the dataset's passage ids. A stored question that is not in
+    the dataset, or whose shape differs from it, raises ContractViolation
+    naming the file and the question."""
+    by_id = {ex.question_id: ex for ex in examples}
+    scores: dict[tuple[str, str | None, str], float] = {}
+    for matrix in load_matrix_dump(path):
+        qid = matrix.question_id
+        example = by_id.get(qid)
+        if example is None or (matrix.m, matrix.n) != (example.m, example.n):
+            found = "is not in the dataset" if example is None else f"is {example.m}x{example.n} in the dataset"
+            raise ContractViolation(f"{path}: question {qid!r} is stored as {matrix.m}x{matrix.n} but {found}")
+        for j, rp in enumerate(example.retrieved):
+            scores[(qid, None, rp.id)] = matrix.evidentiality[j]
+            for i, lp in enumerate(example.generated):
+                scores[(qid, lp.id, rp.id)] = matrix.consistency[i][j]
+    return FileScoreStore(scores)

@@ -71,15 +71,7 @@ def test_criterion_02_strategy_dominance():
             [scoring.combine(evid[j], cons[i][j], CombineMode.CUTOFF) for j in range(n)]
             for i in range(n)
         ]
-        types = [
-            [
-                scoring.classify_pair(
-                    scoring.PairScore(i, j, evid[j], cons[i][j], weights[i][j])
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        types = [[scoring.classify_pair(evid[j], cons[i][j]) for j in range(n)] for i in range(n)]
         graph = matching.WeightedBipartiteGraph.from_weights(weights)
         optimal = matching.match_optimal(graph)
         greedy = matching.match_greedy(graph, types)
@@ -304,7 +296,7 @@ def test_criterion_10_trend_reproduction():
             )
             for name, result in (("optimal", optimal), ("random", rand)):
                 lp, rp, _ = result.pairs[0]
-                if scoring.classify_pair(matrix.cell(lp, rp)) is PairType.COMPATIBLE:
+                if matrix.pair_type(lp, rp) is PairType.COMPATIBLE:
                     top_compatible[name] += 1
         mean_rates.append(sum(rates) / len(rates))
         optimal_fractions.append(top_compatible["optimal"] / len(examples))

@@ -16,7 +16,7 @@ from pairqa.analysis import (
     pair_type_distribution,
 )
 from pairqa.errors import ContractViolation
-from pairqa.scoring import CombineMode, PairScore, CompatibilityMatrix, PairType
+from pairqa.scoring import CombineMode, CompatibilityMatrix, PairType
 
 from conftest import make_chain
 from pairqa.corpus import QAExample, Source
@@ -181,27 +181,24 @@ class TestBinReport:
         assert "EM(combo)" in table
 
 
-def matrix_from_grid(grid, qid="q1"):
-    rows = tuple(
-        tuple(
-            PairScore(i, j, evid, cons, cons if evid > 0.5 else 0.0)
-            for j, (evid, cons) in enumerate(row)
-        )
-        for i, row in enumerate(grid)
-    )
+def matrix_from_grid(evidentiality, consistency, qid="q1"):
+    """One evidentiality value per column, one consistency value per cell."""
     return CompatibilityMatrix(
-        question_id=qid, m=len(grid), n=len(grid[0]), scores=rows, mode=CombineMode.CUTOFF
+        question_id=qid,
+        evidentiality=tuple(evidentiality),
+        consistency=tuple(tuple(row) for row in consistency),
+        mode=CombineMode.CUTOFF,
     )
 
 
 class TestPairTypeDistribution:
     def test_all_compatible(self):
-        matrix = matrix_from_grid([[(0.9, 0.9), (0.8, 0.8)], [(0.9, 0.7), (0.8, 0.9)]])
+        matrix = matrix_from_grid([0.9, 0.8], [[0.9, 0.8], [0.7, 0.9]])
         dist = pair_type_distribution([matrix])
         assert dist[PairType.COMPATIBLE] == 1.0
 
     def test_single_cell_non_evidential(self):
-        dist = pair_type_distribution([matrix_from_grid([[(0.3, 0.9)]])])
+        dist = pair_type_distribution([matrix_from_grid([0.3], [[0.9]])])
         assert dist == {
             PairType.COMPATIBLE: 0.0,
             PairType.CONFLICTING: 0.0,
@@ -209,17 +206,20 @@ class TestPairTypeDistribution:
         }
 
     def test_hand_counted_mixture(self):
-        matrix = matrix_from_grid([[(0.9, 0.9), (0.9, 0.2)], [(0.3, 0.9), (0.9, 0.8)]])
+        # column 0: compatible twice; column 1: conflicting (0.2), then
+        # compatible (0.7); columns 2 and 3 are non-evidential (0.3, and 0.5
+        # on the gate), whatever their consistency
+        matrix = matrix_from_grid([0.9, 0.6, 0.3, 0.5], [[0.9, 0.2, 0.9, 0.9], [0.8, 0.7, 0.1, 0.4]])
         dist = pair_type_distribution([matrix])
-        assert dist[PairType.COMPATIBLE] == 2 / 4
-        assert dist[PairType.CONFLICTING] == 1 / 4
-        assert dist[PairType.NON_EVIDENTIAL] == 1 / 4
+        assert dist[PairType.COMPATIBLE] == 3 / 8
+        assert dist[PairType.CONFLICTING] == 1 / 8
+        assert dist[PairType.NON_EVIDENTIAL] == 4 / 8
 
     def test_fractions_sum_to_one(self):
         rng = random.Random(5)
         matrices = [
             matrix_from_grid(
-                [[(rng.random(), rng.random()) for _ in range(4)] for _ in range(3)], f"q{k}"
+                [rng.random() for _ in range(4)], [[rng.random() for _ in range(4)] for _ in range(3)], f"q{k}"
             )
             for k in range(10)
         ]

@@ -62,7 +62,7 @@ def _serialize_not_in_dataset(tmp, dataset, truth):
 def _score_scorer_failure(tmp, dataset, truth):
     assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
     store = tmp / "store.jsonl"
-    # the first record holds the question's only consistency score for (g0, r0)
+    # the first record holds all of its question's scores
     qid = _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", store, _drop)["question_id"]
     argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--scorer.backend", "file", "--scorer.store", store]
     return argv, qid, "no stored score"
@@ -92,15 +92,33 @@ def _truth_without_chains(tmp, dataset, truth):
     return ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad], "bad_truth.jsonl line 1"
 
 
-def _bad_store(edit):
+def _bad_store(edit, where):
     def case(tmp, dataset, truth):
         assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
         store = tmp / "store.jsonl"
         _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", store, edit)
         argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--scorer.backend", "file", "--scorer.store", store]
-        return argv, "store.jsonl line 1"
+        return argv, where
 
     return case
+
+
+def _per_cell(record):
+    """The first cell of a record in the per-pair format the dump had before."""
+    ev, cons = record["evidentiality"][0], record["consistency"][0][0]
+    return {"question_id": record["question_id"], "i": 0, "j": 0, "evidentiality": ev, "consistency": cons, "combined": cons}
+
+
+def _one_retrieved_fewer(record):
+    record["evidentiality"].pop()
+    for row in record["consistency"]:
+        row.pop()
+    return record
+
+
+def _ragged(record):
+    record["consistency"][1] = record["consistency"][1][:-1]
+    return record
 
 
 def _bad_annotation(record):
@@ -174,11 +192,14 @@ class TestScoreMatchSerialize:
             with open(store, "w") as fh:
                 for line in (tmp / "lexical" / "matrices.jsonl").read_text().splitlines():
                     record = json.loads(line)
-                    record.update(evidentiality=probability, consistency=probability, combined=probability)
+                    record["evidentiality"] = [probability for _ in record["evidentiality"]]
+                    record["consistency"] = [[probability for _ in row] for row in record["consistency"]]
                     fh.write(json.dumps(record) + "\n")
             assert run(*argv, "--cache_dir", cache) == 0
             records = [json.loads(l) for l in (out / "matrices.jsonl").read_text().splitlines()]
-            assert {r["evidentiality"] for r in records} == {r["consistency"] for r in records} == {probability}
+            evidentiality = {p for r in records for p in r["evidentiality"]}
+            consistency = {p for r in records for row in r["consistency"] for p in row}
+            assert evidentiality == consistency == {probability}
 
     def test_workers_do_not_change_output(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
@@ -236,6 +257,45 @@ class TestAnalyze:
         assert (out / "conflict_stats.jsonl").exists()
         assert (out / "bin_report.csv").exists()
         assert (out / "pair_types.jsonl").exists()
+
+    def _analyze(self, sim_workspace, predictions, *extra):
+        """Run analyze with one predictions file per method, each given as
+        its lines; returns the exit code, the report and the files."""
+        tmp, dataset, _ = sim_workspace
+        files = {}
+        for method, lines in predictions.items():
+            files[method] = tmp / f"{method}.jsonl"
+            files[method].write_text("".join(line + "\n" for line in lines))
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"analyze": {"predictions": {m: str(f) for m, f in files.items()}}}))
+        out = tmp / "analyze"
+        code = run("analyze", "--config", config, "--dataset", dataset, "--out", out, *extra)
+        report = json.loads((out / "analyze_report.json").read_text()) if code == 0 else None
+        return code, report, files
+
+    @staticmethod
+    def _answers(skip=()):
+        return [json.dumps({"question_id": f"q{k:05d}", "answer": f"gold{k:05d}"}) for k in range(8) if k not in skip]
+
+    def test_question_missing_a_prediction_is_a_per_item_error(self, sim_workspace, capsys):
+        predictions = {"full": self._answers(), "partial": self._answers(skip=(3,))}
+        code, report, _ = self._analyze(sim_workspace, predictions)
+        assert code == 0
+        assert [(e["stage"], e["question_id"]) for e in report["errors"]] == [("analyze", "q00003")]
+        assert "partial" in report["errors"][0]["error"] and "full" not in report["errors"][0]["error"]
+        # the bin report still compares the methods on the other questions only
+        assert "questions: 7 (excluded: 1)" in capsys.readouterr().out
+        assert self._analyze(sim_workspace, predictions, "--strict")[0] == 1
+
+    def test_bad_prediction_lines_are_ingest_errors(self, sim_workspace):
+        lines = self._answers() + ["{broken json", json.dumps({"question_id": 7, "answer": "gold00007"})]
+        code, report, files = self._analyze(sim_workspace, {"oracle": lines})
+        assert code == 0
+        assert [(e["stage"], e["file"], e["line"]) for e in report["errors"]] == [
+            ("ingest", str(files["oracle"]), 9),
+            ("ingest", str(files["oracle"]), 10),
+        ]
+        assert self._analyze(sim_workspace, {"oracle": lines}, "--strict")[0] == 1
 
 
 class TestSimulate:
@@ -299,10 +359,10 @@ class TestErrorHandling:
         assert run("score", "--dataset", dataset, "--out", out) == 0
         lines = (out / "matrices.jsonl").read_text().splitlines()
         last = json.loads(lines[-1])
-        # drop the last row of the last question: it would load as (m-1) x n
-        row = (last["question_id"], last["i"])
-        kept = [line for line in lines if (json.loads(line)["question_id"], json.loads(line)["i"]) != row]
-        (out / "matrices.jsonl").write_text("\n".join(kept) + "\n")
+        # drop the last consistency row of the last question: it loads as (m-1) x n
+        last["consistency"].pop()
+        lines[-1] = json.dumps(last)
+        (out / "matrices.jsonl").write_text("\n".join(lines) + "\n")
         assert run("match", "--dataset", dataset, "--out", out) == 0
         report = json.loads((out / "match_report.json").read_text())
         assert report["matched"] == 7
@@ -373,18 +433,22 @@ class TestErrorHandling:
         "case",
         [
             _truth_without_chains,
-            _bad_store(lambda rec: {k: v for k, v in rec.items() if k != "j"}),
-            _bad_store(lambda rec: {**rec, "i": 3}),
-            _bad_store(lambda rec: {**rec, "i": -1}),
+            _bad_store(_per_cell, where="store.jsonl line 1: bad matrix record: expected string question_id"),
+            _bad_store(_ragged, where="store.jsonl line 1: bad matrix record: ragged"),
+            _bad_store(lambda rec: {**rec, "mode": "bogus"}, where="store.jsonl line 1: bad matrix record: 'bogus'"),
+            _bad_store(lambda rec: {**rec, "question_id": "q00001"}, where="store.jsonl line 2: bad matrix record: repeated"),
+            _bad_store(_one_retrieved_fewer, where="store.jsonl: question 'q00000' is stored as 3x3 but is 3x4"),
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
             _unparsable_override,
         ],
         ids=[
             "truth-without-chains",
-            "store-without-j",
-            "store-i-past-pool",
-            "store-negative-i",
+            "store-per-cell-record",
+            "store-ragged-row",
+            "store-unknown-mode",
+            "store-repeated-question",
+            "store-shape-differs",
             "annotation-bogus-type",
             "annotation-missing-key",
             "override-not-an-int",

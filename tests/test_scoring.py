@@ -5,15 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairqa.errors import ContractViolation, MissingScoreError
-from pairqa.providers import FileScoreStore, ScoreKind
+from pairqa.providers import ScoreKind
 from pairqa.scoring import (
     CombineMode,
-    PairScore,
     PairType,
     build_matrix,
     classify_pair,
     combine,
     load_matrix_dump,
+    load_score_store,
     write_matrix_dump,
 )
 
@@ -70,21 +70,18 @@ class TestCombine:
 
 
 class TestClassifyPair:
-    def _score(self, evid, cons):
-        return PairScore(0, 0, evid, cons, combine(evid, cons, CombineMode.CUTOFF))
-
     def test_rules(self):
-        assert classify_pair(self._score(0.3, 0.9)) is PairType.NON_EVIDENTIAL
-        assert classify_pair(self._score(0.9, 0.2)) is PairType.CONFLICTING
-        assert classify_pair(self._score(0.9, 0.9)) is PairType.COMPATIBLE
+        assert classify_pair(0.3, 0.9) is PairType.NON_EVIDENTIAL
+        assert classify_pair(0.9, 0.2) is PairType.CONFLICTING
+        assert classify_pair(0.9, 0.9) is PairType.COMPATIBLE
 
     def test_boundaries_fall_away_from_compatible(self):
-        assert classify_pair(self._score(0.5, 0.9)) is PairType.NON_EVIDENTIAL
-        assert classify_pair(self._score(0.9, 0.5)) is PairType.CONFLICTING
+        assert classify_pair(0.5, 0.9) is PairType.NON_EVIDENTIAL
+        assert classify_pair(0.9, 0.5) is PairType.CONFLICTING
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_partition(self, evid, cons):
-        kind = classify_pair(self._score(evid, cons))
+        kind = classify_pair(evid, cons)
         assert isinstance(kind, PairType)
         if kind is PairType.COMPATIBLE:
             assert combine(evid, cons, CombineMode.CUTOFF) > 0.5
@@ -113,9 +110,13 @@ class TestBuildMatrix:
         assert product.combined_grid() == [[0.9 * 0.7]]
 
     def test_column_constancy(self):
-        matrix = build_matrix(ten_by_ten_example(), CountingScorer(), CombineMode.CUTOFF)
+        scorer = CountingScorer(evidentiality={f"r{j}": j / 10 for j in range(10)})
+        matrix = build_matrix(ten_by_ten_example(), scorer, CombineMode.PRODUCT)
+        # one evidentiality value per retrieved passage, shared by its column's cells
+        assert matrix.evidentiality == tuple(j / 10 for j in range(10))
+        grid = matrix.combined_grid()
         for j in range(matrix.n):
-            column = {matrix.cell(i, j).evidentiality for i in range(matrix.m)}
+            column = {grid[i][j] / matrix.consistency[i][j] for i in range(matrix.m)}
             assert len(column) == 1
 
     def test_scorer_failure_propagates(self):
@@ -141,34 +142,29 @@ class TestDumpRoundTrip:
             evidentiality={f"r{j}": j / 10 for j in range(10)},
             consistency={(f"g{i}", f"r{j}"): (i * 10 + j) / 100 for i in range(10) for j in range(10)},
         )
-        matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
-        dump = tmp_path / "matrices.jsonl"
-        write_matrix_dump(dump, [matrix])
+        for mode in CombineMode:
+            matrix = build_matrix(example, scorer, mode)
+            dump = tmp_path / "matrices.jsonl"
+            write_matrix_dump(dump, [matrix])
 
-        loaded = load_matrix_dump(dump)
-        assert len(loaded) == 1
-        assert loaded[0].combined_grid() == matrix.combined_grid()
-        assert loaded[0].mode is None
+            loaded = load_matrix_dump(dump)
+            assert len(loaded) == 1
+            assert loaded[0].combined_grid() == matrix.combined_grid()
+            assert loaded[0].mode is mode
+            assert loaded[0] == matrix
 
-        store = FileScoreStore.from_matrix_dump(dump, [example])
-        rebuilt = build_matrix(example, store, CombineMode.CUTOFF)
-        assert rebuilt.combined_grid() == matrix.combined_grid()
-        for i in range(10):
-            for j in range(10):
-                assert rebuilt.cell(i, j) == matrix.cell(i, j)
+            store = load_score_store(dump, [example])
+            rebuilt = build_matrix(example, store, mode)
+            assert rebuilt.combined_grid() == matrix.combined_grid()
+            assert rebuilt == matrix
 
     def test_missing_cells_rejected_on_load(self, tmp_path):
         from pairqa.lineio import write_jsonl
 
         dump = tmp_path / "m.jsonl"
-        write_jsonl(
-            dump,
-            [
-                {"question_id": "q", "i": 0, "j": 0, "evidentiality": 1, "consistency": 1, "combined": 1},
-                {"question_id": "q", "i": 1, "j": 1, "evidentiality": 1, "consistency": 1, "combined": 1},
-            ],
-        )
-        with pytest.raises(ContractViolation, match="missing cells"):
+        record = {"question_id": "q", "mode": "cutoff", "evidentiality": [1, 1], "consistency": [[1, 1], [1]]}
+        write_jsonl(dump, [record])
+        with pytest.raises(ContractViolation, match="m.jsonl line 1: .*ragged"):
             load_matrix_dump(dump)
 
     def test_failed_write_keeps_the_previous_dump(self, tmp_path):
