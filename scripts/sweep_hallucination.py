@@ -41,18 +41,8 @@ def run_point(p: float, args) -> dict:
     for example in examples:
         rates.append(analysis.conflicting_rate(example).conflicting_rate)
         matrix = scoring.build_matrix(example, scorer, CombineMode.CUTOFF)
-        weights = matrix.combined_grid()
-        graph = matching.equalize_pools(matrix)
-        results = {
-            "optimal": matching.match_optimal(graph, example.question_id),
-            "greedy": matching.match_greedy(
-                graph, matching.equalize_pair_types(matrix), example.question_id
-            ),
-            "random": matching.score_matching(
-                matching.match_random(example.m, example.n, seed=spec.seed), weights
-            ),
-        }
-        for name, result in results.items():
+        for name in totals:
+            result = matching.match(matching.Strategy(name), example, matrix, spec.seed)
             totals[name] += result.total_weight
             lp, rp, _ = result.pairs[0]
             if matrix.pair_type(lp, rp) is PairType.COMPATIBLE:

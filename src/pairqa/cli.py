@@ -2,8 +2,8 @@
 stages, a single nested config file with dotted-name flag overrides.
 
     pairqa score  --config run.json --dataset data/dev.jsonl --out runs/a
-    pairqa match  --strategy optimal --out runs/a
-    pairqa serialize --variant pairwise --budget 400 --out runs/a
+    pairqa match  --dataset data/dev.jsonl --strategy optimal --out runs/a
+    pairqa serialize --dataset data/dev.jsonl --variant pairwise --budget 400 --out runs/a
 
 Every field of the config document can be overridden on the command line
 with a flag of the same dotted name, e.g. ``--scorer.backend remote``.
@@ -316,6 +316,27 @@ def _load_dataset(cfg: PipelineConfig) -> tuple[list[QAExample], list[dict]]:
     return examples, _ingest_errors(cfg, report, "dataset")
 
 
+def _join(examples: Sequence[QAExample], records: Sequence) -> list[tuple]:
+    """Join a handoff file's records to the dataset by question id:
+    ``(question_id, example | None, record | None)`` for each dataset question
+    in dataset order, then for each record whose question the dataset lacks,
+    in file order."""
+    by_id = {record.question_id: record for record in records}
+    items = [(ex.question_id, ex, by_id.pop(ex.question_id, None)) for ex in examples]
+    return items + [(qid, None, record) for qid, record in by_id.items()]
+
+
+def _both_sides(item: tuple, no_record: str) -> tuple:
+    """Unpack a joined item, or raise its per-item error: the question is not
+    in the dataset, or the handoff file has no record for it (``no_record``)."""
+    qid, example, record = item
+    if example is None:
+        raise PipelineError(f"{qid}: not in dataset")
+    if record is None:
+        raise PipelineError(f"{qid}: {no_record}")
+    return item
+
+
 def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
     with atomic_open(cfg.out / f"{stage}_report.json") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
@@ -369,69 +390,22 @@ def _matrices_path(cfg: PipelineConfig, key: str) -> Path:
 
 
 def cmd_match(cfg: PipelineConfig) -> int:
-    strategy = cfg.strategy
-    matrices: dict[str, scoring.CompatibilityMatrix] = {}
-    matrices_file = _matrices_path(cfg, "matching")
-    if matrices_file.exists():
-        matrices = {m.question_id: m for m in scoring.load_matrix_dump(matrices_file)}
-    elif strategy in (matching.Strategy.OPTIMAL, matching.Strategy.GREEDY):
-        raise ContractViolation(f"strategy {strategy.value} needs a matrix dump at {matrices_file}")
-
-    examples, errors = _load_dataset(cfg) if cfg.dataset else ([], [])
-    if strategy is matching.Strategy.SAME_ANSWER and not examples:
-        raise ContractViolation("same-answer matching needs --dataset for gold answers")
-
-    items: list[tuple[str, QAExample | None, scoring.CompatibilityMatrix | None]] = []
-    if examples:
-        for ex in examples:
-            items.append((ex.question_id, ex, matrices.get(ex.question_id)))
-    else:
-        items = [(qid, None, matrix) for qid, matrix in matrices.items()]
+    examples, errors = _load_dataset(cfg)
+    matrices = scoring.load_matrix_dump(_matrices_path(cfg, "matching"))
 
     def match(item) -> matching.PairMatching:
-        qid, example, matrix = item
-        if example is not None and matrix is not None and (matrix.m, matrix.n) != (example.m, example.n):
-            raise PipelineError(
-                f"{qid}: matrix is {matrix.m}x{matrix.n} but the dataset has {example.m}x{example.n}"
-            )
-        item_seed = derive_seed(cfg.seed, qid)
-        if strategy is matching.Strategy.OPTIMAL:
-            if matrix is None:
-                raise PipelineError(f"{qid}: no compatibility matrix")
-            return matching.match_optimal(matching.equalize_pools(matrix), qid)
-        if strategy is matching.Strategy.GREEDY:
-            if matrix is None:
-                raise PipelineError(f"{qid}: no compatibility matrix")
-            return matching.match_greedy(
-                matching.equalize_pools(matrix), matching.equalize_pair_types(matrix), qid
-            )
-        if strategy is matching.Strategy.RANDOM:
-            if matrix is not None:
-                m, n = matrix.m, matrix.n
-            elif example is not None:
-                m, n = example.m, example.n
-            else:
-                raise PipelineError(f"{qid}: random matching needs a matrix or the dataset")
-            result = matching.match_random(m, n, item_seed, qid)
-            if matrix is not None:
-                result = matching.score_matching(result, matrix.combined_grid())
-            return result
-        if example is None:
-            raise PipelineError(f"{qid}: same-answer matching needs the dataset")
-        result = matching.match_same_answer(example, item_seed)
-        if matrix is not None:
-            result = matching.score_matching(result, matrix.combined_grid(), resort=False)
-        return result
+        qid, example, matrix = _both_sides(item, "no compatibility matrix")
+        return matching.match(cfg.strategy, example, matrix, derive_seed(cfg.seed, qid))
 
-    results = _map_items(items, match, cfg, errors, "match")
+    results = _map_items(_join(examples, matrices), match, cfg, errors, "match")
     out_path = cfg.out / "matchings.jsonl"
     write_jsonl(out_path, (r.to_record() for r in results))
     _write_report(
         cfg,
         "match",
-        {"strategy": strategy.value, "matched": len(results), "errors": errors},
+        {"strategy": cfg.strategy.value, "matched": len(results), "errors": errors},
     )
-    print(f"matched {len(results)} questions ({strategy.value}) -> {out_path}")
+    print(f"matched {len(results)} questions ({cfg.strategy.value}) -> {out_path}")
     return 0
 
 
@@ -483,18 +457,10 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
     matchings_path = Path(matchings_file) if matchings_file else cfg.out / "matchings.jsonl"
     if not matchings_path.exists():
         raise ContractViolation(f"no matchings file at {matchings_path}; run `pairqa match` first")
-    matchings = {m.question_id: m for m in load_matchings(matchings_path)}
-    by_id = {ex.question_id: ex for ex in examples}
-
-    items = [(qid, by_id.get(qid), m) for qid, m in matchings.items()]
-    items += [(ex.question_id, ex, None) for ex in examples if ex.question_id not in matchings]
+    matchings = load_matchings(matchings_path)
 
     def serialize(item) -> readerio.ReaderExample:
-        qid, example, m = item
-        if example is None:
-            raise PipelineError(f"{qid}: not in dataset")
-        if m is None:
-            raise PipelineError(f"{qid}: no matching")
+        qid, example, m = _both_sides(item, "no matching")
         lps, rps = {i for i, _, _ in m.pairs}, {j for _, j, _ in m.pairs}
         if len(m.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
             raise PipelineError(
@@ -504,7 +470,7 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
         budget = cfg.budget if cfg.budget is not None else readerio.default_budget(example.hop_type, cfg.variant)
         return readerio.serialize_variant(example, m, cfg.variant, budget, seed=derive_seed(cfg.seed, qid))
 
-    reader_examples = _map_items(items, serialize, cfg, errors, "serialize")
+    reader_examples = _map_items(_join(examples, matchings), serialize, cfg, errors, "serialize")
     out_path = cfg.out / "reader_inputs.jsonl"
     readerio.write_reader_examples(out_path, reader_examples)
     _write_report(
@@ -517,44 +483,31 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
 
 
 def cmd_analyze(cfg: PipelineConfig) -> int:
+    # every input is read and checked, and --strict decided, before any file is written
     examples, errors = _load_dataset(cfg)
     stats = _map_items(examples, analysis.conflicting_rate, cfg, errors, "analyze")
-    write_jsonl(cfg.out / "conflict_stats.jsonl", (s.to_record() for s in stats))
-    mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
-    print(f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}")
+    predictions = {}
+    for method, path in sorted(cfg.raw["analyze"]["predictions"].items()):
+        ingest = IngestionReport()
+        predictions[method] = readerio.ingest_predictions(path, ingest)
+        errors += _ingest_errors(cfg, ingest, f"{method} prediction", file=str(path))
 
-    predictions_cfg = cfg.raw["analyze"]["predictions"]
-    if predictions_cfg:
-        predictions = {}
-        for method, path in sorted(predictions_cfg.items()):
-            ingest = IngestionReport()
-            predictions[method] = readerio.ingest_predictions(path, ingest)
-            errors += _ingest_errors(cfg, ingest, f"{method} prediction", file=str(path))
+    def predicted_by_every_method(stat: analysis.ConflictStats) -> None:
+        missing = [method for method in predictions if stat.question_id not in predictions[method]]
+        if missing:
+            raise PipelineError(f"{stat.question_id}: no prediction from {', '.join(missing)}")
 
-        def predicted_by_every_method(stat: analysis.ConflictStats) -> None:
-            missing = [method for method in predictions if stat.question_id not in predictions[method]]
-            if missing:
-                raise PipelineError(f"{stat.question_id}: no prediction from {', '.join(missing)}")
-
-        # the bin report leaves these questions out; this records each one
-        _map_items(stats, predicted_by_every_method, cfg, errors, "analyze")
-        report = analysis.bin_report(stats, predictions, examples)
-        print(analysis.format_bin_report(report))
-        write_jsonl(cfg.out / "bin_report.jsonl", analysis.bin_report_rows(report))
-        analysis.write_bin_report_csv(cfg.out / "bin_report.csv", report)
+    # the bin report leaves these questions out; this records each one
+    _map_items(stats, predicted_by_every_method, cfg, errors, "analyze")
+    report = analysis.bin_report(stats, predictions, examples) if predictions else None
 
     matrices_file = _matrices_path(cfg, "analyze")
+    distribution = None
     if matrices_file.exists():
-        matrices = scoring.load_matrix_dump(matrices_file)
-        distribution = analysis.pair_type_distribution(matrices)
-        for pair_type in scoring.PairType:
-            print(f"pair type {pair_type.value}: {100 * distribution[pair_type]:.1f}%")
-        write_jsonl(
-            cfg.out / "pair_types.jsonl",
-            [{"type": t.value, "fraction": distribution[t]} for t in scoring.PairType],
-        )
+        distribution = analysis.pair_type_distribution(scoring.load_matrix_dump(matrices_file))
 
     annotations_file = cfg.raw["analyze"]["annotations"]
+    confusion = None
     if annotations_file:
         predicted, annotated = [], []
         for lineno, rec in read_jsonl(annotations_file):
@@ -563,7 +516,24 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
                 annotated.append(scoring.PairType(rec["annotated"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {exc}") from None
-        counts, accuracy = analysis.label_confusion(predicted, annotated)
+        confusion = analysis.label_confusion(predicted, annotated)
+
+    write_jsonl(cfg.out / "conflict_stats.jsonl", (s.to_record() for s in stats))
+    mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
+    print(f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}")
+    if report is not None:
+        print(analysis.format_bin_report(report))
+        write_jsonl(cfg.out / "bin_report.jsonl", analysis.bin_report_rows(report))
+        analysis.write_bin_report_csv(cfg.out / "bin_report.csv", report)
+    if distribution is not None:
+        for pair_type in scoring.PairType:
+            print(f"pair type {pair_type.value}: {100 * distribution[pair_type]:.1f}%")
+        write_jsonl(
+            cfg.out / "pair_types.jsonl",
+            [{"type": t.value, "fraction": distribution[t]} for t in scoring.PairType],
+        )
+    if confusion is not None:
+        counts, accuracy = confusion
         print(f"label confusion accuracy: {accuracy:.3f}")
         write_jsonl(
             cfg.out / "confusion.jsonl",
@@ -573,7 +543,6 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
                 for a in scoring.PairType
             ],
         )
-
     _write_report(cfg, "analyze", {"questions": len(stats), "mean_conflicting_rate": mean_rate, "errors": errors})
     return 0
 

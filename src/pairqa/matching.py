@@ -5,7 +5,8 @@ bipartite graph of generated x retrieved passages with an O(n^3)
 Hungarian algorithm (shortest augmenting paths over dual potentials,
 weights negated internally). Unequal pools are first equalized by cyclic
 duplication so every passage is used at least once. Greedy, random, and
-same-answer-oracle strategies are provided as baselines.
+same-answer-oracle strategies are provided as baselines; ``match`` is the
+one place that knows how each strategy uses the example and its matrix.
 
 Determinism contract: equal-weight matchings resolve to the
 lexicographically smallest (lp_index, rp_index) sequence, and the final
@@ -290,8 +291,8 @@ def match_greedy(
 def match_random(m: int, n: int, seed: int, question_id: str = "") -> PairMatching:
     """Pair duplicated rows with a seeded uniform permutation of columns.
 
-    Scores are zero (no matrix is consulted); use ``score_matching`` to
-    attribute weights from a grid afterwards.
+    Scores are zero (no matrix is consulted); ``match`` attributes them
+    from the question's combined grid afterwards with ``score_matching``.
     """
     if m < 1 or n < 1:
         raise ContractViolation("match_random requires m, n >= 1")
@@ -356,3 +357,24 @@ def score_matching(
         pairs=out,
         total_weight=math.fsum(s for _, _, s in pairs),
     )
+
+
+def match(strategy: Strategy, example: QAExample, matrix: CompatibilityMatrix, seed: int) -> PairMatching:
+    """Pair ``example``'s generated and retrieved passages by ``strategy``.
+
+    Optimal and greedy solve over the equalized matrix. Random and
+    same-answer pair without it, drawing from ``seed``, and then take their
+    scores from its combined grid; same-answer keeps its own pair order.
+    """
+    qid = example.question_id
+    if (matrix.m, matrix.n) != (example.m, example.n):
+        raise ContractViolation(
+            f"{qid}: matrix is {matrix.m}x{matrix.n} but the dataset has {example.m}x{example.n}"
+        )
+    if strategy is Strategy.OPTIMAL:
+        return match_optimal(equalize_pools(matrix), qid)
+    if strategy is Strategy.GREEDY:
+        return match_greedy(equalize_pools(matrix), equalize_pair_types(matrix), qid)
+    if strategy is Strategy.RANDOM:
+        return score_matching(match_random(example.m, example.n, seed, qid), matrix.combined_grid())
+    return score_matching(match_same_answer(example, seed), matrix.combined_grid(), resort=False)

@@ -59,6 +59,22 @@ def _serialize_not_in_dataset(tmp, dataset, truth):
     return ["serialize", "--dataset", smaller, "--out", out], qid, "not in dataset"
 
 
+def _match_not_in_dataset(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    smaller = tmp / "smaller.jsonl"
+    qid = _copy_with_first_record(dataset, smaller, _drop)["question_id"]
+    return ["match", "--dataset", smaller, "--out", out], qid, "not in dataset"
+
+
+def _match_no_matrix(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    dump = out / "matrices.jsonl"
+    qid = _copy_with_first_record(dump, dump, _drop)["question_id"]
+    return ["match", "--dataset", dataset, "--out", out, "--strategy", "random"], qid, "no compatibility matrix"
+
+
 def _score_scorer_failure(tmp, dataset, truth):
     assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
     store = tmp / "store.jsonl"
@@ -237,6 +253,25 @@ class TestMine:
         assert cons and all(set(r) == {"question", "generated", "retrieved", "label"} for r in cons)
 
 
+def _analyze_missing_prediction(tmp, dataset, truth):
+    predictions = tmp / "predictions.jsonl"
+    predictions.write_text(json.dumps({"question_id": "q00000", "answer": "gold00000"}) + "\n")
+    return ["--analyze.predictions", json.dumps({"oracle": str(predictions)}), "--strict"]
+
+
+def _analyze_bad_annotation(tmp, dataset, truth):
+    annotations = tmp / "annotations.jsonl"
+    annotations.write_text(json.dumps({"predicted": "bogus", "annotated": "compatible"}) + "\n")
+    return ["--analyze.annotations", annotations]
+
+
+def _analyze_ragged_matrix(tmp, dataset, truth):
+    assert run("score", "--dataset", dataset, "--out", tmp / "scored") == 0
+    dump = tmp / "ragged.jsonl"
+    _copy_with_first_record(tmp / "scored" / "matrices.jsonl", dump, _ragged)
+    return ["--analyze.matrices", dump]
+
+
 class TestAnalyze:
     def test_reports(self, sim_workspace, capsys):
         tmp, dataset, _ = sim_workspace
@@ -296,6 +331,17 @@ class TestAnalyze:
             ("ingest", str(files["oracle"]), 10),
         ]
         assert self._analyze(sim_workspace, {"oracle": lines}, "--strict")[0] == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [_analyze_missing_prediction, _analyze_bad_annotation, _analyze_ragged_matrix],
+        ids=["strict-missing-prediction", "bad-annotation", "ragged-matrix"],
+    )
+    def test_failed_analyze_writes_no_file(self, sim_workspace, case):
+        tmp, dataset, _ = sim_workspace
+        out = tmp / "fresh"
+        assert run("analyze", "--dataset", dataset, "--out", out, *case(*sim_workspace)) == 1
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestSimulate:
@@ -370,6 +416,18 @@ class TestErrorHandling:
         assert "2x4" in report["errors"][0]["error"]
         assert run("match", "--dataset", dataset, "--out", out, "--strict") == 1
 
+    @pytest.mark.parametrize("strategy", ["optimal", "greedy", "random", "same-answer"])
+    def test_match_needs_the_dataset(self, sim_workspace, strategy, capsys):
+        tmp, dataset, _ = sim_workspace
+        out = tmp / "no-dataset"
+        assert run("score", "--dataset", dataset, "--out", out) == 0
+        capsys.readouterr()
+        assert run("match", "--out", out, "--strategy", strategy) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ContractViolation"
+        assert "--dataset" in summary["message"]
+        assert not (out / "matchings.jsonl").exists()
+
     def _matched(self, sim_workspace, name):
         tmp, dataset, _ = sim_workspace
         out = tmp / name
@@ -413,8 +471,24 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "case",
-        [_serialize_not_in_dataset, _score_scorer_failure, _score_empty_pool, _analyze_empty_pool, _mine_one_retrieved],
-        ids=["serialize-not-in-dataset", "score-scorer-failure", "score-empty-pool", "analyze-empty-pool", "mine-n-1"],
+        [
+            _match_not_in_dataset,
+            _match_no_matrix,
+            _serialize_not_in_dataset,
+            _score_scorer_failure,
+            _score_empty_pool,
+            _analyze_empty_pool,
+            _mine_one_retrieved,
+        ],
+        ids=[
+            "match-not-in-dataset",
+            "match-no-matrix",
+            "serialize-not-in-dataset",
+            "score-scorer-failure",
+            "score-empty-pool",
+            "analyze-empty-pool",
+            "mine-n-1",
+        ],
     )
     def test_per_item_failure_is_reported_and_strict_exits_1(self, sim_workspace, case):
         tmp = sim_workspace[0]

@@ -18,6 +18,7 @@ from pairqa.matching import (
     equalize_pair_types,
     equalize_pools,
     equalize_weights,
+    match,
     match_greedy,
     match_optimal,
     match_random,
@@ -309,3 +310,37 @@ class TestEqualizePairTypes:
         assert types[1][0] is PairType.CONFLICTING
         # duplicated retrieved columns carry the same classification
         assert types[0][1] is types[0][0]
+
+
+@pytest.mark.parametrize(
+    "strategy, composed",
+    [
+        (Strategy.OPTIMAL, lambda ex, mx, seed: match_optimal(equalize_pools(mx), ex.question_id)),
+        (
+            Strategy.GREEDY,
+            lambda ex, mx, seed: match_greedy(equalize_pools(mx), equalize_pair_types(mx), ex.question_id),
+        ),
+        (
+            Strategy.RANDOM,
+            lambda ex, mx, seed: score_matching(match_random(ex.m, ex.n, seed, ex.question_id), mx.combined_grid()),
+        ),
+        (
+            Strategy.SAME_ANSWER,
+            lambda ex, mx, seed: score_matching(match_same_answer(ex, seed), mx.combined_grid(), resort=False),
+        ),
+    ],
+    ids=[s.value for s in Strategy],
+)
+def test_match_composes_each_strategy_and_checks_the_shape(strategy, composed):
+    from pairqa.providers import LexicalMockScorer
+
+    example = make_example(
+        retrieved_texts=("Don Shula won", "nothing here"),
+        generated_texts=("Don Shula led", "George Halas led", "Don Shula again"),
+    )
+    scorer = LexicalMockScorer.from_examples([example])
+    matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
+    assert match(strategy, example, matrix, 17) == composed(example, matrix, 17)
+    smaller = build_matrix(make_example(retrieved_texts=("Don Shula won",)), scorer, CombineMode.CUTOFF)
+    with pytest.raises(ContractViolation, match="matrix is 2x1 but the dataset has 3x2"):
+        match(strategy, example, smaller, 17)
