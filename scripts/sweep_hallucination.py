@@ -20,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pairqa import analysis, matching, scoring, sim
+from pairqa.cli import derive_seed
 from pairqa.providers import LexicalMockScorer
 from pairqa.scoring import CombineMode, PairType
 
@@ -41,8 +42,9 @@ def run_point(p: float, args) -> dict:
     for example in examples:
         rates.append(analysis.conflicting_rate(example).conflicting_rate)
         matrix = scoring.build_matrix(example, scorer, CombineMode.CUTOFF)
+        seed = derive_seed(spec.seed, example.question_id)
         for name in totals:
-            result = matching.match(matching.Strategy(name), example, matrix, spec.seed)
+            result = matching.match(matching.Strategy(name), example, matrix, seed)
             totals[name] += result.total_weight
             lp, rp, _ = result.pairs[0]
             if matrix.pair_type(lp, rp) is PairType.COMPATIBLE:

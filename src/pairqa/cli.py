@@ -410,20 +410,21 @@ def cmd_match(cfg: PipelineConfig) -> int:
 
 
 def load_matchings(path: str | Path) -> list[matching.PairMatching]:
-    out = []
+    out: dict[str, matching.PairMatching] = {}
     for lineno, rec in read_jsonl(path):
         try:
-            out.append(
-                matching.PairMatching(
-                    question_id=rec["question_id"],
-                    strategy=matching.Strategy(rec["strategy"]),
-                    pairs=tuple((int(i), int(j), float(s)) for i, j, s in rec["pairs"]),
-                    total_weight=float(rec["total_weight"]),
-                )
+            qid = rec["question_id"]
+            if qid in out:
+                raise ValueError(f"repeated question_id {qid!r}")
+            out[qid] = matching.PairMatching(
+                question_id=qid,
+                strategy=matching.Strategy(rec["strategy"]),
+                pairs=tuple((int(i), int(j), float(s)) for i, j, s in rec["pairs"]),
+                total_weight=float(rec["total_weight"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"{path} line {lineno}: bad matching record: {exc}") from None
-    return out
+    return list(out.values())
 
 
 def cmd_mine(cfg: PipelineConfig) -> int:

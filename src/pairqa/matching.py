@@ -163,78 +163,55 @@ def _solve_min_assignment(cost: Sequence[Sequence[float]]):
     return cols_by_row, [u[i] for i in range(1, n + 1)], [v[j] for j in range(1, n + 1)]
 
 
-def _tight_perfect_matching(rows, cols, tight):
-    """Perfect matching of ``rows`` into ``cols`` using only tight edges
-    (Kuhn's augmenting paths), or None. Columns are tried in ascending
-    order for determinism."""
-    match_col: dict[int, int] = {}
-
-    def try_assign(r: int, visited: set[int]) -> bool:
-        for c in cols:
-            if c in visited or not tight[r][c]:
-                continue
-            visited.add(c)
-            if c not in match_col or try_assign(match_col[c], visited):
-                match_col[c] = r
-                return True
-        return False
-
-    for r in rows:
-        if not try_assign(r, set()):
-            return None
-    return {r: c for c, r in match_col.items()}
-
-
 def match_optimal(graph: WeightedBipartiteGraph, question_id: str = "") -> PairMatching:
     """Maximum-weight perfect matching with deterministic tie-breaking.
 
     After the Hungarian solve, ties are resolved row by row toward the
-    lexicographically smallest column sequence: a smaller column is
-    adopted only when a perfect matching on dual-tight edges completes it
-    to the same exactly-rounded total. Under exact arithmetic this yields
-    the true lexicographic minimum; float dust can only make the result
-    fall back to the (still optimal, still deterministic) base solution.
+    lexicographically smallest column sequence. For row i, one breadth-first
+    search back from its column over the later rows' dual-tight edges finds
+    every column an alternating path can free. A smaller column, tight for
+    row i, is adopted when such a path frees it and the exactly-rounded
+    total still equals w*; the later rows move along that path. Under exact
+    arithmetic this yields the true lexicographic minimum; float dust can
+    only make a row keep its (still optimal, still deterministic) column.
     """
     if not graph.is_square:
         raise ContractViolation(f"matching requires a square graph, got {graph.m}x{graph.n}")
     k = graph.m
     weights = graph.weights
     cost = [[-w for w in row] for row in weights]
-    base_cols, u, v = _solve_min_assignment(cost)
-    wstar = math.fsum(weights[i][base_cols[i]] for i in range(k))
+    assign, u, v = _solve_min_assignment(cost)
+    wstar = math.fsum(weights[i][assign[i]] for i in range(k))
     tight = [[cost[i][j] - u[i] - v[j] == 0.0 for j in range(k)] for i in range(k)]
 
-    assign = list(base_cols)
-    avail = set(range(k))
-    chosen = [0] * k
-    prefix: list[float] = []
     for i in range(k):
         c0 = assign[i]
-        pick = c0
-        for c in sorted(avail):
+        # freed_by[col] = (row, to): moving row from col to column to frees col
+        freed_by: dict[int, tuple[int, int] | None] = {c0: None}
+        queue = [c0]
+        for freed in queue:
+            for r in range(i + 1, k):
+                col = assign[r]
+                if col not in freed_by and tight[r][freed]:
+                    freed_by[col] = (r, freed)
+                    queue.append(col)
+        for c in sorted(freed_by):
             if c >= c0:
                 break
             if not tight[i][c]:
                 continue
-            rest_rows = list(range(i + 1, k))
-            rest_cols = sorted(avail - {c})
-            completion = _tight_perfect_matching(rest_rows, rest_cols, tight)
-            if completion is None:
-                continue
-            total = math.fsum(
-                prefix + [weights[i][c]] + [weights[r][completion[r]] for r in rest_rows]
-            )
-            if total == wstar:
-                pick = c
-                for r in rest_rows:
-                    assign[r] = completion[r]
+            trial = list(assign)
+            trial[i] = c
+            col = c
+            while col != c0:
+                r, col = freed_by[col]
+                trial[r] = col
+            if math.fsum(weights[r][trial[r]] for r in range(k)) == wstar:
+                assign = trial
                 break
-        chosen[i] = pick
-        prefix.append(weights[i][pick])
-        avail.discard(pick)
 
     pairs = [
-        (graph.row_origin[i], graph.col_origin[chosen[i]], weights[i][chosen[i]])
+        (graph.row_origin[i], graph.col_origin[assign[i]], weights[i][assign[i]])
         for i in range(k)
     ]
     return PairMatching(

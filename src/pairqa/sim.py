@@ -216,12 +216,15 @@ def load_truth(path: str | Path) -> GroundTruth:
     questions = {}
     for lineno, rec in read_jsonl(path):
         try:
+            qid = rec["question_id"]
+            if qid in questions:
+                raise ValueError(f"repeated question_id {qid!r}")
             chains = {
                 c["id"]: ChainTruth(c["id"], Source(c["source"]), c["text"], bool(c["supports"]))
                 for c in rec["chains"]
             }
-            questions[rec["question_id"]] = QuestionTruth(
-                question_id=rec["question_id"],
+            questions[qid] = QuestionTruth(
+                question_id=qid,
                 question=rec["question"],
                 gold=rec["gold"],
                 distractor=rec["distractor"],

@@ -108,6 +108,30 @@ def _truth_without_chains(tmp, dataset, truth):
     return ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad], "bad_truth.jsonl line 1"
 
 
+def _append_edited_first_record(path, edit) -> int:
+    """Append ``edit`` of the file's first record; returns the new line's number."""
+    lines = path.read_text().splitlines()
+    lines.append(json.dumps(edit(json.loads(lines[0]))))
+    path.write_text("".join(line + "\n" for line in lines))
+    return len(lines)
+
+
+def _matchings_repeated_question(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    assert run("match", "--dataset", dataset, "--out", out) == 0
+    lineno = _append_edited_first_record(out / "matchings.jsonl", lambda rec: {**rec, "pairs": rec["pairs"][::-1]})
+    return ["serialize", "--dataset", dataset, "--out", out], f"matchings.jsonl line {lineno}: bad matching record: repeated"
+
+
+def _truth_repeated_question(tmp, dataset, truth):
+    bad = tmp / "bad_truth.jsonl"
+    bad.write_text(truth.read_text())
+    lineno = _append_edited_first_record(bad, lambda rec: {**rec, "gold": rec["distractor"], "distractor": rec["gold"]})
+    argv = ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad]
+    return argv, f"bad_truth.jsonl line {lineno}: bad truth record: repeated"
+
+
 def _bad_store(edit, where):
     def case(tmp, dataset, truth):
         assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
@@ -507,6 +531,8 @@ class TestErrorHandling:
         "case",
         [
             _truth_without_chains,
+            _truth_repeated_question,
+            _matchings_repeated_question,
             _bad_store(_per_cell, where="store.jsonl line 1: bad matrix record: expected string question_id"),
             _bad_store(_ragged, where="store.jsonl line 1: bad matrix record: ragged"),
             _bad_store(lambda rec: {**rec, "mode": "bogus"}, where="store.jsonl line 1: bad matrix record: 'bogus'"),
@@ -518,6 +544,8 @@ class TestErrorHandling:
         ],
         ids=[
             "truth-without-chains",
+            "truth-repeated-question",
+            "matchings-repeated-question",
             "store-per-cell-record",
             "store-ragged-row",
             "store-unknown-mode",

@@ -86,14 +86,37 @@ class TestMatchOptimal:
             assert result.total_weight == best
             assert assignment_of(result, n) == best_perm
 
-    def test_lexicographic_tie_break_on_degenerate_weights(self):
+    @pytest.mark.parametrize(
+        "alphabet, largest, grids",
+        [((0.0, 0.5, 1.0), 5, 300), ((0.0, 1.0), 7, 300)],
+        ids=["halves-n2-5", "binary-n2-7"],
+    )
+    def test_lexicographic_tie_break_on_degenerate_weights(self, alphabet, largest, grids):
+        # 0/1 ties up to n=7 need longer alternating paths than the n<=5 grids
         rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randint(2, 5)
-            weights = [[rng.choice([0.0, 0.5, 1.0]) for _ in range(n)] for _ in range(n)]
+        for _ in range(grids):
+            n = rng.randint(2, largest)
+            weights = [[rng.choice(alphabet) for _ in range(n)] for _ in range(n)]
             best, best_perm = brute_force_best(weights)
             result = match_optimal(WeightedBipartiteGraph.from_weights(weights))
             assert result.total_weight == best
+            assert assignment_of(result, n) == best_perm
+
+    def test_tie_break_moves_every_later_row_along_one_cycle(self):
+        # 1s on two perfect matchings whose union is one 2n-edge cycle: the
+        # path that hands row 0 its other column can run through all n-1 later rows
+        rng = random.Random(11)
+        n = 7
+        for _ in range(50):
+            p = rng.sample(range(n), n)
+            cycle = rng.sample(range(n), n)
+            q = [0] * n
+            for a in range(n):
+                q[cycle[a]] = p[cycle[(a + 1) % n]]
+            weights = [[1.0 if j in (p[i], q[i]) else 0.0 for j in range(n)] for i in range(n)]
+            best, best_perm = brute_force_best(weights)
+            result = match_optimal(WeightedBipartiteGraph.from_weights(weights))
+            assert result.total_weight == best == n
             assert assignment_of(result, n) == best_perm
 
     def test_pairs_sorted_by_score_descending(self):
