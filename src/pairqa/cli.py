@@ -92,6 +92,8 @@ class PipelineConfig:
     strategy: matching.Strategy
     variant: readerio.Variant
     budget: int | None
+    generation_mode: GenerationMode
+    hop_type: HopType
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -99,9 +101,14 @@ class PipelineConfig:
             mode = scoring.CombineMode(raw["scoring"]["mode"])
             strategy = matching.Strategy(raw["matching"]["strategy"])
             variant = readerio.Variant(raw["serialize"]["variant"])
-        except ValueError as exc:
-            raise ContractViolation(f"bad config enum value: {exc}") from None
-        workers = int(raw["workers"])
+            generation_mode = GenerationMode(raw["generator"]["mode"])
+            hop_type = HopType(raw["simulate"]["hop_type"])
+            workers = int(raw["workers"])
+            seed = int(raw["seed"])
+            budget = raw["serialize"]["budget"]
+            budget = int(budget) if budget is not None else None
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"bad config value: {exc}") from None
         if workers < 1:
             raise ContractViolation("workers must be >= 1")
         dataset = raw["dataset"]
@@ -109,19 +116,20 @@ class PipelineConfig:
             raise ContractViolation(f"dataset file does not exist: {dataset}")
         cache_dir = raw.get("cache_dir")
         cache = ResponseCache(cache_dir) if cache_dir else None
-        budget = raw["serialize"]["budget"]
         return cls(
             raw=raw,
             dataset=dataset,
             out=Path(raw["out"]),
             workers=workers,
-            seed=int(raw["seed"]),
+            seed=seed,
             strict=bool(raw["strict"]),
             cache=cache,
             scoring_mode=mode,
             strategy=strategy,
             variant=variant,
-            budget=int(budget) if budget is not None else None,
+            budget=budget,
+            generation_mode=generation_mode,
+            hop_type=hop_type,
         )
 
 
@@ -346,12 +354,11 @@ def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
 def cmd_generate(cfg: PipelineConfig) -> int:
     examples, errors = _load_dataset(cfg)
     spec = cfg.raw["generator"]
-    mode = GenerationMode(spec["mode"])
     client = RemoteGenerator(_backend_url(spec, "generator"), _backend_token(spec, "generator"))
     num = int(spec["n"])
 
     def generate(example: QAExample) -> QAExample:
-        chains = client.generate(GenerationRequest(example.question, num, mode))
+        chains = client.generate(GenerationRequest(example.question, num, cfg.generation_mode))
         renamed = []
         for k, chain in enumerate(chains):
             segments = tuple(
@@ -557,7 +564,7 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
         p_retrieved_evidential=float(sim_cfg["p_retrieved_evidential"]),
         p_llm_hallucinated=float(sim_cfg["p_llm_hallucinated"]),
         seed=cfg.seed,
-        hop_type=HopType(sim_cfg["hop_type"]),
+        hop_type=cfg.hop_type,
         single_pivot=bool(sim_cfg["single_pivot"]),
     )
     examples, truth = sim.generate_corpus(spec)

@@ -8,10 +8,15 @@ Wire schemas (one JSON object per call):
 * generator: ``{"question", "n", "mode"}`` ->
   ``{"passages": [[str, ...], ...]}``
 
-Remote calls retry with exponential backoff. Any backend, remote or
-offline, can be wrapped in ``CachingBackend``, an on-disk response cache
-keyed by the backend's identity and a content hash of the request body, so
-that re-running a mining or scoring pass replays identical bytes. Backends
+Remote calls retry with exponential backoff on transport failures, 5xx
+responses, 408 and 429; any other 4xx fails at once. ``requests`` is
+imported by the first call that is sent, so offline runs and fully cached
+reruns never load it. Any backend, remote or offline, can be wrapped in
+``CachingBackend``, an on-disk response cache keyed by the backend's
+identity and a content hash of the request body, so that re-running a
+mining or scoring pass replays identical bytes. A cache entry that is not a
+JSON object, or a predictor entry without a string ``answer``, raises
+``ContractViolation`` naming the entry's file. Backends
 are duck-typed: a scorer exposes ``score(req) -> float`` and a predictor
 ``predict(req) -> str``. ``FileScoreStore`` answers from stored
 probabilities and parses no file itself: ``scoring.load_score_store``
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import requests
 
 from .corpus import Passage, PassageChain, QAExample, Source, text_contains_answer
 from .errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
@@ -125,15 +128,24 @@ class ResponseCache:
         payload = dumps_canonical({"service": service, "body": body})
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    def path(self, service: str, body: Mapping) -> Path:
+        return self.root / f"{self.key(service, body)}.json"
+
     def get(self, service: str, body: Mapping) -> dict | None:
-        path = self.root / f"{self.key(service, body)}.json"
+        path = self.path(service, body)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except ValueError as exc:
+            raise ContractViolation(f"corrupt cache entry {path}: {exc}") from None
+        if not isinstance(entry, dict):
+            raise ContractViolation(f"corrupt cache entry {path}: not a JSON object")
+        return entry
 
     def put(self, service: str, body: Mapping, response: Mapping) -> None:
-        path = self.root / f"{self.key(service, body)}.json"
+        path = self.path(service, body)
         data = dumps_canonical(dict(response))
         with self._lock, atomic_open(path) as fh:
             fh.write(data)
@@ -141,8 +153,9 @@ class ResponseCache:
 
 class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
-    retrying transport failures with exponential backoff; ``timeout``
-    defaults to the class's ``default_timeout``."""
+    retrying transport failures, 5xx, 408 and 429 with exponential backoff;
+    any other 4xx is not retried. ``timeout`` defaults to the class's
+    ``default_timeout``."""
 
     default_timeout = 30.0
 
@@ -161,6 +174,10 @@ class _ServiceClient:
         self.timeout = self.default_timeout if timeout is None else timeout
 
     def _post(self, body: Mapping) -> dict:
+        # imported here, not at module level: it is most of a stage process's
+        # start-up, and offline or fully cached runs never send a request
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -171,6 +188,11 @@ class _ServiceClient:
                 resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
                 resp.raise_for_status()
             except requests.RequestException as exc:
+                status = exc.response.status_code if exc.response is not None else None
+                if status is not None and 400 <= status < 500 and status not in (408, 429):
+                    raise TransportError(
+                        f"POST {self.url} failed with client error {status}; not retried", attempts=attempt
+                    ) from exc
                 if attempt > self.max_retries:
                     raise TransportError(
                         f"POST {self.url} failed after {attempt} attempts: {exc}", attempts=attempt
@@ -248,7 +270,11 @@ class CachingBackend:
     def predict(self, req: PredictRequest) -> str:
         body = req.wire_body()
         cached = self.cache.get(self.service, body)
-        if cached is not None and isinstance(cached.get("answer"), str):
+        if cached is not None:
+            # not a ProtocolError: mining records those as failed reader calls
+            if not isinstance(cached.get("answer"), str):
+                path = self.cache.path(self.service, body)
+                raise ContractViolation(f"corrupt cache entry {path}: no string 'answer'")
             return cached["answer"]
         answer = self.inner.predict(req)
         self.cache.put(self.service, body, {"answer": answer})

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pairqa
 from pairqa.cli import main
 from pairqa.corpus import write_examples
 from pairqa.sim import SynthSpec, generate_corpus, write_truth
@@ -175,6 +180,55 @@ def _unparsable_override(tmp, dataset, truth):
     return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "--simulate.n"
 
 
+def _unknown_strategy(tmp, dataset, truth):
+    return ["match", "--dataset", dataset, "--out", tmp / "o", "--matching.strategy", "psychic"], "psychic"
+
+
+def _unknown_hop_type(tmp, dataset, truth):
+    return ["simulate", "--out", tmp / "o", "--simulate.hop_type", "bogus"], "bogus"
+
+
+def _unknown_generation_mode(tmp, dataset, truth):
+    return ["generate", "--dataset", dataset, "--out", tmp / "o", "--generator.mode", "bogus"], "bogus"
+
+
+def _config_workers_not_a_number(tmp, dataset, truth):
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"workers": "two"}))
+    return ["score", "--dataset", dataset, "--out", tmp / "o", "--config", config], "'two'"
+
+
+def _score_argv(dataset, truth):
+    return ["score", "--dataset", dataset]
+
+
+def _mine_argv(dataset, truth):
+    return ["mine", "--dataset", dataset, "--predictor.truth", truth]
+
+
+_REPORT_REQUESTS = (
+    "import json, sys\n"
+    "from pairqa.cli import main\n"
+    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
+    "print(json.dumps({'exit': code, 'requests': 'requests' in sys.modules}))\n"
+)
+
+
+def _in_new_interpreter(*argv) -> dict:
+    """Import ``pairqa.cli`` in a new interpreter, run ``main(argv)`` if argv
+    is given, and report its exit code and whether ``requests`` got loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pairqa.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_REQUESTS, *map(str, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestScoreMatchSerialize:
     def test_full_pipeline_with_lexical_scorer(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
@@ -247,6 +301,30 @@ class TestScoreMatchSerialize:
         for out, workers in ((out1, 1), (out4, 4)):
             assert run("score", "--dataset", dataset, "--out", out, "--workers", workers) == 0
         assert (out1 / "matrices.jsonl").read_bytes() == (out4 / "matrices.jsonl").read_bytes()
+
+
+class TestStartup:
+    """Importing ``requests`` is most of a stage process's start-up; only a
+    request that is actually sent may load it."""
+
+    def test_import_leaves_requests_unloaded(self):
+        assert _in_new_interpreter() == {"exit": None, "requests": False}
+
+    def test_offline_score_leaves_requests_unloaded(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        result = _in_new_interpreter("score", "--dataset", dataset, "--out", tmp / "out")
+        assert result == {"exit": 0, "requests": False}
+
+    def test_warm_remote_rerun_leaves_requests_unloaded(self, sim_workspace, http_service):
+        tmp, dataset, _ = sim_workspace
+        http_service.responses["/score"] = {"probability": 0.5}
+        url = http_service.url("/score")
+        argv = ["score", "--dataset", dataset, "--scorer.backend", "remote", "--scorer.url", url]
+        argv += ["--cache_dir", tmp / "cache"]
+        assert run(*argv, "--out", tmp / "cold") == 0
+        http_service.close()  # from here on any request fails, so the rerun must send none
+        assert _in_new_interpreter(*argv, "--out", tmp / "warm", "--strict") == {"exit": 0, "requests": False}
+        assert (tmp / "warm" / "matrices.jsonl").read_bytes() == (tmp / "cold" / "matrices.jsonl").read_bytes()
 
 
 class TestMine:
@@ -577,10 +655,41 @@ class TestErrorHandling:
         assert code == 1
         assert "nonsense" in capsys.readouterr().err
 
-    def test_bad_enum_value_rejected(self, sim_workspace):
-        tmp, dataset, _ = sim_workspace
-        code = run("match", "--dataset", dataset, "--out", tmp / "o", "--matching.strategy", "psychic")
-        assert code == 1
+    @pytest.mark.parametrize(
+        "case",
+        [_unknown_strategy, _unknown_hop_type, _unknown_generation_mode, _config_workers_not_a_number],
+        ids=["matching-strategy", "simulate-hop-type", "generator-mode", "config-workers"],
+    )
+    def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):
+        argv, value = case(*sim_workspace)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert set(summary) == {"error", "message"}
+        assert summary["error"] == "ContractViolation"
+        assert value in summary["message"]
+
+    @pytest.mark.parametrize(
+        "stage_argv, corruption, message",
+        [
+            (_score_argv, "[]", "not a JSON object"),
+            (_score_argv, '{"probab', "Unterminated string"),
+            (_mine_argv, '{"answer": null}', "no string 'answer'"),
+        ],
+        ids=["score-not-an-object", "score-truncated", "mine-no-answer"],
+    )
+    def test_corrupt_cache_entry_is_a_per_item_error(self, sim_workspace, stage_argv, corruption, message):
+        tmp, dataset, truth = sim_workspace
+        argv = [*stage_argv(dataset, truth), "--out", tmp / "out", "--cache_dir", tmp / "cache"]
+        assert run(*argv) == 0
+        entry = sorted((tmp / "cache").iterdir())[0]
+        entry.write_text(corruption)
+        assert run(*argv) == 0
+        report = json.loads((tmp / "out" / f"{argv[0]}_report.json").read_text())
+        assert len(report["errors"]) == 1
+        assert f"corrupt cache entry {entry}" in report["errors"][0]["error"]
+        assert message in report["errors"][0]["error"]
+        assert run(*argv, "--strict") == 1
 
 
 class TestConfigMerging:

@@ -89,6 +89,28 @@ class TestRemoteScorer:
         assert scorer.score(evid_request()) == 0.5
         assert len(http_service.requests["/score"]) == 3
 
+    def test_client_error_is_not_retried(self, http_service):
+        # the fixture answers 404 on a path with no response set
+        scorer = RemoteScorer(http_service.url("/missing"), max_retries=3, backoff=0.0)
+        with pytest.raises(TransportError) as err:
+            scorer.score(evid_request())
+        assert err.value.attempts == 1
+        assert "404" in str(err.value)
+        assert len(http_service.requests["/missing"]) == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_rate_limit_are_retried(self, http_service, status):
+        http_service.responses["/score"] = [(status, {}), (200, {"probability": 0.5})]
+        scorer = RemoteScorer(http_service.url("/score"), max_retries=3, backoff=0.0)
+        assert scorer.score(evid_request()) == 0.5
+        assert len(http_service.requests["/score"]) == 2
+
+    def test_connection_refused_is_a_transport_error(self):
+        scorer = RemoteScorer("http://127.0.0.1:9", max_retries=0, backoff=0.0)
+        with pytest.raises(TransportError) as err:
+            scorer.score(evid_request())
+        assert err.value.attempts == 1
+
     def test_retry_budget_exhausted(self, http_service):
         http_service.responses["/score"] = [(500, {})] * 10
         scorer = RemoteScorer(http_service.url("/score"), max_retries=2, backoff=0.0)
