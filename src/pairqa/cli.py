@@ -93,20 +93,33 @@ class PipelineConfig:
     variant: readerio.Variant
     budget: int | None
     generation_mode: GenerationMode
-    hop_type: HopType
+    num_generated: int
+    synth: sim.SynthSpec
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        sim_raw = raw["simulate"]
         try:
             mode = scoring.CombineMode(raw["scoring"]["mode"])
             strategy = matching.Strategy(raw["matching"]["strategy"])
             variant = readerio.Variant(raw["serialize"]["variant"])
             generation_mode = GenerationMode(raw["generator"]["mode"])
-            hop_type = HopType(raw["simulate"]["hop_type"])
+            num_generated = int(raw["generator"]["n"])
             workers = int(raw["workers"])
             seed = int(raw["seed"])
+            strict = _boolean(raw["strict"], "strict")
             budget = raw["serialize"]["budget"]
             budget = int(budget) if budget is not None else None
+            synth = sim.SynthSpec(
+                num_questions=int(sim_raw["num_questions"]),
+                n=int(sim_raw["n"]),
+                m=int(sim_raw["m"]),
+                p_retrieved_evidential=float(sim_raw["p_retrieved_evidential"]),
+                p_llm_hallucinated=float(sim_raw["p_llm_hallucinated"]),
+                seed=seed,
+                hop_type=HopType(sim_raw["hop_type"]),
+                single_pivot=_boolean(sim_raw["single_pivot"], "simulate.single_pivot"),
+            )
         except (TypeError, ValueError) as exc:
             raise ContractViolation(f"bad config value: {exc}") from None
         if workers < 1:
@@ -122,15 +135,23 @@ class PipelineConfig:
             out=Path(raw["out"]),
             workers=workers,
             seed=seed,
-            strict=bool(raw["strict"]),
+            strict=strict,
             cache=cache,
             scoring_mode=mode,
             strategy=strategy,
             variant=variant,
             budget=budget,
             generation_mode=generation_mode,
-            hop_type=hop_type,
+            num_generated=num_generated,
+            synth=synth,
         )
+
+
+def _boolean(value, field: str) -> bool:
+    """A config boolean must be a JSON boolean: ``bool("false")`` is True."""
+    if not isinstance(value, bool):
+        raise ContractViolation(f"{field} must be true or false, got {value!r}")
+    return value
 
 
 def derive_seed(base: int, item_key: str) -> int:
@@ -355,10 +376,9 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     examples, errors = _load_dataset(cfg)
     spec = cfg.raw["generator"]
     client = RemoteGenerator(_backend_url(spec, "generator"), _backend_token(spec, "generator"))
-    num = int(spec["n"])
 
     def generate(example: QAExample) -> QAExample:
-        chains = client.generate(GenerationRequest(example.question, num, cfg.generation_mode))
+        chains = client.generate(GenerationRequest(example.question, cfg.num_generated, cfg.generation_mode))
         renamed = []
         for k, chain in enumerate(chains):
             segments = tuple(
@@ -556,18 +576,7 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
-    sim_cfg = cfg.raw["simulate"]
-    spec = sim.SynthSpec(
-        num_questions=int(sim_cfg["num_questions"]),
-        n=int(sim_cfg["n"]),
-        m=int(sim_cfg["m"]),
-        p_retrieved_evidential=float(sim_cfg["p_retrieved_evidential"]),
-        p_llm_hallucinated=float(sim_cfg["p_llm_hallucinated"]),
-        seed=cfg.seed,
-        hop_type=cfg.hop_type,
-        single_pivot=bool(sim_cfg["single_pivot"]),
-    )
-    examples, truth = sim.generate_corpus(spec)
+    examples, truth = sim.generate_corpus(cfg.synth)
     corpus_path = cfg.out / "sim_corpus.jsonl"
     truth_path = cfg.out / "sim_truth.jsonl"
     write_examples(corpus_path, examples)

@@ -15,8 +15,9 @@ reruns never load it. Any backend, remote or offline, can be wrapped in
 ``CachingBackend``, an on-disk response cache keyed by the backend's
 identity and a content hash of the request body, so that re-running a
 mining or scoring pass replays identical bytes. A cache entry that is not a
-JSON object, or a predictor entry without a string ``answer``, raises
-``ContractViolation`` naming the entry's file. Backends
+JSON object, a scorer entry without a number ``probability`` or a predictor
+entry without a string ``answer`` raises ``ContractViolation`` naming the
+entry's file. Backends
 are duck-typed: a scorer exposes ``score(req) -> float`` and a predictor
 ``predict(req) -> str``. ``FileScoreStore`` answers from stored
 probabilities and parses no file itself: ``scoring.load_score_store``
@@ -262,7 +263,11 @@ class CachingBackend:
         body = req.wire_body()
         cached = self.cache.get(self.service, body)
         if cached is not None:
-            return _clamp_probability(cached.get("probability"), "scorer cache")
+            try:
+                return _clamp_probability(cached.get("probability"), "scorer cache")
+            except ProtocolError:
+                path = self.cache.path(self.service, body)
+                raise ContractViolation(f"corrupt cache entry {path}: no number 'probability'") from None
         value = self.inner.score(req)
         self.cache.put(self.service, body, {"probability": value})
         return value
@@ -312,10 +317,17 @@ class LexicalMockScorer:
     Evidentiality is 1 iff the retrieved text contains a gold alias;
     consistency is 1 iff the generated text does. Thresholded at 0.5 this
     reproduces same-answer matching.
+
+    A verdict depends only on the text and the question's aliases, so each
+    distinct (text, aliases) pair is checked once per instance: a question's
+    M*N consistency calls check its M generated texts. The memo holds one
+    entry per distinct passage text of the examples scored.
     """
 
     def __init__(self, answers_by_key: Mapping[str, Sequence[str]]):
         self._answers = {k: tuple(v) for k, v in answers_by_key.items()}
+        # workers that race on a key compute and store the same verdict
+        self._verdicts: dict[tuple[str, tuple[str, ...]], float] = {}
 
     @classmethod
     def from_examples(cls, examples: Iterable[QAExample]) -> "LexicalMockScorer":
@@ -333,8 +345,12 @@ class LexicalMockScorer:
             answers = self._answers.get(req.question)
         if answers is None:
             raise ContractViolation(f"lexical scorer has no answers for question {req.question!r}")
-        target = req.retrieved_text if req.kind is ScoreKind.EVIDENTIALITY else req.generated_text
-        return 1.0 if text_contains_answer(target or "", answers) else 0.0
+        target = (req.retrieved_text if req.kind is ScoreKind.EVIDENTIALITY else req.generated_text) or ""
+        key = (target, answers)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = 1.0 if text_contains_answer(target, answers) else 0.0
+        return verdict
 
 
 def split_two_documents(raw: str) -> tuple[str, str]:

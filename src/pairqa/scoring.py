@@ -107,24 +107,26 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
             f"{example.question_id}: matching needs M >= 1 and N >= 1 (got M={example.m}, N={example.n})"
         )
 
-    def ask(kind: ScoreKind, rp, lp=None) -> float:
+    # (id, text) of every chain, joined once per question rather than per pair
+    retrieved = [(rp.id, rp.text()) for rp in example.retrieved]
+    generated = [(lp.id, lp.text()) for lp in example.generated]
+
+    def ask(kind: ScoreKind, retrieved_id, retrieved_text, generated_id=None, generated_text=None) -> float:
         request = ScoreRequest(
             kind=kind,
             question=example.question,
-            retrieved_text=rp.text(),
-            generated_text=None if lp is None else lp.text(),
+            retrieved_text=retrieved_text,
+            generated_text=generated_text,
             question_id=example.question_id,
-            retrieved_id=rp.id,
-            generated_id=None if lp is None else lp.id,
+            retrieved_id=retrieved_id,
+            generated_id=generated_id,
         )
         return _check_probability(kind.value, scorer.score(request))
 
     return CompatibilityMatrix(
         question_id=example.question_id,
-        evidentiality=tuple(ask(ScoreKind.EVIDENTIALITY, rp) for rp in example.retrieved),
-        consistency=tuple(
-            tuple(ask(ScoreKind.CONSISTENCY, rp, lp) for rp in example.retrieved) for lp in example.generated
-        ),
+        evidentiality=tuple(ask(ScoreKind.EVIDENTIALITY, *rp) for rp in retrieved),
+        consistency=tuple(tuple(ask(ScoreKind.CONSISTENCY, *rp, *lp) for rp in retrieved) for lp in generated),
         mode=mode,
     )
 

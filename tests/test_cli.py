@@ -192,10 +192,17 @@ def _unknown_generation_mode(tmp, dataset, truth):
     return ["generate", "--dataset", dataset, "--out", tmp / "o", "--generator.mode", "bogus"], "bogus"
 
 
-def _config_workers_not_a_number(tmp, dataset, truth):
-    config = tmp / "config.json"
-    config.write_text(json.dumps({"workers": "two"}))
-    return ["score", "--dataset", dataset, "--out", tmp / "o", "--config", config], "'two'"
+def _bad_config(command, document, value):
+    """Run ``command`` with a config file holding ``document``; the summary
+    must name ``value``."""
+
+    def case(tmp, dataset, truth):
+        config = tmp / "config.json"
+        config.write_text(json.dumps(document))
+        argv = [command, "--out", tmp / "o", "--config", config]
+        return (argv if command == "simulate" else [*argv, "--dataset", dataset]), value
+
+    return case
 
 
 def _score_argv(dataset, truth):
@@ -657,8 +664,34 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "case",
-        [_unknown_strategy, _unknown_hop_type, _unknown_generation_mode, _config_workers_not_a_number],
-        ids=["matching-strategy", "simulate-hop-type", "generator-mode", "config-workers"],
+        [
+            _unknown_strategy,
+            _unknown_hop_type,
+            _unknown_generation_mode,
+            _bad_config("score", {"workers": "two"}, "'two'"),
+            _bad_config("simulate", {"simulate": {"num_questions": "many"}}, "'many'"),
+            _bad_config("simulate", {"simulate": {"n": "ten"}}, "'ten'"),
+            _bad_config("simulate", {"simulate": {"m": [10]}}, "not 'list'"),
+            _bad_config("simulate", {"simulate": {"p_retrieved_evidential": "half"}}, "'half'"),
+            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": None}}, "NoneType"),
+            _bad_config("generate", {"generator": {"n": "five"}}, "'five'"),
+            _bad_config("score", {"strict": "false"}, "strict must be true or false, got 'false'"),
+            _bad_config("simulate", {"simulate": {"single_pivot": "false"}}, "simulate.single_pivot must be"),
+        ],
+        ids=[
+            "matching-strategy",
+            "simulate-hop-type",
+            "generator-mode",
+            "config-workers",
+            "simulate-num-questions",
+            "simulate-n",
+            "simulate-m",
+            "simulate-p-retrieved-evidential",
+            "simulate-p-llm-hallucinated",
+            "generator-n",
+            "config-strict-not-a-boolean",
+            "simulate-single-pivot-not-a-boolean",
+        ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):
         argv, value = case(*sim_workspace)
@@ -674,9 +707,10 @@ class TestErrorHandling:
         [
             (_score_argv, "[]", "not a JSON object"),
             (_score_argv, '{"probab', "Unterminated string"),
+            (_score_argv, "{}", "no number 'probability'"),
             (_mine_argv, '{"answer": null}', "no string 'answer'"),
         ],
-        ids=["score-not-an-object", "score-truncated", "mine-no-answer"],
+        ids=["score-not-an-object", "score-truncated", "score-no-probability", "mine-no-answer"],
     )
     def test_corrupt_cache_entry_is_a_per_item_error(self, sim_workspace, stage_argv, corruption, message):
         tmp, dataset, truth = sim_workspace

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import stat
+import sys
+import threading
 
 import pytest
 
+from pairqa import providers
+from pairqa.corpus import text_contains_answer
 from pairqa.errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
 from pairqa.lineio import write_jsonl
 from pairqa.providers import (
@@ -21,6 +25,7 @@ from pairqa.providers import (
     ScoreRequest,
     split_two_documents,
 )
+from pairqa.scoring import CombineMode, build_matrix
 
 from conftest import make_example
 
@@ -220,6 +225,78 @@ class TestLexicalMock:
         scorer = LexicalMockScorer({})
         with pytest.raises(ContractViolation):
             scorer.score(evid_request())
+
+    @staticmethod
+    def direct_verdicts(example):
+        """(evidentiality, consistency) from one answer check per pair."""
+
+        def verdict(chain):
+            return 1.0 if text_contains_answer(chain.text(), example.answers) else 0.0
+
+        evidentiality = tuple(verdict(rp) for rp in example.retrieved)
+        return evidentiality, tuple(tuple(verdict(lp) for _ in example.retrieved) for lp in example.generated)
+
+    def test_each_passage_text_is_checked_once_per_question(self, monkeypatch):
+        example = make_example(
+            retrieved_texts=("head coach Don Shula won", "something else entirely", "Shula retired"),
+            generated_texts=("Don Shula led the team", "George Halas led the team", "Don Shula again", "nobody"),
+        )
+        calls = []
+
+        def counting(text, answers):
+            calls.append(text)
+            return text_contains_answer(text, answers)
+
+        monkeypatch.setattr(providers, "text_contains_answer", counting)
+        matrix = build_matrix(example, LexicalMockScorer.from_examples([example]), CombineMode.CUTOFF)
+        assert len(calls) == example.n + example.m == 7
+        assert (matrix.evidentiality, matrix.consistency) == self.direct_verdicts(example)
+
+    def test_same_text_gets_each_questions_verdict(self):
+        shared = ("Don Shula led the team", "George Halas led the team")
+        examples = [
+            make_example("q1", "who coached Miami", ("Don Shula",), generated_texts=shared),
+            make_example("q2", "who coached Chicago", ("George Halas",), generated_texts=shared),
+        ]
+        scorer = LexicalMockScorer.from_examples(examples)
+        for example in examples + examples[::-1]:
+            matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
+            assert (matrix.evidentiality, matrix.consistency) == self.direct_verdicts(example)
+        assert build_matrix(examples[1], scorer, CombineMode.CUTOFF).consistency == ((0.0, 0.0), (1.0, 1.0))
+
+    def test_threads_sharing_one_scorer_get_the_direct_verdicts(self):
+        examples = [
+            make_example(
+                f"q{k}",
+                f"question {k}",
+                (f"answer {k % 3}",),
+                retrieved_texts=tuple(f"retrieved {j} answer {j % 3}" for j in range(6)),
+                generated_texts=tuple(f"generated {i} answer {(i + k) % 3}" for i in range(5)),
+            )
+            for k in range(12)
+        ]
+        expected = {ex.question_id: self.direct_verdicts(ex) for ex in examples}
+        scorer = LexicalMockScorer.from_examples(examples)
+        mismatches = []
+
+        def work():
+            for example in examples:
+                matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
+                if (matrix.evidentiality, matrix.consistency) != expected[example.question_id]:
+                    mismatches.append(example.question_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
 
 class TestGenerator:
