@@ -104,16 +104,16 @@ class PipelineConfig:
             strategy = matching.Strategy(raw["matching"]["strategy"])
             variant = readerio.Variant(raw["serialize"]["variant"])
             generation_mode = GenerationMode(raw["generator"]["mode"])
-            num_generated = int(raw["generator"]["n"])
-            workers = int(raw["workers"])
-            seed = int(raw["seed"])
+            num_generated = _integer(raw["generator"]["n"], "generator.n")
+            workers = _integer(raw["workers"], "workers")
+            seed = _integer(raw["seed"], "seed")
             strict = _boolean(raw["strict"], "strict")
             budget = raw["serialize"]["budget"]
-            budget = int(budget) if budget is not None else None
+            budget = _integer(budget, "serialize.budget") if budget is not None else None
             synth = sim.SynthSpec(
-                num_questions=int(sim_raw["num_questions"]),
-                n=int(sim_raw["n"]),
-                m=int(sim_raw["m"]),
+                num_questions=_integer(sim_raw["num_questions"], "simulate.num_questions"),
+                n=_integer(sim_raw["n"], "simulate.n"),
+                m=_integer(sim_raw["m"], "simulate.m"),
                 p_retrieved_evidential=float(sim_raw["p_retrieved_evidential"]),
                 p_llm_hallucinated=float(sim_raw["p_llm_hallucinated"]),
                 seed=seed,
@@ -124,6 +124,8 @@ class PipelineConfig:
             raise ContractViolation(f"bad config value: {exc}") from None
         if workers < 1:
             raise ContractViolation("workers must be >= 1")
+        if budget is not None and budget < 1:
+            raise ContractViolation(f"serialize.budget must be >= 1, got {budget}")
         dataset = raw["dataset"]
         if dataset is not None and not Path(dataset).exists():
             raise ContractViolation(f"dataset file does not exist: {dataset}")
@@ -152,6 +154,15 @@ def _boolean(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ContractViolation(f"{field} must be true or false, got {value!r}")
     return value
+
+
+def _integer(value, field: str) -> int:
+    """A config integer must be a JSON integer, or a string of one (a
+    ``--section.field`` flag whose default is null): ``int(3.9)`` is 3 and
+    ``int(True)`` is 1."""
+    if isinstance(value, (bool, float)):
+        raise ContractViolation(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def derive_seed(base: int, item_key: str) -> int:

@@ -1,12 +1,17 @@
 """Pair selection over the compatibility matrix.
 
 The main strategy solves maximum-weight perfect matching on the complete
-bipartite graph of generated x retrieved passages with an O(n^3)
-Hungarian algorithm (shortest augmenting paths over dual potentials,
-weights negated internally). Unequal pools are first equalized by cyclic
-duplication so every passage is used at least once. Greedy, random, and
-same-answer-oracle strategies are provided as baselines; ``match`` is the
-one place that knows how each strategy uses the example and its matrix.
+bipartite graph of generated x retrieved passages in O(n^3), weights
+negated internally, by shortest augmenting paths over dual potentials
+(Crouse 2016, the scheme of scipy's ``linear_sum_assignment``). Each row's
+Dijkstra search scans only the columns it has not scanned yet, prefers a
+free column when two tie for the lowest distance (on tied 0/1 weights it
+stops at the first free tight column), and applies the dual updates once
+per augmentation, to the scanned rows and columns only. Unequal pools are
+first equalized by cyclic duplication so every passage is used at least
+once. Greedy, random, and same-answer-oracle strategies are provided as
+baselines; ``match`` is the one place that knows how each strategy uses
+the example and its matrix.
 
 Determinism contract: equal-weight matchings resolve to the
 lexicographically smallest (lp_index, rp_index) sequence, and the final
@@ -111,69 +116,81 @@ def _sorted_pairs(pairs: Sequence[Pair]) -> tuple[Pair, ...]:
 def _solve_min_assignment(cost: Sequence[Sequence[float]]):
     """Square assignment problem, minimization.
 
-    Shortest-augmenting-path Hungarian with potentials; O(n^3). Returns
-    (cols_by_row, u, v) where u/v are the final dual potentials indexed
-    from 0. Matched edges are tight (cost - u - v == 0) up to float
-    rounding; the duals certify optimality.
+    Shortest augmenting paths over dual potentials (Crouse 2016, the scheme
+    of scipy's ``linear_sum_assignment``); O(n^3). Each row is added by one
+    Dijkstra search that scans only the columns not yet scanned, and that
+    prefers an unassigned column when two tie for the lowest distance, so
+    on tied weights it stops at the first free tight column. The duals are
+    updated once per augmentation, on the scanned rows and columns only.
+    Returns (cols_by_row, u, v) where u/v are the final dual potentials.
+    Matched edges are tight (cost - u - v == 0) up to float rounding and
+    every other edge has a non-negative reduced cost; the duals certify
+    optimality.
     """
     n = len(cost)
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: 1-based row matched to 1-based column j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    u = [0.0] * n
+    v = [0.0] * n
+    row4col = [-1] * n
+    col4row = [-1] * n
+    path = [-1] * n  # path[j]: row from which column j was last reached
+    for cur in range(n):
+        dist = [math.inf] * n
+        remaining = list(range(n))
+        scanned: list[int] = []  # columns in scan order; the last one is free
+        min_val = 0.0
+        i = cur
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            ui = u[i0]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            row = cost[i]
+            base = min_val - u[i]
+            lowest = math.inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                d = dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest = d
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            scanned.append(j)
+            i = row4col[j]
+            if i < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    cols_by_row = [0] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            cols_by_row[p[j] - 1] = j - 1
-    return cols_by_row, [u[i] for i in range(1, n + 1)], [v[j] for j in range(1, n + 1)]
+        u[cur] += min_val
+        for c in scanned[:-1]:
+            delta = min_val - dist[c]
+            u[row4col[c]] += delta
+            v[c] -= delta
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, u, v
+
+
+_TIGHT_TOL = 1e-9
 
 
 def match_optimal(graph: WeightedBipartiteGraph, question_id: str = "") -> PairMatching:
     """Maximum-weight perfect matching with deterministic tie-breaking.
 
-    After the Hungarian solve, ties are resolved row by row toward the
+    After the assignment solve, ties are resolved row by row toward the
     lexicographically smallest column sequence. For row i, one breadth-first
     search back from its column over the later rows' dual-tight edges finds
     every column an alternating path can free. A smaller column, tight for
     row i, is adopted when such a path frees it and the exactly-rounded
-    total still equals w*; the later rows move along that path. Under exact
-    arithmetic this yields the true lexicographic minimum; float dust can
-    only make a row keep its (still optimal, still deterministic) column.
+    total still equals w*; the later rows move along that path. An edge is
+    tight when its reduced cost is within _TIGHT_TOL (scaled by the largest
+    dual) of zero: the duals carry float dust of about 1e-16 per unit, and
+    an exact zero test drops tight edges on continuous weights and keeps a
+    lexicographically larger optimum.
     """
     if not graph.is_square:
         raise ContractViolation(f"matching requires a square graph, got {graph.m}x{graph.n}")
@@ -182,19 +199,24 @@ def match_optimal(graph: WeightedBipartiteGraph, question_id: str = "") -> PairM
     cost = [[-w for w in row] for row in weights]
     assign, u, v = _solve_min_assignment(cost)
     wstar = math.fsum(weights[i][assign[i]] for i in range(k))
-    tight = [[cost[i][j] - u[i] - v[j] == 0.0 for j in range(k)] for i in range(k)]
+    tol = _TIGHT_TOL * max(1.0, *map(abs, u), *map(abs, v))
+    tight = [[cost[i][j] - u[i] - v[j] <= tol for j in range(k)] for i in range(k)]
 
     for i in range(k):
         c0 = assign[i]
         # freed_by[col] = (row, to): moving row from col to column to frees col
         freed_by: dict[int, tuple[int, int] | None] = {c0: None}
         queue = [c0]
+        unreached = range(i + 1, k)  # later rows no path has reached yet
         for freed in queue:
-            for r in range(i + 1, k):
-                col = assign[r]
-                if col not in freed_by and tight[r][freed]:
-                    freed_by[col] = (r, freed)
-                    queue.append(col)
+            left = []
+            for r in unreached:
+                if tight[r][freed]:
+                    freed_by[assign[r]] = (r, freed)
+                    queue.append(assign[r])
+                else:
+                    left.append(r)
+            unreached = left
         for c in sorted(freed_by):
             if c >= c0:
                 break

@@ -567,6 +567,27 @@ class TestErrorHandling:
         assert "3x4" in report["errors"][0]["error"]
         assert run("serialize", "--dataset", dataset, "--out", out, "--strict") == 1
 
+    @pytest.mark.parametrize(
+        "flag", [("--budget", "0"), ("--budget", "-5"), ("--serialize.budget", "0")], ids=["zero", "negative", "dotted"]
+    )
+    def test_serialize_budget_below_one_rejected(self, sim_workspace, flag, capsys):
+        dataset, out, _ = self._matched(sim_workspace, "budget")
+        capsys.readouterr()
+        assert run("serialize", "--dataset", dataset, "--out", out, *flag) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary == {"error": "ContractViolation", "message": f"serialize.budget must be >= 1, got {flag[1]}"}
+        assert not (out / "reader_inputs.jsonl").exists()
+
+    def test_dotted_budget_string_reads_as_the_integer(self, sim_workspace):
+        # serialize.budget defaults to null, so --serialize.budget arrives as a string
+        dataset, out, _ = self._matched(sim_workspace, "dotted")
+        assert run("serialize", "--dataset", dataset, "--out", out, "--serialize.budget", "12") == 0
+        dotted = (out / "reader_inputs.jsonl").read_bytes()
+        assert run("serialize", "--dataset", dataset, "--out", out, "--budget", "12") == 0
+        assert (out / "reader_inputs.jsonl").read_bytes() == dotted
+        assert run("serialize", "--dataset", dataset, "--out", out) == 0
+        assert (out / "reader_inputs.jsonl").read_bytes() != dotted
+
     def test_garbled_handoff_line_is_fatal(self, sim_workspace, capsys):
         dataset, out, lines = self._matched(sim_workspace, "garbled")
         lines[1] = lines[1][:-5]
@@ -677,6 +698,9 @@ class TestErrorHandling:
             _bad_config("generate", {"generator": {"n": "five"}}, "'five'"),
             _bad_config("score", {"strict": "false"}, "strict must be true or false, got 'false'"),
             _bad_config("simulate", {"simulate": {"single_pivot": "false"}}, "simulate.single_pivot must be"),
+            _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
+            _bad_config("score", {"workers": True}, "workers must be an integer, got True"),
+            _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be >= 1, got 0"),
         ],
         ids=[
             "matching-strategy",
@@ -691,6 +715,9 @@ class TestErrorHandling:
             "generator-n",
             "config-strict-not-a-boolean",
             "simulate-single-pivot-not-a-boolean",
+            "config-float-integer",
+            "config-boolean-integer",
+            "serialize-budget-zero",
         ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from pairqa.matching import (
     PairMatching,
     Strategy,
     WeightedBipartiteGraph,
+    _solve_min_assignment,
     equalize_pair_types,
     equalize_pools,
     equalize_weights,
@@ -50,6 +52,50 @@ def assignment_of(matching: PairMatching, n: int):
     for i, j, _ in matching.pairs:
         by_row[i] = j
     return tuple(by_row[i] for i in range(n))
+
+
+def lexicographic_reference(weights):
+    """Row by row, the smallest free column c for which row i on c plus the
+    best of the remaining rows and columns still reaches the optimum. Totals
+    are exact rationals, so ties count exactly on continuous weights too;
+    each sub-optimum comes from ``match_optimal``, whose totals the dual
+    certificate tests vouch for."""
+    k = len(weights)
+
+    def best(rows, cols):
+        if not cols:
+            return Fraction(0)
+        sub = [[weights[r][c] for c in cols] for r in rows]
+        return sum(Fraction(s) for _, _, s in match_optimal(WeightedBipartiteGraph.from_weights(sub)).pairs)
+
+    wstar = best(range(k), list(range(k)))
+    free = list(range(k))
+    prefix = Fraction(0)
+    chosen = []
+    for i in range(k):
+        for c in free:
+            if prefix + Fraction(weights[i][c]) + best(range(i + 1, k), [d for d in free if d != c]) == wstar:
+                chosen.append(c)
+                free.remove(c)
+                prefix += Fraction(weights[i][c])
+                break
+        else:
+            raise AssertionError(f"row {i}: no column reaches {wstar}")
+    return tuple(chosen)
+
+
+def assert_duals_certify(weights):
+    """A permutation, dual feasibility, tight matched edges and no duality
+    gap together prove the assignment optimal."""
+    k = len(weights)
+    cost = [[-w for w in row] for row in weights]
+    cols, u, v = _solve_min_assignment(cost)
+    assert sorted(cols) == list(range(k))
+    reduced = [[cost[i][j] - u[i] - v[j] for j in range(k)] for i in range(k)]
+    assert min(min(row) for row in reduced) >= -1e-9
+    assert max(abs(reduced[i][cols[i]]) for i in range(k)) <= 1e-9
+    assignment_cost = math.fsum(cost[i][cols[i]] for i in range(k))
+    assert abs(math.fsum(u) + math.fsum(v) - assignment_cost) <= 1e-9 * k
 
 
 class TestMatchOptimal:
@@ -119,12 +165,56 @@ class TestMatchOptimal:
             assert result.total_weight == best == n
             assert assignment_of(result, n) == best_perm
 
+    @pytest.mark.parametrize("alphabet", [(0.0, 1.0), (0.0, 0.5, 1.0)], ids=["binary", "halves"])
+    def test_lexicographic_tie_break_beyond_brute_force(self, alphabet):
+        rng = random.Random(29)
+        for _ in range(25):
+            k = rng.randint(12, 30)
+            weights = [[rng.choice(alphabet) for _ in range(k)] for _ in range(k)]
+            result = match_optimal(WeightedBipartiteGraph.from_weights(weights))
+            assert assignment_of(result, k) == lexicographic_reference(weights)
+
+    def test_lexicographic_tie_break_on_continuous_products(self):
+        # product-mode weights: evidentiality x consistency, with exact 0, 1/2
+        # and 1 mixed into continuous draws, so optima tie and the duals carry
+        # float dust on tight edges
+        rng = random.Random(5)
+
+        def probability():
+            return rng.choice((0.0, 0.5, 1.0)) if rng.random() < 0.3 else rng.random()
+
+        for _ in range(10):
+            k = rng.randint(12, 30)
+            evidentiality = [probability() for _ in range(k)]
+            weights = [[e * probability() for e in evidentiality] for _ in range(k)]
+            result = match_optimal(WeightedBipartiteGraph.from_weights(weights))
+            assert assignment_of(result, k) == lexicographic_reference(weights)
+
     def test_pairs_sorted_by_score_descending(self):
         rng = random.Random(3)
         weights = [[rng.random() for _ in range(5)] for _ in range(5)]
         result = match_optimal(WeightedBipartiteGraph.from_weights(weights))
         scores = [s for _, _, s in result.pairs]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestSolverCertificate:
+    @pytest.mark.parametrize("kind", ["binary", "continuous"])
+    @pytest.mark.parametrize("k", [10, 20, 40, 80])
+    def test_duals_certify_the_assignment(self, k, kind):
+        rng = random.Random(f"{k}:{kind}")
+        if kind == "binary":
+            weights = [[float(rng.random() < 0.15) for _ in range(k)] for _ in range(k)]
+        else:
+            weights = [[rng.random() for _ in range(k)] for _ in range(k)]
+        assert_duals_certify(weights)
+
+    def test_duals_certify_equalized_pools(self):
+        # large-pools' shape: 60 generated x 80 retrieved, rows duplicated to 80 x 80
+        rng = random.Random(60)
+        graph = equalize_weights([[float(rng.random() < 0.3) for _ in range(80)] for _ in range(60)])
+        assert graph.m == graph.n == 80
+        assert_duals_certify(graph.weights)
 
 
 class TestEqualize:
