@@ -35,16 +35,9 @@ from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, PassageChain, QAExample, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
 from .lineio import IngestionReport, atomic_open, read_jsonl, write_jsonl
-from .providers import (
-    CachingBackend,
-    GenerationMode,
-    GenerationRequest,
-    LexicalMockScorer,
-    RemoteGenerator,
-    RemotePredictor,
-    RemoteScorer,
-    ResponseCache,
-)
+from .matching import load_matchings
+from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
+from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
 
 logger = logging.getLogger(__name__)
 
@@ -108,6 +101,7 @@ class PipelineConfig:
             workers = _integer(raw["workers"], "workers")
             seed = _integer(raw["seed"], "seed")
             strict = _boolean(raw["strict"], "strict")
+            out = Path(raw["out"])
             budget = raw["serialize"]["budget"]
             budget = _integer(budget, "serialize.budget") if budget is not None else None
             synth = sim.SynthSpec(
@@ -132,20 +126,9 @@ class PipelineConfig:
         cache_dir = raw.get("cache_dir")
         cache = ResponseCache(cache_dir) if cache_dir else None
         return cls(
-            raw=raw,
-            dataset=dataset,
-            out=Path(raw["out"]),
-            workers=workers,
-            seed=seed,
-            strict=strict,
-            cache=cache,
-            scoring_mode=mode,
-            strategy=strategy,
-            variant=variant,
-            budget=budget,
-            generation_mode=generation_mode,
-            num_generated=num_generated,
-            synth=synth,
+            raw=raw, dataset=dataset, out=out, workers=workers, seed=seed, strict=strict, cache=cache,
+            scoring_mode=mode, strategy=strategy, variant=variant, budget=budget,
+            generation_mode=generation_mode, num_generated=num_generated, synth=synth,
         )
 
 
@@ -219,22 +202,18 @@ def apply_dotted_overrides(config: dict, pairs: Sequence[tuple[str, str]]) -> di
 
 
 def _parse_extra_flags(extras: Sequence[str]) -> list[tuple[str, str]]:
-    pairs = []
-    i = 0
-    while i < len(extras):
-        arg = extras[i]
+    """``--name value`` or ``--name=value`` pairs, with the short flags
+    replaced by the dotted names they stand for."""
+    pairs, args = [], iter(extras)
+    for arg in args:
         if not arg.startswith("--"):
             raise ContractViolation(f"unexpected argument {arg!r}")
-        name = arg[2:]
-        if "=" in name:
-            name, value = name.split("=", 1)
-        else:
-            i += 1
-            if i >= len(extras):
+        name, eq, value = arg[2:].partition("=")
+        if not eq:
+            value = next(args, None)
+            if value is None:
                 raise ContractViolation(f"flag --{name} is missing a value")
-            value = extras[i]
-        pairs.append((name, value))
-        i += 1
+        pairs.append((_FLAG_ALIASES.get(name, name), value))
     return pairs
 
 
@@ -299,13 +278,7 @@ def build_predictor(cfg: PipelineConfig):
     raise ContractViolation(f"unknown predictor backend {backend!r}")
 
 
-def _map_items(
-    items: Sequence,
-    fn: Callable,
-    cfg: PipelineConfig,
-    errors: list[dict],
-    label: str,
-):
+def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[dict], label: str) -> list:
     """Run fn over items (bounded pool), collecting per-item failures.
 
     This is every stage's one per-item error path: a failure is recorded in
@@ -347,15 +320,6 @@ def _ingest_errors(cfg: PipelineConfig, report: IngestionReport, what: str, **wh
     return errors
 
 
-def _load_dataset(cfg: PipelineConfig) -> tuple[list[QAExample], list[dict]]:
-    if not cfg.dataset:
-        raise ContractViolation("this command needs --dataset (or config dataset)")
-    examples, report = read_examples(cfg.dataset)
-    for w in report.warnings:
-        logger.warning("ingest line %d: %s", w.line, w.message)
-    return examples, _ingest_errors(cfg, report, "dataset")
-
-
 def _join(examples: Sequence[QAExample], records: Sequence) -> list[tuple]:
     """Join a handoff file's records to the dataset by question id:
     ``(question_id, example | None, record | None)`` for each dataset question
@@ -366,15 +330,20 @@ def _join(examples: Sequence[QAExample], records: Sequence) -> list[tuple]:
     return items + [(qid, None, record) for qid, record in by_id.items()]
 
 
-def _both_sides(item: tuple, no_record: str) -> tuple:
-    """Unpack a joined item, or raise its per-item error: the question is not
-    in the dataset, or the handoff file has no record for it (``no_record``)."""
-    qid, example, record = item
-    if example is None:
-        raise PipelineError(f"{qid}: not in dataset")
-    if record is None:
-        raise PipelineError(f"{qid}: {no_record}")
-    return item
+def _both_sides(fn: Callable, no_record: str) -> Callable:
+    """``fn`` over joined items, failing an item that is on one side only: its
+    question is not in the dataset, or the handoff file has no record for it
+    (``no_record``)."""
+
+    def both(item: tuple):
+        qid, example, record = item
+        if example is None:
+            raise PipelineError(f"{qid}: not in dataset")
+        if record is None:
+            raise PipelineError(f"{qid}: {no_record}")
+        return fn(item)
+
+    return both
 
 
 def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
@@ -383,8 +352,12 @@ def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_generate(cfg: PipelineConfig) -> int:
-    examples, errors = _load_dataset(cfg)
+# Each dataset stage is a builder, which reads the stage's own inputs and
+# returns the per-item function, and a finisher, which writes the outputs and
+# returns the report fields and the summary line.
+
+
+def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     spec = cfg.raw["generator"]
     client = RemoteGenerator(_backend_url(spec, "generator"), _backend_token(spec, "generator"))
 
@@ -392,114 +365,75 @@ def cmd_generate(cfg: PipelineConfig) -> int:
         chains = client.generate(GenerationRequest(example.question, cfg.num_generated, cfg.generation_mode))
         renamed = []
         for k, chain in enumerate(chains):
+            name = f"{example.question_id}-g{k}"
             segments = tuple(
-                dataclasses.replace(seg, id=f"{example.question_id}-g{k}" + (f".{s}" if len(chain.segments) > 1 else ""))
+                dataclasses.replace(seg, id=name + (f".{s}" if len(chain.segments) > 1 else ""))
                 for s, seg in enumerate(chain.segments)
             )
             renamed.append(PassageChain(segments=segments, source=chain.source))
         return dataclasses.replace(example, generated=tuple(renamed))
 
-    updated = _map_items(examples, generate, cfg, errors, "generate")
+    return generate
+
+
+def _finish_generate(cfg: PipelineConfig, examples, updated, errors) -> tuple[dict, str]:
     out_path = cfg.out / "generated.jsonl"
     write_examples(out_path, updated)
-    _write_report(cfg, "generate", {"questions": len(examples), "generated": len(updated), "errors": errors})
-    print(f"generated passages for {len(updated)}/{len(examples)} questions -> {out_path}")
-    return 0
+    summary = f"generated passages for {len(updated)}/{len(examples)} questions -> {out_path}"
+    return {"questions": len(examples), "generated": len(updated)}, summary
 
 
-def cmd_score(cfg: PipelineConfig) -> int:
-    examples, errors = _load_dataset(cfg)
+def _build_score(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     scorer = build_scorer(cfg, examples)
+    return lambda example: scoring.build_matrix(example, scorer, cfg.scoring_mode)
 
-    def score(example: QAExample) -> scoring.CompatibilityMatrix:
-        return scoring.build_matrix(example, scorer, cfg.scoring_mode)
 
-    matrices = _map_items(examples, score, cfg, errors, "score")
+def _finish_score(cfg: PipelineConfig, examples, matrices, errors) -> tuple[dict, str]:
     out_path = cfg.out / "matrices.jsonl"
     scoring.write_matrix_dump(out_path, matrices)
-    _write_report(cfg, "score", {"questions": len(examples), "scored": len(matrices), "errors": errors})
-    print(f"scored {len(matrices)}/{len(examples)} questions -> {out_path}")
-    return 0
+    summary = f"scored {len(matrices)}/{len(examples)} questions -> {out_path}"
+    return {"questions": len(examples), "scored": len(matrices)}, summary
 
 
-def _matrices_path(cfg: PipelineConfig, key: str) -> Path:
-    configured = cfg.raw[key].get("matrices")
-    return Path(configured) if configured else cfg.out / "matrices.jsonl"
-
-
-def cmd_match(cfg: PipelineConfig) -> int:
-    examples, errors = _load_dataset(cfg)
-    matrices = scoring.load_matrix_dump(_matrices_path(cfg, "matching"))
-
+def _build_match(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     def match(item) -> matching.PairMatching:
-        qid, example, matrix = _both_sides(item, "no compatibility matrix")
+        qid, example, matrix = item
         return matching.match(cfg.strategy, example, matrix, derive_seed(cfg.seed, qid))
 
-    results = _map_items(_join(examples, matrices), match, cfg, errors, "match")
+    return match
+
+
+def _finish_match(cfg: PipelineConfig, examples, results, errors) -> tuple[dict, str]:
     out_path = cfg.out / "matchings.jsonl"
     write_jsonl(out_path, (r.to_record() for r in results))
-    _write_report(
-        cfg,
-        "match",
-        {"strategy": cfg.strategy.value, "matched": len(results), "errors": errors},
-    )
-    print(f"matched {len(results)} questions ({cfg.strategy.value}) -> {out_path}")
-    return 0
+    summary = f"matched {len(results)} questions ({cfg.strategy.value}) -> {out_path}"
+    return {"strategy": cfg.strategy.value, "matched": len(results)}, summary
 
 
-def load_matchings(path: str | Path) -> list[matching.PairMatching]:
-    out: dict[str, matching.PairMatching] = {}
-    for lineno, rec in read_jsonl(path):
-        try:
-            qid = rec["question_id"]
-            if qid in out:
-                raise ValueError(f"repeated question_id {qid!r}")
-            out[qid] = matching.PairMatching(
-                question_id=qid,
-                strategy=matching.Strategy(rec["strategy"]),
-                pairs=tuple((int(i), int(j), float(s)) for i, j, s in rec["pairs"]),
-                total_weight=float(rec["total_weight"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"{path} line {lineno}: bad matching record: {exc}") from None
-    return list(out.values())
-
-
-def cmd_mine(cfg: PipelineConfig) -> int:
-    examples, errors = _load_dataset(cfg)
+def _build_mine(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     predictor = build_predictor(cfg)
     try:
         kinds = {mining.LabelKind(kind) for kind in cfg.raw["mine"]["kinds"]}
     except ValueError as exc:
         raise ContractViolation(f"unknown mine kind: {exc}") from None
-    label_lists = _map_items(examples, lambda ex: mining.mine_question(ex, predictor, kinds), cfg, errors, "mine")
+    return lambda example: mining.mine_question(example, predictor, kinds)
+
+
+def _finish_mine(cfg: PipelineConfig, examples, label_lists, errors) -> tuple[dict, str]:
     labels = [label for batch in label_lists for label in batch]
     counts = {}
-    for kind in sorted(kinds, key=lambda k: k.value):
+    for kind in sorted({mining.LabelKind(kind) for kind in cfg.raw["mine"]["kinds"]}, key=lambda k: k.value):
         kind_labels = [l for l in labels if l.kind is kind]
         out_path = cfg.out / f"labels.{kind.value}.jsonl"
         counts[kind.value] = dict(mining.emit_training_records(kind_labels, out_path, examples))
-    audit_path = cfg.out / "mining_audit.jsonl"
-    write_jsonl(audit_path, mining.audit_records(labels))
-    _write_report(
-        cfg,
-        "mine",
-        {"questions": len(label_lists), "labels": len(labels), "class_counts": counts, "errors": errors},
-    )
-    print(f"mined {len(labels)} labels over {len(label_lists)} questions -> {cfg.out}")
-    return 0
+    write_jsonl(cfg.out / "mining_audit.jsonl", mining.audit_records(labels))
+    fields = {"questions": len(label_lists), "labels": len(labels), "class_counts": counts}
+    return fields, f"mined {len(labels)} labels over {len(label_lists)} questions -> {cfg.out}"
 
 
-def cmd_serialize(cfg: PipelineConfig) -> int:
-    examples, errors = _load_dataset(cfg)
-    matchings_file = cfg.raw["serialize"].get("matchings")
-    matchings_path = Path(matchings_file) if matchings_file else cfg.out / "matchings.jsonl"
-    if not matchings_path.exists():
-        raise ContractViolation(f"no matchings file at {matchings_path}; run `pairqa match` first")
-    matchings = load_matchings(matchings_path)
-
+def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     def serialize(item) -> readerio.ReaderExample:
-        qid, example, m = _both_sides(item, "no matching")
+        qid, example, m = item
         lps, rps = {i for i, _, _ in m.pairs}, {j for _, j, _ in m.pairs}
         if len(m.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
             raise PipelineError(
@@ -509,22 +443,23 @@ def cmd_serialize(cfg: PipelineConfig) -> int:
         budget = cfg.budget if cfg.budget is not None else readerio.default_budget(example.hop_type, cfg.variant)
         return readerio.serialize_variant(example, m, cfg.variant, budget, seed=derive_seed(cfg.seed, qid))
 
-    reader_examples = _map_items(_join(examples, matchings), serialize, cfg, errors, "serialize")
+    return serialize
+
+
+def _finish_serialize(cfg: PipelineConfig, examples, reader_examples, errors) -> tuple[dict, str]:
     out_path = cfg.out / "reader_inputs.jsonl"
     readerio.write_reader_examples(out_path, reader_examples)
-    _write_report(
-        cfg,
-        "serialize",
-        {"variant": cfg.variant.value, "serialized": len(reader_examples), "errors": errors},
-    )
-    print(f"serialized {len(reader_examples)} questions ({cfg.variant.value}) -> {out_path}")
-    return 0
+    summary = f"serialized {len(reader_examples)} questions ({cfg.variant.value}) -> {out_path}"
+    return {"variant": cfg.variant.value, "serialized": len(reader_examples)}, summary
 
 
-def cmd_analyze(cfg: PipelineConfig) -> int:
-    # every input is read and checked, and --strict decided, before any file is written
-    examples, errors = _load_dataset(cfg)
-    stats = _map_items(examples, analysis.conflicting_rate, cfg, errors, "analyze")
+def _build_analyze(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
+    return lambda item: (analysis.conflicting_rate(item[1]), item[2])
+
+
+def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dict, str]:
+    # the corpus-wide inputs too are read and checked, and --strict decided, before any file is written
+    stats = [stat for stat, _ in results]
     predictions = {}
     for method, path in sorted(cfg.raw["analyze"]["predictions"].items()):
         ingest = IngestionReport()
@@ -539,11 +474,8 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
     # the bin report leaves these questions out; this records each one
     _map_items(stats, predicted_by_every_method, cfg, errors, "analyze")
     report = analysis.bin_report(stats, predictions, examples) if predictions else None
-
-    matrices_file = _matrices_path(cfg, "analyze")
-    distribution = None
-    if matrices_file.exists():
-        distribution = analysis.pair_type_distribution(scoring.load_matrix_dump(matrices_file))
+    matrices = [matrix for _, matrix in results if matrix is not None]
+    distribution = analysis.pair_type_distribution(matrices) if matrices else None
 
     annotations_file = cfg.raw["analyze"]["annotations"]
     confusion = None
@@ -557,32 +489,71 @@ def cmd_analyze(cfg: PipelineConfig) -> int:
                 raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {exc}") from None
         confusion = analysis.label_confusion(predicted, annotated)
 
+    types = list(scoring.PairType)
     write_jsonl(cfg.out / "conflict_stats.jsonl", (s.to_record() for s in stats))
     mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
-    print(f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}")
+    lines = [f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}"]
     if report is not None:
-        print(analysis.format_bin_report(report))
+        lines.append(analysis.format_bin_report(report))
         write_jsonl(cfg.out / "bin_report.jsonl", analysis.bin_report_rows(report))
         analysis.write_bin_report_csv(cfg.out / "bin_report.csv", report)
     if distribution is not None:
-        for pair_type in scoring.PairType:
-            print(f"pair type {pair_type.value}: {100 * distribution[pair_type]:.1f}%")
-        write_jsonl(
-            cfg.out / "pair_types.jsonl",
-            [{"type": t.value, "fraction": distribution[t]} for t in scoring.PairType],
-        )
+        lines += [f"pair type {t.value}: {100 * distribution[t]:.1f}%" for t in types]
+        write_jsonl(cfg.out / "pair_types.jsonl", [{"type": t.value, "fraction": distribution[t]} for t in types])
     if confusion is not None:
         counts, accuracy = confusion
-        print(f"label confusion accuracy: {accuracy:.3f}")
-        write_jsonl(
-            cfg.out / "confusion.jsonl",
-            [
-                {"predicted": p.value, "annotated": a.value, "count": counts[p][a]}
-                for p in scoring.PairType
-                for a in scoring.PairType
-            ],
-        )
-    _write_report(cfg, "analyze", {"questions": len(stats), "mean_conflicting_rate": mean_rate, "errors": errors})
+        lines.append(f"label confusion accuracy: {accuracy:.3f}")
+        rows = [{"predicted": p.value, "annotated": a.value, "count": counts[p][a]} for p in types for a in types]
+        write_jsonl(cfg.out / "confusion.jsonl", rows)
+    return {"questions": len(stats), "mean_conflicting_rate": mean_rate}, "\n".join(lines)
+
+
+# A handoff is a file an earlier stage wrote, joined to the dataset by question
+# id: (config section, key, loader, the per-item error of a dataset question the
+# file lacks, whether the default path may be absent). Its path is
+# <section>.<key>, else <out>/<key>.jsonl. A loader looks its function up when
+# called, so that a wrapper bound later to the module attribute sees the call.
+_MATRICES = ("matrices", lambda path: scoring.load_matrix_dump(path), "no compatibility matrix")
+_MATCHINGS = ("matchings", lambda path: load_matchings(path), "no matching")
+
+# name -> (builder, finisher, handoff or None)
+STAGES: dict[str, tuple[Callable, Callable, tuple | None]] = {
+    "generate": (_build_generate, _finish_generate, None),
+    "score": (_build_score, _finish_score, None),
+    "match": (_build_match, _finish_match, ("matching", *_MATRICES, False)),
+    "mine": (_build_mine, _finish_mine, None),
+    "serialize": (_build_serialize, _finish_serialize, ("serialize", *_MATCHINGS, False)),
+    "analyze": (_build_analyze, _finish_analyze, ("analyze", *_MATRICES, True)),
+}
+
+
+def run_stage(name: str, cfg: PipelineConfig) -> int:
+    """Run one dataset stage: load the dataset and the stage's handoff file,
+    run the per-item function over the examples (or over the join of the two),
+    then write the outputs, the report and the summary. Every input is read,
+    and ``--strict`` decided, before the first file is written."""
+    build, finish, handoff = STAGES[name]
+    if not cfg.dataset:
+        raise ContractViolation("this command needs --dataset (or config dataset)")
+    examples, ingest = read_examples(cfg.dataset)
+    for w in ingest.warnings:
+        logger.warning("ingest line %d: %s", w.line, w.message)
+    errors = _ingest_errors(cfg, ingest, "dataset")
+    items, work = examples, build(cfg, examples)
+    if handoff is not None:
+        section, key, load, no_record, optional = handoff
+        configured = cfg.raw[section][key]
+        path = Path(configured) if configured else cfg.out / f"{key}.jsonl"
+        if path.exists():
+            items, work = _join(examples, load(path)), _both_sides(work, no_record)
+        elif configured or not optional:
+            raise ContractViolation(f"no {key} file at {path}")
+        else:
+            items = _join(examples, [])
+    results = _map_items(items, work, cfg, errors, name)
+    fields, summary = finish(cfg, examples, results, errors)
+    _write_report(cfg, name, {**fields, "errors": errors})
+    print(summary)
     return 0
 
 
@@ -597,33 +568,26 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     return 0
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "score": cmd_score,
-    "match": cmd_match,
-    "mine": cmd_mine,
-    "serialize": cmd_serialize,
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
+# short flags for four dotted config names
+_FLAG_ALIASES = {
+    "strategy": "matching.strategy",
+    "scoring-mode": "scoring.mode",
+    "variant": "serialize.variant",
+    "budget": "serialize.budget",
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairqa",
-        description="Compatibility-guided pairing of retrieved and generated passages.",
+        description="Compatibility-guided pairing of retrieved and generated passages. Any config field is set"
+        " with a flag of its dotted name (--dataset PATH, --out DIR, --seed INT, --workers INT,"
+        " --scorer.backend remote); --strategy, --scoring-mode, --variant and --budget are short for"
+        " matching.strategy, scoring.mode, serialize.variant and serialize.budget.",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=sorted([*STAGES, "simulate"]))
     parser.add_argument("--config", help="JSON config file (nested object)")
-    parser.add_argument("--dataset", help="dataset file (line-delimited records)")
-    parser.add_argument("--strategy", choices=[s.value for s in matching.Strategy])
-    parser.add_argument("--scoring-mode", choices=[m.value for m in scoring.CombineMode])
-    parser.add_argument("--variant", choices=[v.value for v in readerio.Variant])
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--strict", action="store_true", default=None)
+    parser.add_argument("--strict", action="store_true", help="make any per-item failure fatal")
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -636,24 +600,8 @@ def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConf
         if not isinstance(document, dict):
             raise ContractViolation("config file must hold one JSON object")
         config = _deep_merge(config, document)
-    flag_map = {
-        "dataset": args.dataset,
-        "out": args.out,
-        "seed": args.seed,
-        "workers": args.workers,
-        "strict": args.strict,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            config[key] = value
-    if args.strategy is not None:
-        config["matching"]["strategy"] = args.strategy
-    if args.scoring_mode is not None:
-        config["scoring"]["mode"] = args.scoring_mode
-    if args.variant is not None:
-        config["serialize"]["variant"] = args.variant
-    if args.budget is not None:
-        config["serialize"]["budget"] = args.budget
+    if args.strict:
+        config["strict"] = True
     apply_dotted_overrides(config, _parse_extra_flags(extras))
     return PipelineConfig.from_dict(config)
 
@@ -667,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         cfg = load_config(args, extras)
-        return COMMANDS[args.command](cfg)
+        return cmd_simulate(cfg) if args.command == "simulate" else run_stage(args.command, cfg)
     except (ContractViolation, PipelineError, OSError, json.JSONDecodeError) as exc:
         summary = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True), file=sys.stderr)

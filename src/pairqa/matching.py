@@ -26,10 +26,12 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Sequence
 
 from .corpus import QAExample, contains_answer
 from .errors import ContractViolation
+from .lineio import read_jsonl
 from .scoring import CompatibilityMatrix, PairType
 
 Pair = tuple[int, int, float]
@@ -56,6 +58,26 @@ class PairMatching:
             "pairs": [[i, j, s] for i, j, s in self.pairs],
             "total_weight": self.total_weight,
         }
+
+
+def load_matchings(path: str | Path) -> list[PairMatching]:
+    """Read the records ``PairMatching.to_record`` writes, in file order; a
+    malformed or repeated record raises ContractViolation naming the line."""
+    out: dict[str, PairMatching] = {}
+    for lineno, rec in read_jsonl(path):
+        try:
+            qid = rec["question_id"]
+            if qid in out:
+                raise ValueError(f"repeated question_id {qid!r}")
+            out[qid] = PairMatching(
+                question_id=qid,
+                strategy=Strategy(rec["strategy"]),
+                pairs=tuple((int(i), int(j), float(s)) for i, j, s in rec["pairs"]),
+                total_weight=float(rec["total_weight"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"{path} line {lineno}: bad matching record: {exc}") from None
+    return list(out.values())
 
 
 @dataclass(frozen=True)

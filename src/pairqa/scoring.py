@@ -138,18 +138,23 @@ def write_matrix_dump(path: str | Path, matrices: Sequence[CompatibilityMatrix])
 _DUMP_FIELDS = ["consistency", "evidentiality", "mode", "question_id"]
 
 
-def _floats(values) -> tuple[float, ...]:
+def _probabilities(values, field: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError(f"{values!r} is not an array")
-    return tuple(float(v) for v in values)
+    floats = tuple(float(v) for v in values)
+    for p in floats:
+        if not 0.0 <= p <= 1.0:  # NaN fails this too
+            raise ValueError(f"{field} {p!r} outside [0,1]")
+    return floats
 
 
 def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:
     """Read a dump back, one matrix per record in file order.
 
     A record that does not have the dump's shape (an old per-cell record
-    included), a ragged grid, an unknown mode or a repeated question raises
-    ContractViolation naming the file and line.
+    included), a ragged grid, a probability that is NaN or outside [0, 1], an
+    unknown mode or a repeated question raises ContractViolation naming the
+    file and line.
     """
     matrices: dict[str, CompatibilityMatrix] = {}
     for lineno, rec in read_jsonl(path):
@@ -161,8 +166,8 @@ def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:
                 raise ValueError(f"repeated question_id {qid!r}")
             matrix = CompatibilityMatrix(
                 question_id=qid,
-                evidentiality=_floats(rec["evidentiality"]),
-                consistency=tuple(_floats(row) for row in rec["consistency"]),
+                evidentiality=_probabilities(rec["evidentiality"], "evidentiality"),
+                consistency=tuple(_probabilities(row, "consistency") for row in rec["consistency"]),
                 mode=CombineMode(rec["mode"]),
             )
             lengths = sorted({len(row) for row in matrix.consistency})

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pairqa
-from pairqa.cli import main
+from pairqa.cli import build_parser, load_config, main
 from pairqa.corpus import write_examples
 from pairqa.sim import SynthSpec, generate_corpus, write_truth
 
@@ -101,6 +101,55 @@ def _analyze_empty_pool(tmp, dataset, truth):
     return ["analyze", "--dataset", edited, "--out", tmp / "out"], qid, "empty generated pool"
 
 
+def _analyze_no_matrix(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    dump = out / "matrices.jsonl"
+    qid = _copy_with_first_record(dump, dump, _drop)["question_id"]
+    return ["analyze", "--dataset", dataset, "--out", out], qid, "no compatibility matrix"
+
+
+def _analyze_not_in_dataset(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    smaller = tmp / "smaller.jsonl"
+    qid = _copy_with_first_record(dataset, smaller, _drop)["question_id"]
+    return ["analyze", "--dataset", smaller, "--out", out], qid, "not in dataset"
+
+
+def _analyze_missing_prediction(tmp, dataset, truth):
+    predictions = tmp / "predictions.jsonl"
+    predictions.write_text(json.dumps({"question_id": "q00000", "answer": "gold00000"}) + "\n")
+    argv = ["analyze", "--dataset", dataset, "--out", tmp / "out"]
+    return [*argv, "--analyze.predictions", json.dumps({"oracle": str(predictions)})]
+
+
+def _analyze_bad_annotation(tmp, dataset, truth):
+    annotations = tmp / "annotations.jsonl"
+    annotations.write_text(json.dumps({"predicted": "bogus", "annotated": "compatible"}) + "\n")
+    return ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.annotations", annotations]
+
+
+def _analyze_ragged_matrix(tmp, dataset, truth):
+    assert run("score", "--dataset", dataset, "--out", tmp / "scored") == 0
+    dump = tmp / "ragged.jsonl"
+    _copy_with_first_record(tmp / "scored" / "matrices.jsonl", dump, _ragged)
+    return ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.matrices", dump]
+
+
+def _argv_of(case):
+    """The argv of a per-item failure case, without its question and message."""
+    return lambda tmp, dataset, truth: case(tmp, dataset, truth)[0]
+
+
+# stage -> (the flag that names its handoff file, the file's default name in --out)
+_HANDOFF_FLAGS = {
+    "match": ("--matching.matrices", "matrices.jsonl"),
+    "serialize": ("--serialize.matchings", "matchings.jsonl"),
+    "analyze": ("--analyze.matrices", "matrices.jsonl"),
+}
+
+
 def _mine_one_retrieved(tmp, dataset, truth):
     edited = tmp / "edited.jsonl"
     qid = _copy_with_first_record(dataset, edited, _one_retrieved)["question_id"]
@@ -166,6 +215,17 @@ def _ragged(record):
     return record
 
 
+def _bad_probability(field, value):
+    """A store whose first probability of ``field`` is ``value``."""
+
+    def edit(record):
+        row = record[field] if field == "evidentiality" else record[field][0]
+        row[0] = value
+        return record
+
+    return _bad_store(edit, where=f"store.jsonl line 1: bad matrix record: {field} {value!r} outside [0,1]")
+
+
 def _bad_annotation(record):
     def case(tmp, dataset, truth):
         annotations = tmp / "annotations.jsonl"
@@ -201,6 +261,21 @@ def _bad_config(command, document, value):
         config.write_text(json.dumps(document))
         argv = [command, "--out", tmp / "o", "--config", config]
         return (argv if command == "simulate" else [*argv, "--dataset", dataset]), value
+
+    return case
+
+
+def _out_null(tmp, dataset, truth):
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"out": None}))
+    return ["simulate", "--config", config], "NoneType"
+
+
+def _bad_flag(command, flag, value):
+    """Run ``command`` with ``flag value``; the summary must name the value."""
+
+    def case(tmp, dataset, truth):
+        return [command, "--dataset", dataset, "--out", tmp / "o", flag, value], repr(value)
 
     return case
 
@@ -362,25 +437,6 @@ class TestMine:
         assert cons and all(set(r) == {"question", "generated", "retrieved", "label"} for r in cons)
 
 
-def _analyze_missing_prediction(tmp, dataset, truth):
-    predictions = tmp / "predictions.jsonl"
-    predictions.write_text(json.dumps({"question_id": "q00000", "answer": "gold00000"}) + "\n")
-    return ["--analyze.predictions", json.dumps({"oracle": str(predictions)}), "--strict"]
-
-
-def _analyze_bad_annotation(tmp, dataset, truth):
-    annotations = tmp / "annotations.jsonl"
-    annotations.write_text(json.dumps({"predicted": "bogus", "annotated": "compatible"}) + "\n")
-    return ["--analyze.annotations", annotations]
-
-
-def _analyze_ragged_matrix(tmp, dataset, truth):
-    assert run("score", "--dataset", dataset, "--out", tmp / "scored") == 0
-    dump = tmp / "ragged.jsonl"
-    _copy_with_first_record(tmp / "scored" / "matrices.jsonl", dump, _ragged)
-    return ["--analyze.matrices", dump]
-
-
 class TestAnalyze:
     def test_reports(self, sim_workspace, capsys):
         tmp, dataset, _ = sim_workspace
@@ -440,17 +496,6 @@ class TestAnalyze:
             ("ingest", str(files["oracle"]), 10),
         ]
         assert self._analyze(sim_workspace, {"oracle": lines}, "--strict")[0] == 1
-
-    @pytest.mark.parametrize(
-        "case",
-        [_analyze_missing_prediction, _analyze_bad_annotation, _analyze_ragged_matrix],
-        ids=["strict-missing-prediction", "bad-annotation", "ragged-matrix"],
-    )
-    def test_failed_analyze_writes_no_file(self, sim_workspace, case):
-        tmp, dataset, _ = sim_workspace
-        out = tmp / "fresh"
-        assert run("analyze", "--dataset", dataset, "--out", out, *case(*sim_workspace)) == 1
-        assert not out.exists() or not any(out.iterdir())
 
 
 class TestSimulate:
@@ -608,6 +653,8 @@ class TestErrorHandling:
             _score_scorer_failure,
             _score_empty_pool,
             _analyze_empty_pool,
+            _analyze_no_matrix,
+            _analyze_not_in_dataset,
             _mine_one_retrieved,
         ],
         ids=[
@@ -617,6 +664,8 @@ class TestErrorHandling:
             "score-scorer-failure",
             "score-empty-pool",
             "analyze-empty-pool",
+            "analyze-no-matrix",
+            "analyze-not-in-dataset",
             "mine-n-1",
         ],
     )
@@ -644,6 +693,9 @@ class TestErrorHandling:
             _bad_store(lambda rec: {**rec, "mode": "bogus"}, where="store.jsonl line 1: bad matrix record: 'bogus'"),
             _bad_store(lambda rec: {**rec, "question_id": "q00001"}, where="store.jsonl line 2: bad matrix record: repeated"),
             _bad_store(_one_retrieved_fewer, where="store.jsonl: question 'q00000' is stored as 3x3 but is 3x4"),
+            _bad_probability("evidentiality", float("nan")),
+            _bad_probability("consistency", 7.5),
+            _bad_probability("evidentiality", -0.1),
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
             _unparsable_override,
@@ -657,6 +709,9 @@ class TestErrorHandling:
             "store-unknown-mode",
             "store-repeated-question",
             "store-shape-differs",
+            "store-nan-probability",
+            "store-probability-above-1",
+            "store-probability-below-0",
             "annotation-bogus-type",
             "annotation-missing-key",
             "override-not-an-int",
@@ -670,6 +725,76 @@ class TestErrorHandling:
         assert set(summary) == {"error", "message"}
         assert summary["error"] == "ContractViolation"
         assert where in summary["message"]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _argv_of(_score_scorer_failure),
+            _argv_of(_score_empty_pool),
+            _argv_of(_match_not_in_dataset),
+            _argv_of(_match_no_matrix),
+            _argv_of(_serialize_not_in_dataset),
+            _argv_of(_mine_one_retrieved),
+            _argv_of(_analyze_empty_pool),
+            _argv_of(_analyze_no_matrix),
+            _analyze_missing_prediction,
+            _analyze_bad_annotation,
+            _analyze_ragged_matrix,
+        ],
+        ids=[
+            "score-scorer-failure",
+            "score-empty-pool",
+            "match-not-in-dataset",
+            "match-no-matrix",
+            "serialize-not-in-dataset",
+            "mine-n-1",
+            "analyze-empty-pool",
+            "analyze-no-matrix",
+            "analyze-missing-prediction",
+            "analyze-bad-annotation",
+            "analyze-ragged-matrix",
+        ],
+    )
+    def test_failure_writes_no_file(self, sim_workspace, case):
+        """A failed run under --strict leaves a fresh --out empty; the handoff
+        file is taken from where the case wrote it."""
+        tmp = sim_workspace[0]
+        argv = case(*sim_workspace)
+        at = argv.index("--out")
+        written, fresh = Path(argv[at + 1]), tmp / "fresh"
+        argv[at + 1] = fresh
+        flag, name = _HANDOFF_FLAGS.get(argv[0], (None, None))
+        if flag and flag not in argv and (written / name).exists():
+            argv += [flag, written / name]
+        assert run(*argv, "--strict") == 1
+        assert not fresh.exists() or not any(fresh.iterdir())
+
+    @pytest.mark.parametrize(
+        "stage, flag",
+        [
+            ("match", None),
+            ("serialize", None),
+            ("match", "--matching.matrices"),
+            ("serialize", "--serialize.matchings"),
+            ("analyze", "--analyze.matrices"),
+        ],
+        ids=["match-default", "serialize-default", "match-configured", "serialize-configured", "analyze-configured"],
+    )
+    def test_missing_handoff_file_is_fatal(self, sim_workspace, stage, flag, capsys):
+        tmp, dataset, _ = sim_workspace
+        out = tmp / "out"
+        argv = [stage, "--dataset", dataset, "--out", out]
+        if flag is None:
+            missing = out / _HANDOFF_FLAGS[stage][1]
+        else:
+            missing = tmp / "missing.jsonl"
+            argv += [flag, missing]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["error"] == "ContractViolation"
+        assert str(missing) in summary["message"]
+        assert not out.exists() or not any(out.iterdir())
 
     def test_strict_mode_aborts(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
@@ -701,6 +826,13 @@ class TestErrorHandling:
             _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
             _bad_config("score", {"workers": True}, "workers must be an integer, got True"),
             _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be >= 1, got 0"),
+            _out_null,
+            _bad_flag("match", "--strategy", "psychic"),
+            _bad_flag("score", "--scoring-mode", "sum"),
+            _bad_flag("serialize", "--variant", "jumbled"),
+            _bad_flag("serialize", "--budget", "many"),
+            _bad_flag("score", "--workers", "two"),
+            _bad_flag("score", "--seed", "1.5"),
         ],
         ids=[
             "matching-strategy",
@@ -718,6 +850,13 @@ class TestErrorHandling:
             "config-float-integer",
             "config-boolean-integer",
             "serialize-budget-zero",
+            "config-out-null",
+            "flag-strategy",
+            "flag-scoring-mode",
+            "flag-variant",
+            "flag-budget",
+            "flag-workers",
+            "flag-seed",
         ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):
@@ -776,3 +915,20 @@ class TestConfigMerging:
         )
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == "greedy" for m in matchings)
+
+    @pytest.mark.parametrize(
+        "short, dotted",
+        [
+            (["--strategy", "greedy"], ["--matching.strategy", "greedy"]),
+            (["--scoring-mode=product"], ["--scoring.mode", "product"]),
+            (["--variant", "linearized"], ["--serialize.variant=linearized"]),
+            (["--budget", "12"], ["--serialize.budget", "12"]),
+        ],
+        ids=["strategy", "scoring-mode", "variant", "budget"],
+    )
+    def test_short_flags_alias_dotted_names(self, short, dotted):
+        def raw(argv):
+            args, extras = build_parser().parse_known_args(["serialize", *argv])
+            return load_config(args, extras).raw
+
+        assert raw(short) == raw(dotted) != raw([])
