@@ -8,20 +8,23 @@ Wire schemas (one JSON object per call):
 * generator: ``{"question", "n", "mode"}`` ->
   ``{"passages": [[str, ...], ...]}``
 
-Remote calls retry with exponential backoff on transport failures, 5xx
-responses, 408 and 429; any other 4xx fails at once. ``requests`` is
-imported by the first call that is sent, so offline runs and fully cached
-reruns never load it. Any backend, remote or offline, can be wrapped in
-``CachingBackend``, an on-disk response cache keyed by the backend's
-identity and a content hash of the request body, so that re-running a
-mining or scoring pass replays identical bytes. A cache entry that is not a
-JSON object, a scorer entry without a number ``probability`` or a predictor
-entry without a string ``answer`` raises ``ContractViolation`` naming the
-entry's file. Backends
-are duck-typed: a scorer exposes ``score(req) -> float`` and a predictor
-``predict(req) -> str``. ``FileScoreStore`` answers from stored
-probabilities and parses no file itself: ``scoring.load_score_store``
-fills it from a matrix dump.
+Remote calls go through the standard library's ``urllib.request``, one
+connection per call with no keep-alive. ``HTTP_PROXY``, ``HTTPS_PROXY`` and
+``NO_PROXY`` are honoured; HTTPS is verified against the system trust store
+(``SSL_CERT_FILE`` names another bundle; ``REQUESTS_CA_BUNDLE`` is not read).
+A call is retried with exponential backoff on a transport failure, a 5xx, a
+408 or a 429; any other status, a redirect included, fails at once. The
+HTTP modules are imported by the first call that is sent, so offline runs
+and fully cached reruns never load them. Any backend, remote or offline,
+can be wrapped in ``CachingBackend``, an on-disk response cache keyed by
+the backend's identity and a content hash of the request body, so that
+re-running a mining or scoring pass replays identical bytes. A cache entry
+that is not a JSON object, a scorer entry without a number ``probability``
+or a predictor entry without a string ``answer`` raises
+``ContractViolation`` naming the entry's file. Backends are duck-typed: a
+scorer exposes ``score(req) -> float`` and a predictor ``predict(req)
+-> str``. ``FileScoreStore`` answers from stored probabilities and parses no
+file itself: ``scoring.load_score_store`` fills it from a matrix dump.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class ResponseCache:
 class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
     retrying transport failures, 5xx, 408 and 429 with exponential backoff;
-    any other 4xx is not retried. ``timeout`` defaults to the class's
+    any other status is not retried. ``timeout`` defaults to the class's
     ``default_timeout``."""
 
     default_timeout = 30.0
@@ -173,12 +176,35 @@ class _ServiceClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = self.default_timeout if timeout is None else timeout
+        self._opener = None
 
     def _post(self, body: Mapping) -> dict:
-        # imported here, not at module level: it is most of a stage process's
-        # start-up, and offline or fully cached runs never send a request
-        import requests
+        # Imported here, not at module level: offline or fully cached runs
+        # never send a request. One connection per call, closed after it (no
+        # keep-alive). The client's own opener, built at its first request,
+        # honours HTTP(S)_PROXY and NO_PROXY, verifies HTTPS against the
+        # system trust store (SSL_CERT_FILE; one TLS context per client) and
+        # follows no redirect. Retried: OSError (URLError, timeouts and TLS
+        # errors included), HTTPException, 5xx, 408 and 429; any other status
+        # fails at once.
+        import http.client
+        import ssl
+        import urllib.error
+        import urllib.request
 
+        if self._opener is None:  # workers that race here build equivalent openers
+            context = ssl.create_default_context() if self.url.startswith("https:") else None
+            self._opener = urllib.request.OpenerDirector()
+            for handler in (
+                urllib.request.ProxyHandler(),
+                urllib.request.HTTPHandler(),
+                urllib.request.HTTPSHandler(context=context),
+                urllib.request.UnknownHandler(),
+                urllib.request.HTTPDefaultErrorHandler(),
+                urllib.request.HTTPErrorProcessor(),
+            ):
+                self._opener.add_handler(handler)
+        data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -186,29 +212,36 @@ class _ServiceClient:
         while True:
             attempt += 1
             try:
-                resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-            except requests.RequestException as exc:
-                status = exc.response.status_code if exc.response is not None else None
-                if status is not None and 400 <= status < 500 and status not in (408, 429):
+                # a fresh Request per attempt: a proxied open rewrites its host
+                request = urllib.request.Request(self.url, data, headers, method="POST")
+                with self._opener.open(request, timeout=self.timeout) as resp:
+                    raw = resp.read()
+                break
+            except ValueError as exc:  # no URL scheme, or a bad header: no attempt can succeed
+                raise TransportError(f"POST {self.url}: {exc}; not retried", attempts=attempt) from exc
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code < 500 and exc.code not in (408, 429):
                     raise TransportError(
-                        f"POST {self.url} failed with client error {status}; not retried", attempts=attempt
+                        f"POST {self.url} failed with status {exc.code}; not retried", attempts=attempt
                     ) from exc
-                if attempt > self.max_retries:
-                    raise TransportError(
-                        f"POST {self.url} failed after {attempt} attempts: {exc}", attempts=attempt
-                    ) from exc
-                delay = self.backoff * (2 ** (attempt - 1))
-                logger.warning("POST %s attempt %d failed (%s); retrying in %.2fs", self.url, attempt, exc, delay)
-                time.sleep(delay)
-                continue
-            try:
-                payload = resp.json()
-            except ValueError as exc:
-                raise ProtocolError(f"POST {self.url}: response is not JSON: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise ProtocolError(f"POST {self.url}: response is not an object")
-            return payload
+                failure = exc
+            except (OSError, http.client.HTTPException) as exc:
+                failure = exc
+            if attempt > self.max_retries:
+                raise TransportError(
+                    f"POST {self.url} failed after {attempt} attempts: {failure}", attempts=attempt
+                ) from failure
+            delay = self.backoff * (2 ** (attempt - 1))
+            logger.warning("POST %s attempt %d failed (%s); retrying in %.2fs", self.url, attempt, failure, delay)
+            time.sleep(delay)
+        try:
+            payload = json.loads(raw)
+        except ValueError as exc:
+            raise ProtocolError(f"POST {self.url}: response is not JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"POST {self.url}: response is not an object")
+        return payload
 
 
 def _clamp_probability(value, origin: str) -> float:

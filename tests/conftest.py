@@ -42,13 +42,17 @@ class FixtureService:
     """In-process HTTP service implementing the three wire protocols.
 
     ``responses`` maps a path to either a dict (static body), a callable
-    ``body -> dict``, or a list of (status, dict) consumed per request.
-    Every request body is appended to ``requests[path]``.
+    ``body -> dict`` (called outside the service's lock, so it may stall), or
+    a list of (status, dict) consumed per request; a reply given as ``bytes``
+    is sent as it is. Every request body is appended to ``requests[path]``
+    and its headers, names lower-cased, to ``headers[path]``. A request sent
+    through this service as a proxy has the absolute URL as its path.
     """
 
     def __init__(self):
         self.responses: dict[str, object] = {}
         self.requests: dict[str, list[dict]] = {}
+        self.headers: dict[str, list[dict[str, str]]] = {}
         self._lock = threading.Lock()
 
         service = self
@@ -59,16 +63,20 @@ class FixtureService:
                 body = json.loads(self.rfile.read(length) or b"{}")
                 with service._lock:
                     service.requests.setdefault(self.path, []).append(body)
+                    service.headers.setdefault(self.path, []).append({k.lower(): v for k, v in self.headers.items()})
                     spec = service.responses.get(self.path)
                     if isinstance(spec, list):
-                        status, payload = spec.pop(0) if spec else (500, {})
-                    elif callable(spec):
-                        status, payload = 200, spec(body)
-                    elif spec is None:
-                        status, payload = 404, {}
-                    else:
-                        status, payload = 200, spec
-                data = json.dumps(payload).encode("utf-8")
+                        spec = spec.pop(0) if spec else (500, {})
+                # outside the lock, so that a callable that stalls holds up no other request
+                if isinstance(spec, tuple):
+                    status, payload = spec
+                elif callable(spec):
+                    status, payload = 200, spec(body)
+                elif spec is None:
+                    status, payload = 404, {}
+                else:
+                    status, payload = 200, spec
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

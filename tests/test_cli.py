@@ -288,20 +288,22 @@ def _mine_argv(dataset, truth):
     return ["mine", "--dataset", dataset, "--predictor.truth", truth]
 
 
-_REPORT_REQUESTS = (
+_HTTP_MODULES = ("requests", "urllib.request", "http.client")
+_REPORT_HTTP_MODULES = (
     "import json, sys\n"
     "from pairqa.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
-    "print(json.dumps({'exit': code, 'requests': 'requests' in sys.modules}))\n"
+    f"print(json.dumps({{'exit': code, 'loaded': [m for m in {_HTTP_MODULES!r} if m in sys.modules]}}))\n"
 )
 
 
 def _in_new_interpreter(*argv) -> dict:
     """Import ``pairqa.cli`` in a new interpreter, run ``main(argv)`` if argv
-    is given, and report its exit code and whether ``requests`` got loaded."""
+    is given, and report its exit code and which of ``_HTTP_MODULES`` got
+    loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(pairqa.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_REQUESTS, *map(str, argv)],
+        [sys.executable, "-c", _REPORT_HTTP_MODULES, *map(str, argv)],
         env=env,
         capture_output=True,
         text=True,
@@ -386,26 +388,38 @@ class TestScoreMatchSerialize:
 
 
 class TestStartup:
-    """Importing ``requests`` is most of a stage process's start-up; only a
-    request that is actually sent may load it."""
+    """The HTTP modules cost a stage process tens of milliseconds to import:
+    only a request that is actually sent may load them (each test checks all
+    of ``_HTTP_MODULES``), and ``requests`` is never loaded."""
 
     def test_import_leaves_requests_unloaded(self):
-        assert _in_new_interpreter() == {"exit": None, "requests": False}
+        assert _in_new_interpreter() == {"exit": None, "loaded": []}
 
     def test_offline_score_leaves_requests_unloaded(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         result = _in_new_interpreter("score", "--dataset", dataset, "--out", tmp / "out")
-        assert result == {"exit": 0, "requests": False}
+        assert result == {"exit": 0, "loaded": []}
 
-    def test_warm_remote_rerun_leaves_requests_unloaded(self, sim_workspace, http_service):
-        tmp, dataset, _ = sim_workspace
+    @staticmethod
+    def _remote_score(tmp, dataset, http_service):
         http_service.responses["/score"] = {"probability": 0.5}
         url = http_service.url("/score")
         argv = ["score", "--dataset", dataset, "--scorer.backend", "remote", "--scorer.url", url]
-        argv += ["--cache_dir", tmp / "cache"]
+        return argv + ["--cache_dir", tmp / "cache"]
+
+    def test_cold_remote_score_loads_urllib_not_requests(self, sim_workspace, http_service):
+        tmp, dataset, _ = sim_workspace
+        argv = self._remote_score(tmp, dataset, http_service)
+        result = _in_new_interpreter(*argv, "--out", tmp / "cold", "--strict")
+        assert result == {"exit": 0, "loaded": ["urllib.request", "http.client"]}
+        assert http_service.requests["/score"]
+
+    def test_warm_remote_rerun_leaves_requests_unloaded(self, sim_workspace, http_service):
+        tmp, dataset, _ = sim_workspace
+        argv = self._remote_score(tmp, dataset, http_service)
         assert run(*argv, "--out", tmp / "cold") == 0
         http_service.close()  # from here on any request fails, so the rerun must send none
-        assert _in_new_interpreter(*argv, "--out", tmp / "warm", "--strict") == {"exit": 0, "requests": False}
+        assert _in_new_interpreter(*argv, "--out", tmp / "warm", "--strict") == {"exit": 0, "loaded": []}
         assert (tmp / "warm" / "matrices.jsonl").read_bytes() == (tmp / "cold" / "matrices.jsonl").read_bytes()
 
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
+import socket
 import stat
 import sys
 import threading
+import time
 
 import pytest
 
@@ -148,6 +152,109 @@ class TestRemoteScorer:
         other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         assert other.score(evid_request()) == 0.25
         assert len(http_service.requests["/score"]) == 1
+
+
+@pytest.fixture
+def loopback_only(monkeypatch):
+    """Clear every proxy variable and refuse any name lookup but the
+    loopback's, so that no request can leave the machine. Yields the
+    monkeypatch and the list of host names looked up."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    lookups = []
+    real = socket.getaddrinfo
+
+    def lookup(host, *args, **kwargs):
+        lookups.append(host)
+        if host not in ("127.0.0.1", "localhost"):
+            raise socket.gaierror(socket.EAI_NONAME, f"lookup of {host} refused in tests")
+        return real(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", lookup)
+    yield monkeypatch, lookups
+
+
+class TestTransport:
+    """What every remote client sends and how it fails, whatever library
+    sends the request."""
+
+    @pytest.mark.parametrize("reply", [b"<html>busy</html>", [0.5]], ids=["not-json", "array"])
+    def test_reply_that_is_not_a_json_object_is_a_protocol_error(self, http_service, reply):
+        http_service.responses["/score"] = [(200, reply)]
+        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        with pytest.raises(ProtocolError):
+            scorer.score(evid_request())
+
+    def test_token_is_sent_as_a_bearer_header(self, http_service):
+        http_service.responses["/score"] = {"probability": 0.5}
+        url = http_service.url("/score")
+        RemoteScorer(url, token="s3cret", backoff=0.0).score(evid_request())
+        RemoteScorer(url, backoff=0.0).score(evid_request())
+        with_token, without = http_service.headers["/score"]
+        assert with_token["authorization"] == "Bearer s3cret"
+        assert "authorization" not in without
+        assert with_token["content-type"] == without["content-type"] == "application/json"
+
+    def test_stalled_reply_times_out_and_is_retried(self, http_service):
+        def stall(body):
+            time.sleep(1.0)
+            return {"probability": 0.5}
+
+        http_service.responses["/score"] = stall
+        scorer = RemoteScorer(http_service.url("/score"), max_retries=1, backoff=0.0, timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(TransportError) as err:
+            scorer.score(evid_request())
+        assert err.value.attempts == 2
+        assert time.monotonic() - start < 0.9
+        assert len(http_service.requests["/score"]) == 2
+
+    def test_non_ascii_question_arrives_intact(self, http_service):
+        http_service.responses["/score"] = {"probability": 0.5}
+        req = evid_request(question="Wer schrieb „Faust“? 誰が書いた", retrieved_text="Goethe — 1808")
+        RemoteScorer(http_service.url("/score"), backoff=0.0).score(req)
+        assert http_service.requests["/score"] == [req.wire_body()]
+        # the body is json.dumps of the wire body: non-ASCII escaped, so ASCII on the wire
+        (headers,) = http_service.headers["/score"]
+        assert int(headers["content-length"]) == len(json.dumps(req.wire_body()))
+
+    def test_redirect_is_neither_followed_nor_retried(self, http_service):
+        http_service.responses["/score"] = [(307, {})]
+        scorer = RemoteScorer(http_service.url("/score"), max_retries=3, backoff=0.0)
+        with pytest.raises(TransportError) as err:
+            scorer.score(evid_request())
+        assert err.value.attempts == 1
+        assert "307" in str(err.value)
+        assert len(http_service.requests["/score"]) == 1
+
+    @pytest.mark.parametrize("url, attempts", [("example/score", 1), ("localhost:9/score", 2)])
+    def test_malformed_url_is_a_transport_error(self, url, attempts):
+        # a URL without a scheme is never sent; an unknown scheme is a URLError, retried as such
+        scorer = RemoteScorer(url, max_retries=1, backoff=0.0)
+        with pytest.raises(TransportError) as err:
+            scorer.score(evid_request())
+        assert err.value.attempts == attempts
+
+    def test_http_proxy_is_honoured(self, http_service, loopback_only):
+        monkeypatch, lookups = loopback_only
+        monkeypatch.setenv("http_proxy", http_service.url(""))
+        http_service.responses["http://example.invalid/score"] = {"probability": 0.25}
+        scorer = RemoteScorer("http://example.invalid/score", max_retries=0, backoff=0.0)
+        assert scorer.score(evid_request()) == 0.25
+        assert list(http_service.requests) == ["http://example.invalid/score"]
+        assert "example.invalid" not in lookups
+
+    def test_no_proxy_goes_direct(self, http_service, loopback_only):
+        monkeypatch, lookups = loopback_only
+        monkeypatch.setenv("http_proxy", http_service.url(""))
+        monkeypatch.setenv("no_proxy", "example.invalid")
+        scorer = RemoteScorer("http://example.invalid/score", max_retries=0, backoff=0.0)
+        with pytest.raises(TransportError) as err:
+            scorer.score(evid_request())
+        assert err.value.attempts == 1
+        assert "example.invalid" in lookups
+        assert http_service.requests == {}
 
 
 @pytest.mark.parametrize(
