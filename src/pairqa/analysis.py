@@ -115,9 +115,7 @@ def bin_report(
         em_by_method = {}
         for method in methods:
             if qids:
-                hits = sum(
-                    exact_match(predictions[method][qid], answers[qid]).exact_match for qid in qids
-                )
+                hits = sum(exact_match(predictions[method][qid], answers[qid]) for qid in qids)
                 em_by_method[method] = hits / len(qids)
             else:
                 em_by_method[method] = 0.0

@@ -120,10 +120,14 @@ class PipelineConfig:
             raise ContractViolation("workers must be >= 1")
         if budget is not None and budget < 1:
             raise ContractViolation(f"serialize.budget must be >= 1, got {budget}")
-        dataset = raw["dataset"]
-        if dataset is not None and not Path(dataset).exists():
+        predictions = raw["analyze"]["predictions"]
+        if not isinstance(predictions, dict) or not all(isinstance(path, str) for path in predictions.values()):
+            raise ContractViolation(f"analyze.predictions must be an object of file paths, got {predictions!r}")
+        dataset, cache_dir = raw["dataset"], raw["cache_dir"]
+        if dataset is not None and not (isinstance(dataset, str) and Path(dataset).exists()):
             raise ContractViolation(f"dataset file does not exist: {dataset}")
-        cache_dir = raw.get("cache_dir")
+        if cache_dir is not None and not isinstance(cache_dir, str):
+            raise ContractViolation(f"cache_dir must be a directory path or null, got {cache_dir!r}")
         cache = ResponseCache(cache_dir) if cache_dir else None
         return cls(
             raw=raw, dataset=dataset, out=out, workers=workers, seed=seed, strict=strict, cache=cache,
@@ -154,16 +158,6 @@ def derive_seed(base: int, item_key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
 def _coerce_like(current: Any, text: str) -> Any:
     if isinstance(current, bool):
         if text.lower() in ("1", "true", "yes", "on"):
@@ -182,18 +176,25 @@ def _coerce_like(current: Any, text: str) -> Any:
     return text
 
 
+def _field(config: dict, dotted: str) -> tuple[dict, str]:
+    """The section that holds the config field ``dotted``, and the field's key
+    in it. An unknown section or field, or a section named as a field, is a
+    ContractViolation."""
+    node, parts = config, dotted.split(".")
+    for part in parts[:-1]:
+        node = node.get(part)
+        if not isinstance(node, dict):
+            raise ContractViolation(f"unknown config section {part!r} in {dotted}")
+    if parts[-1] not in node:
+        raise ContractViolation(f"unknown config field {dotted}")
+    if node is config and isinstance(config[dotted], dict):
+        raise ContractViolation(f"config section {dotted!r} must be an object of its fields")
+    return node, parts[-1]
+
+
 def apply_dotted_overrides(config: dict, pairs: Sequence[tuple[str, str]]) -> dict:
     for dotted, text in pairs:
-        node = config
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                raise ContractViolation(f"unknown config section {part!r} in --{dotted}")
-            node = nxt
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ContractViolation(f"unknown config field --{dotted}")
+        node, leaf = _field(config, dotted)
         try:
             node[leaf] = _coerce_like(node[leaf], text)
         except ValueError as exc:
@@ -599,7 +600,12 @@ def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConf
             document = json.load(fh)
         if not isinstance(document, dict):
             raise ContractViolation("config file must hold one JSON object")
-        config = _deep_merge(config, document)
+        for key, value in document.items():
+            # a top-level object is a section: each of its members is one field
+            members = [(f"{key}.{k}", v) for k, v in value.items()] if isinstance(value, dict) else [(key, value)]
+            for dotted, field_value in members:
+                node, leaf = _field(config, dotted)
+                node[leaf] = field_value
     if args.strict:
         config["strict"] = True
     apply_dotted_overrides(config, _parse_extra_flags(extras))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractViolation
 from .lineio import IngestionReport, read_jsonl, write_jsonl
@@ -113,13 +112,6 @@ class QAExample:
         return len(self.generated)
 
 
-@dataclass(frozen=True)
-class AnswerVerdict:
-    exact_match: bool
-    f1: float
-    matched_alias: str | None = None
-
-
 def normalize_answer(s: str) -> str:
     """Lowercase, strip punctuation, drop articles, collapse whitespace."""
     s = s.lower().translate(_PUNCT_TABLE)
@@ -127,37 +119,12 @@ def normalize_answer(s: str) -> str:
     return " ".join(s.split())
 
 
-def _token_f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
-    if not pred_tokens and not gold_tokens:
-        return 1.0
-    if not pred_tokens or not gold_tokens:
-        return 0.0
-    common = Counter(pred_tokens) & Counter(gold_tokens)
-    overlap = sum(common.values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(pred_tokens)
-    recall = overlap / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
-
-
-def exact_match(prediction: str, answers: Sequence[str]) -> AnswerVerdict:
-    """Normalized string equality against any alias, plus the best token F1."""
+def exact_match(prediction: str, answers: Sequence[str]) -> bool:
+    """Normalized string equality against any alias."""
     if not answers:
         raise ContractViolation("answers must be non-empty")
     pred_norm = normalize_answer(prediction)
-    pred_tokens = pred_norm.split()
-    best_f1 = 0.0
-    matched = None
-    for alias in answers:
-        alias_norm = normalize_answer(alias)
-        if matched is None and pred_norm == alias_norm:
-            matched = alias
-        best_f1 = max(best_f1, _token_f1(pred_tokens, alias_norm.split()))
-    is_match = matched is not None
-    if is_match:
-        best_f1 = 1.0
-    return AnswerVerdict(exact_match=is_match, f1=best_f1, matched_alias=matched)
+    return any(pred_norm == normalize_answer(alias) for alias in answers)
 
 
 def text_contains_answer(text: str, answers: Sequence[str]) -> bool:
@@ -271,15 +238,15 @@ def example_to_record(example: QAExample) -> dict:
     }
 
 
-def load_examples(path: str | Path, report: IngestionReport | None = None) -> Iterator[QAExample]:
-    """Stream examples from a dataset file in file order.
+def read_examples(path: str | Path) -> tuple[list[QAExample], IngestionReport]:
+    """Examples of a dataset file in file order, and the report of its ingest.
 
     Malformed records, and second and later records of a question_id, are
-    recorded in ``report`` (line number + message) and skipped; empty
-    passage pools are flagged as warnings but the example is still yielded.
+    recorded in the report (line number + message) and skipped; empty
+    passage pools are flagged as warnings but the example is still kept.
     """
-    if report is None:
-        report = IngestionReport()
+    report = IngestionReport()
+    examples: list[QAExample] = []
     seen: set[str] = set()
     for lineno, record in read_jsonl(path, report):
         try:
@@ -295,12 +262,7 @@ def load_examples(path: str | Path, report: IngestionReport | None = None) -> It
             report.warn(lineno, f"{example.question_id}: empty retrieved pool")
         if not example.generated:
             report.warn(lineno, f"{example.question_id}: empty generated pool")
-        yield example
-
-
-def read_examples(path: str | Path) -> tuple[list[QAExample], IngestionReport]:
-    report = IngestionReport()
-    examples = list(load_examples(path, report=report))
+        examples.append(example)
     return examples, report
 
 

@@ -36,10 +36,6 @@ class IngestionReport:
     def warn(self, line: int, message: str) -> None:
         self.warnings.append(LineError(line, message))
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
 
 def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))

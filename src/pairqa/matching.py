@@ -105,17 +105,18 @@ class WeightedBipartiteGraph:
         return self.m == self.n
 
 
-def _cyclic(k: int, size: int) -> tuple[int, ...]:
-    return tuple(i % size for i in range(k))
+def _square_origins(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Original row and column index of each row and column of the
+    max(M, N) square that cyclic duplication makes of an M x N grid."""
+    k = max(m, n)
+    return tuple(i % m for i in range(k)), tuple(j % n for j in range(k))
 
 
 def equalize_weights(weights: Sequence[Sequence[float]]) -> WeightedBipartiteGraph:
     """Cyclically replicate rows (M<N) or columns (M>N) until square."""
-    m, n = len(weights), len(weights[0])
-    k = max(m, n)
-    row_origin = _cyclic(k, m)
-    col_origin = _cyclic(k, n)
+    row_origin, col_origin = _square_origins(len(weights), len(weights[0]))
     grid = tuple(tuple(float(weights[ri][cj]) for cj in col_origin) for ri in row_origin)
+    k = len(grid)
     return WeightedBipartiteGraph(m=k, n=k, weights=grid, row_origin=row_origin, col_origin=col_origin)
 
 
@@ -125,9 +126,7 @@ def equalize_pools(matrix: CompatibilityMatrix) -> WeightedBipartiteGraph:
 
 def equalize_pair_types(matrix: CompatibilityMatrix) -> tuple[tuple[PairType, ...], ...]:
     """Pair-type grid expanded with the same cyclic duplication as the weights."""
-    k = max(matrix.m, matrix.n)
-    row_origin = _cyclic(k, matrix.m)
-    col_origin = _cyclic(k, matrix.n)
+    row_origin, col_origin = _square_origins(matrix.m, matrix.n)
     return tuple(tuple(matrix.pair_type(ri, cj) for cj in col_origin) for ri in row_origin)
 
 
@@ -317,12 +316,10 @@ def match_random(m: int, n: int, seed: int, question_id: str = "") -> PairMatchi
     """
     if m < 1 or n < 1:
         raise ContractViolation("match_random requires m, n >= 1")
-    k = max(m, n)
-    row_origin = _cyclic(k, m)
-    col_origin = _cyclic(k, n)
-    perm = list(range(k))
+    row_origin, col_origin = _square_origins(m, n)
+    perm = list(range(len(row_origin)))
     random.Random(seed).shuffle(perm)
-    pairs = tuple((row_origin[i], col_origin[perm[i]], 0.0) for i in range(k))
+    pairs = tuple((row_origin[i], col_origin[q], 0.0) for i, q in enumerate(perm))
     return PairMatching(
         question_id=question_id, strategy=Strategy.RANDOM, pairs=pairs, total_weight=0.0
     )
@@ -337,9 +334,8 @@ def match_same_answer(example: QAExample, seed: int) -> PairMatching:
         raise ContractViolation(f"{example.question_id}: same-answer matching needs both pools")
     lp_has = [contains_answer(c, example.answers) for c in example.generated]
     rp_has = [contains_answer(c, example.answers) for c in example.retrieved]
-    k = max(m, n)
-    row_origin = _cyclic(k, m)
-    col_origin = _cyclic(k, n)
+    row_origin, col_origin = _square_origins(m, n)
+    k = len(row_origin)
     answer_cols = [q for q in range(k) if rp_has[col_origin[q]]]
     ptr = 0
     used_cols: set[int] = set()

@@ -78,7 +78,6 @@ class SilverLabel:
     verdict: Verdict
     outcomes: tuple[ConfigOutcome, ...]
     lp_index: int | None = None
-    note: str | None = None
 
     def __post_init__(self):
         if self.kind is LabelKind.CONSISTENCY and self.lp_index is None:
@@ -117,8 +116,8 @@ def mine_question(example: QAExample, predictor, kinds: Collection[LabelKind]) -
     Predicts I once and II once per retrieved passage, which both kinds
     share; III and IV only for gated pairs. Returns the evidentiality labels
     by retrieved index, then the consistency labels by (generated, retrieved)
-    index. A failed reader call leaves the labels that need it undetermined,
-    with a note.
+    index. A failed reader call is logged as a warning and leaves the labels
+    that need it undetermined.
     """
     if example.n < 2:
         raise ContractViolation(f"{example.question_id}: leave-one-out mining needs N >= 2")
@@ -131,45 +130,37 @@ def mine_question(example: QAExample, predictor, kinds: Collection[LabelKind]) -
     blocks = [chain.text() for chain in example.retrieved]
 
     def attempt(config: Config, passages: list[str], lp: int | None = None, rp: int | None = None):
-        """The outcome of one reader call, or a note naming its failure."""
+        """The outcome of one reader call, or None when the call fails."""
         try:
             prediction = predictor.predict(PredictRequest(question=example.question, passages=tuple(passages)))
         except PipelineError as exc:
             logger.warning("%s: config %s failed (lp %s, rp %s): %s", qid, config.value, lp, rp, exc)
-            return f"predictor error: {exc}"
-        return ConfigOutcome(config, prediction, exact_match(prediction, example.answers).exact_match, lp, rp)
+            return None
+        return ConfigOutcome(config, prediction, exact_match(prediction, example.answers), lp, rp)
 
     full = attempt(Config.I_FULL, blocks)
-    if isinstance(full, str):
-        return [SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (), i, full) for kind, i, j in slots]
+    if full is None:
+        return [SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (), i) for kind, i, j in slots]
     drops = [attempt(Config.II_DROP_RP, blocks[:j] + blocks[j + 1 :], rp=j) for j in range(example.n)]
-    adds: dict[int, ConfigOutcome | str] = {}
+    adds: dict[int, ConfigOutcome | None] = {}
     labels = []
     for kind, i, j in slots:
         drop = drops[j]
-        if isinstance(drop, str):
-            labels.append(SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (full,), i, drop))
+        if drop is None:
+            labels.append(SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (full,), i))
             continue
         outcomes: tuple[ConfigOutcome, ...] = (full, drop)
         if kind is LabelKind.EVIDENTIALITY:
             labels.append(SilverLabel(qid, kind, j, evidentiality_verdict(full.correct, drop.correct), outcomes))
             continue
-        note = None
         if full.correct and not drop.correct:
             lp_block = example.generated[i].text()
             if i not in adds:
                 adds[i] = attempt(Config.III_ADD_LP, blocks + [lp_block], lp=i)
-            add = adds[i]
-            if isinstance(add, str):
-                note = add
-            else:
-                outcomes += (add,)
+            if adds[i] is not None:
                 swap = attempt(Config.IV_SWAP_LP_FOR_RP, blocks[:j] + blocks[j + 1 :] + [lp_block], lp=i, rp=j)
-                if isinstance(swap, str):
-                    note = swap
-                else:
-                    outcomes += (swap,)
-        labels.append(SilverLabel(qid, kind, j, consistency_verdict(outcomes), outcomes, i, note))
+                outcomes += (adds[i],) if swap is None else (adds[i], swap)
+        labels.append(SilverLabel(qid, kind, j, consistency_verdict(outcomes), outcomes, i))
     return labels
 
 

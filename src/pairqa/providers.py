@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -75,8 +76,9 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class ScoreRequest:
-    """One discriminator query. The id fields are not part of the wire body;
-    they key the file-backed store and make cache entries auditable."""
+    """One discriminator query. The id fields are not part of the wire body,
+    so no cache key holds them; they key the file-backed store and the
+    lexical scorer's answers."""
 
     kind: ScoreKind
     question: str
@@ -245,7 +247,8 @@ class _ServiceClient:
 
 
 def _clamp_probability(value, origin: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    # NaN too: it fails no range test, and a cached NaN would replay forever
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or math.isnan(value):
         raise ProtocolError(f"{origin}: probability is not a number: {value!r}")
     p = float(value)
     if p < 0.0 or p > 1.0:
@@ -354,30 +357,23 @@ class LexicalMockScorer:
     A verdict depends only on the text and the question's aliases, so each
     distinct (text, aliases) pair is checked once per instance: a question's
     M*N consistency calls check its M generated texts. The memo holds one
-    entry per distinct passage text of the examples scored.
+    entry per distinct passage text of the examples scored. Answers are
+    keyed by question id, which every request must carry.
     """
 
-    def __init__(self, answers_by_key: Mapping[str, Sequence[str]]):
-        self._answers = {k: tuple(v) for k, v in answers_by_key.items()}
+    def __init__(self, answers_by_id: Mapping[str, Sequence[str]]):
+        self._answers = {k: tuple(v) for k, v in answers_by_id.items()}
         # workers that race on a key compute and store the same verdict
         self._verdicts: dict[tuple[str, tuple[str, ...]], float] = {}
 
     @classmethod
     def from_examples(cls, examples: Iterable[QAExample]) -> "LexicalMockScorer":
-        table: dict[str, tuple[str, ...]] = {}
-        for ex in examples:
-            table[ex.question_id] = ex.answers
-            table.setdefault(ex.question, ex.answers)
-        return cls(table)
+        return cls({ex.question_id: ex.answers for ex in examples})
 
     def score(self, req: ScoreRequest) -> float:
-        answers = None
-        if req.question_id is not None:
-            answers = self._answers.get(req.question_id)
+        answers = self._answers.get(req.question_id)
         if answers is None:
-            answers = self._answers.get(req.question)
-        if answers is None:
-            raise ContractViolation(f"lexical scorer has no answers for question {req.question!r}")
+            raise ContractViolation(f"lexical scorer has no answers for question {req.question_id!r}")
         target = (req.retrieved_text if req.kind is ScoreKind.EVIDENTIALITY else req.generated_text) or ""
         key = (target, answers)
         verdict = self._verdicts.get(key)

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import HopType, PassageChain, QAExample
+from .corpus import HopType, QAExample
 from .errors import ContractViolation
 from .lineio import IngestionReport, read_jsonl, write_jsonl
 from .matching import PairMatching
@@ -47,8 +47,6 @@ class Variant(Enum):
 class ReaderExample:
     question_id: str
     blocks: tuple[str, ...]
-    variant: Variant
-    budget: int
 
     def to_record(self) -> dict:
         return {"question_id": self.question_id, "blocks": list(self.blocks)}
@@ -68,10 +66,6 @@ def _truncate(text: str, max_tokens: int) -> str:
     if max_tokens <= 0:
         return ""
     return " ".join(tokens[:max_tokens])
-
-
-def _chain_block_text(chain: PassageChain) -> str:
-    return chain.text(with_titles=True)
 
 
 def _join(parts: Iterable[str]) -> str:
@@ -109,23 +103,14 @@ def _pair_texts(example: QAExample, matching: PairMatching) -> list[tuple[str, s
                 f"M={example.m}, N={example.n}"
             )
         texts.append(
-            (
-                _chain_block_text(example.generated[lp_index]),
-                _chain_block_text(example.retrieved[rp_index]),
-            )
+            (example.generated[lp_index].text(with_titles=True), example.retrieved[rp_index].text(with_titles=True))
         )
     return texts
 
 
 def serialize_pairwise(example: QAExample, matching: PairMatching, budget: int) -> ReaderExample:
     """One block per matched pair, in matching (compatibility-sorted) order."""
-    blocks = tuple(
-        _pair_block(example.question, lp_text, rp_text, budget)
-        for lp_text, rp_text in _pair_texts(example, matching)
-    )
-    return ReaderExample(
-        question_id=example.question_id, blocks=blocks, variant=Variant.PAIRWISE, budget=budget
-    )
+    return serialize_variant(example, matching, Variant.PAIRWISE, budget)
 
 
 def serialize_variant(
@@ -136,37 +121,26 @@ def serialize_variant(
     seed: int = 0,
 ) -> ReaderExample:
     """Serialize under any input variant; shuffles derive from ``seed``."""
+    question, texts = example.question, _pair_texts(example, matching)
     if variant is Variant.PAIRWISE:
-        return serialize_pairwise(example, matching, budget)
-    texts = _pair_texts(example, matching)
-    if variant is Variant.LINEARIZED:
+        blocks = [_pair_block(question, lp_text, rp_text, budget) for lp_text, rp_text in texts]
+    elif variant is Variant.LINEARIZED:
         blocks = []
         for lp_text, rp_text in texts:
-            blocks.append(_single_block(example.question, GENERATED_MARKER, lp_text, budget))
-            blocks.append(_single_block(example.question, RETRIEVED_MARKER, rp_text, budget))
-        return ReaderExample(
-            question_id=example.question_id,
-            blocks=tuple(blocks),
-            variant=variant,
-            budget=budget,
-        )
-    rng = random.Random(seed)
-    if variant is Variant.SHUFFLED_PAIRS:
+            blocks.append(_single_block(question, GENERATED_MARKER, lp_text, budget))
+            blocks.append(_single_block(question, RETRIEVED_MARKER, rp_text, budget))
+    elif variant is Variant.SHUFFLED_PAIRS:
         order = list(range(len(texts)))
-        rng.shuffle(order)
-        blocks = tuple(
-            _pair_block(example.question, texts[k][0], texts[k][1], budget) for k in order
-        )
+        random.Random(seed).shuffle(order)
+        blocks = [_pair_block(question, *texts[k], budget) for k in order]
     elif variant is Variant.SHUFFLED_WITHIN_PAIR:
-        blocks = tuple(
-            _pair_block(example.question, lp_text, rp_text, budget, swap=rng.random() < 0.5)
-            for lp_text, rp_text in texts
-        )
+        rng = random.Random(seed)
+        blocks = [
+            _pair_block(question, lp_text, rp_text, budget, swap=rng.random() < 0.5) for lp_text, rp_text in texts
+        ]
     else:
         raise ContractViolation(f"unknown variant {variant!r}")
-    return ReaderExample(
-        question_id=example.question_id, blocks=tuple(blocks), variant=variant, budget=budget
-    )
+    return ReaderExample(example.question_id, tuple(blocks))
 
 
 def parse_pair_block(block: str) -> tuple[str, str, str]:

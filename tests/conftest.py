@@ -87,7 +87,8 @@ class FixtureService:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll, so that close() does not wait out serve_forever's default 0.5 s
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
         self.thread.start()
 
     def url(self, path: str) -> str:

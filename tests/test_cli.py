@@ -840,6 +840,11 @@ class TestErrorHandling:
             _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
             _bad_config("score", {"workers": True}, "workers must be an integer, got True"),
             _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be >= 1, got 0"),
+            _bad_config("simulate", {"matchng": {"strategy": "greedy"}}, "unknown config section 'matchng'"),
+            _bad_config("score", {"scorer": "remote"}, "config section 'scorer' must be an object"),
+            _bad_config("analyze", {"analyze": {"predictions": ["x"]}}, "analyze.predictions must be an object"),
+            _bad_config("score", {"cache_dir": 5}, "cache_dir must be a directory path or null, got 5"),
+            _bad_config("simulate", {"dataset": 5}, "dataset file does not exist: 5"),
             _out_null,
             _bad_flag("match", "--strategy", "psychic"),
             _bad_flag("score", "--scoring-mode", "sum"),
@@ -864,6 +869,11 @@ class TestErrorHandling:
             "config-float-integer",
             "config-boolean-integer",
             "serialize-budget-zero",
+            "config-unknown-section",
+            "config-section-not-an-object",
+            "config-predictions-not-an-object",
+            "config-cache-dir-not-a-path",
+            "config-dataset-not-a-path",
             "config-out-null",
             "flag-strategy",
             "flag-scoring-mode",

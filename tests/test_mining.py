@@ -116,7 +116,7 @@ class TestMineEvidentiality:
         with pytest.raises(ContractViolation):
             mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
 
-    def test_predictor_failure_yields_undetermined_with_note(self):
+    def test_predictor_failure_yields_undetermined_with_note(self, caplog):
         class Failing:
             def __init__(self):
                 self.count = 0
@@ -129,7 +129,9 @@ class TestMineEvidentiality:
 
         labels = mine_question(pivot_example(), Failing(), EVIDENTIALITY)
         assert all(l.verdict is Verdict.UNDETERMINED for l in labels)
-        assert all("service down" in l.note for l in labels)
+        # each failed reader call logs one warning naming its error
+        assert [r.levelname for r in caplog.records] == ["WARNING"] * len(labels)
+        assert all("service down" in r.getMessage() for r in caplog.records)
 
 
 class TestMineConsistency:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import stat
 import sys
@@ -152,6 +153,23 @@ class TestRemoteScorer:
         other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         assert other.score(evid_request()) == 0.25
         assert len(http_service.requests["/score"]) == 1
+
+    def test_nan_probability_is_a_protocol_error_and_never_cached(self, http_service, tmp_path):
+        # Python's json reads NaN, and NaN fails no range test
+        http_service.responses["/score"] = b'{"probability": NaN}'
+        url = http_service.url("/score")
+        scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
+        with pytest.raises(ProtocolError, match="not a number: nan"):
+            scorer.score(evid_request())
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_nan_cache_entry_is_corrupt_and_named(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        scorer = CachingBackend(LexicalMockScorer.from_examples([make_example()]), cache, "scorer:lexical")
+        entry = cache.path("scorer:lexical", evid_request().wire_body())
+        entry.write_text('{"probability":NaN}')
+        with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
+            scorer.score(evid_request())
 
 
 @pytest.fixture
