@@ -5,11 +5,13 @@ stages, a single nested config file with dotted-name flag overrides.
     pairqa match  --dataset data/dev.jsonl --strategy optimal --out runs/a
     pairqa serialize --dataset data/dev.jsonl --variant pairwise --budget 400 --out runs/a
 
-Every field of the config document can be overridden on the command line
-with a flag of the same dotted name, e.g. ``--scorer.backend remote``.
-Endpoint URLs and auth tokens can also come from the environment
-(PAIRQA_SCORER_URL, PAIRQA_SCORER_TOKEN, and likewise for PREDICTOR and
-GENERATOR; PAIRQA_TOKEN is the shared fallback).
+Every config field is declared once, in ``FIELDS``, with its default and
+its kind; a value is converted by that kind whenever it is set, from the
+default, the config file (in JSON types: ``3.9`` is no integer) or a flag
+of its dotted name (``--scorer.backend remote``), and a wrong one stops
+the run with "<dotted> must be <kind>, got <value>". Endpoint URLs and
+tokens can also come from PAIRQA_SCORER_URL, PAIRQA_SCORER_TOKEN and the
+like for PREDICTOR and GENERATOR, or PAIRQA_TOKEN.
 
 Per-item failures are collected into the stage report and never abort the
 run unless ``--strict`` is set. Given identical config, seeds, and cached
@@ -19,7 +21,6 @@ provider responses, every stage writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import hashlib
 import json
@@ -28,178 +29,164 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, PassageChain, QAExample, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import IngestionReport, atomic_open, read_jsonl, write_jsonl
+from .lineio import IngestionReport, atomic_open, boolean, integer, number, read_jsonl, write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CONFIG: dict[str, Any] = {
-    "dataset": None,
-    "out": "out",
-    "workers": 1,
-    "seed": 0,
-    "strict": False,
-    "cache_dir": None,
-    "scorer": {"backend": "lexical", "url": None, "token": None, "store": None},
-    "predictor": {"backend": "sim", "url": None, "token": None, "truth": None},
-    "generator": {"url": None, "token": None, "n": 10, "mode": "single_hop_background"},
-    "scoring": {"mode": "cutoff"},
-    "matching": {"strategy": "optimal", "matrices": None},
-    "serialize": {"variant": "pairwise", "budget": None, "matchings": None},
-    "mine": {"kinds": ["evidentiality", "consistency"]},
-    "analyze": {"predictions": {}, "annotations": None, "matrices": None},
-    "simulate": {
-        "num_questions": 100,
-        "n": 10,
-        "m": 10,
-        "p_retrieved_evidential": 0.5,
-        "p_llm_hallucinated": 0.5,
-        "single_pivot": True,
-        "hop_type": "single",
-    },
-}
 
-_ENV_PREFIX = "PAIRQA"
+@dataclass(frozen=True)
+class Kind:
+    """What a config value must be (``what``, for the error); ``convert`` makes
+    the config value of a JSON value, raising TypeError or ValueError for one
+    of another kind, and ``parse`` makes a JSON value of a flag's text."""
+
+    what: str
+    convert: Callable[[Any], Any]
+    parse: Callable[[str], Any] = str
+
+    def or_null(self) -> "Kind":
+        return Kind(f"{self.what} or null", lambda value: None if value is None else self.convert(value), self.parse)
 
 
-@dataclass
-class PipelineConfig:
-    """Validated view over the merged config document."""
-
-    raw: dict
-    dataset: str | None
-    out: Path
-    workers: int
-    seed: int
-    strict: bool
-    cache: ResponseCache | None
-    scoring_mode: scoring.CombineMode
-    strategy: matching.Strategy
-    variant: readerio.Variant
-    budget: int | None
-    generation_mode: GenerationMode
-    num_generated: int
-    synth: sim.SynthSpec
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        sim_raw = raw["simulate"]
-        try:
-            mode = scoring.CombineMode(raw["scoring"]["mode"])
-            strategy = matching.Strategy(raw["matching"]["strategy"])
-            variant = readerio.Variant(raw["serialize"]["variant"])
-            generation_mode = GenerationMode(raw["generator"]["mode"])
-            num_generated = _integer(raw["generator"]["n"], "generator.n")
-            workers = _integer(raw["workers"], "workers")
-            seed = _integer(raw["seed"], "seed")
-            strict = _boolean(raw["strict"], "strict")
-            out = Path(raw["out"])
-            budget = raw["serialize"]["budget"]
-            budget = _integer(budget, "serialize.budget") if budget is not None else None
-            synth = sim.SynthSpec(
-                num_questions=_integer(sim_raw["num_questions"], "simulate.num_questions"),
-                n=_integer(sim_raw["n"], "simulate.n"),
-                m=_integer(sim_raw["m"], "simulate.m"),
-                p_retrieved_evidential=float(sim_raw["p_retrieved_evidential"]),
-                p_llm_hallucinated=float(sim_raw["p_llm_hallucinated"]),
-                seed=seed,
-                hop_type=HopType(sim_raw["hop_type"]),
-                single_pivot=_boolean(sim_raw["single_pivot"], "simulate.single_pivot"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation(f"bad config value: {exc}") from None
-        if workers < 1:
-            raise ContractViolation("workers must be >= 1")
-        if budget is not None and budget < 1:
-            raise ContractViolation(f"serialize.budget must be >= 1, got {budget}")
-        predictions = raw["analyze"]["predictions"]
-        if not isinstance(predictions, dict) or not all(isinstance(path, str) for path in predictions.values()):
-            raise ContractViolation(f"analyze.predictions must be an object of file paths, got {predictions!r}")
-        dataset, cache_dir = raw["dataset"], raw["cache_dir"]
-        if dataset is not None and not (isinstance(dataset, str) and Path(dataset).exists()):
-            raise ContractViolation(f"dataset file does not exist: {dataset}")
-        if cache_dir is not None and not isinstance(cache_dir, str):
-            raise ContractViolation(f"cache_dir must be a directory path or null, got {cache_dir!r}")
-        cache = ResponseCache(cache_dir) if cache_dir else None
-        return cls(
-            raw=raw, dataset=dataset, out=out, workers=workers, seed=seed, strict=strict, cache=cache,
-            scoring_mode=mode, strategy=strategy, variant=variant, budget=budget,
-            generation_mode=generation_mode, num_generated=num_generated, synth=synth,
-        )
-
-
-def _boolean(value, field: str) -> bool:
-    """A config boolean must be a JSON boolean: ``bool("false")`` is True."""
-    if not isinstance(value, bool):
-        raise ContractViolation(f"{field} must be true or false, got {value!r}")
+def _text(value) -> str:
+    if type(value) is not str:
+        raise TypeError(value)
     return value
 
 
-def _integer(value, field: str) -> int:
-    """A config integer must be a JSON integer, or a string of one (a
-    ``--section.field`` flag whose default is null): ``int(3.9)`` is 3 and
-    ``int(True)`` is 1."""
-    if isinstance(value, (bool, float)):
-        raise ContractViolation(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _checked(convert: Callable, ok: Callable[[Any], bool]) -> Callable:
+    def check(value):
+        value = convert(value)
+        if not ok(value):
+            raise ValueError(value)
+        return value
+
+    return check
+
+
+def _enum(cls: type[Enum]) -> Kind:
+    return Kind("one of " + ", ".join(e.value for e in cls), lambda value: cls(_text(value)))
+
+
+def _one_of(*names: str) -> Kind:
+    return Kind("one of " + ", ".join(names), _checked(_text, lambda value: value in names))
+
+
+def _label_kinds(value) -> tuple[mining.LabelKind, ...]:
+    if type(value) is not list:
+        raise TypeError(value)
+    return tuple(sorted({mining.LabelKind(_text(kind)) for kind in value}, key=lambda kind: kind.value))
+
+
+def _paths_by_method(value) -> dict[str, str]:
+    if type(value) is not dict:
+        raise TypeError(value)
+    return {method: _text(path) for method, path in sorted(value.items())}
+
+
+_BOOLEAN_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+_INTEGER = Kind("an integer", integer, int)
+_NUMBER = Kind("a number", number, float)
+_BOOLEAN = Kind("true or false", boolean, lambda text: _BOOLEAN_WORDS.get(text.lower(), text))
+_POSITIVE = Kind("an integer >= 1", _checked(integer, lambda value: value >= 1), int)
+_PATH, _URL, _TOKEN = (Kind(what, _text).or_null() for what in ("a path", "a URL", "a token"))
+
+# Every config field, by dotted name: its default, as a config file spells
+# it, and its kind. A value is converted by its kind whenever it is set, from
+# this default, from the config file or from a dotted flag.
+FIELDS: dict[str, tuple[Any, Kind]] = {
+    "dataset": (None, Kind("an existing file", _checked(_text, lambda path: Path(path).exists())).or_null()),
+    "out": ("out", Kind("a path", lambda value: Path(_text(value)))),
+    "workers": (1, _POSITIVE),
+    "seed": (0, _INTEGER),
+    "strict": (False, _BOOLEAN),
+    "cache_dir": (None, Kind("a directory path", _text).or_null()),
+    "scorer.backend": ("lexical", _one_of("lexical", "file", "remote")),
+    "scorer.url": (None, _URL),
+    "scorer.token": (None, _TOKEN),
+    "scorer.store": (None, _PATH),
+    "predictor.backend": ("sim", _one_of("sim", "remote")),
+    "predictor.url": (None, _URL),
+    "predictor.token": (None, _TOKEN),
+    "predictor.truth": (None, _PATH),
+    "generator.url": (None, _URL),
+    "generator.token": (None, _TOKEN),
+    "generator.n": (10, _POSITIVE),
+    "generator.mode": ("single_hop_background", _enum(GenerationMode)),
+    "scoring.mode": ("cutoff", _enum(scoring.CombineMode)),
+    "matching.strategy": ("optimal", _enum(matching.Strategy)),
+    "matching.matrices": (None, _PATH),
+    "serialize.variant": ("pairwise", _enum(readerio.Variant)),
+    "serialize.budget": (None, _POSITIVE.or_null()),
+    "serialize.matchings": (None, _PATH),
+    "mine.kinds": (
+        ["evidentiality", "consistency"],
+        Kind("an array of evidentiality or consistency", _label_kinds, json.loads),
+    ),
+    "analyze.predictions": ({}, Kind("an object of file paths", _paths_by_method, json.loads)),
+    "analyze.annotations": (None, _PATH),
+    "analyze.matrices": (None, _PATH),
+    "simulate.num_questions": (100, _INTEGER),
+    "simulate.n": (10, _INTEGER),
+    "simulate.m": (10, _INTEGER),
+    "simulate.p_retrieved_evidential": (0.5, _NUMBER),
+    "simulate.p_llm_hallucinated": (0.5, _NUMBER),
+    "simulate.single_pivot": (True, _BOOLEAN),
+    "simulate.hop_type": ("single", _enum(HopType)),
+}
+_SECTIONS = {dotted.partition(".")[0] for dotted in FIELDS if "." in dotted}
+
+
+class PipelineConfig(dict):
+    """Every field of ``FIELDS`` by dotted name, with its converted value."""
+
+    def __init__(self):
+        super().__init__()
+        for dotted, (default, _) in FIELDS.items():
+            self.set(dotted, default)
+
+    def set(self, dotted: str, value: Any, text: bool = False) -> None:
+        """Set field ``dotted`` to ``value`` (a flag's text, if ``text``),
+        converted by the field's kind. An unknown name, or a value the kind
+        does not take, is a ContractViolation naming the field."""
+        if dotted not in FIELDS:
+            section, dot, _ = dotted.partition(".")
+            if not dot and section in _SECTIONS:
+                raise ContractViolation(f"config section {section!r} must be an object of its fields")
+            if dot and section not in _SECTIONS:
+                raise ContractViolation(f"unknown config section {section!r} in {dotted}")
+            raise ContractViolation(f"unknown config field {dotted}")
+        kind = FIELDS[dotted][1]
+        try:
+            if text:
+                value = None if value == "null" else kind.parse(value)
+            self[dotted] = kind.convert(value)
+        except (TypeError, ValueError):
+            raise ContractViolation(f"{dotted} must be {kind.what}, got {value!r}") from None
+
+
+def _synth_spec(cfg: PipelineConfig) -> sim.SynthSpec:
+    fields = {dotted.removeprefix("simulate."): v for dotted, v in cfg.items() if dotted.startswith("simulate.")}
+    return sim.SynthSpec(seed=cfg["seed"], **fields)
 
 
 def derive_seed(base: int, item_key: str) -> int:
     """Stable per-item seed so parallel workers never share RNG streams."""
     digest = hashlib.sha256(f"{base}:{item_key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _coerce_like(current: Any, text: str) -> Any:
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ContractViolation(f"expected a boolean, got {text!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, (dict, list)):
-        return json.loads(text)
-    if text == "null":
-        return None
-    return text
-
-
-def _field(config: dict, dotted: str) -> tuple[dict, str]:
-    """The section that holds the config field ``dotted``, and the field's key
-    in it. An unknown section or field, or a section named as a field, is a
-    ContractViolation."""
-    node, parts = config, dotted.split(".")
-    for part in parts[:-1]:
-        node = node.get(part)
-        if not isinstance(node, dict):
-            raise ContractViolation(f"unknown config section {part!r} in {dotted}")
-    if parts[-1] not in node:
-        raise ContractViolation(f"unknown config field {dotted}")
-    if node is config and isinstance(config[dotted], dict):
-        raise ContractViolation(f"config section {dotted!r} must be an object of its fields")
-    return node, parts[-1]
-
-
-def apply_dotted_overrides(config: dict, pairs: Sequence[tuple[str, str]]) -> dict:
-    for dotted, text in pairs:
-        node, leaf = _field(config, dotted)
-        try:
-            node[leaf] = _coerce_like(node[leaf], text)
-        except ValueError as exc:
-            raise ContractViolation(f"--{dotted}: {exc}") from None
-    return config
 
 
 def _parse_extra_flags(extras: Sequence[str]) -> list[tuple[str, str]]:
@@ -218,21 +205,14 @@ def _parse_extra_flags(extras: Sequence[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(f"{_ENV_PREFIX}_{name}")
-
-
-def _backend_url(spec: dict, service: str) -> str:
-    url = spec.get("url") or _env(f"{service.upper()}_URL")
+def _service(cfg: PipelineConfig, service: str) -> tuple[str, str | None]:
+    """The url and token of a remote backend: its config fields, else
+    PAIRQA_<SERVICE>_URL and PAIRQA_<SERVICE>_TOKEN (or PAIRQA_TOKEN)."""
+    env = f"PAIRQA_{service.upper()}"
+    url = cfg[f"{service}.url"] or os.environ.get(f"{env}_URL")
     if not url:
-        raise ContractViolation(
-            f"{service} backend 'remote' needs a url (config or {_ENV_PREFIX}_{service.upper()}_URL)"
-        )
-    return url
-
-
-def _backend_token(spec: dict, service: str) -> str | None:
-    return spec.get("token") or _env(f"{service.upper()}_TOKEN") or _env("TOKEN")
+        raise ContractViolation(f"{service} backend 'remote' needs a url (config or {env}_URL)")
+    return url, cfg[f"{service}.token"] or os.environ.get(f"{env}_TOKEN") or os.environ.get("PAIRQA_TOKEN")
 
 
 def _cached(cfg: PipelineConfig, backend, identity: str, source: str | None = None):
@@ -240,43 +220,34 @@ def _cached(cfg: PipelineConfig, backend, identity: str, source: str | None = No
     configured. ``identity`` names the backend in the cache keys; for a
     backend that answers from a file, ``source``, the file's digest is added,
     so a file rewritten in place never replays the old file's answers."""
-    if cfg.cache is None:
+    if not cfg["cache_dir"]:
         return backend
     if source is not None:
         identity += ":" + hashlib.sha256(Path(source).read_bytes()).hexdigest()
-    return CachingBackend(backend, cfg.cache, identity)
+    return CachingBackend(backend, ResponseCache(cfg["cache_dir"]), identity)
 
 
 def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
-    spec = cfg.raw["scorer"]
-    backend = spec["backend"]
+    backend = cfg["scorer.backend"]
     if backend == "lexical":
-        return _cached(cfg, LexicalMockScorer.from_examples(examples), "scorer:lexical", cfg.dataset)
+        return _cached(cfg, LexicalMockScorer.from_examples(examples), "scorer:lexical", cfg["dataset"])
     if backend == "file":
-        store = spec.get("store")
+        store = cfg["scorer.store"]
         if not store:
             raise ContractViolation("scorer backend 'file' needs scorer.store (a matrix dump path)")
         return _cached(cfg, scoring.load_score_store(store, examples), "scorer:file", store)
-    if backend == "remote":
-        url = _backend_url(spec, "scorer")
-        return _cached(cfg, RemoteScorer(url, _backend_token(spec, "scorer")), f"scorer:remote:{url}")
-    raise ContractViolation(f"unknown scorer backend {backend!r}")
+    url, token = _service(cfg, "scorer")
+    return _cached(cfg, RemoteScorer(url, token), f"scorer:remote:{url}")
 
 
 def build_predictor(cfg: PipelineConfig):
-    spec = cfg.raw["predictor"]
-    backend = spec["backend"]
-    if backend == "sim":
-        truth_path = spec.get("truth")
+    if cfg["predictor.backend"] == "sim":
+        truth_path = cfg["predictor.truth"]
         if not truth_path:
             raise ContractViolation("predictor backend 'sim' needs predictor.truth (a truth file)")
-        predictor = sim.SimPredictor(sim.load_truth(truth_path))
-        return _cached(cfg, predictor, "predictor:sim", truth_path)
-    if backend == "remote":
-        url = _backend_url(spec, "predictor")
-        predictor = RemotePredictor(url, _backend_token(spec, "predictor"))
-        return _cached(cfg, predictor, f"predictor:remote:{url}")
-    raise ContractViolation(f"unknown predictor backend {backend!r}")
+        return _cached(cfg, sim.SimPredictor(sim.load_truth(truth_path)), "predictor:sim", truth_path)
+    url, token = _service(cfg, "predictor")
+    return _cached(cfg, RemotePredictor(url, token), f"predictor:remote:{url}")
 
 
 def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[dict], label: str) -> list:
@@ -293,8 +264,8 @@ def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[
         except (PipelineError, ContractViolation) as exc:
             return ("err", (item, exc))
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    if cfg["workers"] > 1:
+        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             outcomes = list(pool.map(run, items))
     else:
         outcomes = [run(item) for item in items]
@@ -307,7 +278,7 @@ def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[
             qid = item[0] if isinstance(item, tuple) else item.question_id
             errors.append({"stage": label, "question_id": qid, "error": str(exc)})
             logger.warning("%s: %s failed: %s", label, qid, exc)
-            if cfg.strict:
+            if cfg["strict"]:
                 raise PipelineError(f"{label} failed for {qid}: {exc}") from exc
     return results
 
@@ -316,7 +287,7 @@ def _ingest_errors(cfg: PipelineConfig, report: IngestionReport, what: str, **wh
     """Stage-report entries for the lines an ingest rejected; ``--strict``
     makes any of them fatal."""
     errors = [{"stage": "ingest", **where, "line": e.line, "error": e.message} for e in report.errors]
-    if cfg.strict and errors:
+    if cfg["strict"] and errors:
         raise PipelineError(f"{len(errors)} malformed {what} records")
     return errors
 
@@ -348,7 +319,7 @@ def _both_sides(fn: Callable, no_record: str) -> Callable:
 
 
 def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
-    with atomic_open(cfg.out / f"{stage}_report.json") as fh:
+    with atomic_open(cfg["out"] / f"{stage}_report.json") as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -359,11 +330,10 @@ def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
 
 
 def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
-    spec = cfg.raw["generator"]
-    client = RemoteGenerator(_backend_url(spec, "generator"), _backend_token(spec, "generator"))
+    client = RemoteGenerator(*_service(cfg, "generator"))
 
     def generate(example: QAExample) -> QAExample:
-        chains = client.generate(GenerationRequest(example.question, cfg.num_generated, cfg.generation_mode))
+        chains = client.generate(GenerationRequest(example.question, cfg["generator.n"], cfg["generator.mode"]))
         renamed = []
         for k, chain in enumerate(chains):
             name = f"{example.question_id}-g{k}"
@@ -378,7 +348,7 @@ def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Calla
 
 
 def _finish_generate(cfg: PipelineConfig, examples, updated, errors) -> tuple[dict, str]:
-    out_path = cfg.out / "generated.jsonl"
+    out_path = cfg["out"] / "generated.jsonl"
     write_examples(out_path, updated)
     summary = f"generated passages for {len(updated)}/{len(examples)} questions -> {out_path}"
     return {"questions": len(examples), "generated": len(updated)}, summary
@@ -386,11 +356,11 @@ def _finish_generate(cfg: PipelineConfig, examples, updated, errors) -> tuple[di
 
 def _build_score(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     scorer = build_scorer(cfg, examples)
-    return lambda example: scoring.build_matrix(example, scorer, cfg.scoring_mode)
+    return lambda example: scoring.build_matrix(example, scorer, cfg["scoring.mode"])
 
 
 def _finish_score(cfg: PipelineConfig, examples, matrices, errors) -> tuple[dict, str]:
-    out_path = cfg.out / "matrices.jsonl"
+    out_path = cfg["out"] / "matrices.jsonl"
     scoring.write_matrix_dump(out_path, matrices)
     summary = f"scored {len(matrices)}/{len(examples)} questions -> {out_path}"
     return {"questions": len(examples), "scored": len(matrices)}, summary
@@ -399,37 +369,34 @@ def _finish_score(cfg: PipelineConfig, examples, matrices, errors) -> tuple[dict
 def _build_match(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     def match(item) -> matching.PairMatching:
         qid, example, matrix = item
-        return matching.match(cfg.strategy, example, matrix, derive_seed(cfg.seed, qid))
+        return matching.match(cfg["matching.strategy"], example, matrix, derive_seed(cfg["seed"], qid))
 
     return match
 
 
 def _finish_match(cfg: PipelineConfig, examples, results, errors) -> tuple[dict, str]:
-    out_path = cfg.out / "matchings.jsonl"
+    out_path = cfg["out"] / "matchings.jsonl"
     write_jsonl(out_path, (r.to_record() for r in results))
-    summary = f"matched {len(results)} questions ({cfg.strategy.value}) -> {out_path}"
-    return {"strategy": cfg.strategy.value, "matched": len(results)}, summary
+    strategy = cfg["matching.strategy"].value
+    summary = f"matched {len(results)} questions ({strategy}) -> {out_path}"
+    return {"strategy": strategy, "matched": len(results)}, summary
 
 
 def _build_mine(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     predictor = build_predictor(cfg)
-    try:
-        kinds = {mining.LabelKind(kind) for kind in cfg.raw["mine"]["kinds"]}
-    except ValueError as exc:
-        raise ContractViolation(f"unknown mine kind: {exc}") from None
-    return lambda example: mining.mine_question(example, predictor, kinds)
+    return lambda example: mining.mine_question(example, predictor, cfg["mine.kinds"])
 
 
 def _finish_mine(cfg: PipelineConfig, examples, label_lists, errors) -> tuple[dict, str]:
     labels = [label for batch in label_lists for label in batch]
     counts = {}
-    for kind in sorted({mining.LabelKind(kind) for kind in cfg.raw["mine"]["kinds"]}, key=lambda k: k.value):
+    for kind in cfg["mine.kinds"]:
         kind_labels = [l for l in labels if l.kind is kind]
-        out_path = cfg.out / f"labels.{kind.value}.jsonl"
+        out_path = cfg["out"] / f"labels.{kind.value}.jsonl"
         counts[kind.value] = dict(mining.emit_training_records(kind_labels, out_path, examples))
-    write_jsonl(cfg.out / "mining_audit.jsonl", mining.audit_records(labels))
+    write_jsonl(cfg["out"] / "mining_audit.jsonl", mining.audit_records(labels))
     fields = {"questions": len(label_lists), "labels": len(labels), "class_counts": counts}
-    return fields, f"mined {len(labels)} labels over {len(label_lists)} questions -> {cfg.out}"
+    return fields, f"mined {len(labels)} labels over {len(label_lists)} questions -> {cfg['out']}"
 
 
 def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
@@ -441,17 +408,19 @@ def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Call
                 f"{qid}: matching has {len(m.pairs)} pairs over {len(lps)} generated and"
                 f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
             )
-        budget = cfg.budget if cfg.budget is not None else readerio.default_budget(example.hop_type, cfg.variant)
-        return readerio.serialize_variant(example, m, cfg.variant, budget, seed=derive_seed(cfg.seed, qid))
+        variant = cfg["serialize.variant"]
+        budget = cfg["serialize.budget"] or readerio.default_budget(example.hop_type, variant)
+        return readerio.serialize_variant(example, m, variant, budget, seed=derive_seed(cfg["seed"], qid))
 
     return serialize
 
 
 def _finish_serialize(cfg: PipelineConfig, examples, reader_examples, errors) -> tuple[dict, str]:
-    out_path = cfg.out / "reader_inputs.jsonl"
+    out_path = cfg["out"] / "reader_inputs.jsonl"
     readerio.write_reader_examples(out_path, reader_examples)
-    summary = f"serialized {len(reader_examples)} questions ({cfg.variant.value}) -> {out_path}"
-    return {"variant": cfg.variant.value, "serialized": len(reader_examples)}, summary
+    variant = cfg["serialize.variant"].value
+    summary = f"serialized {len(reader_examples)} questions ({variant}) -> {out_path}"
+    return {"variant": variant, "serialized": len(reader_examples)}, summary
 
 
 def _build_analyze(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
@@ -462,7 +431,7 @@ def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dic
     # the corpus-wide inputs too are read and checked, and --strict decided, before any file is written
     stats = [stat for stat, _ in results]
     predictions = {}
-    for method, path in sorted(cfg.raw["analyze"]["predictions"].items()):
+    for method, path in cfg["analyze.predictions"].items():
         ingest = IngestionReport()
         predictions[method] = readerio.ingest_predictions(path, ingest)
         errors += _ingest_errors(cfg, ingest, f"{method} prediction", file=str(path))
@@ -478,7 +447,7 @@ def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dic
     matrices = [matrix for _, matrix in results if matrix is not None]
     distribution = analysis.pair_type_distribution(matrices) if matrices else None
 
-    annotations_file = cfg.raw["analyze"]["annotations"]
+    annotations_file = cfg["analyze.annotations"]
     confusion = None
     if annotations_file:
         predicted, annotated = [], []
@@ -491,21 +460,21 @@ def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dic
         confusion = analysis.label_confusion(predicted, annotated)
 
     types = list(scoring.PairType)
-    write_jsonl(cfg.out / "conflict_stats.jsonl", (s.to_record() for s in stats))
+    write_jsonl(cfg["out"] / "conflict_stats.jsonl", (s.to_record() for s in stats))
     mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
     lines = [f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}"]
     if report is not None:
         lines.append(analysis.format_bin_report(report))
-        write_jsonl(cfg.out / "bin_report.jsonl", analysis.bin_report_rows(report))
-        analysis.write_bin_report_csv(cfg.out / "bin_report.csv", report)
+        write_jsonl(cfg["out"] / "bin_report.jsonl", analysis.bin_report_rows(report))
+        analysis.write_bin_report_csv(cfg["out"] / "bin_report.csv", report)
     if distribution is not None:
         lines += [f"pair type {t.value}: {100 * distribution[t]:.1f}%" for t in types]
-        write_jsonl(cfg.out / "pair_types.jsonl", [{"type": t.value, "fraction": distribution[t]} for t in types])
+        write_jsonl(cfg["out"] / "pair_types.jsonl", [{"type": t.value, "fraction": distribution[t]} for t in types])
     if confusion is not None:
         counts, accuracy = confusion
         lines.append(f"label confusion accuracy: {accuracy:.3f}")
         rows = [{"predicted": p.value, "annotated": a.value, "count": counts[p][a]} for p in types for a in types]
-        write_jsonl(cfg.out / "confusion.jsonl", rows)
+        write_jsonl(cfg["out"] / "confusion.jsonl", rows)
     return {"questions": len(stats), "mean_conflicting_rate": mean_rate}, "\n".join(lines)
 
 
@@ -534,17 +503,17 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     then write the outputs, the report and the summary. Every input is read,
     and ``--strict`` decided, before the first file is written."""
     build, finish, handoff = STAGES[name]
-    if not cfg.dataset:
+    if not cfg["dataset"]:
         raise ContractViolation("this command needs --dataset (or config dataset)")
-    examples, ingest = read_examples(cfg.dataset)
+    examples, ingest = read_examples(cfg["dataset"])
     for w in ingest.warnings:
         logger.warning("ingest line %d: %s", w.line, w.message)
     errors = _ingest_errors(cfg, ingest, "dataset")
     items, work = examples, build(cfg, examples)
     if handoff is not None:
         section, key, load, no_record, optional = handoff
-        configured = cfg.raw[section][key]
-        path = Path(configured) if configured else cfg.out / f"{key}.jsonl"
+        configured = cfg[f"{section}.{key}"]
+        path = Path(configured) if configured else cfg["out"] / f"{key}.jsonl"
         if path.exists():
             items, work = _join(examples, load(path)), _both_sides(work, no_record)
         elif configured or not optional:
@@ -559,9 +528,9 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
-    examples, truth = sim.generate_corpus(cfg.synth)
-    corpus_path = cfg.out / "sim_corpus.jsonl"
-    truth_path = cfg.out / "sim_truth.jsonl"
+    examples, truth = sim.generate_corpus(_synth_spec(cfg))
+    corpus_path = cfg["out"] / "sim_corpus.jsonl"
+    truth_path = cfg["out"] / "sim_truth.jsonl"
     write_examples(corpus_path, examples)
     sim.write_truth(truth_path, truth)
     _write_report(cfg, "simulate", {"questions": len(examples)})
@@ -594,22 +563,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConfig:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    """The config of a run: the defaults, then the config file's fields, then
+    ``--strict``, then the dotted flags, each value converted as it is set."""
+    cfg = PipelineConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            document = json.load(fh)
+        try:
+            document = json.loads(Path(args.config).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ContractViolation(f"config file {args.config} is not UTF-8: {exc}") from None
         if not isinstance(document, dict):
             raise ContractViolation("config file must hold one JSON object")
         for key, value in document.items():
             # a top-level object is a section: each of its members is one field
             members = [(f"{key}.{k}", v) for k, v in value.items()] if isinstance(value, dict) else [(key, value)]
             for dotted, field_value in members:
-                node, leaf = _field(config, dotted)
-                node[leaf] = field_value
+                cfg.set(dotted, field_value)
     if args.strict:
-        config["strict"] = True
-    apply_dotted_overrides(config, _parse_extra_flags(extras))
-    return PipelineConfig.from_dict(config)
+        cfg.set("strict", True)
+    for dotted, text in _parse_extra_flags(extras):
+        cfg.set(dotted, text, text=True)
+    _synth_spec(cfg)  # its checks stop every command, not only simulate
+    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -41,21 +41,45 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def integer(value) -> int:
+    """``value`` if it is a JSON integer, else TypeError: ``int(True)`` is 1."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def number(value) -> float:
+    """``value`` as a float if it is a JSON number, else TypeError: ``float("1")`` is 1.0."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def boolean(value) -> bool:
+    """``value`` if it is a JSON boolean, else TypeError: ``bool("false")`` is True."""
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
 def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs.
 
-    Line numbers are 1-based. A missing or unreadable file raises OSError
-    (fatal by contract). A line that is not a JSON object is recorded in
-    ``report`` and skipped; without a report it raises ContractViolation
-    naming the file and line, so no handoff silently loses a record.
+    Lines end at LF; line numbers are 1-based. A missing or unreadable file
+    raises OSError (fatal by contract). A line that is not UTF-8, or not a
+    JSON object, is recorded in ``report`` and skipped; without a report it
+    raises ContractViolation naming the file and line, so no handoff
+    silently loses a record.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
-                obj = json.loads(raw)
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+            except UnicodeDecodeError as exc:
+                problem = f"not UTF-8: {exc}"
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON: {exc}"
             else:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .corpus import QAExample, contains_answer
 from .errors import ContractViolation
-from .lineio import read_jsonl
+from .lineio import integer, number, read_jsonl
 from .scoring import CompatibilityMatrix, PairType
 
 Pair = tuple[int, int, float]
@@ -72,8 +72,8 @@ def load_matchings(path: str | Path) -> list[PairMatching]:
             out[qid] = PairMatching(
                 question_id=qid,
                 strategy=Strategy(rec["strategy"]),
-                pairs=tuple((int(i), int(j), float(s)) for i, j, s in rec["pairs"]),
-                total_weight=float(rec["total_weight"]),
+                pairs=tuple((integer(i), integer(j), number(s)) for i, j, s in rec["pairs"]),
+                total_weight=number(rec["total_weight"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"{path} line {lineno}: bad matching record: {exc}") from None

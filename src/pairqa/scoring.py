@@ -141,11 +141,12 @@ _DUMP_FIELDS = ["consistency", "evidentiality", "mode", "question_id"]
 def _probabilities(values, field: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError(f"{values!r} is not an array")
-    floats = tuple(float(v) for v in values)
-    for p in floats:
+    for p in values:
+        if type(p) is not float and type(p) is not int:
+            raise TypeError(f"{field} {p!r} is not a number")
         if not 0.0 <= p <= 1.0:  # NaN fails this too
             raise ValueError(f"{field} {p!r} outside [0,1]")
-    return floats
+    return tuple(map(float, values))
 
 
 def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .corpus import HopType, Passage, PassageChain, QAExample, Source
 from .errors import ContractViolation
-from .lineio import read_jsonl, write_jsonl
+from .lineio import boolean, read_jsonl, write_jsonl
 from .providers import PredictRequest
 
 
@@ -220,7 +220,7 @@ def load_truth(path: str | Path) -> GroundTruth:
             if qid in questions:
                 raise ValueError(f"repeated question_id {qid!r}")
             chains = {
-                c["id"]: ChainTruth(c["id"], Source(c["source"]), c["text"], bool(c["supports"]))
+                c["id"]: ChainTruth(c["id"], Source(c["source"]), c["text"], boolean(c["supports"]))
                 for c in rec["chains"]
             }
             questions[qid] = QuestionTruth(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pairqa
-from pairqa.cli import build_parser, load_config, main
+from pairqa.cli import FIELDS, build_parser, load_config, main
 from pairqa.corpus import write_examples
 from pairqa.sim import SynthSpec, generate_corpus, write_truth
 
@@ -215,6 +215,11 @@ def _ragged(record):
     return record
 
 
+def _consistency_text(record):
+    record["consistency"][0][0] = "0.0"
+    return record
+
+
 def _bad_probability(field, value):
     """A store whose first probability of ``field`` is ``value``."""
 
@@ -224,6 +229,33 @@ def _bad_probability(field, value):
         return record
 
     return _bad_store(edit, where=f"store.jsonl line 1: bad matrix record: {field} {value!r} outside [0,1]")
+
+
+def _matchings_float_index(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    assert run("match", "--dataset", dataset, "--out", out) == 0
+    _copy_with_first_record(out / "matchings.jsonl", out / "matchings.jsonl", lambda rec: {**rec, "pairs": [[2.7, 2, 1.0]]})
+    return ["serialize", "--dataset", dataset, "--out", out], "matchings.jsonl line 1: bad matching record: 2.7 is not an integer"
+
+
+def _truth_supports_text(tmp, dataset, truth):
+    def edit(record):
+        record["chains"][0]["supports"] = "false"
+        return record
+
+    bad = tmp / "bad_truth.jsonl"
+    _copy_with_first_record(truth, bad, edit)
+    argv = ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad]
+    return argv, "bad_truth.jsonl line 1: bad truth record: 'false' is not true or false"
+
+
+def _dump_line_not_utf8(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    with open(out / "matrices.jsonl", "ab") as fh:
+        fh.write(b'{"question_id": "q\xff"}\n')
+    return ["match", "--dataset", dataset, "--out", out], "matrices.jsonl line 9: not UTF-8"
 
 
 def _bad_annotation(record):
@@ -237,7 +269,7 @@ def _bad_annotation(record):
 
 
 def _unparsable_override(tmp, dataset, truth):
-    return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "--simulate.n"
+    return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "simulate.n must be an integer, got 'abc'"
 
 
 def _unknown_strategy(tmp, dataset, truth):
@@ -268,7 +300,13 @@ def _bad_config(command, document, value):
 def _out_null(tmp, dataset, truth):
     config = tmp / "config.json"
     config.write_text(json.dumps({"out": None}))
-    return ["simulate", "--config", config], "NoneType"
+    return ["simulate", "--config", config], "out must be a path, got None"
+
+
+def _config_not_utf8(tmp, dataset, truth):
+    config = tmp / "config.json"
+    config.write_bytes(b'{"seed": "\xff"}')
+    return ["simulate", "--out", tmp / "o", "--config", config], "config.json is not UTF-8"
 
 
 def _bad_flag(command, flag, value):
@@ -278,6 +316,12 @@ def _bad_flag(command, flag, value):
         return [command, "--dataset", dataset, "--out", tmp / "o", flag, value], repr(value)
 
     return case
+
+
+def _loaded(*argv):
+    """The config ``serialize`` would run with, given ``argv``."""
+    args, extras = build_parser().parse_known_args(["serialize", *map(str, argv)])
+    return load_config(args, extras)
 
 
 def _score_argv(dataset, truth):
@@ -567,6 +611,18 @@ class TestErrorHandling:
         report = json.loads((out / "score_report.json").read_text())
         assert any(e["stage"] == "ingest" for e in report["errors"])
 
+    def test_dataset_line_not_utf8_is_an_ingest_error(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        dataset.write_bytes(b"".join([lines[0], b'{"question_id": "q\xff"}\n', *lines[1:]]))
+        out = tmp / "out"
+        assert run("score", "--dataset", dataset, "--out", out) == 0
+        report = json.loads((out / "score_report.json").read_text())
+        assert report["scored"] == 8
+        assert [(e["stage"], e["line"]) for e in report["errors"]] == [("ingest", 2)]
+        assert "not UTF-8" in report["errors"][0]["error"]
+        assert run("score", "--dataset", dataset, "--out", tmp / "strict", "--strict") == 1
+
     def test_truncated_dump_is_a_per_item_error(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         out = tmp / "truncated"
@@ -634,7 +690,8 @@ class TestErrorHandling:
         capsys.readouterr()
         assert run("serialize", "--dataset", dataset, "--out", out, *flag) == 1
         summary = json.loads(capsys.readouterr().err)
-        assert summary == {"error": "ContractViolation", "message": f"serialize.budget must be >= 1, got {flag[1]}"}
+        message = f"serialize.budget must be an integer >= 1 or null, got {flag[1]}"
+        assert summary == {"error": "ContractViolation", "message": message}
         assert not (out / "reader_inputs.jsonl").exists()
 
     def test_dotted_budget_string_reads_as_the_integer(self, sim_workspace):
@@ -710,6 +767,10 @@ class TestErrorHandling:
             _bad_probability("evidentiality", float("nan")),
             _bad_probability("consistency", 7.5),
             _bad_probability("evidentiality", -0.1),
+            _bad_store(_consistency_text, where="store.jsonl line 1: bad matrix record: consistency '0.0' is not a number"),
+            _matchings_float_index,
+            _truth_supports_text,
+            _dump_line_not_utf8,
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
             _unparsable_override,
@@ -726,6 +787,10 @@ class TestErrorHandling:
             "store-nan-probability",
             "store-probability-above-1",
             "store-probability-below-0",
+            "store-probability-a-string",
+            "matchings-index-not-an-integer",
+            "truth-supports-a-string",
+            "dump-line-not-utf8",
             "annotation-bogus-type",
             "annotation-missing-key",
             "override-not-an-int",
@@ -831,21 +896,29 @@ class TestErrorHandling:
             _bad_config("score", {"workers": "two"}, "'two'"),
             _bad_config("simulate", {"simulate": {"num_questions": "many"}}, "'many'"),
             _bad_config("simulate", {"simulate": {"n": "ten"}}, "'ten'"),
-            _bad_config("simulate", {"simulate": {"m": [10]}}, "not 'list'"),
+            _bad_config("simulate", {"simulate": {"m": [10]}}, "simulate.m must be an integer, got [10]"),
             _bad_config("simulate", {"simulate": {"p_retrieved_evidential": "half"}}, "'half'"),
-            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": None}}, "NoneType"),
+            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": None}}, "simulate.p_llm_hallucinated must be a number, got None"),
             _bad_config("generate", {"generator": {"n": "five"}}, "'five'"),
+            _bad_config("generate", {"generator": {"n": 0}}, "generator.n must be an integer >= 1, got 0"),
             _bad_config("score", {"strict": "false"}, "strict must be true or false, got 'false'"),
             _bad_config("simulate", {"simulate": {"single_pivot": "false"}}, "simulate.single_pivot must be"),
             _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
-            _bad_config("score", {"workers": True}, "workers must be an integer, got True"),
-            _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be >= 1, got 0"),
+            _bad_config("score", {"workers": True}, "workers must be an integer >= 1, got True"),
+            _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be an integer >= 1 or null, got 0"),
             _bad_config("simulate", {"matchng": {"strategy": "greedy"}}, "unknown config section 'matchng'"),
             _bad_config("score", {"scorer": "remote"}, "config section 'scorer' must be an object"),
             _bad_config("analyze", {"analyze": {"predictions": ["x"]}}, "analyze.predictions must be an object"),
             _bad_config("score", {"cache_dir": 5}, "cache_dir must be a directory path or null, got 5"),
-            _bad_config("simulate", {"dataset": 5}, "dataset file does not exist: 5"),
+            _bad_config("simulate", {"dataset": 5}, "dataset must be an existing file or null, got 5"),
             _out_null,
+            _bad_config("score", {"scorer": {"backend": "remote", "url": 5}}, "scorer.url must be a URL or null, got 5"),
+            _bad_config("mine", {"predictor": {"truth": 5}}, "predictor.truth must be a path or null, got 5"),
+            _bad_config("analyze", {"analyze": {"annotations": 7}}, "analyze.annotations must be a path or null, got 7"),
+            _bad_config("match", {"matching": {"matrices": ["a"]}}, "matching.matrices must be a path or null, got ['a']"),
+            _bad_config("serialize", {"serialize": {"matchings": 5}}, "serialize.matchings must be a path or null, got 5"),
+            _bad_config("mine", {"mine": {"kinds": "evidentiality"}}, "mine.kinds must be an array of"),
+            _config_not_utf8,
             _bad_flag("match", "--strategy", "psychic"),
             _bad_flag("score", "--scoring-mode", "sum"),
             _bad_flag("serialize", "--variant", "jumbled"),
@@ -864,6 +937,7 @@ class TestErrorHandling:
             "simulate-p-retrieved-evidential",
             "simulate-p-llm-hallucinated",
             "generator-n",
+            "generator-n-zero",
             "config-strict-not-a-boolean",
             "simulate-single-pivot-not-a-boolean",
             "config-float-integer",
@@ -875,6 +949,13 @@ class TestErrorHandling:
             "config-cache-dir-not-a-path",
             "config-dataset-not-a-path",
             "config-out-null",
+            "config-scorer-url-not-a-string",
+            "config-predictor-truth-not-a-string",
+            "config-analyze-annotations-not-a-string",
+            "config-matching-matrices-not-a-string",
+            "config-serialize-matchings-not-a-string",
+            "config-mine-kinds-not-an-array",
+            "config-not-utf8",
             "flag-strategy",
             "flag-scoring-mode",
             "flag-variant",
@@ -940,6 +1021,29 @@ class TestConfigMerging:
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == "greedy" for m in matchings)
 
+    @pytest.mark.parametrize("dotted", list(FIELDS))
+    def test_field_spelled_at_its_default_changes_nothing(self, tmp_path, dotted):
+        config = tmp_path / "config.json"
+        section, dot, name = dotted.partition(".")
+        default = FIELDS[dotted][0]
+        config.write_text(json.dumps({section: {name: default}} if dot else {dotted: default}))
+        assert _loaded("--config", config) == _loaded()
+
+    @pytest.mark.parametrize("dotted", list(FIELDS))
+    def test_field_value_of_another_json_type_rejected(self, tmp_path, dotted, capsys):
+        default, kind = FIELDS[dotted]
+        wrong = "false" if isinstance(default, bool) else False
+        section, dot, name = dotted.partition(".")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {name: wrong}} if dot else {dotted: wrong}))
+        capsys.readouterr()
+        assert run("simulate", "--config", config, "--out", tmp_path / "o") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = f"{dotted} must be {kind.what}, got {wrong!r}"
+        assert json.loads(lines[0]) == {"error": "ContractViolation", "message": message}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "short, dotted",
         [
@@ -951,8 +1055,4 @@ class TestConfigMerging:
         ids=["strategy", "scoring-mode", "variant", "budget"],
     )
     def test_short_flags_alias_dotted_names(self, short, dotted):
-        def raw(argv):
-            args, extras = build_parser().parse_known_args(["serialize", *argv])
-            return load_config(args, extras).raw
-
-        assert raw(short) == raw(dotted) != raw([])
+        assert _loaded(*short) == _loaded(*dotted) != _loaded()

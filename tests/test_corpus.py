@@ -236,6 +236,17 @@ class TestIngestion:
         assert len(examples) == 1
         assert report.errors[0].line == 2
 
+    def test_line_not_utf8_reported(self, tmp_path):
+        import json
+
+        path = tmp_path / "data.jsonl"
+        lines = [json.dumps(_record("q1")).encode(), b'{"question_id": "q\xff"}', json.dumps(_record("q2")).encode()]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        examples, report = read_examples(path)
+        assert [e.question_id for e in examples] == ["q1", "q2"]
+        assert [e.line for e in report.errors] == [2]
+        assert "not UTF-8" in report.errors[0].message
+
     def test_hop_type_inference_and_parse(self):
         assert example_from_record(_record()).hop_type is HopType.SINGLE_HOP
         multi = _record(
