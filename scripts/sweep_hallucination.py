@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pairqa import analysis, matching, scoring, sim
 from pairqa.cli import derive_seed
+from pairqa.corpus import HopType
 from pairqa.providers import LexicalMockScorer
 from pairqa.scoring import CombineMode, PairType
 
@@ -33,6 +34,8 @@ def run_point(p: float, args) -> dict:
         seed=args.seed,
         p_retrieved_evidential=args.p_evidential,
         p_llm_hallucinated=p,
+        hop_type=HopType.SINGLE_HOP,
+        single_pivot=False,
     )
     examples, _ = sim.generate_corpus(spec)
     scorer = LexicalMockScorer.from_examples(examples)

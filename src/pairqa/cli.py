@@ -34,9 +34,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import analysis, matching, mining, readerio, scoring, sim
-from .corpus import HopType, PassageChain, QAExample, read_examples, write_examples
+from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import IngestionReport, atomic_open, boolean, integer, number, read_jsonl, write_jsonl
+from .lineio import IngestionReport, atomic_open, boolean, integer, number, read_jsonl, string, write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
@@ -58,12 +58,6 @@ class Kind:
         return Kind(f"{self.what} or null", lambda value: None if value is None else self.convert(value), self.parse)
 
 
-def _text(value) -> str:
-    if type(value) is not str:
-        raise TypeError(value)
-    return value
-
-
 def _checked(convert: Callable, ok: Callable[[Any], bool]) -> Callable:
     def check(value):
         value = convert(value)
@@ -75,23 +69,23 @@ def _checked(convert: Callable, ok: Callable[[Any], bool]) -> Callable:
 
 
 def _enum(cls: type[Enum]) -> Kind:
-    return Kind("one of " + ", ".join(e.value for e in cls), lambda value: cls(_text(value)))
+    return Kind("one of " + ", ".join(e.value for e in cls), lambda value: cls(string(value)))
 
 
 def _one_of(*names: str) -> Kind:
-    return Kind("one of " + ", ".join(names), _checked(_text, lambda value: value in names))
+    return Kind("one of " + ", ".join(names), _checked(string, lambda value: value in names))
 
 
 def _label_kinds(value) -> tuple[mining.LabelKind, ...]:
     if type(value) is not list:
         raise TypeError(value)
-    return tuple(sorted({mining.LabelKind(_text(kind)) for kind in value}, key=lambda kind: kind.value))
+    return tuple(sorted({mining.LabelKind(string(kind)) for kind in value}, key=lambda kind: kind.value))
 
 
 def _paths_by_method(value) -> dict[str, str]:
     if type(value) is not dict:
         raise TypeError(value)
-    return {method: _text(path) for method, path in sorted(value.items())}
+    return {method: string(path) for method, path in sorted(value.items())}
 
 
 _BOOLEAN_WORDS = {
@@ -102,18 +96,18 @@ _INTEGER = Kind("an integer", integer, int)
 _NUMBER = Kind("a number", number, float)
 _BOOLEAN = Kind("true or false", boolean, lambda text: _BOOLEAN_WORDS.get(text.lower(), text))
 _POSITIVE = Kind("an integer >= 1", _checked(integer, lambda value: value >= 1), int)
-_PATH, _URL, _TOKEN = (Kind(what, _text).or_null() for what in ("a path", "a URL", "a token"))
+_PATH, _URL, _TOKEN = (Kind(what, string).or_null() for what in ("a path", "a URL", "a token"))
 
 # Every config field, by dotted name: its default, as a config file spells
 # it, and its kind. A value is converted by its kind whenever it is set, from
 # this default, from the config file or from a dotted flag.
 FIELDS: dict[str, tuple[Any, Kind]] = {
-    "dataset": (None, Kind("an existing file", _checked(_text, lambda path: Path(path).exists())).or_null()),
-    "out": ("out", Kind("a path", lambda value: Path(_text(value)))),
+    "dataset": (None, Kind("an existing file", _checked(string, lambda path: Path(path).exists())).or_null()),
+    "out": ("out", Kind("a path", lambda value: Path(string(value)))),
     "workers": (1, _POSITIVE),
     "seed": (0, _INTEGER),
     "strict": (False, _BOOLEAN),
-    "cache_dir": (None, Kind("a directory path", _text).or_null()),
+    "cache_dir": (None, Kind("a directory path", string).or_null()),
     "scorer.backend": ("lexical", _one_of("lexical", "file", "remote")),
     "scorer.url": (None, _URL),
     "scorer.token": (None, _TOKEN),
@@ -333,16 +327,9 @@ def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Calla
     client = RemoteGenerator(*_service(cfg, "generator"))
 
     def generate(example: QAExample) -> QAExample:
-        chains = client.generate(GenerationRequest(example.question, cfg["generator.n"], cfg["generator.mode"]))
-        renamed = []
-        for k, chain in enumerate(chains):
-            name = f"{example.question_id}-g{k}"
-            segments = tuple(
-                dataclasses.replace(seg, id=name + (f".{s}" if len(chain.segments) > 1 else ""))
-                for s, seg in enumerate(chain.segments)
-            )
-            renamed.append(PassageChain(segments=segments, source=chain.source))
-        return dataclasses.replace(example, generated=tuple(renamed))
+        passages = client.generate(GenerationRequest(example.question, cfg["generator.n"], cfg["generator.mode"]))
+        chains = tuple(named_chain(f"{example.question_id}-g{k}", texts) for k, texts in enumerate(passages))
+        return dataclasses.replace(example, generated=chains)
 
     return generate
 

@@ -4,7 +4,8 @@ The dataset file format is line-delimited JSON with fields
 ``question_id``, ``question``, ``answers``, ``retrieved`` and
 ``generated``. Each entry of the two passage pools is a chain: an array
 of ``{"id", "title", "text"}`` objects. Single-hop files may store a bare
-object instead of a one-element array; the loader accepts both.
+object instead of a one-element array; the loader accepts both. A chain's
+pool is its source: no passage or chain records where it came from.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class Passage:
     id: str
     text: str
     title: str | None = None
-    source: Source = Source.RETRIEVED
 
     def __post_init__(self):
         if not self.text.strip():
@@ -56,16 +56,10 @@ class PassageChain:
     """An ordered list of passage segments; length 1 single-hop, 2 multi-hop."""
 
     segments: tuple[Passage, ...]
-    source: Source
 
     def __post_init__(self):
         if not self.segments:
             raise ContractViolation("passage chain must have at least one segment")
-        for seg in self.segments:
-            if seg.source != self.source:
-                raise ContractViolation(
-                    f"segment {seg.id!r} source {seg.source} differs from chain source {self.source}"
-                )
 
     @property
     def id(self) -> str:
@@ -82,6 +76,18 @@ class PassageChain:
         return " ".join(parts)
 
 
+def segment_id(name: str, index: int, count: int) -> str:
+    """The id of segment ``index`` of a chain of ``count`` segments named
+    ``name``: ``name`` itself for a single segment, ``name.<index>`` when
+    there are several."""
+    return name if count == 1 else f"{name}.{index}"
+
+
+def named_chain(name: str, texts: Sequence[str]) -> PassageChain:
+    """The chain ``name`` of untitled segments with ``texts``."""
+    return PassageChain(tuple(Passage(id=segment_id(name, s, len(texts)), text=t) for s, t in enumerate(texts)))
+
+
 @dataclass(frozen=True)
 class QAExample:
     question_id: str
@@ -96,12 +102,6 @@ class QAExample:
             raise ContractViolation(f"example {self.question_id!r} has empty question")
         if not self.answers:
             raise ContractViolation(f"example {self.question_id!r} has no gold answers")
-        for chain in self.retrieved:
-            if chain.source != Source.RETRIEVED:
-                raise ContractViolation("retrieved pool contains a non-retrieved chain")
-        for chain in self.generated:
-            if chain.source != Source.LLM_GENERATED:
-                raise ContractViolation("generated pool contains a non-generated chain")
 
     @property
     def n(self) -> int:
@@ -150,7 +150,7 @@ def contains_answer(chain: PassageChain, answers: Sequence[str]) -> bool:
 # --- dataset ingestion -------------------------------------------------
 
 
-def _parse_chain(raw, source: Source, prefix: str, index: int) -> PassageChain:
+def _parse_chain(raw, prefix: str, index: int) -> PassageChain:
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list) or not raw:
@@ -164,12 +164,14 @@ def _parse_chain(raw, source: Source, prefix: str, index: int) -> PassageChain:
             raise ContractViolation(f"chain segment {seg_idx} has empty text")
         pid = seg.get("id")
         if pid is None:
-            pid = f"{prefix}{index}" if len(raw) == 1 else f"{prefix}{index}.{seg_idx}"
+            pid = segment_id(f"{prefix}{index}", seg_idx, len(raw))
+        elif not isinstance(pid, str):
+            raise ContractViolation(f"chain segment {seg_idx} id must be a string, got {pid!r}")
         title = seg.get("title")
         if title is not None and not isinstance(title, str):
             raise ContractViolation("title must be a string when present")
-        segments.append(Passage(id=str(pid), text=text, title=title, source=source))
-    return PassageChain(segments=tuple(segments), source=source)
+        segments.append(Passage(id=pid, text=text, title=title))
+    return PassageChain(segments=tuple(segments))
 
 
 def _parse_pool(raw, source: Source, prefix: str) -> tuple[PassageChain, ...]:
@@ -177,7 +179,7 @@ def _parse_pool(raw, source: Source, prefix: str) -> tuple[PassageChain, ...]:
         raw = []
     if not isinstance(raw, list):
         raise ContractViolation(f"{source.value} pool must be an array")
-    chains = tuple(_parse_chain(item, source, prefix, i) for i, item in enumerate(raw))
+    chains = tuple(_parse_chain(item, prefix, i) for i, item in enumerate(raw))
     seen: set[str] = set()
     for chain in chains:
         for seg in chain.segments:

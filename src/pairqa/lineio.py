@@ -62,6 +62,13 @@ def boolean(value) -> bool:
     return value
 
 
+def string(value) -> str:
+    """``value`` if it is a JSON string, else TypeError: ``str(5)`` is "5"."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs.
 

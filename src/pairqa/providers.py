@@ -40,7 +40,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Passage, PassageChain, QAExample, Source, text_contains_answer
+from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
 from .lineio import atomic_open, dumps_canonical
 
@@ -404,33 +404,31 @@ class RemoteGenerator(_ServiceClient):
 
     default_timeout = 120.0
 
-    def generate(self, req: GenerationRequest) -> list[PassageChain]:
+    def generate(self, req: GenerationRequest) -> list[tuple[str, ...]]:
+        """The segment texts of each generated passage that parses, in reply
+        order; a passage that does not parse is logged and skipped."""
         payload = self._post(req.wire_body())
         raw_passages = payload.get("passages")
         if not isinstance(raw_passages, list):
             raise ProtocolError("generator response missing 'passages' array")
-        chains: list[PassageChain] = []
+        passages: list[tuple[str, ...]] = []
         for index, item in enumerate(raw_passages[: req.num_passages]):
             try:
-                chains.append(_parse_generated_item(item, req.mode, index))
+                passages.append(_parse_generated_item(item, req.mode, index))
             except ProtocolError as exc:
                 logger.warning("skipping unparseable generated passage %d: %s", index, exc)
-        return chains
+        return passages
 
 
-def _parse_generated_item(item, mode: GenerationMode, index: int) -> PassageChain:
+def _parse_generated_item(item, mode: GenerationMode, index: int) -> tuple[str, ...]:
     if isinstance(item, str):
-        texts = [item]
+        texts = (item,)
     elif isinstance(item, list) and all(isinstance(t, str) for t in item):
-        texts = list(item)
+        texts = tuple(item)
     else:
         raise ProtocolError(f"generated passage {index} is neither a string nor a string array")
     if mode is GenerationMode.MULTI_HOP_CHAIN and len(texts) == 1:
-        texts = list(split_two_documents(texts[0]))
+        texts = split_two_documents(texts[0])
     if not texts or not all(t.strip() for t in texts):
         raise ProtocolError(f"generated passage {index} has empty text")
-    segments = tuple(
-        Passage(id=f"g{index}" if len(texts) == 1 else f"g{index}.{k}", text=t, source=Source.LLM_GENERATED)
-        for k, t in enumerate(texts)
-    )
-    return PassageChain(segments=segments, source=Source.LLM_GENERATED)
+    return texts

@@ -21,22 +21,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import HopType, Passage, PassageChain, QAExample, Source
+from .corpus import HopType, PassageChain, QAExample, Source, named_chain
 from .errors import ContractViolation
-from .lineio import boolean, read_jsonl, write_jsonl
+from .lineio import boolean, read_jsonl, string, write_jsonl
 from .providers import PredictRequest
 
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """The shape of a synthetic corpus; ``pairqa.cli.FIELDS`` holds the
+    defaults of its ``simulate`` fields."""
+
     num_questions: int
-    n: int = 10
-    m: int = 10
-    p_retrieved_evidential: float = 0.5
-    p_llm_hallucinated: float = 0.5
-    seed: int = 0
-    hop_type: HopType = HopType.SINGLE_HOP
-    single_pivot: bool = False
+    n: int
+    m: int
+    p_retrieved_evidential: float
+    p_llm_hallucinated: float
+    seed: int
+    hop_type: HopType
+    single_pivot: bool
 
     def __post_init__(self):
         if self.num_questions < 1 or self.n < 1 or self.m < 1:
@@ -85,15 +88,9 @@ class GroundTruth:
         return self.questions[qid]
 
 
-def _make_chain(qid: str, cid: str, source: Source, body: str, hop_type: HopType) -> PassageChain:
-    if hop_type.is_multi_hop:
-        segments = (
-            Passage(id=f"{cid}.0", text=f"{cid} hop one links {qid} to its record", source=source),
-            Passage(id=f"{cid}.1", text=body, source=source),
-        )
-    else:
-        segments = (Passage(id=cid, text=body, source=source),)
-    return PassageChain(segments=segments, source=source)
+def _make_chain(qid: str, cid: str, body: str, hop_type: HopType) -> PassageChain:
+    texts = (f"{cid} hop one links {qid} to its record", body) if hop_type.is_multi_hop else (body,)
+    return named_chain(cid, texts)
 
 
 def generate_corpus(spec: SynthSpec) -> tuple[list[QAExample], GroundTruth]:
@@ -123,7 +120,7 @@ def generate_corpus(spec: SynthSpec) -> tuple[list[QAExample], GroundTruth]:
                 body = f"source {cid} states that the entity is {gold}"
             else:
                 body = f"source {cid} discusses an unrelated topic instead"
-            chain = _make_chain(qid, cid, Source.RETRIEVED, body, spec.hop_type)
+            chain = _make_chain(qid, cid, body, spec.hop_type)
             retrieved.append(chain)
             chains[cid] = ChainTruth(cid, Source.RETRIEVED, chain.text(), evidential)
 
@@ -134,7 +131,7 @@ def generate_corpus(spec: SynthSpec) -> tuple[list[QAExample], GroundTruth]:
             cid = f"{qid}-g{i}"
             claimed = distractor if hallucinated else gold
             body = f"model account {cid} claims that the entity is {claimed}"
-            chain = _make_chain(qid, cid, Source.LLM_GENERATED, body, spec.hop_type)
+            chain = _make_chain(qid, cid, body, spec.hop_type)
             generated.append(chain)
             chains[cid] = ChainTruth(cid, Source.LLM_GENERATED, chain.text(), not hallucinated)
 
@@ -216,19 +213,19 @@ def load_truth(path: str | Path) -> GroundTruth:
     questions = {}
     for lineno, rec in read_jsonl(path):
         try:
-            qid = rec["question_id"]
+            qid = string(rec["question_id"])
             if qid in questions:
                 raise ValueError(f"repeated question_id {qid!r}")
-            chains = {
-                c["id"]: ChainTruth(c["id"], Source(c["source"]), c["text"], boolean(c["supports"]))
+            chains = [
+                ChainTruth(string(c["id"]), Source(c["source"]), string(c["text"]), boolean(c["supports"]))
                 for c in rec["chains"]
-            }
+            ]
             questions[qid] = QuestionTruth(
                 question_id=qid,
-                question=rec["question"],
-                gold=rec["gold"],
-                distractor=rec["distractor"],
-                chains=chains,
+                question=string(rec["question"]),
+                gold=string(rec["gold"]),
+                distractor=string(rec["distractor"]),
+                chains={ct.chain_id: ct for ct in chains},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"{path} line {lineno}: bad truth record: {exc}") from None

@@ -6,14 +6,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from pairqa.corpus import Passage, PassageChain, QAExample, Source
+from pairqa.corpus import Passage, PassageChain, QAExample
 
 
-def make_chain(text: str, source: Source, cid: str, title: str | None = None) -> PassageChain:
-    return PassageChain(
-        segments=(Passage(id=cid, text=text, title=title, source=source),),
-        source=source,
-    )
+def make_chain(text: str, cid: str, title: str | None = None) -> PassageChain:
+    return PassageChain(segments=(Passage(id=cid, text=text, title=title),))
 
 
 def make_example(
@@ -23,12 +20,8 @@ def make_example(
     retrieved_texts=("head coach Don Shula won", "something else entirely"),
     generated_texts=("Don Shula led the team", "George Halas led the team"),
 ) -> QAExample:
-    retrieved = tuple(
-        make_chain(t, Source.RETRIEVED, f"r{j}") for j, t in enumerate(retrieved_texts)
-    )
-    generated = tuple(
-        make_chain(t, Source.LLM_GENERATED, f"g{i}") for i, t in enumerate(generated_texts)
-    )
+    retrieved = tuple(make_chain(t, f"r{j}") for j, t in enumerate(retrieved_texts))
+    generated = tuple(make_chain(t, f"g{i}") for i, t in enumerate(generated_texts))
     return QAExample(
         question_id=question_id,
         question=question,

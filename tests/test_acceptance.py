@@ -18,7 +18,7 @@ from collections import Counter
 
 from pairqa import analysis, matching, mining, readerio, scoring, sim
 from pairqa.cli import derive_seed, main as cli_main
-from pairqa.corpus import Source, write_examples
+from pairqa.corpus import HopType, Source, write_examples
 from pairqa.providers import LexicalMockScorer, PredictRequest
 from pairqa.scoring import CombineMode, PairType
 
@@ -132,7 +132,14 @@ class CountingPredictor:
 def test_criterion_05_mining_soundness():
     start = time.perf_counter()
     spec = sim.SynthSpec(
-        num_questions=1000, n=10, m=10, seed=99, single_pivot=True, p_llm_hallucinated=0.5
+        num_questions=1000,
+        n=10,
+        m=10,
+        seed=99,
+        single_pivot=True,
+        p_retrieved_evidential=0.5,
+        p_llm_hallucinated=0.5,
+        hop_type=HopType.SINGLE_HOP,
     )
     examples, truth = sim.generate_corpus(spec)
     predictor = CountingPredictor(truth)
@@ -245,7 +252,16 @@ def test_criterion_08_analysis_fixtures():
 
 @criterion(9, "score -> match -> serialize reruns are byte-identical")
 def test_criterion_09_determinism(tmp_path):
-    spec = sim.SynthSpec(num_questions=12, n=5, m=4, seed=21, p_llm_hallucinated=0.4)
+    spec = sim.SynthSpec(
+        num_questions=12,
+        n=5,
+        m=4,
+        seed=21,
+        p_retrieved_evidential=0.5,
+        p_llm_hallucinated=0.4,
+        hop_type=HopType.SINGLE_HOP,
+        single_pivot=False,
+    )
     examples, _ = sim.generate_corpus(spec)
     dataset = tmp_path / "corpus.jsonl"
     write_examples(dataset, examples)
@@ -280,6 +296,8 @@ def test_criterion_10_trend_reproduction():
             seed=31,
             p_retrieved_evidential=0.6,
             p_llm_hallucinated=p,
+            hop_type=HopType.SINGLE_HOP,
+            single_pivot=False,
         )
         examples, _ = sim.generate_corpus(spec)
         scorer = LexicalMockScorer.from_examples(examples)

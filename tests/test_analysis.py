@@ -19,7 +19,7 @@ from pairqa.errors import ContractViolation
 from pairqa.scoring import CombineMode, CompatibilityMatrix, PairType
 
 from conftest import make_chain
-from pairqa.corpus import QAExample, Source
+from pairqa.corpus import QAExample
 
 
 def example_with_counts(n, m, n_a, m_a, question_id="q1"):
@@ -28,7 +28,6 @@ def example_with_counts(n, m, n_a, m_a, question_id="q1"):
     retrieved = tuple(
         make_chain(
             f"passage {j} mentions {answer}" if j < n_a else f"passage {j} is unrelated",
-            Source.RETRIEVED,
             f"r{j}",
         )
         for j in range(n)
@@ -36,7 +35,6 @@ def example_with_counts(n, m, n_a, m_a, question_id="q1"):
     generated = tuple(
         make_chain(
             f"claim {i} mentions {answer}" if i < m_a else f"claim {i} says wrong thing",
-            Source.LLM_GENERATED,
             f"g{i}",
         )
         for i in range(m)
@@ -126,8 +124,8 @@ class TestBinReport:
                         question_id=name,
                         question="q",
                         answers=("yes",),
-                        retrieved=(make_chain("text", Source.RETRIEVED, "r0"),),
-                        generated=(make_chain("text", Source.LLM_GENERATED, "g0"),),
+                        retrieved=(make_chain("text", "r0"),),
+                        generated=(make_chain("text", "g0"),),
                     )
                 )
                 stats.append(_stats(name, rate))

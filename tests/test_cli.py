@@ -10,14 +10,23 @@ import pytest
 
 import pairqa
 from pairqa.cli import FIELDS, build_parser, load_config, main
-from pairqa.corpus import write_examples
+from pairqa.corpus import HopType, write_examples
 from pairqa.sim import SynthSpec, generate_corpus, write_truth
 
 
 @pytest.fixture
 def sim_workspace(tmp_path):
     """A small single-pivot corpus plus its truth file on disk."""
-    spec = SynthSpec(num_questions=8, n=4, m=3, seed=5, single_pivot=True, p_llm_hallucinated=0.5)
+    spec = SynthSpec(
+        num_questions=8,
+        n=4,
+        m=3,
+        seed=5,
+        single_pivot=True,
+        p_retrieved_evidential=0.5,
+        p_llm_hallucinated=0.5,
+        hop_type=HopType.SINGLE_HOP,
+    )
     examples, truth = generate_corpus(spec)
     dataset = tmp_path / "corpus.jsonl"
     truth_path = tmp_path / "truth.jsonl"
@@ -239,15 +248,22 @@ def _matchings_float_index(tmp, dataset, truth):
     return ["serialize", "--dataset", dataset, "--out", out], "matchings.jsonl line 1: bad matching record: 2.7 is not an integer"
 
 
-def _truth_supports_text(tmp, dataset, truth):
-    def edit(record):
-        record["chains"][0]["supports"] = "false"
-        return record
+def _bad_truth(field, value, problem):
+    """A truth file whose first record holds ``value`` for ``field``, a field
+    of the record or, as ``chains.<name>``, of its first chain."""
 
-    bad = tmp / "bad_truth.jsonl"
-    _copy_with_first_record(truth, bad, edit)
-    argv = ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad]
-    return argv, "bad_truth.jsonl line 1: bad truth record: 'false' is not true or false"
+    def case(tmp, dataset, truth):
+        def edit(record):
+            target = record["chains"][0] if field.startswith("chains.") else record
+            target[field.removeprefix("chains.")] = value
+            return record
+
+        bad = tmp / "bad_truth.jsonl"
+        _copy_with_first_record(truth, bad, edit)
+        argv = ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad]
+        return argv, f"bad_truth.jsonl line 1: bad truth record: {problem}"
+
+    return case
 
 
 def _dump_line_not_utf8(tmp, dataset, truth):
@@ -592,6 +608,20 @@ class TestGenerate:
         assert [c[0]["text"] for c in record["generated"]] == ["alpha", "beta"]
         assert [c[0]["id"] for c in record["generated"]] == ["q1-g0", "q1-g1"]
 
+    def test_generated_chains_are_numbered_as_kept(self, tmp_path, http_service, monkeypatch):
+        dataset = tmp_path / "data.jsonl"
+        record = {"question_id": "q1", "question": "who won", "answers": ["Don Shula"], "retrieved": [{"text": "Don Shula won"}]}
+        dataset.write_text(json.dumps(record) + "\n")
+        # the first passage lacks its second document and is skipped
+        passages = [["Document 1: only one"], ["Document 1: Shula coached\n\nDocument 2: the Dolphins won"]]
+        http_service.responses["/generate"] = {"passages": passages}
+        monkeypatch.setenv("PAIRQA_GENERATOR_URL", http_service.url("/generate"))
+        out = tmp_path / "gen"
+        argv = ["generate", "--dataset", dataset, "--out", out, "--generator.mode", "multi_hop_chain", "--generator.n", 2]
+        assert run(*argv) == 0
+        generated = json.loads((out / "generated.jsonl").read_text())["generated"]
+        assert generated == [[{"id": "q1-g0.0", "text": "Shula coached"}, {"id": "q1-g0.1", "text": "the Dolphins won"}]]
+
 
 class TestErrorHandling:
     def test_fatal_error_is_machine_readable(self, tmp_path, capsys):
@@ -769,7 +799,9 @@ class TestErrorHandling:
             _bad_probability("evidentiality", -0.1),
             _bad_store(_consistency_text, where="store.jsonl line 1: bad matrix record: consistency '0.0' is not a number"),
             _matchings_float_index,
-            _truth_supports_text,
+            _bad_truth("chains.supports", "false", "'false' is not true or false"),
+            _bad_truth("chains.text", 5, "5 is not a string"),
+            _bad_truth("gold", 5, "5 is not a string"),
             _dump_line_not_utf8,
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
@@ -790,6 +822,8 @@ class TestErrorHandling:
             "store-probability-a-string",
             "matchings-index-not-an-integer",
             "truth-supports-a-string",
+            "truth-text-a-number",
+            "truth-gold-a-number",
             "dump-line-not-utf8",
             "annotation-bogus-type",
             "annotation-missing-key",

@@ -428,17 +428,12 @@ class TestGenerator:
     def test_multi_hop_response_parsed_into_two_segments(self, http_service):
         http_service.responses["/generate"] = {"passages": [["Document 1: A\n\nDocument 2: B"]]}
         client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
-        chains = client.generate(GenerationRequest("q", 1, GenerationMode.MULTI_HOP_CHAIN))
-        assert len(chains) == 1
-        assert [seg.text for seg in chains[0].segments] == ["A", "B"]
+        assert client.generate(GenerationRequest("q", 1, GenerationMode.MULTI_HOP_CHAIN)) == [("A", "B")]
 
     def test_single_hop_identity_parse(self, http_service):
         http_service.responses["/generate"] = {"passages": [["X"]]}
         client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
-        chains = client.generate(GenerationRequest("q", 1))
-        assert len(chains) == 1
-        assert chains[0].segments[0].text == "X"
-        assert chains[0].source.value == "generated"
+        assert client.generate(GenerationRequest("q", 1)) == [("X",)]
 
     def test_malformed_multi_hop_item_skipped(self, http_service, caplog):
         http_service.responses["/generate"] = {
@@ -446,15 +441,14 @@ class TestGenerator:
         }
         client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
         with caplog.at_level("WARNING"):
-            chains = client.generate(GenerationRequest("q", 5, GenerationMode.MULTI_HOP_CHAIN))
-        assert len(chains) == 1
+            passages = client.generate(GenerationRequest("q", 5, GenerationMode.MULTI_HOP_CHAIN))
+        assert passages == [("A", "B")]
         assert any("skipping unparseable" in r.message for r in caplog.records)
 
     def test_returns_at_most_n(self, http_service):
         http_service.responses["/generate"] = {"passages": [["a"], ["b"], ["c"]]}
         client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
-        chains = client.generate(GenerationRequest("q", 2))
-        assert len(chains) == 2
+        assert client.generate(GenerationRequest("q", 2)) == [("a",), ("b",)]
 
     def test_split_two_documents_errors(self):
         with pytest.raises(ProtocolError):

@@ -20,7 +20,6 @@ from pairqa.readerio import (
 )
 
 from conftest import make_chain, make_example
-from pairqa.corpus import Source
 
 
 def matching_for(example, pairs):
@@ -81,7 +80,7 @@ class TestPairwiseBlocks:
 
     def test_titles_prepended(self):
         example = make_example()
-        chain = make_chain("body text", Source.RETRIEVED, "r0", title="Dolphins")
+        chain = make_chain("body text", "r0", title="Dolphins")
         from dataclasses import replace
 
         example = replace(example, retrieved=(chain,))

@@ -23,7 +23,16 @@ from pairqa.sim import (
 
 
 def spec(**overrides):
-    fields = dict(num_questions=5, n=4, m=3, seed=7)
+    fields = dict(
+        num_questions=5,
+        n=4,
+        m=3,
+        seed=7,
+        p_retrieved_evidential=0.5,
+        p_llm_hallucinated=0.5,
+        hop_type=HopType.SINGLE_HOP,
+        single_pivot=False,
+    )
     fields.update(overrides)
     return SynthSpec(**fields)
 
@@ -64,9 +73,9 @@ class TestGenerateCorpus:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ContractViolation):
-            SynthSpec(num_questions=0)
+            spec(num_questions=0)
         with pytest.raises(ContractViolation):
-            SynthSpec(num_questions=1, p_llm_hallucinated=1.5)
+            spec(num_questions=1, p_llm_hallucinated=1.5)
 
     def test_monotone_conflict_in_hallucination_rate(self):
         sweep = [0.0, 0.25, 0.5, 0.75, 1.0]
