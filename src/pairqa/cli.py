@@ -396,7 +396,7 @@ def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Call
                 f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
             )
         variant = cfg["serialize.variant"]
-        budget = cfg["serialize.budget"] or readerio.default_budget(example.hop_type, variant)
+        budget = cfg["serialize.budget"] or readerio.default_budget(example, variant)
         return readerio.serialize_variant(example, m, variant, budget, seed=derive_seed(cfg["seed"], qid))
 
     return serialize
@@ -492,7 +492,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     build, finish, handoff = STAGES[name]
     if not cfg["dataset"]:
         raise ContractViolation("this command needs --dataset (or config dataset)")
-    examples, ingest = read_examples(cfg["dataset"])
+    examples, ingest = read_examples(cfg["dataset"], expect_generated=name != "generate")
     for w in ingest.warnings:
         logger.warning("ingest line %d: %s", w.line, w.message)
     errors = _ingest_errors(cfg, ingest, "dataset")

@@ -240,12 +240,13 @@ def example_to_record(example: QAExample) -> dict:
     }
 
 
-def read_examples(path: str | Path) -> tuple[list[QAExample], IngestionReport]:
+def read_examples(path: str | Path, expect_generated: bool = True) -> tuple[list[QAExample], IngestionReport]:
     """Examples of a dataset file in file order, and the report of its ingest.
 
     Malformed records, and second and later records of a question_id, are
-    recorded in the report (line number + message) and skipped; empty
-    passage pools are flagged as warnings but the example is still kept.
+    recorded in the report (line number + message) and skipped; an empty
+    passage pool (a generated one only if ``expect_generated``) is flagged
+    as a warning, but the example is still kept.
     """
     report = IngestionReport()
     examples: list[QAExample] = []
@@ -262,7 +263,7 @@ def read_examples(path: str | Path) -> tuple[list[QAExample], IngestionReport]:
         seen.add(example.question_id)
         if not example.retrieved:
             report.warn(lineno, f"{example.question_id}: empty retrieved pool")
-        if not example.generated:
+        if not example.generated and expect_generated:
             report.warn(lineno, f"{example.question_id}: empty generated pool")
         examples.append(example)
     return examples, report

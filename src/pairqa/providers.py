@@ -16,14 +16,15 @@ A call is retried with exponential backoff on a transport failure, a 5xx, a
 408 or a 429; any other status, a redirect included, fails at once. The
 HTTP modules are imported by the first call that is sent, so offline runs
 and fully cached reruns never load them. Any backend, remote or offline,
-can be wrapped in ``CachingBackend``, an on-disk response cache keyed by
-the backend's identity and a content hash of the request body, so that
-re-running a mining or scoring pass replays identical bytes. A cache entry
-that is not a JSON object, a scorer entry without a number ``probability``
-or a predictor entry without a string ``answer`` raises
-``ContractViolation`` naming the entry's file. Backends are duck-typed: a
-scorer exposes ``score(req) -> float`` and a predictor ``predict(req)
--> str``. ``FileScoreStore`` answers from stored probabilities and parses no
+can be wrapped in ``CachingBackend``, a response cache (one sqlite table
+per cache directory, in ``responses.sqlite3``) keyed by the backend's
+identity and a content hash of the request body, so that re-running a
+mining or scoring pass replays identical bytes. A cache entry that is not
+a JSON object, a scorer entry without a number ``probability`` or a
+predictor entry without a string ``answer`` raises ``ContractViolation``
+naming the database file and the entry's key. Backends are duck-typed: a
+scorer exposes ``score(req) -> float`` and a predictor ``predict(req) ->
+str``. ``FileScoreStore`` answers from stored probabilities and parses no
 file itself: ``scoring.load_score_store`` fills it from a matrix dump.
 """
 
@@ -35,6 +36,7 @@ import logging
 import math
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -42,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
-from .lineio import atomic_open, dumps_canonical
+from .lineio import dumps_canonical
 
 logger = logging.getLogger(__name__)
 
@@ -117,44 +119,60 @@ class PredictRequest:
 
 
 class ResponseCache:
-    """Persistent response store, one JSON file per request hash.
-
-    Writes go through ``atomic_open`` and are serialized by a lock (its temp
-    name is per process, so threads must not share it at once); concurrent
-    workers racing on the same key settle on identical bytes.
-    """
+    """Persistent response store: one sqlite table in ``<root>/responses.sqlite3``,
+    one connection shared by every thread under a lock. Each put commits alone, in
+    WAL mode with ``synchronous=NORMAL``: a crash may lose the last puts (they are not
+    fsynced) but never tears an entry. Workers racing on a key write identical
+    bytes; another process waits up to 5 s for the write lock."""
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        import sqlite3  # here, not at module level: runs without a cache never load it
+
+        Path(root).mkdir(parents=True, exist_ok=True)
+        self.file = Path(root) / "responses.sqlite3"
         self._lock = threading.Lock()
+        self._error = sqlite3.Error
+        try:
+            self._db = sqlite3.connect(self.file, isolation_level=None, check_same_thread=False)
+            self.close = weakref.finalize(self, self._db.close)  # also at collection or exit; folds in the WAL
+            self._db.executescript(
+                "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
+                " responses (key TEXT PRIMARY KEY, response TEXT NOT NULL)"
+            )
+        except sqlite3.Error as exc:
+            raise ContractViolation(f"response cache {self.file}: {exc}") from None
+
+    def _execute(self, sql: str, params: tuple) -> tuple | None:
+        try:
+            with self._lock:
+                return self._db.execute(sql, params).fetchone()
+        except self._error as exc:
+            raise ContractViolation(f"response cache {self.file}: {exc}") from None
 
     @staticmethod
     def key(service: str, body: Mapping) -> str:
         payload = dumps_canonical({"service": service, "body": body})
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def path(self, service: str, body: Mapping) -> Path:
-        return self.root / f"{self.key(service, body)}.json"
+    def path(self, service: str, body: Mapping) -> str:
+        """The entry's name in errors: the database file and the key."""
+        return f"{self.file} key {self.key(service, body)}"
 
     def get(self, service: str, body: Mapping) -> dict | None:
-        path = self.path(service, body)
-        if not path.exists():
+        row = self._execute("SELECT response FROM responses WHERE key = ?", (self.key(service, body),))
+        if row is None:
             return None
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except ValueError as exc:
-            raise ContractViolation(f"corrupt cache entry {path}: {exc}") from None
-        if not isinstance(entry, dict):
-            raise ContractViolation(f"corrupt cache entry {path}: not a JSON object")
+            entry = json.loads(row[0])
+            if not isinstance(entry, dict):
+                raise ValueError("not a JSON object")
+        except (TypeError, ValueError) as exc:  # TypeError: a row whose response is not text
+            raise ContractViolation(f"corrupt cache entry {self.path(service, body)}: {exc}") from None
         return entry
 
     def put(self, service: str, body: Mapping, response: Mapping) -> None:
-        path = self.path(service, body)
-        data = dumps_canonical(dict(response))
-        with self._lock, atomic_open(path) as fh:
-            fh.write(data)
+        row = (self.key(service, body), dumps_canonical(dict(response)))
+        self._execute("INSERT OR REPLACE INTO responses VALUES (?, ?)", row)
 
 
 class _ServiceClient:
@@ -302,8 +320,8 @@ class CachingBackend:
             try:
                 return _clamp_probability(cached.get("probability"), "scorer cache")
             except ProtocolError:
-                path = self.cache.path(self.service, body)
-                raise ContractViolation(f"corrupt cache entry {path}: no number 'probability'") from None
+                entry = self.cache.path(self.service, body)
+                raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
         value = self.inner.score(req)
         self.cache.put(self.service, body, {"probability": value})
         return value
@@ -314,8 +332,8 @@ class CachingBackend:
         if cached is not None:
             # not a ProtocolError: mining records those as failed reader calls
             if not isinstance(cached.get("answer"), str):
-                path = self.cache.path(self.service, body)
-                raise ContractViolation(f"corrupt cache entry {path}: no string 'answer'")
+                entry = self.cache.path(self.service, body)
+                raise ContractViolation(f"corrupt cache entry {entry}: no string 'answer'")
             return cached["answer"]
         answer = self.inner.predict(req)
         self.cache.put(self.service, body, {"answer": answer})

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import HopType, QAExample
+from .corpus import QAExample
 from .errors import ContractViolation
 from .lineio import IngestionReport, read_jsonl, write_jsonl
 from .matching import PairMatching
@@ -52,13 +52,12 @@ class ReaderExample:
         return {"question_id": self.question_id, "blocks": list(self.blocks)}
 
 
-def default_budget(hop_type: HopType, variant: Variant = Variant.PAIRWISE) -> int:
+def default_budget(example: QAExample, variant: Variant = Variant.PAIRWISE) -> int:
     """400/1000 tokens per pair block, 200/500 per linearized block
-    (single-hop/multi-hop). Unknown hop types get single-hop budgets."""
-    multi = hop_type.is_multi_hop
-    if variant is Variant.LINEARIZED:
-        return _LINEARIZED_BUDGETS[multi]
-    return _PAIRWISE_BUDGETS[multi]
+    (single-hop/multi-hop). An example is multi-hop when it declares a
+    multi-hop type or any of its chains has more than one segment."""
+    multi = example.hop_type.is_multi_hop or any(len(c.segments) > 1 for c in example.retrieved + example.generated)
+    return (_LINEARIZED_BUDGETS if variant is Variant.LINEARIZED else _PAIRWISE_BUDGETS)[multi]
 
 
 def _truncate(text: str, max_tokens: int) -> str:

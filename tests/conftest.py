@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import sqlite3
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from pairqa.corpus import Passage, PassageChain, QAExample
+
+
+def cache_db(cache_dir):
+    """A connection to the response cache under ``cache_dir`` that commits
+    each statement as it runs and is closed when the ``with`` block ends."""
+    return contextlib.closing(sqlite3.connect(cache_dir / "responses.sqlite3", isolation_level=None))
 
 
 def make_chain(text: str, cid: str, title: str | None = None) -> PassageChain:

@@ -13,6 +13,8 @@ from pairqa.cli import FIELDS, build_parser, load_config, main
 from pairqa.corpus import HopType, write_examples
 from pairqa.sim import SynthSpec, generate_corpus, write_truth
 
+from conftest import cache_db
+
 
 @pytest.fixture
 def sim_workspace(tmp_path):
@@ -240,6 +242,14 @@ def _bad_probability(field, value):
     return _bad_store(edit, where=f"store.jsonl line 1: bad matrix record: {field} {value!r} outside [0,1]")
 
 
+def _cache_not_a_database(tmp, dataset, truth):
+    cache = tmp / "cache"
+    cache.mkdir()
+    (cache / "responses.sqlite3").write_text("not a database\n" * 100)
+    argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--cache_dir", cache]
+    return argv, f"response cache {cache / 'responses.sqlite3'}: file is not a database"
+
+
 def _matchings_float_index(tmp, dataset, truth):
     out = tmp / "out"
     assert run("score", "--dataset", dataset, "--out", out) == 0
@@ -349,21 +359,22 @@ def _mine_argv(dataset, truth):
 
 
 _HTTP_MODULES = ("requests", "urllib.request", "http.client")
-_REPORT_HTTP_MODULES = (
+_REPORT_LOADED_MODULES = (
     "import json, sys\n"
     "from pairqa.cli import main\n"
-    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
-    f"print(json.dumps({{'exit': code, 'loaded': [m for m in {_HTTP_MODULES!r} if m in sys.modules]}}))\n"
+    "modules = json.loads(sys.argv[1])\n"
+    "code = main(sys.argv[2:]) if len(sys.argv) > 2 else None\n"
+    "print(json.dumps({'exit': code, 'loaded': [m for m in modules if m in sys.modules]}))\n"
 )
 
 
-def _in_new_interpreter(*argv) -> dict:
+def _in_new_interpreter(*argv, modules=_HTTP_MODULES) -> dict:
     """Import ``pairqa.cli`` in a new interpreter, run ``main(argv)`` if argv
-    is given, and report its exit code and which of ``_HTTP_MODULES`` got
+    is given, and report its exit code and which of ``modules`` got
     loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(pairqa.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_HTTP_MODULES, *map(str, argv)],
+        [sys.executable, "-c", _REPORT_LOADED_MODULES, json.dumps(modules), *map(str, argv)],
         env=env,
         capture_output=True,
         text=True,
@@ -439,6 +450,23 @@ class TestScoreMatchSerialize:
             consistency = {p for r in records for row in r["consistency"] for p in row}
             assert evidentiality == consistency == {probability}
 
+    @pytest.mark.parametrize("hop_type", [None, "unknown"])
+    def test_two_segment_chains_get_the_multi_hop_budget(self, tmp_path, hop_type):
+        """400 tokens per pair block for single-hop, 1000 for multi-hop: chains
+        of two 302-token segments are multi-hop without a multi-hop type."""
+
+        def chains(tag):
+            return [[{"text": " ".join(f"{tag}{c}.{s}.{k}" for k in range(302))} for s in range(2)] for c in range(2)]
+
+        record = {"question_id": "q1", "question": "who won", "answers": ["Don Shula"]}
+        record.update(retrieved=chains("r"), generated=chains("g"), **({"hop_type": hop_type} if hop_type else {}))
+        dataset, out = tmp_path / "data.jsonl", tmp_path / "out"
+        dataset.write_text(json.dumps(record) + "\n")
+        for stage in ("score", "match", "serialize"):
+            assert run(stage, "--dataset", dataset, "--out", out, "--strict") == 0
+        (reader,) = [json.loads(line) for line in (out / "reader_inputs.jsonl").read_text().splitlines()]
+        assert [len(block.split()) for block in reader["blocks"]] == [1000, 1000]
+
     def test_workers_do_not_change_output(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         out1, out4 = tmp / "w1", tmp / "w4"
@@ -447,10 +475,56 @@ class TestScoreMatchSerialize:
         assert (out1 / "matrices.jsonl").read_bytes() == (out4 / "matrices.jsonl").read_bytes()
 
 
+def _cache_rows(cache_dir) -> int:
+    with cache_db(cache_dir) as db:
+        return db.execute("SELECT count(*) FROM responses").fetchone()[0]
+
+
+class TestCacheDir:
+    _OUTPUTS = ("matrices.jsonl", "labels.evidentiality.jsonl", "labels.consistency.jsonl", "mining_audit.jsonl")
+
+    @staticmethod
+    def _score_and_mine(tmp, dataset, truth, out, *flags):
+        assert run("score", "--dataset", dataset, "--out", out, *flags) == 0
+        assert run("mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth, *flags) == 0
+
+    def test_old_layout_directory_misses_and_is_refilled(self, sim_workspace):
+        """A directory of ``<key>.json`` entries, as earlier versions wrote,
+        is not read: each of its keys is asked again and stored in the table."""
+        tmp, dataset, truth = sim_workspace
+        self._score_and_mine(tmp, dataset, truth, tmp / "plain")
+        self._score_and_mine(tmp, dataset, truth, tmp / "fill", "--cache_dir", tmp / "fill-cache")
+        with cache_db(tmp / "fill-cache") as db:
+            keys = [key for (key,) in db.execute("SELECT key FROM responses")]
+        old = tmp / "old-cache"
+        old.mkdir()
+        for key in keys:  # answers that would change every output if they were replayed
+            (old / f"{key}.json").write_text('{"answer":"nobody","probability":0.25}')
+        self._score_and_mine(tmp, dataset, truth, tmp / "old", "--cache_dir", old)
+        for name in self._OUTPUTS:
+            assert (tmp / "old" / name).read_bytes() == (tmp / "plain" / name).read_bytes(), name
+        assert _cache_rows(old) == len(keys)
+
+    def test_cold_two_workers_then_warm_one_worker(self, sim_workspace, http_service):
+        tmp, dataset, truth = sim_workspace
+        http_service.responses["/score"] = lambda body: {"probability": len(body["retrieved"]) % 7 / 7}
+        cache = tmp / "cache"
+        flags = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score"), "--cache_dir", cache]
+        self._score_and_mine(tmp, dataset, truth, tmp / "cold", *flags, "--workers", 2)
+        rows = _cache_rows(cache)
+        assert rows == len(http_service.requests["/score"]) + 8 * (1 + 4 + 2 * 3)
+        http_service.close()  # from here on any request fails, so the warm pass must send none
+        self._score_and_mine(tmp, dataset, truth, tmp / "warm", *flags, "--workers", 1, "--strict")
+        for name in self._OUTPUTS:
+            assert (tmp / "warm" / name).read_bytes() == (tmp / "cold" / name).read_bytes(), name
+        assert _cache_rows(cache) == rows
+
+
 class TestStartup:
     """The HTTP modules cost a stage process tens of milliseconds to import:
     only a request that is actually sent may load them (each test checks all
-    of ``_HTTP_MODULES``), and ``requests`` is never loaded."""
+    of ``_HTTP_MODULES``), and ``requests`` is never loaded. ``sqlite3`` is
+    loaded only by a run with a ``cache_dir``."""
 
     def test_import_leaves_requests_unloaded(self):
         assert _in_new_interpreter() == {"exit": None, "loaded": []}
@@ -459,6 +533,13 @@ class TestStartup:
         tmp, dataset, _ = sim_workspace
         result = _in_new_interpreter("score", "--dataset", dataset, "--out", tmp / "out")
         assert result == {"exit": 0, "loaded": []}
+
+    def test_only_a_cached_score_loads_sqlite3(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        argv = ["score", "--dataset", dataset, "--out", tmp / "out"]
+        assert _in_new_interpreter(*argv, modules=["sqlite3"]) == {"exit": 0, "loaded": []}
+        cached = _in_new_interpreter(*argv, "--cache_dir", tmp / "cache", modules=["sqlite3"])
+        assert cached == {"exit": 0, "loaded": ["sqlite3"]}
 
     @staticmethod
     def _remote_score(tmp, dataset, http_service):
@@ -621,6 +702,19 @@ class TestGenerate:
         assert run(*argv) == 0
         generated = json.loads((out / "generated.jsonl").read_text())["generated"]
         assert generated == [[{"id": "q1-g0.0", "text": "Shula coached"}, {"id": "q1-g0.1", "text": "the Dolphins won"}]]
+
+    def test_only_generate_expects_an_empty_generated_pool(self, tmp_path, http_service, monkeypatch, caplog):
+        dataset = tmp_path / "data.jsonl"
+        record = {"question_id": "q1", "question": "who won", "answers": ["Don Shula"], "retrieved": [{"text": "Don Shula won"}]}
+        dataset.write_text(json.dumps(record) + "\n")
+        http_service.responses["/generate"] = {"passages": [["alpha"]]}
+        monkeypatch.setenv("PAIRQA_GENERATOR_URL", http_service.url("/generate"))
+        warning = "ingest line 1: q1: empty generated pool"
+        with caplog.at_level("WARNING"):
+            assert run("generate", "--dataset", dataset, "--out", tmp_path / "gen", "--generator.n", 1) == 0
+            assert warning not in caplog.messages
+            assert run("score", "--dataset", dataset, "--out", tmp_path / "score") == 0
+            assert warning in caplog.messages
 
 
 class TestErrorHandling:
@@ -806,6 +900,7 @@ class TestErrorHandling:
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
             _unparsable_override,
+            _cache_not_a_database,
         ],
         ids=[
             "truth-without-chains",
@@ -828,6 +923,7 @@ class TestErrorHandling:
             "annotation-bogus-type",
             "annotation-missing-key",
             "override-not-an-int",
+            "cache-not-a-database",
         ],
     )
     def test_malformed_handoff_record_stops_with_summary(self, sim_workspace, case, capsys):
@@ -853,6 +949,7 @@ class TestErrorHandling:
             _analyze_missing_prediction,
             _analyze_bad_annotation,
             _analyze_ragged_matrix,
+            _argv_of(_cache_not_a_database),
         ],
         ids=[
             "score-scorer-failure",
@@ -866,6 +963,7 @@ class TestErrorHandling:
             "analyze-missing-prediction",
             "analyze-bad-annotation",
             "analyze-ragged-matrix",
+            "cache-not-a-database",
         ],
     )
     def test_failure_writes_no_file(self, sim_workspace, case):
@@ -1021,8 +1119,10 @@ class TestErrorHandling:
         tmp, dataset, truth = sim_workspace
         argv = [*stage_argv(dataset, truth), "--out", tmp / "out", "--cache_dir", tmp / "cache"]
         assert run(*argv) == 0
-        entry = sorted((tmp / "cache").iterdir())[0]
-        entry.write_text(corruption)
+        with cache_db(tmp / "cache") as db:
+            (key,) = db.execute("SELECT min(key) FROM responses").fetchone()
+            db.execute("UPDATE responses SET response = ? WHERE key = ?", (corruption, key))
+        entry = f"{tmp / 'cache' / 'responses.sqlite3'} key {key}"
         assert run(*argv) == 0
         report = json.loads((tmp / "out" / f"{argv[0]}_report.json").read_text())
         assert len(report["errors"]) == 1

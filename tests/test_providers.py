@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -32,7 +33,7 @@ from pairqa.providers import (
 )
 from pairqa.scoring import CombineMode, build_matrix
 
-from conftest import make_example
+from conftest import cache_db, make_example
 
 
 def evid_request(**overrides):
@@ -161,13 +162,18 @@ class TestRemoteScorer:
         scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         with pytest.raises(ProtocolError, match="not a number: nan"):
             scorer.score(evid_request())
-        assert list((tmp_path / "cache").iterdir()) == []
+        with cache_db(tmp_path / "cache") as db:
+            assert db.execute("SELECT count(*) FROM responses").fetchone() == (0,)
 
     def test_nan_cache_entry_is_corrupt_and_named(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(LexicalMockScorer.from_examples([make_example()]), cache, "scorer:lexical")
-        entry = cache.path("scorer:lexical", evid_request().wire_body())
-        entry.write_text('{"probability":NaN}')
+        assert scorer.score(evid_request()) == 1.0  # cached
+        key = cache.key("scorer:lexical", evid_request().wire_body())
+        with cache_db(tmp_path / "cache") as db:
+            db.execute("UPDATE responses SET response = ? WHERE key = ?", ('{"probability":NaN}', key))
+        entry = f"{tmp_path / 'cache' / 'responses.sqlite3'} key {key}"
+        assert cache.path("scorer:lexical", evid_request().wire_body()) == entry
         with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
             scorer.score(evid_request())
 
@@ -472,9 +478,43 @@ class TestResponseCache:
         cache.put("scorer", {"q": 1}, {"probability": 0.5})
         assert cache.get("scorer", {"q": 1}) == {"probability": 0.5}
 
+    def test_two_caches_on_one_directory_see_each_others_puts(self, tmp_path):
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        first.put("scorer", {"q": 1}, {"probability": 0.5})
+        second.put("scorer", {"q": 2}, {"probability": 0.25})
+        assert second.get("scorer", {"q": 1}) == {"probability": 0.5}
+        assert first.get("scorer", {"q": 2}) == {"probability": 0.25}
+
+    def test_close_leaves_one_file_that_keeps_the_entries(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("scorer", {"q": 1}, {"probability": 0.5})
+        cache.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite3"]
+        assert ResponseCache(tmp_path).get("scorer", {"q": 1}) == {"probability": 0.5}
+
+    def test_threads_sharing_one_cache_lose_no_put(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+
+        def fill(worker):
+            for k in range(100):
+                cache.put("scorer", {"w": worker, "k": k}, {"probability": k / 100})
+                assert cache.get("scorer", {"w": worker, "k": k}) == {"probability": k / 100}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for future in [pool.submit(fill, w) for w in range(6)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        with cache_db(tmp_path) as db:
+            assert db.execute("SELECT count(*) FROM responses").fetchone() == (600,)
+        assert all(cache.get("scorer", {"w": w, "k": 99}) == {"probability": 0.99} for w in range(6))
+
     def test_entry_has_the_mode_of_other_outputs(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         cache.put("scorer", {"q": 1}, {"probability": 0.5})
         write_jsonl(tmp_path / "out.jsonl", [{"q": 1}])
-        (entry,) = (tmp_path / "cache").iterdir()
+        entry = tmp_path / "cache" / "responses.sqlite3"
         assert stat.S_IMODE(entry.stat().st_mode) == stat.S_IMODE((tmp_path / "out.jsonl").stat().st_mode)

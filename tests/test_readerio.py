@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairqa.corpus import HopType
+from pairqa.corpus import HopType, PassageChain
 from pairqa.lineio import IngestionReport
 from pairqa.matching import PairMatching, Strategy
 from pairqa.readerio import (
@@ -198,7 +199,16 @@ class TestDefaultBudget:
         ],
     )
     def test_values(self, hop, variant, expected):
-        assert default_budget(hop, variant) == expected
+        assert default_budget(dataclasses.replace(tiny_example(), hop_type=hop), variant) == expected
+
+    @pytest.mark.parametrize("hop", [HopType.SINGLE_HOP, HopType.UNKNOWN])
+    @pytest.mark.parametrize("pool", ["retrieved", "generated"])
+    def test_a_chain_of_two_segments_is_multi_hop(self, hop, pool):
+        example = dataclasses.replace(tiny_example(), hop_type=hop)
+        two = (*getattr(example, pool)[0].segments, make_chain("second hop", "s1").segments[0])
+        example = dataclasses.replace(example, **{pool: (PassageChain(two),)})
+        assert default_budget(example, Variant.PAIRWISE) == 1000
+        assert default_budget(example, Variant.LINEARIZED) == 500
 
 
 class TestPredictionsIO:
