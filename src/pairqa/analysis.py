@@ -56,7 +56,6 @@ class Bin:
 class BinReport:
     bins: tuple[Bin, ...]
     total: int
-    excluded: int
 
 
 def conflicting_rate(example: QAExample) -> ConflictStats:
@@ -92,21 +91,15 @@ def bin_report(
     predictions: Mapping[str, Mapping[str, str]],
     examples: Iterable[QAExample],
 ) -> BinReport:
-    """Per-bin EM for each method in ``predictions`` (method -> qid -> answer).
-
-    Questions missing a prediction for any method are excluded entirely
-    (and counted), so all methods are compared on the same subset.
-    """
+    """Per-bin EM for each method in ``predictions`` (method -> qid -> answer),
+    which holds a prediction of every method for every question in ``stats``,
+    so all methods are compared on the same questions."""
     answers = {ex.question_id: ex.answers for ex in examples}
     methods = sorted(predictions)
     kept: list[tuple[int, str]] = []
-    excluded = 0
     for stat in stats:
         if stat.question_id not in answers:
             raise ContractViolation(f"no example for question {stat.question_id!r}")
-        if any(stat.question_id not in predictions[m] for m in methods):
-            excluded += 1
-            continue
         kept.append((bin_index(stat.conflicting_rate), stat.question_id))
     total = len(kept)
     bins = []
@@ -128,7 +121,7 @@ def bin_report(
                 em_by_method=em_by_method,
             )
         )
-    return BinReport(bins=tuple(bins), total=total, excluded=excluded)
+    return BinReport(bins=tuple(bins), total=total)
 
 
 def pair_type_distribution(matrices: Sequence[CompatibilityMatrix]) -> dict[PairType, float]:
@@ -189,5 +182,5 @@ def format_bin_report(report: BinReport) -> str:
         row = [f"{b.lower:.1f} - {b.upper:.1f}", f"{100 * b.subset_fraction:13.1f}%"]
         row += [f"{100 * b.em_by_method[m]:14.1f}" for m in methods]
         lines.append("  ".join(f"{c:>14}" for c in row))
-    lines.append(f"questions: {report.total} (excluded: {report.excluded})")
+    lines.append(f"questions: {report.total}")
     return "\n".join(lines)

@@ -13,9 +13,11 @@ the run with "<dotted> must be <kind>, got <value>". Endpoint URLs and
 tokens can also come from PAIRQA_SCORER_URL, PAIRQA_SCORER_TOKEN and the
 like for PREDICTOR and GENERATOR, or PAIRQA_TOKEN.
 
-Per-item failures are collected into the stage report and never abort the
-run unless ``--strict`` is set. Given identical config, seeds, and cached
-provider responses, every stage writes byte-identical outputs.
+A stage joins each question-keyed file it reads (``STAGES``) to the dataset
+by question id. A question on one side only, like every per-item failure,
+is collected into the stage report and aborts the run only under
+``--strict``. Given identical config, seeds, and cached provider
+responses, every stage writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import IngestionReport, atomic_open, boolean, integer, number, read_jsonl, string, write_jsonl
+from .lineio import atomic_open, boolean, integer, number, read_jsonl, read_keyed, string, write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
@@ -277,36 +279,26 @@ def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[
     return results
 
 
-def _ingest_errors(cfg: PipelineConfig, report: IngestionReport, what: str, **where) -> list[dict]:
-    """Stage-report entries for the lines an ingest rejected; ``--strict``
-    makes any of them fatal."""
-    errors = [{"stage": "ingest", **where, "line": e.line, "error": e.message} for e in report.errors]
-    if cfg["strict"] and errors:
-        raise PipelineError(f"{len(errors)} malformed {what} records")
-    return errors
+def _join(examples: Sequence[QAExample], files: Sequence[Mapping[str, Any]]) -> list[tuple]:
+    """Join handoff files (question id -> record) to the dataset: ``(question_id,
+    example | None, one record | None per file)`` for each dataset question in
+    dataset order, then for each question the dataset lacks, in file order."""
+    by_id = {ex.question_id: ex for ex in examples}
+    qids = dict.fromkeys([*by_id, *(qid for records in files for qid in records)])
+    return [(qid, by_id.get(qid), *(records.get(qid) for records in files)) for qid in qids]
 
 
-def _join(examples: Sequence[QAExample], records: Sequence) -> list[tuple]:
-    """Join a handoff file's records to the dataset by question id:
-    ``(question_id, example | None, record | None)`` for each dataset question
-    in dataset order, then for each record whose question the dataset lacks,
-    in file order."""
-    by_id = {record.question_id: record for record in records}
-    items = [(ex.question_id, ex, by_id.pop(ex.question_id, None)) for ex in examples]
-    return items + [(qid, None, record) for qid, record in by_id.items()]
-
-
-def _both_sides(fn: Callable, no_record: str) -> Callable:
-    """``fn`` over joined items, failing an item that is on one side only: its
-    question is not in the dataset, or the handoff file has no record for it
-    (``no_record``)."""
+def _both_sides(fn: Callable, no_records: Sequence[str | None]) -> Callable:
+    """``fn`` over joined items, failing an item whose question is not in the dataset
+    or is lacked by a file whose ``no_records`` entry (the error) is not None."""
 
     def both(item: tuple):
-        qid, example, record = item
+        qid, example, *records = item
         if example is None:
             raise PipelineError(f"{qid}: not in dataset")
-        if record is None:
-            raise PipelineError(f"{qid}: {no_record}")
+        missing = [no_record for no_record, record in zip(no_records, records) if no_record and record is None]
+        if missing:
+            raise PipelineError(f"{qid}: {', '.join(missing)}")
         return fn(item)
 
     return both
@@ -411,27 +403,17 @@ def _finish_serialize(cfg: PipelineConfig, examples, reader_examples, errors) ->
 
 
 def _build_analyze(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
-    return lambda item: (analysis.conflicting_rate(item[1]), item[2])
+    # item: question id, example, matrix or None, then one answer per analyze.predictions method
+    return lambda item: (analysis.conflicting_rate(item[1]), item[2], item[3:])
 
 
 def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dict, str]:
-    # the corpus-wide inputs too are read and checked, and --strict decided, before any file is written
-    stats = [stat for stat, _ in results]
-    predictions = {}
-    for method, path in cfg["analyze.predictions"].items():
-        ingest = IngestionReport()
-        predictions[method] = readerio.ingest_predictions(path, ingest)
-        errors += _ingest_errors(cfg, ingest, f"{method} prediction", file=str(path))
-
-    def predicted_by_every_method(stat: analysis.ConflictStats) -> None:
-        missing = [method for method in predictions if stat.question_id not in predictions[method]]
-        if missing:
-            raise PipelineError(f"{stat.question_id}: no prediction from {', '.join(missing)}")
-
-    # the bin report leaves these questions out; this records each one
-    _map_items(stats, predicted_by_every_method, cfg, errors, "analyze")
+    # the annotations too are read and checked, and --strict decided, before any file is written
+    stats = [stat for stat, _, _ in results]
+    methods = enumerate(cfg["analyze.predictions"])
+    predictions = {method: {stat.question_id: answers[k] for stat, _, answers in results} for k, method in methods}
     report = analysis.bin_report(stats, predictions, examples) if predictions else None
-    matrices = [matrix for _, matrix in results if matrix is not None]
+    matrices = [matrix for _, matrix, _ in results if matrix is not None]
     distribution = analysis.pair_type_distribution(matrices) if matrices else None
 
     annotations_file = cfg["analyze.annotations"]
@@ -465,48 +447,62 @@ def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dic
     return {"questions": len(stats), "mean_conflicting_rate": mean_rate}, "\n".join(lines)
 
 
-# A handoff is a file an earlier stage wrote, joined to the dataset by question
-# id: (config section, key, loader, the per-item error of a dataset question the
-# file lacks, whether the default path may be absent). Its path is
-# <section>.<key>, else <out>/<key>.jsonl. A loader looks its function up when
-# called, so that a wrapper bound later to the module attribute sees the call.
+# A stage's handoffs are the question-keyed files it joins to the dataset, each
+# as (the per-item error of a dataset question the file lacks, or None if it
+# may lack any; its records by question id). A loader looks its function up
+# when called, so that a wrapper bound later to the module attribute sees it.
 _MATRICES = ("matrices", lambda path: scoring.load_matrix_dump(path), "no compatibility matrix")
 _MATCHINGS = ("matchings", lambda path: load_matchings(path), "no matching")
 
-# name -> (builder, finisher, handoff or None)
-STAGES: dict[str, tuple[Callable, Callable, tuple | None]] = {
+
+def _dumped(cfg: PipelineConfig, section: str, key: str, load: Callable, no_record: str, optional=False) -> tuple:
+    """The handoff an earlier stage wrote, at <section>.<key>, else <out>/<key>.jsonl;
+    an ``optional`` one absent from its default path joins as a file without records."""
+    configured = cfg[f"{section}.{key}"]
+    path = Path(configured) if configured else cfg["out"] / f"{key}.jsonl"
+    if not path.exists() and (configured or not optional):
+        raise ContractViolation(f"no {key} file at {path}")
+    return (no_record, load(path)) if path.exists() else (None, {})
+
+
+def _analyze_handoffs(cfg: PipelineConfig) -> list[tuple]:
+    """The matrix dump, if any, then one ``{"question_id", "answer"}`` file per analyze.predictions method."""
+    answer = lambda rec: string(rec["answer"])
+    handoffs = [_dumped(cfg, "analyze", *_MATRICES, optional=True)]
+    for method, path in cfg["analyze.predictions"].items():
+        handoffs.append((f"no prediction from {method}", read_keyed(path, "prediction", answer)))
+    return handoffs
+
+
+# name -> (builder, finisher, None or the function of the config that reads the stage's handoffs)
+STAGES: dict[str, tuple[Callable, Callable, Callable | None]] = {
     "generate": (_build_generate, _finish_generate, None),
     "score": (_build_score, _finish_score, None),
-    "match": (_build_match, _finish_match, ("matching", *_MATRICES, False)),
+    "match": (_build_match, _finish_match, lambda cfg: [_dumped(cfg, "matching", *_MATRICES)]),
     "mine": (_build_mine, _finish_mine, None),
-    "serialize": (_build_serialize, _finish_serialize, ("serialize", *_MATCHINGS, False)),
-    "analyze": (_build_analyze, _finish_analyze, ("analyze", *_MATRICES, True)),
+    "serialize": (_build_serialize, _finish_serialize, lambda cfg: [_dumped(cfg, "serialize", *_MATCHINGS)]),
+    "analyze": (_build_analyze, _finish_analyze, _analyze_handoffs),
 }
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> int:
-    """Run one dataset stage: load the dataset and the stage's handoff file,
-    run the per-item function over the examples (or over the join of the two),
-    then write the outputs, the report and the summary. Every input is read,
-    and ``--strict`` decided, before the first file is written."""
-    build, finish, handoff = STAGES[name]
+    """Run one dataset stage: load the dataset and the stage's handoff files,
+    run the per-item function over the examples (or over their join), then
+    write the outputs, the report and the summary. Every input is read, and
+    ``--strict`` decided, before the first file is written."""
+    build, finish, handoffs = STAGES[name]
     if not cfg["dataset"]:
         raise ContractViolation("this command needs --dataset (or config dataset)")
     examples, ingest = read_examples(cfg["dataset"], expect_generated=name != "generate")
     for w in ingest.warnings:
         logger.warning("ingest line %d: %s", w.line, w.message)
-    errors = _ingest_errors(cfg, ingest, "dataset")
+    errors = [{"stage": "ingest", "line": e.line, "error": e.message} for e in ingest.errors]
+    if cfg["strict"] and errors:
+        raise PipelineError(f"{len(errors)} malformed dataset records")
     items, work = examples, build(cfg, examples)
-    if handoff is not None:
-        section, key, load, no_record, optional = handoff
-        configured = cfg[f"{section}.{key}"]
-        path = Path(configured) if configured else cfg["out"] / f"{key}.jsonl"
-        if path.exists():
-            items, work = _join(examples, load(path)), _both_sides(work, no_record)
-        elif configured or not optional:
-            raise ContractViolation(f"no {key} file at {path}")
-        else:
-            items = _join(examples, [])
+    if handoffs is not None:
+        no_records, files = zip(*handoffs(cfg))
+        items, work = _join(examples, files), _both_sides(work, no_records)
     results = _map_items(items, work, cfg, errors, name)
     fields, summary = finish(cfg, examples, results, errors)
     _write_report(cfg, name, {**fields, "errors": errors})

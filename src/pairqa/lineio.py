@@ -12,7 +12,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import ContractViolation
 
@@ -97,6 +97,22 @@ def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Itera
                 raise ContractViolation(f"{path} line {lineno}: {problem}")
             else:
                 report.error(lineno, problem)
+
+
+def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dict[str, Any]:
+    """``parse`` of each record of a question-keyed file, by question id in file order.
+    A line that is not a JSON object, a repeated or non-string question_id, or a record
+    that ``parse`` rejects raises ContractViolation "<path> line N: bad <what> record: ..."."""
+    records = {}
+    for lineno, rec in read_jsonl(path):
+        try:
+            qid = string(rec["question_id"])
+            if qid in records:
+                raise ValueError(f"repeated question_id {qid!r}")
+            records[qid] = parse(rec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"{path} line {lineno}: bad {what} record: {exc}") from None
+    return records
 
 
 @contextmanager

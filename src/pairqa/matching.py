@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .corpus import QAExample, contains_answer
 from .errors import ContractViolation
-from .lineio import integer, number, read_jsonl
+from .lineio import integer, number, read_keyed
 from .scoring import CompatibilityMatrix, PairType
 
 Pair = tuple[int, int, float]
@@ -60,24 +60,19 @@ class PairMatching:
         }
 
 
-def load_matchings(path: str | Path) -> list[PairMatching]:
-    """Read the records ``PairMatching.to_record`` writes, in file order; a
-    malformed or repeated record raises ContractViolation naming the line."""
-    out: dict[str, PairMatching] = {}
-    for lineno, rec in read_jsonl(path):
-        try:
-            qid = rec["question_id"]
-            if qid in out:
-                raise ValueError(f"repeated question_id {qid!r}")
-            out[qid] = PairMatching(
-                question_id=qid,
-                strategy=Strategy(rec["strategy"]),
-                pairs=tuple((integer(i), integer(j), number(s)) for i, j, s in rec["pairs"]),
-                total_weight=number(rec["total_weight"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"{path} line {lineno}: bad matching record: {exc}") from None
-    return list(out.values())
+def load_matchings(path: str | Path) -> dict[str, PairMatching]:
+    """Read the records ``PairMatching.to_record`` writes, by question id in file
+    order; a malformed or repeated record raises ContractViolation naming the line."""
+
+    def parse(rec: dict) -> PairMatching:
+        return PairMatching(
+            question_id=rec["question_id"],
+            strategy=Strategy(rec["strategy"]),
+            pairs=tuple((integer(i), integer(j), number(s)) for i, j, s in rec["pairs"]),
+            total_weight=number(rec["total_weight"]),
+        )
+
+    return read_keyed(path, "matching", parse)
 
 
 @dataclass(frozen=True)

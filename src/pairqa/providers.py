@@ -119,11 +119,12 @@ class PredictRequest:
 
 
 class ResponseCache:
-    """Persistent response store: one sqlite table in ``<root>/responses.sqlite3``,
-    one connection shared by every thread under a lock. Each put commits alone, in
-    WAL mode with ``synchronous=NORMAL``: a crash may lose the last puts (they are not
-    fsynced) but never tears an entry. Workers racing on a key write identical
-    bytes; another process waits up to 5 s for the write lock."""
+    """Persistent response store: one sqlite table in ``<root>/responses.sqlite3``
+    (``WITHOUT ROWID``: each key is stored once), one connection shared by every
+    thread under a lock. Each put commits alone, in WAL mode with ``synchronous=NORMAL``:
+    a crash may lose the last puts (they are not fsynced) but never tears an entry.
+    Workers racing on a key write identical bytes; another process waits up to 5 s
+    for the write lock."""
 
     def __init__(self, root: str | Path):
         import sqlite3  # here, not at module level: runs without a cache never load it
@@ -137,7 +138,7 @@ class ResponseCache:
             self.close = weakref.finalize(self, self._db.close)  # also at collection or exit; folds in the WAL
             self._db.executescript(
                 "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
-                " responses (key TEXT PRIMARY KEY, response TEXT NOT NULL)"
+                " responses (key TEXT PRIMARY KEY, response TEXT NOT NULL) WITHOUT ROWID"
             )
         except sqlite3.Error as exc:
             raise ContractViolation(f"response cache {self.file}: {exc}") from None

@@ -14,7 +14,6 @@ token boundary from the end.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -23,10 +22,8 @@ from typing import Iterable
 
 from .corpus import QAExample
 from .errors import ContractViolation
-from .lineio import IngestionReport, read_jsonl, write_jsonl
+from .lineio import write_jsonl
 from .matching import PairMatching
-
-logger = logging.getLogger(__name__)
 
 QUESTION_MARKER = "question:"
 GENERATED_MARKER = "generated passage:"
@@ -107,11 +104,6 @@ def _pair_texts(example: QAExample, matching: PairMatching) -> list[tuple[str, s
     return texts
 
 
-def serialize_pairwise(example: QAExample, matching: PairMatching, budget: int) -> ReaderExample:
-    """One block per matched pair, in matching (compatibility-sorted) order."""
-    return serialize_variant(example, matching, Variant.PAIRWISE, budget)
-
-
 def serialize_variant(
     example: QAExample,
     matching: PairMatching,
@@ -119,7 +111,8 @@ def serialize_variant(
     budget: int,
     seed: int = 0,
 ) -> ReaderExample:
-    """Serialize under any input variant; shuffles derive from ``seed``."""
+    """Serialize under any input variant: pairwise is one block per matched pair,
+    in matching (compatibility-sorted) order; shuffles derive from ``seed``."""
     question, texts = example.question, _pair_texts(example, matching)
     if variant is Variant.PAIRWISE:
         blocks = [_pair_block(question, lp_text, rp_text, budget) for lp_text, rp_text in texts]
@@ -166,23 +159,3 @@ def parse_pair_block(block: str) -> tuple[str, str, str]:
 def write_reader_examples(path: str | Path, examples: Iterable[ReaderExample]) -> int:
     return write_jsonl(path, (ex.to_record() for ex in examples))
 
-
-def ingest_predictions(
-    path: str | Path, report: IngestionReport | None = None
-) -> dict[str, str]:
-    """Load ``{"question_id", "answer"}`` lines; duplicate ids keep the
-    last value with a warning."""
-    if report is None:
-        report = IngestionReport()
-    predictions: dict[str, str] = {}
-    for lineno, rec in read_jsonl(path, report):
-        qid = rec.get("question_id")
-        answer = rec.get("answer")
-        if not isinstance(qid, str) or not isinstance(answer, str):
-            report.error(lineno, "prediction record needs string question_id and answer")
-            continue
-        if qid in predictions:
-            report.warn(lineno, f"duplicate prediction for {qid}; keeping the last one")
-            logger.warning("duplicate prediction for %s at line %d; last wins", qid, lineno)
-        predictions[qid] = answer
-    return predictions

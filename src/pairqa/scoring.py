@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .corpus import QAExample
 from .errors import ContractViolation
-from .lineio import read_jsonl, write_jsonl
+from .lineio import read_keyed, write_jsonl
 from .providers import FileScoreStore, ScoreKind, ScoreRequest
 
 
@@ -149,35 +149,30 @@ def _probabilities(values, field: str) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def load_matrix_dump(path: str | Path) -> list[CompatibilityMatrix]:
-    """Read a dump back, one matrix per record in file order.
+def _matrix(rec: dict) -> CompatibilityMatrix:
+    if sorted(rec) != _DUMP_FIELDS:
+        raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {sorted(rec)}")
+    matrix = CompatibilityMatrix(
+        question_id=rec["question_id"],
+        evidentiality=_probabilities(rec["evidentiality"], "evidentiality"),
+        consistency=tuple(_probabilities(row, "consistency") for row in rec["consistency"]),
+        mode=CombineMode(rec["mode"]),
+    )
+    lengths = sorted({len(row) for row in matrix.consistency})
+    if lengths != [matrix.n] or matrix.n == 0:
+        raise ValueError(f"ragged or empty grid: rows of {lengths} values, {matrix.n} retrieved passages")
+    return matrix
+
+
+def load_matrix_dump(path: str | Path) -> dict[str, CompatibilityMatrix]:
+    """Read a dump back, by question id in file order.
 
     A record that does not have the dump's shape (an old per-cell record
     included), a ragged grid, a probability that is NaN or outside [0, 1], an
     unknown mode or a repeated question raises ContractViolation naming the
     file and line.
     """
-    matrices: dict[str, CompatibilityMatrix] = {}
-    for lineno, rec in read_jsonl(path):
-        try:
-            if sorted(rec) != _DUMP_FIELDS or not isinstance(rec["question_id"], str):
-                raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {sorted(rec)}")
-            qid = rec["question_id"]
-            if qid in matrices:
-                raise ValueError(f"repeated question_id {qid!r}")
-            matrix = CompatibilityMatrix(
-                question_id=qid,
-                evidentiality=_probabilities(rec["evidentiality"], "evidentiality"),
-                consistency=tuple(_probabilities(row, "consistency") for row in rec["consistency"]),
-                mode=CombineMode(rec["mode"]),
-            )
-            lengths = sorted({len(row) for row in matrix.consistency})
-            if lengths != [matrix.n] or matrix.n == 0:
-                raise ValueError(f"ragged or empty grid: rows of {lengths} values, {matrix.n} retrieved passages")
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation(f"{path} line {lineno}: bad matrix record: {exc}") from None
-        matrices[qid] = matrix
-    return list(matrices.values())
+    return read_keyed(path, "matrix", _matrix)
 
 
 def load_score_store(path: str | Path, examples: Iterable[QAExample]) -> FileScoreStore:
@@ -187,8 +182,7 @@ def load_score_store(path: str | Path, examples: Iterable[QAExample]) -> FileSco
     naming the file and the question."""
     by_id = {ex.question_id: ex for ex in examples}
     scores: dict[tuple[str, str | None, str], float] = {}
-    for matrix in load_matrix_dump(path):
-        qid = matrix.question_id
+    for qid, matrix in load_matrix_dump(path).items():
         example = by_id.get(qid)
         if example is None or (matrix.m, matrix.n) != (example.m, example.n):
             found = "is not in the dataset" if example is None else f"is {example.m}x{example.n} in the dataset"

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .corpus import HopType, PassageChain, QAExample, Source, named_chain
 from .errors import ContractViolation
-from .lineio import boolean, read_jsonl, string, write_jsonl
+from .lineio import boolean, read_keyed, string, write_jsonl
 from .providers import PredictRequest
 
 
@@ -210,23 +210,25 @@ def write_truth(path: str | Path, truth: GroundTruth) -> int:
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    questions = {}
-    for lineno, rec in read_jsonl(path):
-        try:
-            qid = string(rec["question_id"])
-            if qid in questions:
-                raise ValueError(f"repeated question_id {qid!r}")
-            chains = [
-                ChainTruth(string(c["id"]), Source(c["source"]), string(c["text"]), boolean(c["supports"]))
-                for c in rec["chains"]
-            ]
-            questions[qid] = QuestionTruth(
-                question_id=qid,
-                question=string(rec["question"]),
-                gold=string(rec["gold"]),
-                distractor=string(rec["distractor"]),
-                chains={ct.chain_id: ct for ct in chains},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"{path} line {lineno}: bad truth record: {exc}") from None
-    return GroundTruth(questions=questions)
+    """Read a truth file through ``read_keyed``. The sim reader finds a question's
+    truth by its text, so a record whose text an earlier record holds is bad too."""
+    holders: dict[str, str] = {}  # question text -> the question id that holds it
+
+    def parse(rec: dict) -> QuestionTruth:
+        qid, question = rec["question_id"], string(rec["question"])
+        holder = holders.setdefault(question, qid)
+        if holder != qid:
+            raise ValueError(f"question_id {qid!r} has the question text of {holder!r}")
+        chains = [
+            ChainTruth(string(c["id"]), Source(c["source"]), string(c["text"]), boolean(c["supports"]))
+            for c in rec["chains"]
+        ]
+        return QuestionTruth(
+            question_id=qid,
+            question=question,
+            gold=string(rec["gold"]),
+            distractor=string(rec["distractor"]),
+            chains={ct.chain_id: ct for ct in chains},
+        )
+
+    return GroundTruth(questions=read_keyed(path, "truth", parse))

@@ -182,7 +182,7 @@ def test_criterion_06_serialization_goldens():
     pairing = matching.PairMatching(
         question_id="q1", strategy=matching.Strategy.OPTIMAL, pairs=((0, 0, 1.0),), total_weight=1.0
     )
-    block = readerio.serialize_pairwise(example, pairing, budget=400).blocks[0]
+    block = readerio.serialize_variant(example, pairing, readerio.Variant.PAIRWISE, 400).blocks[0]
     assert block == "question: q generated passage: a retrieved passage: b"
     assert readerio.parse_pair_block(block) == ("q", "a", "b")
 
@@ -219,7 +219,7 @@ def test_criterion_07_order_invariants():
         scores = [s for _, _, s in result.pairs]
         assert scores == sorted(scores, reverse=True)
 
-        reader = readerio.serialize_pairwise(example, result, budget=400)
+        reader = readerio.serialize_variant(example, result, readerio.Variant.PAIRWISE, 400)
         for block, (lp_index, rp_index, _) in zip(reader.blocks, result.pairs):
             gen_pos = block.find("generated passage:")
             ret_pos = block.find("retrieved passage:")

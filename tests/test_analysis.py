@@ -153,14 +153,6 @@ class TestBinReport:
             correct = self.FIRST_BIN_CORRECT if idx == 0 else self.POPULATIONS[idx] // 2
             assert b.em_by_method["combo"] == correct / self.POPULATIONS[idx]
 
-    def test_missing_prediction_excludes_question(self):
-        examples, stats, predictions = self._fixture()
-        del predictions["combo"]["q00000"]
-        report = bin_report(stats, predictions, examples)
-        assert report.excluded == 1
-        assert report.total == 1999
-        assert sum(b.count for b in report.bins) == 1999
-
     def test_single_bin_when_all_rates_zero(self):
         examples = [example_with_counts(2, 2, 0, 0, f"q{k}") for k in range(5)]
         stats = [conflicting_rate(ex) for ex in examples]

@@ -128,11 +128,40 @@ def _analyze_not_in_dataset(tmp, dataset, truth):
     return ["analyze", "--dataset", smaller, "--out", out], qid, "not in dataset"
 
 
-def _analyze_missing_prediction(tmp, dataset, truth):
+def _analyze_with_predictions(tmp, dataset, lines):
+    """The argv of analyze with one method, whose predictions file holds ``lines``."""
     predictions = tmp / "predictions.jsonl"
-    predictions.write_text(json.dumps({"question_id": "q00000", "answer": "gold00000"}) + "\n")
+    predictions.write_text("".join(line + "\n" for line in lines))
     argv = ["analyze", "--dataset", dataset, "--out", tmp / "out"]
     return [*argv, "--analyze.predictions", json.dumps({"oracle": str(predictions)})]
+
+
+def _gold_predictions(dataset) -> list[str]:
+    """One prediction line per question of ``dataset``: its first gold answer."""
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    return [json.dumps({"question_id": rec["question_id"], "answer": rec["answers"][0]}) for rec in records]
+
+
+def _analyze_missing_prediction(tmp, dataset, truth):
+    return _analyze_with_predictions(tmp, dataset, _gold_predictions(dataset)[:1])
+
+
+def _analyze_prediction_not_in_dataset(tmp, dataset, truth):
+    smaller = tmp / "smaller.jsonl"
+    qid = _copy_with_first_record(dataset, smaller, _drop)["question_id"]
+    return _analyze_with_predictions(tmp, smaller, _gold_predictions(dataset)), qid, "not in dataset"
+
+
+def _bad_predictions(last_line, problem):
+    """A predictions file of every dataset question, then ``last_line`` (None:
+    the first line again)."""
+
+    def case(tmp, dataset, truth):
+        lines = _gold_predictions(dataset)
+        lines.append(last_line if last_line is not None else lines[0])
+        return _analyze_with_predictions(tmp, dataset, lines), f"predictions.jsonl line {len(lines)}: {problem}"
+
+    return case
 
 
 def _analyze_bad_annotation(tmp, dataset, truth):
@@ -187,6 +216,23 @@ def _matchings_repeated_question(tmp, dataset, truth):
     assert run("match", "--dataset", dataset, "--out", out) == 0
     lineno = _append_edited_first_record(out / "matchings.jsonl", lambda rec: {**rec, "pairs": rec["pairs"][::-1]})
     return ["serialize", "--dataset", dataset, "--out", out], f"matchings.jsonl line {lineno}: bad matching record: repeated"
+
+
+def _truth_repeated_text(tmp, dataset, truth):
+    bad = tmp / "bad_truth.jsonl"
+    records = [json.loads(line) for line in truth.read_text().splitlines()]
+    records[1]["question"] = records[0]["question"]
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    argv = ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad]
+    return argv, "bad_truth.jsonl line 2: bad truth record: question_id 'q00001' has the question text of 'q00000'"
+
+
+def _matchings_question_id_a_number(tmp, dataset, truth):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == 0
+    assert run("match", "--dataset", dataset, "--out", out) == 0
+    _copy_with_first_record(out / "matchings.jsonl", out / "matchings.jsonl", lambda rec: {**rec, "question_id": 5})
+    return ["serialize", "--dataset", dataset, "--out", out], "matchings.jsonl line 1: bad matching record: 5 is not a string"
 
 
 def _truth_repeated_question(tmp, dataset, truth):
@@ -638,19 +684,10 @@ class TestAnalyze:
         assert code == 0
         assert [(e["stage"], e["question_id"]) for e in report["errors"]] == [("analyze", "q00003")]
         assert "partial" in report["errors"][0]["error"] and "full" not in report["errors"][0]["error"]
-        # the bin report still compares the methods on the other questions only
-        assert "questions: 7 (excluded: 1)" in capsys.readouterr().out
+        # the question drops out of every output, so the methods are compared on the other questions
+        assert "questions: 7\n" in capsys.readouterr().out
+        assert report["questions"] == 7
         assert self._analyze(sim_workspace, predictions, "--strict")[0] == 1
-
-    def test_bad_prediction_lines_are_ingest_errors(self, sim_workspace):
-        lines = self._answers() + ["{broken json", json.dumps({"question_id": 7, "answer": "gold00007"})]
-        code, report, files = self._analyze(sim_workspace, {"oracle": lines})
-        assert code == 0
-        assert [(e["stage"], e["file"], e["line"]) for e in report["errors"]] == [
-            ("ingest", str(files["oracle"]), 9),
-            ("ingest", str(files["oracle"]), 10),
-        ]
-        assert self._analyze(sim_workspace, {"oracle": lines}, "--strict")[0] == 1
 
 
 class TestSimulate:
@@ -850,6 +887,7 @@ class TestErrorHandling:
             _analyze_empty_pool,
             _analyze_no_matrix,
             _analyze_not_in_dataset,
+            _analyze_prediction_not_in_dataset,
             _mine_one_retrieved,
         ],
         ids=[
@@ -861,6 +899,7 @@ class TestErrorHandling:
             "analyze-empty-pool",
             "analyze-no-matrix",
             "analyze-not-in-dataset",
+            "analyze-prediction-not-in-dataset",
             "mine-n-1",
         ],
     )
@@ -901,6 +940,11 @@ class TestErrorHandling:
             _bad_annotation({"predicted": "compatible"}),
             _unparsable_override,
             _cache_not_a_database,
+            _bad_predictions(None, "bad prediction record: repeated question_id 'q00000'"),
+            _bad_predictions(json.dumps({"question_id": 7, "answer": "gold00007"}), "bad prediction record: 7 is not a string"),
+            _bad_predictions("{broken json", "invalid JSON"),
+            _matchings_question_id_a_number,
+            _truth_repeated_text,
         ],
         ids=[
             "truth-without-chains",
@@ -924,6 +968,11 @@ class TestErrorHandling:
             "annotation-missing-key",
             "override-not-an-int",
             "cache-not-a-database",
+            "predictions-repeated-question",
+            "prediction-question-id-a-number",
+            "prediction-line-not-json",
+            "matchings-question-id-a-number",
+            "truth-repeated-text",
         ],
     )
     def test_malformed_handoff_record_stops_with_summary(self, sim_workspace, case, capsys):

@@ -512,6 +512,25 @@ class TestResponseCache:
             assert db.execute("SELECT count(*) FROM responses").fetchone() == (600,)
         assert all(cache.get("scorer", {"w": w, "k": 99}) == {"probability": 0.99} for w in range(6))
 
+    def test_new_table_is_without_rowid(self, tmp_path):
+        ResponseCache(tmp_path).close()
+        with cache_db(tmp_path) as db:
+            (sql,) = db.execute("SELECT sql FROM sqlite_master WHERE name = 'responses'").fetchone()
+        assert sql.endswith("WITHOUT ROWID")
+
+    def test_a_rowid_table_made_before_still_reads_back(self, tmp_path):
+        body, response = {"q": 1}, {"probability": 0.5}
+        with cache_db(tmp_path) as db:
+            db.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, response TEXT NOT NULL)")
+            db.execute("INSERT INTO responses VALUES (?, ?)", (ResponseCache.key("scorer", body), json.dumps(response)))
+        cache = ResponseCache(tmp_path)
+        assert cache.get("scorer", body) == response
+        cache.put("scorer", {"q": 2}, {"probability": 0.25})
+        assert cache.get("scorer", {"q": 2}) == {"probability": 0.25}
+        with cache_db(tmp_path) as db:
+            (sql,) = db.execute("SELECT sql FROM sqlite_master WHERE name = 'responses'").fetchone()
+        assert "WITHOUT ROWID" not in sql
+
     def test_entry_has_the_mode_of_other_outputs(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         cache.put("scorer", {"q": 1}, {"probability": 0.5})

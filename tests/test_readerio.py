@@ -8,14 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairqa.corpus import HopType, PassageChain
-from pairqa.lineio import IngestionReport
+from pairqa.errors import ContractViolation
+from pairqa.lineio import read_keyed, string
 from pairqa.matching import PairMatching, Strategy
 from pairqa.readerio import (
     Variant,
     default_budget,
-    ingest_predictions,
     parse_pair_block,
-    serialize_pairwise,
     serialize_variant,
     write_reader_examples,
 )
@@ -44,7 +43,7 @@ class TestPairwiseBlocks:
     def test_golden_block(self):
         example = tiny_example()
         matching = matching_for(example, [(0, 0, 1.0)])
-        reader = serialize_pairwise(example, matching, budget=400)
+        reader = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         assert reader.blocks == ("question: q generated passage: a retrieved passage: b",)
 
     def test_block_order_follows_scores(self):
@@ -54,7 +53,7 @@ class TestPairwiseBlocks:
             generated_texts=("lp zero", "lp one"),
         )
         matching = matching_for(example, [(1, 1, 0.9), (0, 0, 0.2)])
-        reader = serialize_pairwise(example, matching, budget=400)
+        reader = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         assert "lp one" in reader.blocks[0] and "lp zero" in reader.blocks[1]
 
     def test_budget_truncates_to_exact_token_count(self):
@@ -64,7 +63,7 @@ class TestPairwiseBlocks:
             generated_texts=(" ".join(f"g{k}" for k in range(10)),),
         )
         matching = matching_for(example, [(0, 0, 1.0)])
-        reader = serialize_pairwise(example, matching, budget=6)
+        reader = serialize_variant(example, matching, Variant.PAIRWISE, 6)
         assert len(reader.blocks[0].split()) == 6
 
     def test_budget_splits_room_between_passages(self):
@@ -74,7 +73,7 @@ class TestPairwiseBlocks:
             generated_texts=(" ".join(f"g{k}" for k in range(10)),),
         )
         matching = matching_for(example, [(0, 0, 1.0)])
-        reader = serialize_pairwise(example, matching, budget=12)
+        reader = serialize_variant(example, matching, Variant.PAIRWISE, 12)
         tokens = reader.blocks[0].split()
         assert len(tokens) == 12
         assert tokens.count("g0") == 1 and tokens.count("r0") == 1
@@ -86,15 +85,13 @@ class TestPairwiseBlocks:
 
         example = replace(example, retrieved=(chain,))
         matching = matching_for(example, [(0, 0, 1.0)])
-        reader = serialize_pairwise(example, matching, budget=400)
+        reader = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         assert "retrieved passage: Dolphins . body text" in reader.blocks[0]
 
     def test_out_of_range_pair_rejected(self):
         example = tiny_example()
-        from pairqa.errors import ContractViolation
-
         with pytest.raises(ContractViolation):
-            serialize_pairwise(example, matching_for(example, [(0, 5, 1.0)]), budget=400)
+            serialize_variant(example, matching_for(example, [(0, 5, 1.0)]), Variant.PAIRWISE, 400)
 
 
 class TestVariants:
@@ -119,7 +116,7 @@ class TestVariants:
         a = serialize_variant(example, matching, Variant.SHUFFLED_PAIRS, 400, seed=5)
         b = serialize_variant(example, matching, Variant.SHUFFLED_PAIRS, 400, seed=5)
         assert a.blocks == b.blocks
-        base = serialize_pairwise(example, matching, 400)
+        base = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         assert sorted(a.blocks) == sorted(base.blocks)
 
     def test_shuffled_within_pair_preserves_contents(self):
@@ -144,7 +141,7 @@ class TestVariants:
 
     def test_pairwise_via_variant_dispatch(self):
         example, matching = self._two_pair_example()
-        direct = serialize_pairwise(example, matching, 400)
+        direct = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         routed = serialize_variant(example, matching, Variant.PAIRWISE, 400, seed=9)
         assert direct.blocks == routed.blocks
 
@@ -153,7 +150,7 @@ class TestRoundTrip:
     def test_parse_recovers_fields(self):
         example = tiny_example()
         matching = matching_for(example, [(0, 0, 1.0)])
-        block = serialize_pairwise(example, matching, 400).blocks[0]
+        block = serialize_variant(example, matching, Variant.PAIRWISE, 400).blocks[0]
         assert parse_pair_block(block) == ("q", "a", "b")
 
     @given(
@@ -168,7 +165,7 @@ class TestRoundTrip:
             generated_texts=(" ".join(lp_text.split()),),
         )
         matching = matching_for(example, [(0, 0, 1.0)])
-        block = serialize_pairwise(example, matching, budget=10_000).blocks[0]
+        block = serialize_variant(example, matching, Variant.PAIRWISE, 10_000).blocks[0]
         parsed = parse_pair_block(block)
         assert parsed == (example.question, example.generated[0].text(), example.retrieved[0].text())
 
@@ -211,6 +208,11 @@ class TestDefaultBudget:
         assert default_budget(example, Variant.LINEARIZED) == 500
 
 
+def read_predictions(path):
+    """A prediction file read as ``analyze`` reads it."""
+    return read_keyed(path, "prediction", lambda rec: string(rec["answer"]))
+
+
 class TestPredictionsIO:
     def test_two_valid_lines(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
@@ -220,9 +222,9 @@ class TestPredictionsIO:
             + json.dumps({"question_id": "q2", "answer": "b"})
             + "\n"
         )
-        assert ingest_predictions(path) == {"q1": "a", "q2": "b"}
+        assert read_predictions(path) == {"q1": "a", "q2": "b"}
 
-    def test_duplicate_id_last_wins_with_warning(self, tmp_path):
+    def test_repeated_id_raises_naming_its_line(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
         path.write_text(
             json.dumps({"question_id": "q1", "answer": "first"})
@@ -230,27 +232,31 @@ class TestPredictionsIO:
             + json.dumps({"question_id": "q1", "answer": "second"})
             + "\n"
         )
-        report = IngestionReport()
-        predictions = ingest_predictions(path, report)
-        assert predictions == {"q1": "second"}
-        assert len(report.warnings) == 1
+        with pytest.raises(ContractViolation, match="predictions.jsonl line 2: bad prediction record: repeated question_id 'q1'"):
+            read_predictions(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
         path.write_text("")
-        assert ingest_predictions(path) == {}
+        assert read_predictions(path) == {}
 
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
-        path.write_text(json.dumps({"question_id": "q1"}) + "\n")
-        report = IngestionReport()
-        assert ingest_predictions(path, report) == {}
-        assert len(report.errors) == 1
+        for line, problem in [
+            (json.dumps({"question_id": "q1"}), "bad prediction record: 'answer'"),
+            (json.dumps({"question_id": "q1", "answer": 7}), "bad prediction record: 7 is not a string"),
+            (json.dumps({"question_id": 7, "answer": "a"}), "bad prediction record: 7 is not a string"),
+            (json.dumps({"answer": "a"}), "bad prediction record: 'question_id'"),
+            ("{broken json", "invalid JSON"),
+        ]:
+            path.write_text(json.dumps({"question_id": "q0", "answer": "a"}) + "\n" + line + "\n")
+            with pytest.raises(ContractViolation, match=f"predictions.jsonl line 2: {problem}"):
+                read_predictions(path)
 
     def test_writer_round_trip(self, tmp_path):
         example = tiny_example()
         matching = matching_for(example, [(0, 0, 1.0)])
-        reader = serialize_pairwise(example, matching, 400)
+        reader = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         path = tmp_path / "reader.jsonl"
         write_reader_examples(path, [reader])
         record = json.loads(path.read_text())

@@ -147,7 +147,7 @@ class TestDumpRoundTrip:
             dump = tmp_path / "matrices.jsonl"
             write_matrix_dump(dump, [matrix])
 
-            loaded = load_matrix_dump(dump)
+            loaded = list(load_matrix_dump(dump).values())
             assert len(loaded) == 1
             assert loaded[0].combined_grid() == matrix.combined_grid()
             assert loaded[0].mode is mode
