@@ -110,10 +110,9 @@ FIELDS: dict[str, tuple[Any, Kind]] = {
     "seed": (0, _INTEGER),
     "strict": (False, _BOOLEAN),
     "cache_dir": (None, Kind("a directory path", string).or_null()),
-    "scorer.backend": ("lexical", _one_of("lexical", "file", "remote")),
+    "scorer.backend": ("lexical", _one_of("lexical", "remote")),
     "scorer.url": (None, _URL),
     "scorer.token": (None, _TOKEN),
-    "scorer.store": (None, _PATH),
     "predictor.backend": ("sim", _one_of("sim", "remote")),
     "predictor.url": (None, _URL),
     "predictor.token": (None, _TOKEN),
@@ -224,14 +223,8 @@ def _cached(cfg: PipelineConfig, backend, identity: str, source: str | None = No
 
 
 def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
-    backend = cfg["scorer.backend"]
-    if backend == "lexical":
+    if cfg["scorer.backend"] == "lexical":
         return _cached(cfg, LexicalMockScorer.from_examples(examples), "scorer:lexical", cfg["dataset"])
-    if backend == "file":
-        store = cfg["scorer.store"]
-        if not store:
-            raise ContractViolation("scorer backend 'file' needs scorer.store (a matrix dump path)")
-        return _cached(cfg, scoring.load_score_store(store, examples), "scorer:file", store)
     url, token = _service(cfg, "scorer")
     return _cached(cfg, RemoteScorer(url, token), f"scorer:remote:{url}")
 

@@ -21,11 +21,3 @@ class TransportError(PipelineError):
 
 class ProtocolError(PipelineError):
     """A remote service answered with a malformed body or one missing a field."""
-
-
-class MissingScoreError(PipelineError):
-    """A file-backed score store has no entry for the requested key."""
-
-    def __init__(self, key: tuple):
-        super().__init__(f"no stored score for key {key!r}")
-        self.key = key

@@ -196,10 +196,7 @@ def emit_training_records(
         for label in labels:
             if label.verdict is Verdict.UNDETERMINED:
                 continue
-            example = by_id.get(label.question_id)
-            if example is None:
-                raise ContractViolation(f"no example for mined label {label.question_id!r}")
-            record = label_to_training_record(label, example)
+            record = label_to_training_record(label, by_id[label.question_id])
             counts[record["label"]] += 1
             yield record
 

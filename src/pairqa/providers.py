@@ -18,14 +18,13 @@ HTTP modules are imported by the first call that is sent, so offline runs
 and fully cached reruns never load them. Any backend, remote or offline,
 can be wrapped in ``CachingBackend``, a response cache (one sqlite table
 per cache directory, in ``responses.sqlite3``) keyed by the backend's
-identity and a content hash of the request body, so that re-running a
-mining or scoring pass replays identical bytes. A cache entry that is not
-a JSON object, a scorer entry without a number ``probability`` or a
-predictor entry without a string ``answer`` raises ``ContractViolation``
-naming the database file and the entry's key. Backends are duck-typed: a
-scorer exposes ``score(req) -> float`` and a predictor ``predict(req) ->
-str``. ``FileScoreStore`` answers from stored probabilities and parses no
-file itself: ``scoring.load_score_store`` fills it from a matrix dump.
+identity and a content hash of the request body (for a scorer, plus the
+question id), so that re-running a mining or scoring pass replays identical
+bytes. A cache entry that is not a JSON object, a scorer entry without a
+number ``probability`` or a predictor entry without a string ``answer``
+raises ``ContractViolation`` naming the database file and the entry's key.
+Backends are duck-typed: a scorer exposes ``score(req) -> float`` and a
+predictor ``predict(req) -> str``.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
-from .errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
+from .errors import ContractViolation, ProtocolError, TransportError
 from .lineio import dumps_canonical
 
 logger = logging.getLogger(__name__)
@@ -78,17 +77,15 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class ScoreRequest:
-    """One discriminator query. The id fields are not part of the wire body,
-    so no cache key holds them; they key the file-backed store and the
-    lexical scorer's answers."""
+    """One discriminator query. ``question_id`` is not part of the wire body;
+    it keys the lexical scorer's answers, so ``CachingBackend`` adds it to
+    the body a scorer entry's cache key is made of."""
 
     kind: ScoreKind
     question: str
     retrieved_text: str
     generated_text: str | None = None
     question_id: str | None = None
-    retrieved_id: str | None = None
-    generated_id: str | None = None
 
     def __post_init__(self):
         if self.kind is ScoreKind.CONSISTENCY and self.generated_text is None:
@@ -315,7 +312,7 @@ class CachingBackend:
         self.service = service
 
     def score(self, req: ScoreRequest) -> float:
-        body = req.wire_body()
+        body = {**req.wire_body(), "question_id": req.question_id}
         cached = self.cache.get(self.service, body)
         if cached is not None:
             try:
@@ -339,31 +336,6 @@ class CachingBackend:
         answer = self.inner.predict(req)
         self.cache.put(self.service, body, {"answer": answer})
         return answer
-
-
-class FileScoreStore:
-    """Offline scorer backed by stored probabilities.
-
-    Keys are ``(question_id, generated_id, retrieved_id)`` with
-    ``generated_id=None`` for evidentiality entries.
-    ``scoring.load_score_store`` builds one from a matrix dump, which makes
-    score audits round-trip.
-    """
-
-    def __init__(self, scores: Mapping[tuple[str, str | None, str], float]):
-        self._scores = dict(scores)
-
-    def score(self, req: ScoreRequest) -> float:
-        if req.question_id is None or req.retrieved_id is None:
-            raise ContractViolation("file-backed scorer requires question_id and retrieved_id")
-        gen_id = req.generated_id if req.kind is ScoreKind.CONSISTENCY else None
-        if req.kind is ScoreKind.CONSISTENCY and gen_id is None:
-            raise ContractViolation("file-backed scorer requires generated_id for consistency")
-        key = (req.question_id, gen_id, req.retrieved_id)
-        try:
-            return self._scores[key]
-        except KeyError:
-            raise MissingScoreError(key) from None
 
 
 class LexicalMockScorer:

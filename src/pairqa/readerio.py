@@ -125,13 +125,11 @@ def serialize_variant(
         order = list(range(len(texts)))
         random.Random(seed).shuffle(order)
         blocks = [_pair_block(question, *texts[k], budget) for k in order]
-    elif variant is Variant.SHUFFLED_WITHIN_PAIR:
+    else:  # Variant.SHUFFLED_WITHIN_PAIR
         rng = random.Random(seed)
         blocks = [
             _pair_block(question, lp_text, rp_text, budget, swap=rng.random() < 0.5) for lp_text, rp_text in texts
         ]
-    else:
-        raise ContractViolation(f"unknown variant {variant!r}")
     return ReaderExample(example.question_id, tuple(blocks))
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import QAExample
 from .errors import ContractViolation
 from .lineio import read_keyed, write_jsonl
-from .providers import FileScoreStore, ScoreKind, ScoreRequest
+from .providers import ScoreKind, ScoreRequest
 
 
 class CombineMode(Enum):
@@ -107,26 +107,24 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
             f"{example.question_id}: matching needs M >= 1 and N >= 1 (got M={example.m}, N={example.n})"
         )
 
-    # (id, text) of every chain, joined once per question rather than per pair
-    retrieved = [(rp.id, rp.text()) for rp in example.retrieved]
-    generated = [(lp.id, lp.text()) for lp in example.generated]
+    # the text of every chain, joined once per question rather than per pair
+    retrieved = [rp.text() for rp in example.retrieved]
+    generated = [lp.text() for lp in example.generated]
 
-    def ask(kind: ScoreKind, retrieved_id, retrieved_text, generated_id=None, generated_text=None) -> float:
+    def ask(kind: ScoreKind, retrieved_text: str, generated_text: str | None = None) -> float:
         request = ScoreRequest(
             kind=kind,
             question=example.question,
             retrieved_text=retrieved_text,
             generated_text=generated_text,
             question_id=example.question_id,
-            retrieved_id=retrieved_id,
-            generated_id=generated_id,
         )
         return _check_probability(kind.value, scorer.score(request))
 
     return CompatibilityMatrix(
         question_id=example.question_id,
-        evidentiality=tuple(ask(ScoreKind.EVIDENTIALITY, *rp) for rp in retrieved),
-        consistency=tuple(tuple(ask(ScoreKind.CONSISTENCY, *rp, *lp) for rp in retrieved) for lp in generated),
+        evidentiality=tuple(ask(ScoreKind.EVIDENTIALITY, r) for r in retrieved),
+        consistency=tuple(tuple(ask(ScoreKind.CONSISTENCY, r, g) for r in retrieved) for g in generated),
         mode=mode,
     )
 
@@ -173,22 +171,3 @@ def load_matrix_dump(path: str | Path) -> dict[str, CompatibilityMatrix]:
     file and line.
     """
     return read_keyed(path, "matrix", _matrix)
-
-
-def load_score_store(path: str | Path, examples: Iterable[QAExample]) -> FileScoreStore:
-    """A file scorer that answers with the probabilities of a matrix dump,
-    keyed by the dataset's passage ids. A stored question that is not in
-    the dataset, or whose shape differs from it, raises ContractViolation
-    naming the file and the question."""
-    by_id = {ex.question_id: ex for ex in examples}
-    scores: dict[tuple[str, str | None, str], float] = {}
-    for qid, matrix in load_matrix_dump(path).items():
-        example = by_id.get(qid)
-        if example is None or (matrix.m, matrix.n) != (example.m, example.n):
-            found = "is not in the dataset" if example is None else f"is {example.m}x{example.n} in the dataset"
-            raise ContractViolation(f"{path}: question {qid!r} is stored as {matrix.m}x{matrix.n} but {found}")
-        for j, rp in enumerate(example.retrieved):
-            scores[(qid, None, rp.id)] = matrix.evidentiality[j]
-            for i, lp in enumerate(example.generated):
-                scores[(qid, lp.id, rp.id)] = matrix.consistency[i][j]
-    return FileScoreStore(scores)

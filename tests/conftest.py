@@ -43,11 +43,12 @@ class FixtureService:
     """In-process HTTP service implementing the three wire protocols.
 
     ``responses`` maps a path to either a dict (static body), a callable
-    ``body -> dict`` (called outside the service's lock, so it may stall), or
-    a list of (status, dict) consumed per request; a reply given as ``bytes``
-    is sent as it is. Every request body is appended to ``requests[path]``
-    and its headers, names lower-cased, to ``headers[path]``. A request sent
-    through this service as a proxy has the absolute URL as its path.
+    ``body -> dict or (status, dict)`` (called outside the service's lock, so
+    it may stall), or a list of (status, dict) consumed per request; a reply
+    given as ``bytes`` is sent as it is. Every request body is appended to
+    ``requests[path]`` and its headers, names lower-cased, to
+    ``headers[path]``. A request sent through this service as a proxy has the
+    absolute URL as its path.
     """
 
     def __init__(self):
@@ -69,10 +70,10 @@ class FixtureService:
                     if isinstance(spec, list):
                         spec = spec.pop(0) if spec else (500, {})
                 # outside the lock, so that a callable that stalls holds up no other request
+                if callable(spec):
+                    spec = spec(body)
                 if isinstance(spec, tuple):
                     status, payload = spec
-                elif callable(spec):
-                    status, payload = 200, spec(body)
                 elif spec is None:
                     status, payload = 404, {}
                 else:

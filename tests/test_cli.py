@@ -37,6 +37,18 @@ def sim_workspace(tmp_path):
     return tmp_path, dataset, truth_path
 
 
+@pytest.fixture
+def scorer_service(http_service, monkeypatch):
+    """PAIRQA_SCORER_URL names a remote scorer that answers 0.5, and a 400,
+    which is not retried, to a question that begins with "reject " (``_rejected``)."""
+
+    def score(body):
+        return (400, {}) if body["question"].startswith("reject ") else {"probability": 0.5}
+
+    http_service.responses["/score"] = score
+    monkeypatch.setenv("PAIRQA_SCORER_URL", http_service.url("/score"))
+
+
 def run(*argv) -> int:
     return main([str(a) for a in argv])
 
@@ -83,6 +95,14 @@ def _match_not_in_dataset(tmp, dataset, truth):
     return ["match", "--dataset", smaller, "--out", out], qid, "not in dataset"
 
 
+def _match_shape_differs(tmp, dataset, truth):
+    assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
+    stored = tmp / "stored.jsonl"
+    qid = _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", stored, _one_retrieved_fewer)["question_id"]
+    argv = ["match", "--dataset", dataset, "--out", tmp / "out", "--matching.matrices", stored]
+    return argv, qid, "matrix is 3x3 but the dataset has 3x4"
+
+
 def _match_no_matrix(tmp, dataset, truth):
     out = tmp / "out"
     assert run("score", "--dataset", dataset, "--out", out) == 0
@@ -91,13 +111,16 @@ def _match_no_matrix(tmp, dataset, truth):
     return ["match", "--dataset", dataset, "--out", out, "--strategy", "random"], qid, "no compatibility matrix"
 
 
+def _rejected(record):
+    record["question"] = "reject " + record["question"]
+    return record
+
+
 def _score_scorer_failure(tmp, dataset, truth):
-    assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
-    store = tmp / "store.jsonl"
-    # the first record holds all of its question's scores
-    qid = _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", store, _drop)["question_id"]
-    argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--scorer.backend", "file", "--scorer.store", store]
-    return argv, qid, "no stored score"
+    """The remote scorer of ``scorer_service`` rejects the first question."""
+    edited = tmp / "edited.jsonl"
+    qid = _copy_with_first_record(dataset, edited, _rejected)["question_id"]
+    return ["score", "--dataset", edited, "--out", tmp / "out", "--scorer.backend", "remote"], qid, "status 400; not retried"
 
 
 def _score_empty_pool(tmp, dataset, truth):
@@ -243,13 +266,14 @@ def _truth_repeated_question(tmp, dataset, truth):
     return argv, f"bad_truth.jsonl line {lineno}: bad truth record: repeated"
 
 
-def _bad_store(edit, where):
+def _bad_stored_dump(edit, where):
+    """``match`` from a stored copy of a scored dump whose first record is edited."""
+
     def case(tmp, dataset, truth):
         assert run("score", "--dataset", dataset, "--out", tmp / "lexical") == 0
-        store = tmp / "store.jsonl"
-        _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", store, edit)
-        argv = ["score", "--dataset", dataset, "--out", tmp / "out", "--scorer.backend", "file", "--scorer.store", store]
-        return argv, where
+        stored = tmp / "stored.jsonl"
+        _copy_with_first_record(tmp / "lexical" / "matrices.jsonl", stored, edit)
+        return ["match", "--dataset", dataset, "--out", tmp / "out", "--matching.matrices", stored], where
 
     return case
 
@@ -278,14 +302,14 @@ def _consistency_text(record):
 
 
 def _bad_probability(field, value):
-    """A store whose first probability of ``field`` is ``value``."""
+    """A stored dump whose first probability of ``field`` is ``value``."""
 
     def edit(record):
         row = record[field] if field == "evidentiality" else record[field][0]
         row[0] = value
         return record
 
-    return _bad_store(edit, where=f"store.jsonl line 1: bad matrix record: {field} {value!r} outside [0,1]")
+    return _bad_stored_dump(edit, where=f"stored.jsonl line 1: bad matrix record: {field} {value!r} outside [0,1]")
 
 
 def _cache_not_a_database(tmp, dataset, truth):
@@ -475,26 +499,26 @@ class TestScoreMatchSerialize:
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == strategy for m in matchings)
 
-    def test_shared_cache_dir_keeps_backends_apart(self, sim_workspace):
+    def test_shared_cache_dir_keeps_backends_apart(self, sim_workspace, http_service):
         tmp, dataset, _ = sim_workspace
-        cache = tmp / "cache"
-        assert run("score", "--dataset", dataset, "--out", tmp / "lexical", "--cache_dir", cache) == 0
-        store = tmp / "store.jsonl"
-        out = tmp / "file"
-        argv = ["score", "--dataset", dataset, "--out", out, "--scorer.backend", "file", "--scorer.store", store]
-        # the second store is rewritten in place at the same path
-        for probability in (0.25, 0.5):
-            with open(store, "w") as fh:
-                for line in (tmp / "lexical" / "matrices.jsonl").read_text().splitlines():
-                    record = json.loads(line)
-                    record["evidentiality"] = [probability for _ in record["evidentiality"]]
-                    record["consistency"] = [[probability for _ in row] for row in record["consistency"]]
-                    fh.write(json.dumps(record) + "\n")
-            assert run(*argv, "--cache_dir", cache) == 0
+        http_service.responses["/score"] = {"probability": 0.25}
+        remote = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score")]
+
+        def probabilities(*flags) -> set[float]:
+            out = tmp / "out"
+            assert run("score", "--dataset", dataset, "--out", out, "--cache_dir", tmp / "cache", *flags) == 0
             records = [json.loads(l) for l in (out / "matrices.jsonl").read_text().splitlines()]
-            evidentiality = {p for r in records for p in r["evidentiality"]}
-            consistency = {p for r in records for row in r["consistency"] for p in row}
-            assert evidentiality == consistency == {probability}
+            return {p for r in records for p in [*r["evidentiality"], *(p for row in r["consistency"] for p in row)]}
+
+        assert probabilities() == {0.0, 1.0}
+        assert probabilities(*remote) == {0.25}
+        sent = len(http_service.requests["/score"])
+        # the lexical scorer's source is rewritten in place: no passage holds an answer any more
+        records = [json.loads(line) for line in dataset.read_text().splitlines()]
+        dataset.write_text("".join(json.dumps({**rec, "answers": ["nowhere"]}) + "\n" for rec in records))
+        assert probabilities() == {0.0}
+        assert probabilities(*remote) == {0.25}
+        assert len(http_service.requests["/score"]) == sent  # the remote bodies are unchanged, so they replay
 
     @pytest.mark.parametrize("hop_type", [None, "unknown"])
     def test_two_segment_chains_get_the_multi_hop_budget(self, tmp_path, hop_type):
@@ -533,6 +557,24 @@ class TestCacheDir:
     def _score_and_mine(tmp, dataset, truth, out, *flags):
         assert run("score", "--dataset", dataset, "--out", out, *flags) == 0
         assert run("mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth, *flags) == 0
+
+    def test_questions_sharing_texts_keep_their_own_verdicts(self, tmp_path):
+        """Two questions with one question text and the same passages but other
+        answers: the lexical scorer's verdicts differ, so a cached run must not
+        replay the first question's for the second."""
+        passages = [{"text": "the city is paris"}, {"text": "the city is lyon"}]
+        records = [
+            {"question_id": qid, "question": "which city", "answers": [answer], "retrieved": passages, "generated": passages}
+            for qid, answer in (("q1", "paris"), ("q2", "lyon"))
+        ]
+        dataset = tmp_path / "shared.jsonl"
+        dataset.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert run("score", "--dataset", dataset, "--out", tmp_path / "plain") == 0
+        plain = (tmp_path / "plain" / "matrices.jsonl").read_bytes()
+        assert [json.loads(line)["evidentiality"] for line in plain.splitlines()] == [[1.0, 0.0], [0.0, 1.0]]
+        for name in ("cold", "warm"):
+            assert run("score", "--dataset", dataset, "--out", tmp_path / name, "--cache_dir", tmp_path / "cache") == 0
+            assert (tmp_path / name / "matrices.jsonl").read_bytes() == plain, name
 
     def test_old_layout_directory_misses_and_is_refilled(self, sim_workspace):
         """A directory of ``<key>.json`` entries, as earlier versions wrote,
@@ -881,6 +923,7 @@ class TestErrorHandling:
         [
             _match_not_in_dataset,
             _match_no_matrix,
+            _match_shape_differs,
             _serialize_not_in_dataset,
             _score_scorer_failure,
             _score_empty_pool,
@@ -893,6 +936,7 @@ class TestErrorHandling:
         ids=[
             "match-not-in-dataset",
             "match-no-matrix",
+            "match-shape-differs",
             "serialize-not-in-dataset",
             "score-scorer-failure",
             "score-empty-pool",
@@ -903,6 +947,7 @@ class TestErrorHandling:
             "mine-n-1",
         ],
     )
+    @pytest.mark.usefixtures("scorer_service")
     def test_per_item_failure_is_reported_and_strict_exits_1(self, sim_workspace, case):
         tmp = sim_workspace[0]
         argv, qid, message = case(*sim_workspace)
@@ -922,15 +967,18 @@ class TestErrorHandling:
             _truth_without_chains,
             _truth_repeated_question,
             _matchings_repeated_question,
-            _bad_store(_per_cell, where="store.jsonl line 1: bad matrix record: expected string question_id"),
-            _bad_store(_ragged, where="store.jsonl line 1: bad matrix record: ragged"),
-            _bad_store(lambda rec: {**rec, "mode": "bogus"}, where="store.jsonl line 1: bad matrix record: 'bogus'"),
-            _bad_store(lambda rec: {**rec, "question_id": "q00001"}, where="store.jsonl line 2: bad matrix record: repeated"),
-            _bad_store(_one_retrieved_fewer, where="store.jsonl: question 'q00000' is stored as 3x3 but is 3x4"),
+            _bad_stored_dump(_per_cell, where="stored.jsonl line 1: bad matrix record: expected string question_id"),
+            _bad_stored_dump(_ragged, where="stored.jsonl line 1: bad matrix record: ragged"),
+            _bad_stored_dump(lambda rec: {**rec, "mode": "bogus"}, where="stored.jsonl line 1: bad matrix record: 'bogus'"),
+            _bad_stored_dump(
+                lambda rec: {**rec, "question_id": "q00001"}, where="stored.jsonl line 2: bad matrix record: repeated"
+            ),
             _bad_probability("evidentiality", float("nan")),
             _bad_probability("consistency", 7.5),
             _bad_probability("evidentiality", -0.1),
-            _bad_store(_consistency_text, where="store.jsonl line 1: bad matrix record: consistency '0.0' is not a number"),
+            _bad_stored_dump(
+                _consistency_text, where="stored.jsonl line 1: bad matrix record: consistency '0.0' is not a number"
+            ),
             _matchings_float_index,
             _bad_truth("chains.supports", "false", "'false' is not true or false"),
             _bad_truth("chains.text", 5, "5 is not a string"),
@@ -954,7 +1002,6 @@ class TestErrorHandling:
             "store-ragged-row",
             "store-unknown-mode",
             "store-repeated-question",
-            "store-shape-differs",
             "store-nan-probability",
             "store-probability-above-1",
             "store-probability-below-0",
@@ -1015,6 +1062,7 @@ class TestErrorHandling:
             "cache-not-a-database",
         ],
     )
+    @pytest.mark.usefixtures("scorer_service")
     def test_failure_writes_no_file(self, sim_workspace, case):
         """A failed run under --strict leaves a fresh --out empty; the handoff
         file is taken from where the case wrote it."""
@@ -1099,6 +1147,8 @@ class TestErrorHandling:
             _bad_config("match", {"matching": {"matrices": ["a"]}}, "matching.matrices must be a path or null, got ['a']"),
             _bad_config("serialize", {"serialize": {"matchings": 5}}, "serialize.matchings must be a path or null, got 5"),
             _bad_config("mine", {"mine": {"kinds": "evidentiality"}}, "mine.kinds must be an array of"),
+            _bad_config("score", {"scorer": {"backend": "file"}}, "scorer.backend must be one of lexical, remote, got 'file'"),
+            _bad_config("score", {"scorer": {"store": "matrices.jsonl"}}, "unknown config field scorer.store"),
             _config_not_utf8,
             _bad_flag("match", "--strategy", "psychic"),
             _bad_flag("score", "--scoring-mode", "sum"),
@@ -1136,6 +1186,8 @@ class TestErrorHandling:
             "config-matching-matrices-not-a-string",
             "config-serialize-matchings-not-a-string",
             "config-mine-kinds-not-an-array",
+            "config-scorer-backend-file",
+            "config-scorer-store",
             "config-not-utf8",
             "flag-strategy",
             "flag-scoring-mode",

@@ -14,11 +14,10 @@ import pytest
 
 from pairqa import providers
 from pairqa.corpus import text_contains_answer
-from pairqa.errors import ContractViolation, MissingScoreError, ProtocolError, TransportError
+from pairqa.errors import ContractViolation, ProtocolError, TransportError
 from pairqa.lineio import write_jsonl
 from pairqa.providers import (
     CachingBackend,
-    FileScoreStore,
     GenerationMode,
     GenerationRequest,
     LexicalMockScorer,
@@ -42,7 +41,6 @@ def evid_request(**overrides):
         question="who won",
         retrieved_text="Don Shula won",
         question_id="q1",
-        retrieved_id="r0",
     )
     fields.update(overrides)
     return ScoreRequest(**fields)
@@ -169,11 +167,12 @@ class TestRemoteScorer:
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(LexicalMockScorer.from_examples([make_example()]), cache, "scorer:lexical")
         assert scorer.score(evid_request()) == 1.0  # cached
-        key = cache.key("scorer:lexical", evid_request().wire_body())
+        body = {**evid_request().wire_body(), "question_id": "q1"}
+        key = cache.key("scorer:lexical", body)
         with cache_db(tmp_path / "cache") as db:
             db.execute("UPDATE responses SET response = ? WHERE key = ?", ('{"probability":NaN}', key))
         entry = f"{tmp_path / 'cache' / 'responses.sqlite3'} key {key}"
-        assert cache.path("scorer:lexical", evid_request().wire_body()) == entry
+        assert cache.path("scorer:lexical", body) == entry
         with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
             scorer.score(evid_request())
 
@@ -318,23 +317,6 @@ class TestRemotePredictor:
         assert inner.calls == 1
 
 
-class TestFileScoreStore:
-    def test_identity_lookup(self):
-        store = FileScoreStore({("q1", None, "r0"): 0.73})
-        assert store.score(evid_request()) == 0.73
-
-    def test_missing_key_names_the_key(self):
-        store = FileScoreStore({})
-        with pytest.raises(MissingScoreError) as err:
-            store.score(evid_request())
-        assert err.value.key == ("q1", None, "r0")
-
-    def test_requires_ids(self):
-        store = FileScoreStore({})
-        with pytest.raises(ContractViolation):
-            store.score(evid_request(question_id=None))
-
-
 class TestLexicalMock:
     def test_matches_answer_containment(self):
         example = make_example()
@@ -347,8 +329,6 @@ class TestLexicalMock:
             retrieved_text="head coach Don Shula won",
             generated_text="George Halas led the team",
             question_id="q1",
-            retrieved_id="r0",
-            generated_id="g1",
         )
         assert scorer.score(consistency) == 0.0
 

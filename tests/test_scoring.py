@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairqa.errors import ContractViolation, MissingScoreError
+from pairqa.errors import ContractViolation, TransportError
 from pairqa.providers import ScoreKind
 from pairqa.scoring import (
     CombineMode,
@@ -13,7 +13,6 @@ from pairqa.scoring import (
     classify_pair,
     combine,
     load_matrix_dump,
-    load_score_store,
     write_matrix_dump,
 )
 
@@ -21,7 +20,8 @@ from conftest import make_example
 
 
 class CountingScorer:
-    """Deterministic scorer that records every query it answers."""
+    """Deterministic scorer that records every query it answers; its
+    probabilities are keyed by passage texts."""
 
     def __init__(self, evidentiality=None, consistency=None):
         self.evid_calls = 0
@@ -32,9 +32,9 @@ class CountingScorer:
     def score(self, req):
         if req.kind is ScoreKind.EVIDENTIALITY:
             self.evid_calls += 1
-            return self.evidentiality.get(req.retrieved_id, 0.9)
+            return self.evidentiality.get(req.retrieved_text, 0.9)
         self.cons_calls += 1
-        return self.consistency.get((req.generated_id, req.retrieved_id), 0.7)
+        return self.consistency.get((req.generated_text, req.retrieved_text), 0.7)
 
 
 class TestCombine:
@@ -110,7 +110,7 @@ class TestBuildMatrix:
         assert product.combined_grid() == [[0.9 * 0.7]]
 
     def test_column_constancy(self):
-        scorer = CountingScorer(evidentiality={f"r{j}": j / 10 for j in range(10)})
+        scorer = CountingScorer(evidentiality={f"retrieved passage {j}": j / 10 for j in range(10)})
         matrix = build_matrix(ten_by_ten_example(), scorer, CombineMode.PRODUCT)
         # one evidentiality value per retrieved passage, shared by its column's cells
         assert matrix.evidentiality == tuple(j / 10 for j in range(10))
@@ -122,9 +122,9 @@ class TestBuildMatrix:
     def test_scorer_failure_propagates(self):
         class FailingScorer:
             def score(self, req):
-                raise MissingScoreError(("q", None, "r"))
+                raise TransportError("POST http://scorer failed with status 400; not retried")
 
-        with pytest.raises(MissingScoreError, match="no stored score"):
+        with pytest.raises(TransportError, match="status 400"):
             build_matrix(make_example(), FailingScorer(), CombineMode.CUTOFF)
 
     def test_empty_pool_is_a_contract_violation(self):
@@ -139,8 +139,10 @@ class TestDumpRoundTrip:
     def test_dump_store_round_trip(self, tmp_path):
         example = ten_by_ten_example()
         scorer = CountingScorer(
-            evidentiality={f"r{j}": j / 10 for j in range(10)},
-            consistency={(f"g{i}", f"r{j}"): (i * 10 + j) / 100 for i in range(10) for j in range(10)},
+            evidentiality={f"retrieved passage {j}": j / 10 for j in range(10)},
+            consistency={
+                (f"generated claim {i}", f"retrieved passage {j}"): (i * 10 + j) / 100 for i in range(10) for j in range(10)
+            },
         )
         for mode in CombineMode:
             matrix = build_matrix(example, scorer, mode)
@@ -152,11 +154,6 @@ class TestDumpRoundTrip:
             assert loaded[0].combined_grid() == matrix.combined_grid()
             assert loaded[0].mode is mode
             assert loaded[0] == matrix
-
-            store = load_score_store(dump, [example])
-            rebuilt = build_matrix(example, store, mode)
-            assert rebuilt.combined_grid() == matrix.combined_grid()
-            assert rebuilt == matrix
 
     def test_missing_cells_rejected_on_load(self, tmp_path):
         from pairqa.lineio import write_jsonl
@@ -175,9 +172,9 @@ class TestDumpRoundTrip:
 
         def records():
             yield {"a": 2}
-            raise MissingScoreError(("q", None, "r"))
+            raise TransportError("POST http://scorer failed after 4 attempts")
 
-        with pytest.raises(MissingScoreError):
+        with pytest.raises(TransportError):
             write_jsonl(dump, records())
         assert dump.read_text() == '{"a":1}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
