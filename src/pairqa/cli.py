@@ -78,12 +78,6 @@ def _one_of(*names: str) -> Kind:
     return Kind("one of " + ", ".join(names), _checked(string, lambda value: value in names))
 
 
-def _label_kinds(value) -> tuple[mining.LabelKind, ...]:
-    if type(value) is not list:
-        raise TypeError(value)
-    return tuple(sorted({mining.LabelKind(string(kind)) for kind in value}, key=lambda kind: kind.value))
-
-
 def _paths_by_method(value) -> dict[str, str]:
     if type(value) is not dict:
         raise TypeError(value)
@@ -127,10 +121,6 @@ FIELDS: dict[str, tuple[Any, Kind]] = {
     "serialize.variant": ("pairwise", _enum(readerio.Variant)),
     "serialize.budget": (None, _POSITIVE.or_null()),
     "serialize.matchings": (None, _PATH),
-    "mine.kinds": (
-        ["evidentiality", "consistency"],
-        Kind("an array of evidentiality or consistency", _label_kinds, json.loads),
-    ),
     "analyze.predictions": ({}, Kind("an object of file paths", _paths_by_method, json.loads)),
     "analyze.annotations": (None, _PATH),
     "analyze.matrices": (None, _PATH),
@@ -319,7 +309,7 @@ def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Calla
     return generate
 
 
-def _finish_generate(cfg: PipelineConfig, examples, updated, errors) -> tuple[dict, str]:
+def _finish_generate(cfg: PipelineConfig, examples, updated) -> tuple[dict, str]:
     out_path = cfg["out"] / "generated.jsonl"
     write_examples(out_path, updated)
     summary = f"generated passages for {len(updated)}/{len(examples)} questions -> {out_path}"
@@ -331,7 +321,7 @@ def _build_score(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable
     return lambda example: scoring.build_matrix(example, scorer, cfg["scoring.mode"])
 
 
-def _finish_score(cfg: PipelineConfig, examples, matrices, errors) -> tuple[dict, str]:
+def _finish_score(cfg: PipelineConfig, examples, matrices) -> tuple[dict, str]:
     out_path = cfg["out"] / "matrices.jsonl"
     scoring.write_matrix_dump(out_path, matrices)
     summary = f"scored {len(matrices)}/{len(examples)} questions -> {out_path}"
@@ -346,7 +336,7 @@ def _build_match(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable
     return match
 
 
-def _finish_match(cfg: PipelineConfig, examples, results, errors) -> tuple[dict, str]:
+def _finish_match(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
     out_path = cfg["out"] / "matchings.jsonl"
     write_jsonl(out_path, (r.to_record() for r in results))
     strategy = cfg["matching.strategy"].value
@@ -356,19 +346,20 @@ def _finish_match(cfg: PipelineConfig, examples, results, errors) -> tuple[dict,
 
 def _build_mine(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     predictor = build_predictor(cfg)
-    return lambda example: mining.mine_question(example, predictor, cfg["mine.kinds"])
+    return lambda example: (example.question_id, *mining.mine_question(example, predictor))
 
 
-def _finish_mine(cfg: PipelineConfig, examples, label_lists, errors) -> tuple[dict, str]:
-    labels = [label for batch in label_lists for label in batch]
+def _finish_mine(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
+    labels = [label for _, batch, _ in results for label in batch]
     counts = {}
-    for kind in cfg["mine.kinds"]:
+    for kind in mining.LabelKind:
         kind_labels = [l for l in labels if l.kind is kind]
         out_path = cfg["out"] / f"labels.{kind.value}.jsonl"
         counts[kind.value] = dict(mining.emit_training_records(kind_labels, out_path, examples))
-    write_jsonl(cfg["out"] / "mining_audit.jsonl", mining.audit_records(labels))
-    fields = {"questions": len(label_lists), "labels": len(labels), "class_counts": counts}
-    return fields, f"mined {len(labels)} labels over {len(label_lists)} questions -> {cfg['out']}"
+    audit = (record for qid, _, log in results for record in mining.audit_records(qid, log))
+    write_jsonl(cfg["out"] / "mining_audit.jsonl", audit)
+    fields = {"questions": len(results), "labels": len(labels), "class_counts": counts}
+    return fields, f"mined {len(labels)} labels over {len(results)} questions -> {cfg['out']}"
 
 
 def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
@@ -387,7 +378,7 @@ def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Call
     return serialize
 
 
-def _finish_serialize(cfg: PipelineConfig, examples, reader_examples, errors) -> tuple[dict, str]:
+def _finish_serialize(cfg: PipelineConfig, examples, reader_examples) -> tuple[dict, str]:
     out_path = cfg["out"] / "reader_inputs.jsonl"
     readerio.write_reader_examples(out_path, reader_examples)
     variant = cfg["serialize.variant"].value
@@ -400,7 +391,7 @@ def _build_analyze(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callab
     return lambda item: (analysis.conflicting_rate(item[1]), item[2], item[3:])
 
 
-def _finish_analyze(cfg: PipelineConfig, examples, results, errors) -> tuple[dict, str]:
+def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
     # the annotations too are read and checked, and --strict decided, before any file is written
     stats = [stat for stat, _, _ in results]
     methods = enumerate(cfg["analyze.predictions"])
@@ -497,7 +488,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
         no_records, files = zip(*handoffs(cfg))
         items, work = _join(examples, files), _both_sides(work, no_records)
     results = _map_items(items, work, cfg, errors, name)
-    fields, summary = finish(cfg, examples, results, errors)
+    fields, summary = finish(cfg, examples, results)
     _write_report(cfg, name, {**fields, "errors": errors})
     print(summary)
     return 0

@@ -16,11 +16,13 @@ patterns require (I correct, II incorrect), so III and IV are only ever
 evaluated behind that gate; every non-gated pair is undetermined without
 issuing the extra calls.
 
-Both kinds share I and II. Mining a question with N retrieved passages for
-both kinds costs 1 + N + 2 * (number of gated pairs) reader calls: I once,
-II once per retrieved passage, III once per generated passage in a gated
-pair and IV once per gated pair. When a generated passage is in several
-gated pairs, its III call is shared and the count is lower.
+Both kinds share I and II, so one pass over a question always yields both.
+It costs 1 + N + 2 * (number of gated pairs) reader calls for N retrieved
+passages: I once, II once per retrieved passage, III once per generated
+passage in a gated pair and IV once per gated pair. When a generated passage
+is in several gated pairs, its III call is shared and the count is lower.
+The pass also returns its reader-call log, one outcome per call that
+answered, in call order; the mining audit writes that log as it stands.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import QAExample, exact_match
 from .errors import ContractViolation, PipelineError
@@ -76,7 +78,6 @@ class SilverLabel:
     kind: LabelKind
     rp_index: int
     verdict: Verdict
-    outcomes: tuple[ConfigOutcome, ...]
     lp_index: int | None = None
 
     def __post_init__(self):
@@ -110,58 +111,55 @@ def consistency_verdict(outcomes: Sequence[ConfigOutcome]) -> Verdict:
     return Verdict.UNDETERMINED
 
 
-def mine_question(example: QAExample, predictor, kinds: Collection[LabelKind]) -> list[SilverLabel]:
-    """Labels of the given kinds for one question, from one reader pass.
+def mine_question(example: QAExample, predictor) -> tuple[list[SilverLabel], list[ConfigOutcome]]:
+    """Both kinds of label for one question, from one reader pass, and the
+    question's reader-call log.
 
     Predicts I once and II once per retrieved passage, which both kinds
     share; III and IV only for gated pairs. Returns the evidentiality labels
     by retrieved index, then the consistency labels by (generated, retrieved)
-    index. A failed reader call is logged as a warning and leaves the labels
-    that need it undetermined.
+    index, and one outcome per reader call that answered, in call order. A
+    failed reader call is logged as a warning and leaves the labels that need
+    it undetermined.
     """
     if example.n < 2:
         raise ContractViolation(f"{example.question_id}: leave-one-out mining needs N >= 2")
-    slots = [(LabelKind.EVIDENTIALITY, None, j) for j in range(example.n) if LabelKind.EVIDENTIALITY in kinds]
-    if LabelKind.CONSISTENCY in kinds:
-        slots += [(LabelKind.CONSISTENCY, i, j) for i in range(example.m) for j in range(example.n)]
-    if not slots:
-        return []
     qid = example.question_id
     blocks = [chain.text() for chain in example.retrieved]
+    log: list[ConfigOutcome] = []
 
     def attempt(config: Config, passages: list[str], lp: int | None = None, rp: int | None = None):
-        """The outcome of one reader call, or None when the call fails."""
+        """The outcome of one reader call, appended to the log, or None when the call fails."""
         try:
             prediction = predictor.predict(PredictRequest(question=example.question, passages=tuple(passages)))
         except PipelineError as exc:
             logger.warning("%s: config %s failed (lp %s, rp %s): %s", qid, config.value, lp, rp, exc)
             return None
-        return ConfigOutcome(config, prediction, exact_match(prediction, example.answers), lp, rp)
+        log.append(ConfigOutcome(config, prediction, exact_match(prediction, example.answers), lp, rp))
+        return log[-1]
 
     full = attempt(Config.I_FULL, blocks)
-    if full is None:
-        return [SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (), i) for kind, i, j in slots]
-    drops = [attempt(Config.II_DROP_RP, blocks[:j] + blocks[j + 1 :], rp=j) for j in range(example.n)]
-    adds: dict[int, ConfigOutcome | None] = {}
+    drops = [None] * example.n
+    if full is not None:
+        drops = [attempt(Config.II_DROP_RP, blocks[:j] + blocks[j + 1 :], rp=j) for j in range(example.n)]
     labels = []
-    for kind, i, j in slots:
-        drop = drops[j]
-        if drop is None:
-            labels.append(SilverLabel(qid, kind, j, Verdict.UNDETERMINED, (full,), i))
-            continue
-        outcomes: tuple[ConfigOutcome, ...] = (full, drop)
-        if kind is LabelKind.EVIDENTIALITY:
-            labels.append(SilverLabel(qid, kind, j, evidentiality_verdict(full.correct, drop.correct), outcomes))
-            continue
-        if full.correct and not drop.correct:
-            lp_block = example.generated[i].text()
-            if i not in adds:
-                adds[i] = attempt(Config.III_ADD_LP, blocks + [lp_block], lp=i)
-            if adds[i] is not None:
-                swap = attempt(Config.IV_SWAP_LP_FOR_RP, blocks[:j] + blocks[j + 1 :] + [lp_block], lp=i, rp=j)
-                outcomes += (adds[i],) if swap is None else (adds[i], swap)
-        labels.append(SilverLabel(qid, kind, j, consistency_verdict(outcomes), outcomes, i))
-    return labels
+    for j, drop in enumerate(drops):
+        verdict = Verdict.UNDETERMINED if drop is None else evidentiality_verdict(full.correct, drop.correct)
+        labels.append(SilverLabel(qid, LabelKind.EVIDENTIALITY, j, verdict))
+    adds: dict[int, ConfigOutcome | None] = {}
+    for i in range(example.m):
+        for j, drop in enumerate(drops):
+            outcomes = [full, drop]
+            if drop is not None and full.correct and not drop.correct:
+                lp_block = example.generated[i].text()
+                if i not in adds:
+                    adds[i] = attempt(Config.III_ADD_LP, blocks + [lp_block], lp=i)
+                if adds[i] is not None:
+                    swap = attempt(Config.IV_SWAP_LP_FOR_RP, blocks[:j] + blocks[j + 1 :] + [lp_block], lp=i, rp=j)
+                    outcomes += [adds[i], swap]
+            verdict = consistency_verdict([o for o in outcomes if o is not None])
+            labels.append(SilverLabel(qid, LabelKind.CONSISTENCY, j, verdict, i))
+    return labels, log
 
 
 def label_to_training_record(label: SilverLabel, example: QAExample) -> dict:
@@ -204,21 +202,14 @@ def emit_training_records(
     return counts
 
 
-def audit_records(labels: Sequence[SilverLabel]) -> Iterator[dict]:
-    """One record per reader call, for the mining audit log, in first-use
-    order. Labels of one question share outcomes; each is logged once."""
-    seen = set()
-    for label in labels:
-        for outcome in label.outcomes:
-            key = (label.question_id, outcome.config, outcome.lp_index, outcome.rp_index)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield {
-                "question_id": label.question_id,
-                "config": outcome.config.value,
-                "lp_index": outcome.lp_index,
-                "rp_index": outcome.rp_index,
-                "prediction": outcome.prediction,
-                "correct": outcome.correct,
-            }
+def audit_records(question_id: str, log: Sequence[ConfigOutcome]) -> Iterator[dict]:
+    """One record per reader call in a question's call log, in call order."""
+    for outcome in log:
+        yield {
+            "question_id": question_id,
+            "config": outcome.config.value,
+            "lp_index": outcome.lp_index,
+            "rp_index": outcome.rp_index,
+            "prediction": outcome.prediction,
+            "correct": outcome.correct,
+        }

@@ -60,6 +60,10 @@ class FixtureService:
         service = self
 
         class Handler(BaseHTTPRequestHandler):
+            # a buffered reply leaves in one write, when the request is done: a client that timed
+            # out and closed during a stalled reply then cannot break the pipe under a second write
+            wbufsize = -1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")

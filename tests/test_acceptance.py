@@ -157,7 +157,9 @@ def test_criterion_05_mining_soundness():
                 expected["positive"].add(key)
             else:
                 expected["negative"].add(key)
-        for label in mining.mine_question(example, predictor, {mining.LabelKind.CONSISTENCY}):
+        for label in mining.mine_question(example, predictor)[0]:
+            if label.kind is not mining.LabelKind.CONSISTENCY:
+                continue
             rp_id = example.retrieved[label.rp_index].id
             if label.verdict is mining.Verdict.POSITIVE:
                 assert rp_id == pivot

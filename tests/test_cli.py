@@ -1146,7 +1146,6 @@ class TestErrorHandling:
             _bad_config("analyze", {"analyze": {"annotations": 7}}, "analyze.annotations must be a path or null, got 7"),
             _bad_config("match", {"matching": {"matrices": ["a"]}}, "matching.matrices must be a path or null, got ['a']"),
             _bad_config("serialize", {"serialize": {"matchings": 5}}, "serialize.matchings must be a path or null, got 5"),
-            _bad_config("mine", {"mine": {"kinds": "evidentiality"}}, "mine.kinds must be an array of"),
             _bad_config("score", {"scorer": {"backend": "file"}}, "scorer.backend must be one of lexical, remote, got 'file'"),
             _bad_config("score", {"scorer": {"store": "matrices.jsonl"}}, "unknown config field scorer.store"),
             _config_not_utf8,
@@ -1185,7 +1184,6 @@ class TestErrorHandling:
             "config-analyze-annotations-not-a-string",
             "config-matching-matrices-not-a-string",
             "config-serialize-matchings-not-a-string",
-            "config-mine-kinds-not-an-array",
             "config-scorer-backend-file",
             "config-scorer-store",
             "config-not-utf8",

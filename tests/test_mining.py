@@ -24,9 +24,12 @@ PIVOT = "the pivotal passage states gold entity"
 FILLER = ["filler passage one", "filler passage two"]
 GOOD_LP = "a faithful account of gold entity"
 BAD_LP = "a hallucinated account of wrong entity"
-EVIDENTIALITY = {LabelKind.EVIDENTIALITY}
-CONSISTENCY = {LabelKind.CONSISTENCY}
-BOTH = EVIDENTIALITY | CONSISTENCY
+LINK = "the linking passage names the entity"
+
+
+def labels_of(kind, example, predictor):
+    """The labels of one kind from one mining pass, in the order it returns them."""
+    return [label for label in mine_question(example, predictor)[0] if label.kind is kind]
 
 
 def pivot_example(generated=(GOOD_LP, BAD_LP)):
@@ -94,7 +97,7 @@ class TestVerdictRules:
 class TestMineEvidentiality:
     def test_pivot_is_positive_fillers_undetermined(self):
         example = pivot_example()
-        labels = mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
+        labels = labels_of(LabelKind.EVIDENTIALITY, example, ScriptedPredictor())
         assert [l.verdict for l in labels] == [
             Verdict.POSITIVE,
             Verdict.UNDETERMINED,
@@ -107,14 +110,14 @@ class TestMineEvidentiality:
             def predict(self, req):
                 return WRONG if PIVOT in " ".join(req.passages) else GOLD
 
-        labels = mine_question(pivot_example(), MisledPredictor(), EVIDENTIALITY)
+        labels = labels_of(LabelKind.EVIDENTIALITY, pivot_example(), MisledPredictor())
         assert labels[0].verdict is Verdict.NEGATIVE
         assert labels[1].verdict is Verdict.UNDETERMINED
 
     def test_requires_two_passages(self):
         example = make_example(retrieved_texts=("only one",))
         with pytest.raises(ContractViolation):
-            mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
+            mine_question(example, ScriptedPredictor())
 
     def test_predictor_failure_yields_undetermined_with_note(self, caplog):
         class Failing:
@@ -127,7 +130,7 @@ class TestMineEvidentiality:
                     raise PipelineError("service down")
                 return GOLD
 
-        labels = mine_question(pivot_example(), Failing(), EVIDENTIALITY)
+        labels = labels_of(LabelKind.EVIDENTIALITY, pivot_example(), Failing())
         assert all(l.verdict is Verdict.UNDETERMINED for l in labels)
         # each failed reader call logs one warning naming its error
         assert [r.levelname for r in caplog.records] == ["WARNING"] * len(labels)
@@ -138,7 +141,7 @@ class TestMineConsistency:
     def test_verdicts_against_ground_truth(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        labels = mine_question(example, predictor, CONSISTENCY)
+        labels = labels_of(LabelKind.CONSISTENCY, example, predictor)
         by_pair = {(l.lp_index, l.rp_index): l.verdict for l in labels}
         assert by_pair[(0, 0)] is Verdict.POSITIVE  # faithful lp, pivotal rp
         assert by_pair[(1, 0)] is Verdict.NEGATIVE  # hallucinated lp, pivotal rp
@@ -149,7 +152,7 @@ class TestMineConsistency:
     def test_generated_calls_only_behind_the_gate(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        mine_question(example, predictor, CONSISTENCY)
+        mine_question(example, predictor)
         # gate holds only for rp 0, so III+IV appear once per generated passage
         gated_pairs = example.m  # (i, pivot) for each i
         assert len(predictor.calls_with_generated()) == 2 * gated_pairs
@@ -157,12 +160,8 @@ class TestMineConsistency:
     def test_call_count_bound(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        labels = mine_question(example, predictor, CONSISTENCY)
-        gated = sum(
-            1
-            for l in labels
-            if any(o.config is Config.IV_SWAP_LP_FOR_RP for o in l.outcomes)
-        )
+        _, log = mine_question(example, predictor)
+        gated = sum(1 for o in log if o.config is Config.IV_SWAP_LP_FOR_RP)
         assert len(predictor.calls) <= example.n + 1 + 2 * gated
 
     def test_always_wrong_predictor_issues_no_extra_calls(self):
@@ -176,26 +175,32 @@ class TestMineConsistency:
 
         example = pivot_example()
         predictor = AlwaysWrong()
-        labels = mine_question(example, predictor, CONSISTENCY)
+        labels = labels_of(LabelKind.CONSISTENCY, example, predictor)
         assert all(l.verdict is Verdict.UNDETERMINED for l in labels)
         assert predictor.calls == 1 + example.n  # I once, II per retrieved passage
 
     def test_both_kinds_share_one_pass(self):
         example = pivot_example()
         predictor = ScriptedPredictor()
-        labels = mine_question(example, predictor, BOTH)
+        labels, log = mine_question(example, predictor)
         gated = example.m  # (i, pivot) for each generated passage
         assert len(predictor.calls) == 1 + example.n + 2 * gated
+        assert len(log) == len(predictor.calls)
         assert [(l.lp_index, l.rp_index) for l in labels[example.n :]] == [
             (i, j) for i in range(example.m) for j in range(example.n)
         ]
-        assert labels[: example.n] == mine_question(example, ScriptedPredictor(), EVIDENTIALITY)
-        assert labels[example.n :] == mine_question(example, ScriptedPredictor(), CONSISTENCY)
+        assert [(l.kind, l.rp_index) for l in labels[: example.n]] == [
+            (LabelKind.EVIDENTIALITY, j) for j in range(example.n)
+        ]
+        assert all(l.kind is LabelKind.CONSISTENCY for l in labels[example.n :])
 
     def test_verdict_purity(self):
-        labels = mine_question(pivot_example(), ScriptedPredictor(), CONSISTENCY)
-        for label in labels:
-            assert consistency_verdict(label.outcomes) is label.verdict
+        example = pivot_example()
+        labels, log = mine_question(example, ScriptedPredictor())
+        for label in labels[example.n :]:
+            # I, then the pair's II, III and IV: every call whose indices are the pair's or absent
+            pair = [o for o in log if o.lp_index in (None, label.lp_index) and o.rp_index in (None, label.rp_index)]
+            assert consistency_verdict(pair) is label.verdict
 
     def test_label_invariants(self):
         with pytest.raises(ContractViolation):
@@ -204,7 +209,6 @@ class TestMineConsistency:
                 kind=LabelKind.CONSISTENCY,
                 rp_index=0,
                 verdict=Verdict.POSITIVE,
-                outcomes=(),
             )
         with pytest.raises(ContractViolation):
             SilverLabel(
@@ -213,7 +217,6 @@ class TestMineConsistency:
                 rp_index=0,
                 lp_index=1,
                 verdict=Verdict.POSITIVE,
-                outcomes=(),
             )
 
 
@@ -223,7 +226,6 @@ def _evid_label(qid, j, verdict):
         kind=LabelKind.EVIDENTIALITY,
         rp_index=j,
         verdict=verdict,
-        outcomes=(ConfigOutcome(Config.I_FULL, "p", True),),
     )
 
 
@@ -256,9 +258,11 @@ class TestEmitTrainingRecords:
 
     def test_audit_covers_every_outcome(self):
         predictor = ScriptedPredictor()
-        labels = mine_question(pivot_example(), predictor, BOTH)
-        records = list(audit_records(labels))
+        example = pivot_example()
+        labels, log = mine_question(example, predictor)
+        records = list(audit_records(example.question_id, log))
         assert len(records) == len(predictor.calls)
+        assert all(r["question_id"] == example.question_id for r in records)
         assert all(
             set(r) == {"question_id", "config", "lp_index", "rp_index", "prediction", "correct"} for r in records
         )
@@ -275,3 +279,64 @@ class TestEmitTrainingRecords:
             else:
                 extra = [by_call[k] for k in (("III", i, None), ("IV", i, j)) if k in by_call]
                 assert consistency_verdict([full, drop, *extra]) is label.verdict
+
+
+class BridgeReader:
+    """Correct iff both retrieved pivots (PIVOT and LINK), or the faithful
+    generated passage, are present and the hallucinated one is not; so the
+    gate holds at two retrieved passages. Raises on every request whose
+    passages are in ``fail``."""
+
+    def __init__(self, fail=()):
+        self.fail, self.received = set(fail), []
+
+    def predict(self, req):
+        self.received.append(req)
+        if req.passages in self.fail:
+            raise PipelineError("reader timed out")
+        blocks = " || ".join(req.passages)
+        supported = (PIVOT in blocks and LINK in blocks) or GOOD_LP in blocks
+        return GOLD if supported and BAD_LP not in blocks else WRONG
+
+
+class TestCallLog:
+    def test_a_failed_call_is_absent_from_the_log_and_undetermines_its_labels(self):
+        example = make_example(
+            answers=(GOLD,), retrieved_texts=(PIVOT, LINK, FILLER[0]), generated_texts=(GOOD_LP, BAD_LP)
+        )
+        reference = BridgeReader()
+        before, reference_log = mine_question(example, reference)
+        assert len(reference_log) == len(reference.received)
+        outcome_of = {req.passages: o for o, req in zip(reference_log, reference.received)}
+        passages_of = {(o.config, o.lp_index, o.rp_index): p for p, o in outcome_of.items()}
+        failed = [(Config.II_DROP_RP, None, 1), (Config.IV_SWAP_LP_FOR_RP, 0, 0)]
+        reader = BridgeReader(fail=[passages_of[call] for call in failed])
+
+        labels, log = mine_question(example, reader)
+        answered = [req for req in reader.received if req.passages not in reader.fail]
+        assert len(answered) == len(reader.received) - 2
+        assert log == [outcome_of[req.passages] for req in answered]
+        assert [(o.config.value, o.lp_index, o.rp_index) for o in log] == [
+            ("I", None, None), ("II", None, 0), ("II", None, 2), ("III", 0, None), ("III", 1, None), ("IV", 1, 0),
+        ]  # fmt: skip
+        records = list(audit_records(example.question_id, log))
+        assert [(r["config"], r["lp_index"], r["rp_index"], r["prediction"]) for r in records] == [
+            (o.config.value, o.lp_index, o.rp_index, o.prediction) for o in log
+        ]
+
+        # II of rp 1 decides its evidentiality label and gates both (lp, 1) pairs; IV of (0, 0) decides that pair
+        needs_failed = {
+            (LabelKind.EVIDENTIALITY, None, 1),
+            (LabelKind.CONSISTENCY, 0, 0),
+            (LabelKind.CONSISTENCY, 0, 1),
+            (LabelKind.CONSISTENCY, 1, 1),
+        }
+        assert [(l.kind, l.lp_index, l.rp_index) for l in labels] == [(l.kind, l.lp_index, l.rp_index) for l in before]
+        for label, earlier in zip(labels, before):
+            if (label.kind, label.lp_index, label.rp_index) in needs_failed:
+                assert earlier.verdict is not Verdict.UNDETERMINED
+                assert label.verdict is Verdict.UNDETERMINED
+            else:
+                assert label.verdict is earlier.verdict
+        # left decided: evidentiality of rp 0 and the consistency of (1, 0)
+        assert sum(l.verdict is not Verdict.UNDETERMINED for l in labels) == 2

@@ -143,8 +143,8 @@ class TestMiningSoundness:
         for example in examples:
             qt = truth.questions[example.question_id]
             pivots = qt.supporting_ids(Source.RETRIEVED)
-            labels = mine_question(example, predictor, {LabelKind.CONSISTENCY})
-            for label in labels:
+            labels = mine_question(example, predictor)[0]
+            for label in (l for l in labels if l.kind is LabelKind.CONSISTENCY):
                 rp_id = example.retrieved[label.rp_index].id
                 faithful = qt.chains[example.generated[label.lp_index].id].supports
                 if rp_id in pivots:
@@ -158,7 +158,8 @@ class TestMiningSoundness:
         predictor = SimPredictor(truth)
         for example in examples:
             pivots = truth.questions[example.question_id].supporting_ids(Source.RETRIEVED)
-            for label in mine_question(example, predictor, {LabelKind.EVIDENTIALITY}):
+            labels = mine_question(example, predictor)[0]
+            for label in (l for l in labels if l.kind is LabelKind.EVIDENTIALITY):
                 rp_id = example.retrieved[label.rp_index].id
                 expected = Verdict.POSITIVE if rp_id in pivots else Verdict.UNDETERMINED
                 assert label.verdict is expected
