@@ -219,12 +219,15 @@ def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
     return _cached(cfg, RemoteScorer(url, token), f"scorer:remote:{url}")
 
 
-def build_predictor(cfg: PipelineConfig):
+def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):
+    """The reader backend; the ``sim`` one first checks that its truth file fits every example."""
     if cfg["predictor.backend"] == "sim":
         truth_path = cfg["predictor.truth"]
         if not truth_path:
             raise ContractViolation("predictor backend 'sim' needs predictor.truth (a truth file)")
-        return _cached(cfg, sim.SimPredictor(sim.load_truth(truth_path)), "predictor:sim", truth_path)
+        truth = sim.load_truth(truth_path)
+        truth.check(examples, truth_path)
+        return _cached(cfg, sim.SimPredictor(truth), "predictor:sim", truth_path)
     url, token = _service(cfg, "predictor")
     return _cached(cfg, RemotePredictor(url, token), f"predictor:remote:{url}")
 
@@ -345,7 +348,7 @@ def _finish_match(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
 
 
 def _build_mine(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
-    predictor = build_predictor(cfg)
+    predictor = build_predictor(cfg, examples)
     return lambda example: (example.question_id, *mining.mine_question(example, predictor))
 
 

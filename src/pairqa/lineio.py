@@ -37,8 +37,12 @@ class IngestionReport:
         self.warnings.append(LineError(line, message))
 
 
+# One encoder for every record: ``json.dumps`` with these options builds a new one per call.
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def integer(value) -> int:

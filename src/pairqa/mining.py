@@ -14,7 +14,9 @@ A pair is consistent when II is incorrect and I, III, IV are all correct;
 conflicting when I is correct and II, III, IV are all incorrect. Both
 patterns require (I correct, II incorrect), so III and IV are only ever
 evaluated behind that gate; every non-gated pair is undetermined without
-issuing the extra calls.
+issuing the extra calls. A pair's verdict is a function of its four
+outcomes, each absent when its call was not made or failed. A question
+checks each distinct prediction against its answers once.
 
 Both kinds share I and II, so one pass over a question always yields both.
 It costs 1 + N + 2 * (number of gated pairs) reader calls for N retrieved
@@ -95,19 +97,16 @@ def evidentiality_verdict(full_correct: bool, drop_correct: bool) -> Verdict:
     return Verdict.UNDETERMINED
 
 
-def consistency_verdict(outcomes: Sequence[ConfigOutcome]) -> Verdict:
-    """Pure function of the configuration correctness booleans."""
-    by_config = {o.config: o.correct for o in outcomes}
-    if Config.I_FULL not in by_config or Config.II_DROP_RP not in by_config:
+def consistency_verdict(
+    full: ConfigOutcome | None, drop: ConfigOutcome | None, add: ConfigOutcome | None, swap: ConfigOutcome | None
+) -> Verdict:
+    """A pair's verdict from its I, II, III and IV outcomes, each None when its
+    call was not made or failed: positive when III and IV are correct and
+    negative when both are wrong, if I is correct and II wrong; else undetermined."""
+    if full is None or drop is None or add is None or swap is None or not full.correct or drop.correct:
         return Verdict.UNDETERMINED
-    gate = by_config[Config.I_FULL] and not by_config[Config.II_DROP_RP]
-    if not gate or Config.III_ADD_LP not in by_config or Config.IV_SWAP_LP_FOR_RP not in by_config:
-        return Verdict.UNDETERMINED
-    iii, iv = by_config[Config.III_ADD_LP], by_config[Config.IV_SWAP_LP_FOR_RP]
-    if iii and iv:
-        return Verdict.POSITIVE
-    if not iii and not iv:
-        return Verdict.NEGATIVE
+    if add.correct == swap.correct:
+        return Verdict.POSITIVE if add.correct else Verdict.NEGATIVE
     return Verdict.UNDETERMINED
 
 
@@ -127,6 +126,7 @@ def mine_question(example: QAExample, predictor) -> tuple[list[SilverLabel], lis
     qid = example.question_id
     blocks = [chain.text() for chain in example.retrieved]
     log: list[ConfigOutcome] = []
+    checked: dict[str, bool] = {}  # prediction -> whether it matches an answer, checked once per question
 
     def attempt(config: Config, passages: list[str], lp: int | None = None, rp: int | None = None):
         """The outcome of one reader call, appended to the log, or None when the call fails."""
@@ -135,7 +135,10 @@ def mine_question(example: QAExample, predictor) -> tuple[list[SilverLabel], lis
         except PipelineError as exc:
             logger.warning("%s: config %s failed (lp %s, rp %s): %s", qid, config.value, lp, rp, exc)
             return None
-        log.append(ConfigOutcome(config, prediction, exact_match(prediction, example.answers), lp, rp))
+        correct = checked.get(prediction)
+        if correct is None:
+            correct = checked[prediction] = exact_match(prediction, example.answers)
+        log.append(ConfigOutcome(config, prediction, correct, lp, rp))
         return log[-1]
 
     full = attempt(Config.I_FULL, blocks)
@@ -149,15 +152,15 @@ def mine_question(example: QAExample, predictor) -> tuple[list[SilverLabel], lis
     adds: dict[int, ConfigOutcome | None] = {}
     for i in range(example.m):
         for j, drop in enumerate(drops):
-            outcomes = [full, drop]
+            add = swap = None
             if drop is not None and full.correct and not drop.correct:
                 lp_block = example.generated[i].text()
                 if i not in adds:
                     adds[i] = attempt(Config.III_ADD_LP, blocks + [lp_block], lp=i)
-                if adds[i] is not None:
+                add = adds[i]
+                if add is not None:
                     swap = attempt(Config.IV_SWAP_LP_FOR_RP, blocks[:j] + blocks[j + 1 :] + [lp_block], lp=i, rp=j)
-                    outcomes += [adds[i], swap]
-            verdict = consistency_verdict([o for o in outcomes if o is not None])
+            verdict = consistency_verdict(full, drop, add, swap)
             labels.append(SilverLabel(qid, LabelKind.CONSISTENCY, j, verdict, i))
     return labels, log
 

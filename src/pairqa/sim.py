@@ -11,7 +11,10 @@ seed fixed changes each chain's flag monotonically.
 The mock reader answers with the gold token when the input contains at
 least one supporting chain and no hallucinated generated chain; a
 hallucinated chain always misleads it to the distractor. That determinism
-makes mined silver labels exactly checkable against the ground truth.
+makes mined silver labels exactly checkable against the ground truth. It
+finds the chains in a block that is exactly one chain text through a
+per-question index, built on the question's first lookup, and scans the
+question's chains for any other block, so both give the same chains.
 """
 
 from __future__ import annotations
@@ -66,13 +69,6 @@ class QuestionTruth:
     distractor: str
     chains: dict[str, ChainTruth]
 
-    def supporting_ids(self, source: Source | None = None) -> set[str]:
-        return {
-            cid
-            for cid, ct in self.chains.items()
-            if ct.supports and (source is None or ct.source is source)
-        }
-
 
 @dataclass
 class GroundTruth:
@@ -80,12 +76,43 @@ class GroundTruth:
 
     def __post_init__(self):
         self._by_question_text = {qt.question: qid for qid, qt in self.questions.items()}
+        # question id -> chain text -> the question's chains that text contains. A question's
+        # entry is built on its first lookup; threads that race build equal dicts.
+        self._index: dict[str, dict[str, list[ChainTruth]]] = {}
 
     def for_question_text(self, question: str) -> QuestionTruth:
         qid = self._by_question_text.get(question)
         if qid is None:
             raise ContractViolation(f"unknown synthetic question {question!r}")
         return self.questions[qid]
+
+    def chains_in(self, qt: QuestionTruth, block: str) -> list[ChainTruth]:
+        """The chains of ``qt`` whose text ``block`` contains: looked up when
+        ``block`` is one chain text of ``qt``, else found by a scan."""
+        index = self._index.get(qt.question_id)
+        if index is None:
+            index = self._index[qt.question_id] = {ct.text: _scan(qt, ct.text) for ct in qt.chains.values()}
+        hit = index.get(block)
+        return _scan(qt, block) if hit is None else hit
+
+    def check(self, examples: Sequence[QAExample], path: str | Path) -> None:
+        """ContractViolation naming the truth file ``path`` unless the reader can
+        answer every example's blocks: each example needs a truth record with its
+        question text, and each of its chain texts must contain a chain text of it."""
+        bad = []
+        for ex in examples:
+            qt = self.questions.get(self._by_question_text.get(ex.question))
+            if qt is None or not all(self.chains_in(qt, c.text()) for c in ex.retrieved + ex.generated):
+                bad.append(ex.question_id)
+        if bad:
+            raise ContractViolation(
+                f"truth file {path} does not match {len(bad)} of {len(examples)} dataset questions (first {bad[0]})"
+            )
+
+
+def _scan(qt: QuestionTruth, block: str) -> list[ChainTruth]:
+    """The chains of ``qt`` whose text ``block`` contains."""
+    return [ct for ct in qt.chains.values() if ct.text in block]
 
 
 def _make_chain(qid: str, cid: str, body: str, hop_type: HopType) -> PassageChain:
@@ -163,7 +190,7 @@ def mock_predict(question: str, blocks: Sequence[str], truth: GroundTruth) -> st
     supported = False
     misled = False
     for block in blocks:
-        present = [ct for ct in qt.chains.values() if ct.text in block]
+        present = truth.chains_in(qt, block)
         if not present:
             raise ContractViolation(
                 f"block for {qt.question_id} does not contain any known chain text"

@@ -149,7 +149,7 @@ def test_criterion_05_mining_soundness():
     gated_pairs = 0
     for example in examples:
         qt = truth.questions[example.question_id]
-        pivot = next(iter(qt.supporting_ids(Source.RETRIEVED)))
+        pivot = next(cid for cid, ct in qt.chains.items() if ct.supports and ct.source is Source.RETRIEVED)
         for i, lp in enumerate(example.generated):
             gated_pairs += 1  # the gate holds exactly at (i, pivot) in single-pivot mode
             key = (example.question_id, i)

@@ -10,8 +10,8 @@ import pytest
 
 import pairqa
 from pairqa.cli import FIELDS, build_parser, load_config, main
-from pairqa.corpus import HopType, write_examples
-from pairqa.sim import SynthSpec, generate_corpus, write_truth
+from pairqa.corpus import HopType, read_examples, write_examples
+from pairqa.sim import SynthSpec, generate_corpus, load_truth, write_truth
 
 from conftest import cache_db
 
@@ -652,6 +652,21 @@ class TestStartup:
         assert (tmp / "warm" / "matrices.jsonl").read_bytes() == (tmp / "cold" / "matrices.jsonl").read_bytes()
 
 
+def _other_seed_truth(tmp, truth_path):
+    """The truth file of a corpus like the workspace's but of another seed: every question text
+    is the same, since it depends only on the question's index, but chain texts differ."""
+    other = tmp / "other"
+    shape = ["--simulate.num_questions", 8, "--simulate.n", 4, "--simulate.m", 3]
+    assert run("simulate", "--out", other, "--seed", 6, *shape) == 0
+    return other / "sim_truth.jsonl"
+
+
+def _truth_first_question_dropped(tmp, truth_path):
+    bad = tmp / "bad_truth.jsonl"
+    _copy_with_first_record(truth_path, bad, _drop)
+    return bad
+
+
 class TestMine:
     def test_mine_with_sim_predictor(self, sim_workspace):
         tmp, dataset, truth_path = sim_workspace
@@ -678,6 +693,44 @@ class TestMine:
             json.loads(l) for l in (out / "labels.consistency.jsonl").read_text().splitlines()
         ]
         assert cons and all(set(r) == {"question", "generated", "retrieved", "label"} for r in cons)
+
+    def test_workers_do_not_change_output(self, sim_workspace):
+        tmp, dataset, truth_path = sim_workspace
+        outputs = []
+        for workers in (1, 4):
+            out = tmp / f"w{workers}"
+            argv = ["mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth_path, "--workers", workers]
+            assert run(*argv) == 0
+            names = ("labels.evidentiality.jsonl", "labels.consistency.jsonl", "mining_audit.jsonl", "mine_report.json")
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize(
+        "make_truth", [_other_seed_truth, _truth_first_question_dropped], ids=["other-seed", "question-missing"]
+    )
+    def test_a_truth_file_that_does_not_fit_stops_the_run_up_front(self, sim_workspace, make_truth, strict, capsys):
+        """One ContractViolation naming the truth file, the first question it does not
+        fit and how many, before any reader call, with or without --strict."""
+        tmp, dataset, truth_path = sim_workspace
+        truth = make_truth(tmp, truth_path)
+        known = {qt.question: {ct.text for ct in qt.chains.values()} for qt in load_truth(truth).questions.values()}
+        examples, _ = read_examples(dataset)
+        misfits = [
+            ex.question_id
+            for ex in examples
+            if not {c.text() for c in ex.retrieved + ex.generated} <= known.get(ex.question, set())
+        ]
+        assert misfits
+        out = tmp / "out"
+        capsys.readouterr()
+        assert run("mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth, *["--strict"] * strict) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary == {
+            "error": "ContractViolation",
+            "message": f"truth file {truth} does not match {len(misfits)} of 8 dataset questions (first {misfits[0]})",
+        }
+        assert not out.exists()
 
 
 class TestAnalyze:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from pairqa.errors import ContractViolation, PipelineError
@@ -69,29 +71,47 @@ class TestVerdictRules:
         assert evidentiality_verdict(False, False) is Verdict.UNDETERMINED
 
     def _outcomes(self, i, ii, iii=None, iv=None):
-        outcomes = [
-            ConfigOutcome(Config.I_FULL, "x", i),
-            ConfigOutcome(Config.II_DROP_RP, "x", ii),
-        ]
-        if iii is not None:
-            outcomes.append(ConfigOutcome(Config.III_ADD_LP, "x", iii))
-        if iv is not None:
-            outcomes.append(ConfigOutcome(Config.IV_SWAP_LP_FOR_RP, "x", iv))
-        return outcomes
+        """The I, II, III and IV outcomes of a pair, None where a correctness is None."""
+        return tuple(
+            None if correct is None else ConfigOutcome(config, "x", correct)
+            for config, correct in zip(Config, (i, ii, iii, iv))
+        )
 
     def test_consistent_pattern(self):
-        assert consistency_verdict(self._outcomes(True, False, True, True)) is Verdict.POSITIVE
+        assert consistency_verdict(*self._outcomes(True, False, True, True)) is Verdict.POSITIVE
 
     def test_conflicting_pattern(self):
-        assert consistency_verdict(self._outcomes(True, False, False, False)) is Verdict.NEGATIVE
+        assert consistency_verdict(*self._outcomes(True, False, False, False)) is Verdict.NEGATIVE
 
     def test_gate_not_met(self):
-        assert consistency_verdict(self._outcomes(False, False)) is Verdict.UNDETERMINED
-        assert consistency_verdict(self._outcomes(True, True)) is Verdict.UNDETERMINED
+        assert consistency_verdict(*self._outcomes(False, False)) is Verdict.UNDETERMINED
+        assert consistency_verdict(*self._outcomes(True, True)) is Verdict.UNDETERMINED
 
     def test_mixed_is_undetermined(self):
-        assert consistency_verdict(self._outcomes(True, False, True, False)) is Verdict.UNDETERMINED
-        assert consistency_verdict(self._outcomes(True, False, False, True)) is Verdict.UNDETERMINED
+        assert consistency_verdict(*self._outcomes(True, False, True, False)) is Verdict.UNDETERMINED
+        assert consistency_verdict(*self._outcomes(True, False, False, True)) is Verdict.UNDETERMINED
+
+    @staticmethod
+    def _dict_rule(outcomes):
+        """The reference rule, read from a dict of the outcomes that exist, by configuration."""
+        by_config = {o.config: o.correct for o in outcomes if o is not None}
+        if Config.I_FULL not in by_config or Config.II_DROP_RP not in by_config:
+            return Verdict.UNDETERMINED
+        gate = by_config[Config.I_FULL] and not by_config[Config.II_DROP_RP]
+        if not gate or Config.III_ADD_LP not in by_config or Config.IV_SWAP_LP_FOR_RP not in by_config:
+            return Verdict.UNDETERMINED
+        iii, iv = by_config[Config.III_ADD_LP], by_config[Config.IV_SWAP_LP_FOR_RP]
+        if iii and iv:
+            return Verdict.POSITIVE
+        if not iii and not iv:
+            return Verdict.NEGATIVE
+        return Verdict.UNDETERMINED
+
+    @pytest.mark.parametrize("i, ii, iii, iv", list(itertools.product((True, False, None), repeat=4)))
+    def test_every_outcome_combination_agrees_with_the_dict_rule(self, i, ii, iii, iv):
+        """I, II, III and IV each correct, wrong or missing: all 81 cases."""
+        outcomes = self._outcomes(i, ii, iii, iv)
+        assert consistency_verdict(*outcomes) is self._dict_rule(outcomes)
 
 
 class TestMineEvidentiality:
@@ -200,7 +220,8 @@ class TestMineConsistency:
         for label in labels[example.n :]:
             # I, then the pair's II, III and IV: every call whose indices are the pair's or absent
             pair = [o for o in log if o.lp_index in (None, label.lp_index) and o.rp_index in (None, label.rp_index)]
-            assert consistency_verdict(pair) is label.verdict
+            by_config = {o.config: o for o in pair}
+            assert consistency_verdict(*(by_config.get(config) for config in Config)) is label.verdict
 
     def test_label_invariants(self):
         with pytest.raises(ContractViolation):
@@ -277,8 +298,8 @@ class TestEmitTrainingRecords:
             if label.kind is LabelKind.EVIDENTIALITY:
                 assert evidentiality_verdict(full.correct, drop.correct) is label.verdict
             else:
-                extra = [by_call[k] for k in (("III", i, None), ("IV", i, j)) if k in by_call]
-                assert consistency_verdict([full, drop, *extra]) is label.verdict
+                add, swap = by_call.get(("III", i, None)), by_call.get(("IV", i, j))
+                assert consistency_verdict(full, drop, add, swap) is label.verdict
 
 
 class BridgeReader:
