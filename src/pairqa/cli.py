@@ -29,7 +29,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -247,6 +246,8 @@ def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[
             return ("err", (item, exc))
 
     if cfg["workers"] > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here: single-worker runs never load it
+
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             outcomes = list(pool.map(run, items))
     else:
@@ -361,8 +362,11 @@ def _finish_mine(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
         counts[kind.value] = dict(mining.emit_training_records(kind_labels, out_path, examples))
     audit = (record for qid, _, log in results for record in mining.audit_records(qid, log))
     write_jsonl(cfg["out"] / "mining_audit.jsonl", audit)
-    fields = {"questions": len(results), "labels": len(labels), "class_counts": counts}
-    return fields, f"mined {len(labels)} labels over {len(results)} questions -> {cfg['out']}"
+    written = sum(sum(class_counts.values()) for class_counts in counts.values())
+    undetermined = len(labels) - written  # emit_training_records drops these
+    fields = {"questions": len(results), "labels": written, "undetermined": undetermined, "class_counts": counts}
+    summary = f"mined {written} labels ({undetermined} undetermined) over {len(results)} questions -> {cfg['out']}"
+    return fields, summary
 
 
 def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:

@@ -23,8 +23,13 @@ question id), so that re-running a mining or scoring pass replays identical
 bytes. A cache entry that is not a JSON object, a scorer entry without a
 number ``probability`` or a predictor entry without a string ``answer``
 raises ``ContractViolation`` naming the database file and the entry's key.
-Backends are duck-typed: a scorer exposes ``score(req) -> float`` and a
-predictor ``predict(req) -> str``.
+Backends are duck-typed: a scorer exposes ``score(req) -> float`` and
+``score_many(reqs)``, an iterable of one float per request in request order
+(a failure raises from the iteration, after the answers before it), and a
+predictor exposes ``predict(req) -> str``. ``RemoteScorer.score_many`` keeps
+at most 4 requests in flight per client, over every batch of every
+``--workers`` thread; when one fails, the requests of its batch not yet
+sent are cancelled.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, ProtocolError, TransportError
@@ -177,9 +182,13 @@ class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
     retrying transport failures, 5xx, 408 and 429 with exponential backoff;
     any other status is not retried. ``timeout`` defaults to the class's
-    ``default_timeout``."""
+    ``default_timeout``. ``_in_flight`` runs a batch of calls on the client's
+    one pool of ``max_in_flight`` threads."""
 
     default_timeout = 30.0
+    # more requests in flight can overflow a server's listen backlog (5 for
+    # http.server), and each dropped connection waits about 1 s to be retried
+    max_in_flight = 4
 
     def __init__(
         self,
@@ -195,6 +204,39 @@ class _ServiceClient:
         self.backoff = backoff
         self.timeout = self.default_timeout if timeout is None else timeout
         self._opener = None
+        self._pool = None
+        self._pool_lock = threading.Lock()
+
+    def _in_flight(self, call, items: Sequence):
+        """Yield ``call(item)`` for each item, in item order, from the client's
+        pool. When a call raises, no later call of the batch starts; the batch
+        waits for those running, then the error is raised where it falls in
+        order."""
+        with self._pool_lock:  # one pool per client, however many threads send batches
+            if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor  # here: runs that send nothing never load it
+
+                self._pool = ThreadPoolExecutor(self.max_in_flight)
+        failed = threading.Event()
+
+        def send(item):
+            if failed.is_set():  # set before this thread takes another call: none starts after a failure
+                return None
+            try:
+                return call(item)
+            except BaseException:
+                failed.set()
+                raise
+
+        futures = [self._pool.submit(send, item) for item in items]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            failed.set()
+            for future in futures:
+                if not future.cancel():
+                    future.exception()  # waits: no request of the batch outlives it
 
     def _post(self, body: Mapping) -> dict:
         # Imported here, not at module level: offline or fully cached runs
@@ -210,9 +252,9 @@ class _ServiceClient:
         import urllib.error
         import urllib.request
 
-        if self._opener is None:  # workers that race here build equivalent openers
+        if self._opener is None:  # threads that race here build equivalent openers
             context = ssl.create_default_context() if self.url.startswith("https:") else None
-            self._opener = urllib.request.OpenerDirector()
+            opener = urllib.request.OpenerDirector()
             for handler in (
                 urllib.request.ProxyHandler(),
                 urllib.request.HTTPHandler(),
@@ -221,7 +263,8 @@ class _ServiceClient:
                 urllib.request.HTTPDefaultErrorHandler(),
                 urllib.request.HTTPErrorProcessor(),
             ):
-                self._opener.add_handler(handler)
+                opener.add_handler(handler)
+            self._opener = opener  # published only once built: a racing thread never sends through a bare one
         data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.token:
@@ -282,6 +325,9 @@ class RemoteScorer(_ServiceClient):
             raise ProtocolError("scorer response missing 'probability'")
         return _clamp_probability(payload["probability"], self.url)
 
+    def score_many(self, reqs: Sequence[ScoreRequest]) -> Iterator[float]:
+        return self._in_flight(self.score, reqs)
+
 
 class RemotePredictor(_ServiceClient):
     """HTTP client for the QA predictor (reader) service."""
@@ -311,18 +357,36 @@ class CachingBackend:
         self.cache = cache
         self.service = service
 
-    def score(self, req: ScoreRequest) -> float:
+    def _cached_probability(self, req: ScoreRequest) -> tuple[dict, float | None]:
+        """The request's cache body and its cached probability, None on a miss."""
         body = {**req.wire_body(), "question_id": req.question_id}
         cached = self.cache.get(self.service, body)
-        if cached is not None:
-            try:
-                return _clamp_probability(cached.get("probability"), "scorer cache")
-            except ProtocolError:
-                entry = self.cache.path(self.service, body)
-                raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
-        value = self.inner.score(req)
-        self.cache.put(self.service, body, {"probability": value})
+        if cached is None:
+            return body, None
+        try:
+            return body, _clamp_probability(cached.get("probability"), "scorer cache")
+        except ProtocolError:
+            entry = self.cache.path(self.service, body)
+            raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
+
+    def score(self, req: ScoreRequest) -> float:
+        body, value = self._cached_probability(req)
+        if value is None:
+            value = self.inner.score(req)
+            self.cache.put(self.service, body, {"probability": value})
         return value
+
+    def score_many(self, reqs: Sequence[ScoreRequest]) -> list[float]:
+        """Looks up each request, then sends the misses in one batch to the
+        inner scorer, storing each answer as it arrives in request order."""
+        looked_up = [self._cached_probability(req) for req in reqs]
+        values = [value for _, value in looked_up]
+        misses = [k for k, value in enumerate(values) if value is None]
+        if misses:  # a fully cached batch starts no client pool
+            for k, value in zip(misses, self.inner.score_many([reqs[k] for k in misses])):
+                self.cache.put(self.service, looked_up[k][0], {"probability": value})
+                values[k] = value
+        return values
 
     def predict(self, req: PredictRequest) -> str:
         body = req.wire_body()
@@ -371,6 +435,9 @@ class LexicalMockScorer:
         if verdict is None:
             verdict = self._verdicts[key] = 1.0 if text_contains_answer(target, answers) else 0.0
         return verdict
+
+    def score_many(self, reqs: Sequence[ScoreRequest]) -> Iterator[float]:
+        return map(self.score, reqs)
 
 
 def split_two_documents(raw: str) -> tuple[str, str]:

@@ -95,12 +95,15 @@ class CompatibilityMatrix:
 
 
 def build_matrix(example: QAExample, scorer, mode: CombineMode) -> CompatibilityMatrix:
-    """Score all M x N pairs of one question.
+    """Score all M x N pairs of one question in one ``scorer.score_many`` call.
 
-    Issues exactly N evidentiality queries (evidentiality depends only on
-    the retrieved passage) and M*N consistency queries. A scorer failure,
-    or a probability outside [0, 1], propagates: no value is imputed, and
-    the caller records the question as failed.
+    The batch holds exactly N evidentiality queries (evidentiality depends
+    only on the retrieved passage), then M*N consistency queries, generated
+    passage by generated passage; the scorer answers one float per query, in
+    order. A remote scorer keeps up to 4 queries in flight per client, shared
+    by every ``--workers`` thread, and sends none of the batch after one
+    fails. A scorer failure, or a probability outside [0, 1], propagates: no
+    value is imputed, and the caller records the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
@@ -110,21 +113,14 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     # the text of every chain, joined once per question rather than per pair
     retrieved = [rp.text() for rp in example.retrieved]
     generated = [lp.text() for lp in example.generated]
-
-    def ask(kind: ScoreKind, retrieved_text: str, generated_text: str | None = None) -> float:
-        request = ScoreRequest(
-            kind=kind,
-            question=example.question,
-            retrieved_text=retrieved_text,
-            generated_text=generated_text,
-            question_id=example.question_id,
-        )
-        return _check_probability(kind.value, scorer.score(request))
-
+    question, qid, n = example.question, example.question_id, example.n
+    requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, question, r, None, qid) for r in retrieved]
+    requests += [ScoreRequest(ScoreKind.CONSISTENCY, question, r, g, qid) for g in generated for r in retrieved]
+    values = [_check_probability(req.kind.value, p) for req, p in zip(requests, scorer.score_many(requests))]
     return CompatibilityMatrix(
-        question_id=example.question_id,
-        evidentiality=tuple(ask(ScoreKind.EVIDENTIALITY, r) for r in retrieved),
-        consistency=tuple(tuple(ask(ScoreKind.CONSISTENCY, r, g) for r in retrieved) for g in generated),
+        question_id=qid,
+        evidentiality=tuple(values[:n]),
+        consistency=tuple(tuple(values[start : start + n]) for start in range(n, len(values), n)),
         mode=mode,
     )
 

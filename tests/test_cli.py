@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -428,7 +430,7 @@ def _mine_argv(dataset, truth):
     return ["mine", "--dataset", dataset, "--predictor.truth", truth]
 
 
-_HTTP_MODULES = ("requests", "urllib.request", "http.client")
+_LAZY_MODULES = ("requests", "urllib.request", "http.client", "concurrent.futures")
 _REPORT_LOADED_MODULES = (
     "import json, sys\n"
     "from pairqa.cli import main\n"
@@ -438,7 +440,7 @@ _REPORT_LOADED_MODULES = (
 )
 
 
-def _in_new_interpreter(*argv, modules=_HTTP_MODULES) -> dict:
+def _in_new_interpreter(*argv, modules=_LAZY_MODULES) -> dict:
     """Import ``pairqa.cli`` in a new interpreter, run ``main(argv)`` if argv
     is given, and report its exit code and which of ``modules`` got
     loaded."""
@@ -608,14 +610,51 @@ class TestCacheDir:
         assert _cache_rows(cache) == rows
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_remote_score_keeps_at_most_four_requests_in_flight(self, sim_workspace, http_service, workers):
+        """One client per stage, however many workers share it; a --workers 2 run
+        writes the matrices and cache rows of a --workers 1 run."""
+        tmp, dataset, _ = sim_workspace
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def score(body):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.005)
+            with lock:
+                in_flight[0] -= 1
+            return {"probability": len(body["retrieved"]) % 7 / 7}
+
+        http_service.responses["/score"] = score
+        outputs = {}
+        for run_workers in sorted({1, workers}):
+            peak[0] = 0
+            out, cache = tmp / f"w{run_workers}", tmp / f"cache-w{run_workers}"
+            flags = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score"), "--cache_dir", cache]
+            assert run("score", "--dataset", dataset, "--out", out, "--workers", run_workers, *flags) == 0
+            assert 2 <= peak[0] <= 4, run_workers
+            with cache_db(cache) as db:
+                rows = sorted(db.execute("SELECT key, response FROM responses"))
+            outputs[run_workers] = (out / "matrices.jsonl").read_bytes(), rows
+        assert len(outputs[1][1]) == 8 * (4 + 3 * 4)
+        assert outputs[workers] == outputs[1]
+
+
 class TestStartup:
     """The HTTP modules cost a stage process tens of milliseconds to import:
-    only a request that is actually sent may load them (each test checks all
-    of ``_HTTP_MODULES``), and ``requests`` is never loaded. ``sqlite3`` is
+    only a request that is actually sent may load them, and the remote
+    scorer's thread pool (``concurrent.futures``) with them (each test checks
+    all of ``_LAZY_MODULES``); ``requests`` is never loaded. ``sqlite3`` is
     loaded only by a run with a ``cache_dir``."""
 
     def test_import_leaves_requests_unloaded(self):
         assert _in_new_interpreter() == {"exit": None, "loaded": []}
+
+    def test_import_loads_no_thread_pool_http_client_or_sqlite3(self):
+        modules = ["concurrent.futures", "http.client", "sqlite3"]
+        assert _in_new_interpreter(modules=modules) == {"exit": None, "loaded": []}
 
     def test_offline_score_leaves_requests_unloaded(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
@@ -640,7 +679,7 @@ class TestStartup:
         tmp, dataset, _ = sim_workspace
         argv = self._remote_score(tmp, dataset, http_service)
         result = _in_new_interpreter(*argv, "--out", tmp / "cold", "--strict")
-        assert result == {"exit": 0, "loaded": ["urllib.request", "http.client"]}
+        assert result == {"exit": 0, "loaded": ["urllib.request", "http.client", "concurrent.futures"]}
         assert http_service.requests["/score"]
 
     def test_warm_remote_rerun_leaves_requests_unloaded(self, sim_workspace, http_service):
@@ -668,7 +707,7 @@ def _truth_first_question_dropped(tmp, truth_path):
 
 
 class TestMine:
-    def test_mine_with_sim_predictor(self, sim_workspace):
+    def test_mine_with_sim_predictor(self, sim_workspace, capsys):
         tmp, dataset, truth_path = sim_workspace
         out = tmp / "mine"
         code = run(
@@ -692,6 +731,10 @@ class TestMine:
         cons = [
             json.loads(l) for l in (out / "labels.consistency.jsonl").read_text().splitlines()
         ]
+        # one decided label per pivot and per (generated, pivot) pair; the other slots are not written
+        written = len((out / "labels.evidentiality.jsonl").read_text().splitlines()) + len(cons)
+        assert (report["labels"], report["undetermined"]) == (written, 8 * (4 + 3 * 4) - written) == (32, 96)
+        assert capsys.readouterr().out.startswith("mined 32 labels (96 undetermined) over 8 questions")
         assert cons and all(set(r) == {"question", "generated", "retrieved", "label"} for r in cons)
 
     def test_workers_do_not_change_output(self, sim_workspace):

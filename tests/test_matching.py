@@ -257,6 +257,9 @@ def _unit_scorer():
         def score(self, req):
             return 1.0
 
+        def score_many(self, reqs):
+            return [self.score(req) for req in reqs]
+
     return Unit()
 
 

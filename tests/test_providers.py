@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -175,6 +176,107 @@ class TestRemoteScorer:
         assert cache.path("scorer:lexical", body) == entry
         with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
             scorer.score(evid_request())
+
+
+def ten_by_ten_example():
+    return make_example(
+        retrieved_texts=tuple(f"retrieved {j}" for j in range(10)),
+        generated_texts=tuple(f"generated {i}" for i in range(10)),
+    )
+
+
+def batch_bodies(example):
+    """The bodies of ``build_matrix``'s batch, in request order: N evidentiality, then M*N consistency."""
+    retrieved = [chain.text() for chain in example.retrieved]
+    body = lambda kind, r, g: {"kind": kind, "question": example.question, "retrieved": r, "generated": g}
+    evidentiality = [body("evidentiality", r, None) for r in retrieved]
+    return evidentiality + [body("consistency", r, g.text()) for g in example.generated for r in retrieved]
+
+
+class TestScoreMany:
+    """``build_matrix`` scores a question in one ``score_many`` batch; the remote
+    scorer keeps up to four of its requests in flight."""
+
+    def test_answers_come_in_request_order_when_replies_do_not(self, http_service):
+        def probability(body):
+            return zlib.crc32(json.dumps(body, sort_keys=True).encode()) % 1000 / 1000
+
+        def score(body):
+            time.sleep(0.001 * (9 - int(body["retrieved"].split()[-1])))  # later passages answer sooner
+            return {"probability": probability(body)}
+
+        http_service.responses["/score"] = score
+        example = ten_by_ten_example()
+        matrix = build_matrix(example, RemoteScorer(http_service.url("/score"), backoff=0.0), CombineMode.CUTOFF)
+        expected = [probability(body) for body in batch_bodies(example)]
+        assert [*matrix.evidentiality, *(p for row in matrix.consistency for p in row)] == expected
+        assert len(http_service.requests["/score"]) == 110
+
+    def test_a_question_whose_requests_all_fail_sends_at_most_four_with_their_retries(self, http_service):
+        http_service.responses["/score"] = lambda body: (500, {})
+        scorer = RemoteScorer(http_service.url("/score"), max_retries=1, backoff=0.0)
+        with pytest.raises(TransportError, match="after 2 attempts"):
+            build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
+        sent = len(http_service.requests["/score"])
+        assert sent <= 4 * (1 + 1)
+        time.sleep(0.05)  # every request of the failed batch ended before it raised
+        assert len(http_service.requests["/score"]) == sent
+
+    def test_threads_sharing_one_client_keep_at_most_four_in_flight(self, http_service):
+        """Eight threads start their first batch at once on one client: one pool is built, not one per thread."""
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def score(body):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.002)
+            with lock:
+                in_flight[0] -= 1
+            return {"probability": len(body["retrieved"]) / 100}
+
+        http_service.responses["/score"] = score
+        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        examples = [make_example(f"q{k}", retrieved_texts=("r" * (k + 1), "other"), generated_texts=("g",)) for k in range(8)]
+        start = threading.Barrier(len(examples))
+        results = {}
+
+        def work(example):
+            start.wait()
+            results[example.question_id] = build_matrix(example, scorer, CombineMode.PRODUCT).evidentiality
+
+        threads = [threading.Thread(target=work, args=(example,)) for example in examples]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {f"q{k}": ((k + 1) / 100, 0.05) for k in range(8)}
+        assert 2 <= peak[0] <= 4
+
+    def test_cache_keeps_every_answer_before_the_failing_request(self, http_service, tmp_path):
+        example = ten_by_ten_example()
+        bodies = batch_bodies(example)
+        failing = bodies.index({**bodies[0], "kind": "consistency", "retrieved": "retrieved 3", "generated": "generated 4"})
+        http_service.responses["/score"] = lambda body: (500, {}) if body == bodies[failing] else {"probability": 0.25}
+        cache = ResponseCache(tmp_path / "cache")
+        scorer = CachingBackend(RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0), cache, "scorer")
+        with pytest.raises(TransportError):
+            build_matrix(example, scorer, CombineMode.CUTOFF)
+        with cache_db(tmp_path / "cache") as db:
+            stored = {key for (key,) in db.execute("SELECT key FROM responses")}
+        assert stored == {cache.key("scorer", {**body, "question_id": "q1"}) for body in bodies[:failing]}
+        # the rerun asks only what the cache lacks
+        http_service.responses["/score"] = {"probability": 0.25}
+        sent = len(http_service.requests["/score"])
+        build_matrix(example, scorer, CombineMode.CUTOFF)
+        assert len(http_service.requests["/score"]) - sent == len(bodies) - failing
 
 
 @pytest.fixture
