@@ -215,7 +215,7 @@ def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
     if cfg["scorer.backend"] == "lexical":
         return _cached(cfg, LexicalMockScorer.from_examples(examples), "scorer:lexical", cfg["dataset"])
     url, token = _service(cfg, "scorer")
-    return _cached(cfg, RemoteScorer(url, token), f"scorer:remote:{url}")
+    return _cached(cfg, RemoteScorer(url, token, workers=cfg["workers"]), f"scorer:remote:{url}")
 
 
 def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):

@@ -25,15 +25,15 @@ number ``probability`` or a predictor entry without a string ``answer``
 raises ``ContractViolation`` naming the database file and the entry's key.
 Backends are duck-typed: a scorer exposes ``score(req) -> float`` and
 ``score_many(reqs)``, an iterable of one float per request in request order
-(a failure raises from the iteration, after the answers before it), and a
-predictor exposes ``predict(req) -> str``. ``RemoteScorer.score_many`` keeps
-at most 4 requests in flight per client, over every batch of every
-``--workers`` thread; when one fails, the requests of its batch not yet
-sent are cancelled.
+(a failure raises from it after the answers before it), and a predictor
+``predict(req) -> str``. ``RemoteScorer.score_many`` keeps at most 4 requests
+in flight per client (one per ``--workers`` thread, if more), over every
+batch of every thread; no request after a failed one of its batch is sent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -178,12 +178,23 @@ class ResponseCache:
         self._execute("INSERT OR REPLACE INTO responses VALUES (?, ?)", row)
 
 
+@contextlib.contextmanager
+def answers_of(scorer, reqs: Sequence["ScoreRequest"]):
+    """``scorer.score_many(reqs)``, closed on exit if it can be: a batch whose
+    consumer stops early, on an error of its own too, sends nothing more."""
+    answers = scorer.score_many(reqs)
+    try:
+        yield answers
+    finally:
+        getattr(answers, "close", lambda: None)()
+
+
 class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
     retrying transport failures, 5xx, 408 and 429 with exponential backoff;
     any other status is not retried. ``timeout`` defaults to the class's
     ``default_timeout``. ``_in_flight`` runs a batch of calls on the client's
-    one pool of ``max_in_flight`` threads."""
+    one pool of ``max(max_in_flight, workers)`` threads, ``workers`` sharing it."""
 
     default_timeout = 30.0
     # more requests in flight can overflow a server's listen backlog (5 for
@@ -197,43 +208,48 @@ class _ServiceClient:
         max_retries: int = 3,
         backoff: float = 0.5,
         timeout: float | None = None,
+        workers: int = 1,
     ):
         self.url = url
         self.token = token
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = self.default_timeout if timeout is None else timeout
+        self.pool_size = max(self.max_in_flight, workers)  # each worker thread keeps one in flight, as one by one
         self._opener = None
         self._pool = None
         self._pool_lock = threading.Lock()
 
     def _in_flight(self, call, items: Sequence):
         """Yield ``call(item)`` for each item, in item order, from the client's
-        pool. When a call raises, no later call of the batch starts; the batch
-        waits for those running, then the error is raised where it falls in
-        order."""
+        pool. No call after a failed one is made, nor any once the consumer
+        stops; those running are waited for. Every answer before a failure is yielded."""
+        from concurrent.futures import CancelledError, ThreadPoolExecutor  # here: runs that send nothing never load it
+
         with self._pool_lock:  # one pool per client, however many threads send batches
             if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor  # here: runs that send nothing never load it
+                self._pool = ThreadPoolExecutor(self.pool_size)
+        lock = threading.Lock()
+        last = [len(items)]  # no call after this index is made: the earliest failed one, or -1 once done
 
-                self._pool = ThreadPoolExecutor(self.max_in_flight)
-        failed = threading.Event()
-
-        def send(item):
-            if failed.is_set():  # set before this thread takes another call: none starts after a failure
-                return None
+        def send(index, item):
+            with lock:
+                if index > last[0]:  # a failed call comes first, so the consumer never meets this
+                    raise CancelledError(index)
             try:
                 return call(item)
             except BaseException:
-                failed.set()
+                with lock:
+                    last[0] = min(last[0], index)
                 raise
 
-        futures = [self._pool.submit(send, item) for item in items]
+        futures = [self._pool.submit(send, index, item) for index, item in enumerate(items)]
         try:
             for future in futures:
                 yield future.result()
         finally:
-            failed.set()
+            with lock:
+                last[0] = -1
             for future in futures:
                 if not future.cancel():
                     future.exception()  # waits: no request of the batch outlives it
@@ -377,15 +393,15 @@ class CachingBackend:
         return value
 
     def score_many(self, reqs: Sequence[ScoreRequest]) -> list[float]:
-        """Looks up each request, then sends the misses in one batch to the
-        inner scorer, storing each answer as it arrives in request order."""
+        """Looks up each request, then scores the misses in one inner batch, storing each answer as it arrives."""
         looked_up = [self._cached_probability(req) for req in reqs]
         values = [value for _, value in looked_up]
         misses = [k for k, value in enumerate(values) if value is None]
         if misses:  # a fully cached batch starts no client pool
-            for k, value in zip(misses, self.inner.score_many([reqs[k] for k in misses])):
-                self.cache.put(self.service, looked_up[k][0], {"probability": value})
-                values[k] = value
+            with answers_of(self.inner, [reqs[k] for k in misses]) as answers:
+                for k, value in zip(misses, answers):
+                    self.cache.put(self.service, looked_up[k][0], {"probability": value})
+                    values[k] = value
         return values
 
     def predict(self, req: PredictRequest) -> str:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .corpus import QAExample
 from .errors import ContractViolation
 from .lineio import read_keyed, write_jsonl
-from .providers import ScoreKind, ScoreRequest
+from .providers import ScoreKind, ScoreRequest, answers_of
 
 
 class CombineMode(Enum):
@@ -97,13 +97,13 @@ class CompatibilityMatrix:
 def build_matrix(example: QAExample, scorer, mode: CombineMode) -> CompatibilityMatrix:
     """Score all M x N pairs of one question in one ``scorer.score_many`` call.
 
-    The batch holds exactly N evidentiality queries (evidentiality depends
-    only on the retrieved passage), then M*N consistency queries, generated
-    passage by generated passage; the scorer answers one float per query, in
-    order. A remote scorer keeps up to 4 queries in flight per client, shared
-    by every ``--workers`` thread, and sends none of the batch after one
-    fails. A scorer failure, or a probability outside [0, 1], propagates: no
-    value is imputed, and the caller records the question as failed.
+    The batch holds N evidentiality queries (evidentiality depends only on
+    the retrieved passage), then M*N consistency queries by generated
+    passage; the scorer answers one float per query, in order. A remote
+    scorer keeps up to 4 in flight per client, which ``--workers`` up to 4
+    does not raise, and sends none after a failed one. A scorer failure, or
+    a probability outside [0, 1], propagates: no value is imputed, and the
+    caller records the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
@@ -116,7 +116,8 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     question, qid, n = example.question, example.question_id, example.n
     requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, question, r, None, qid) for r in retrieved]
     requests += [ScoreRequest(ScoreKind.CONSISTENCY, question, r, g, qid) for g in generated for r in retrieved]
-    values = [_check_probability(req.kind.value, p) for req, p in zip(requests, scorer.score_many(requests))]
+    with answers_of(scorer, requests) as answers:
+        values = [_check_probability(req.kind.value, p) for req, p in zip(requests, answers)]
     return CompatibilityMatrix(
         question_id=qid,
         evidentiality=tuple(values[:n]),

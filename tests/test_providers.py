@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -185,12 +185,54 @@ def ten_by_ten_example():
     )
 
 
+def make_requests(example):
+    """``build_matrix``'s batch for ``example``."""
+    retrieved = [chain.text() for chain in example.retrieved]
+    requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, example.question, r, None, example.question_id) for r in retrieved]
+    generated = [chain.text() for chain in example.generated]
+    consistency = (ScoreKind.CONSISTENCY, example.question)
+    return requests + [ScoreRequest(*consistency, r, g, example.question_id) for g in generated for r in retrieved]
+
+
 def batch_bodies(example):
     """The bodies of ``build_matrix``'s batch, in request order: N evidentiality, then M*N consistency."""
     retrieved = [chain.text() for chain in example.retrieved]
     body = lambda kind, r, g: {"kind": kind, "question": example.question, "retrieved": r, "generated": g}
     evidentiality = [body("evidentiality", r, None) for r in retrieved]
     return evidentiality + [body("consistency", r, g.text()) for g in example.generated for r in retrieved]
+
+
+class LastFirstPool:
+    """Stands in for a client's pool: it starts a batch's calls last to first,
+    once the batch's first answer is asked for, as a real pool may when the
+    threads given the earlier calls stall before they start them."""
+
+    def __init__(self):
+        self.queued = []
+
+    def submit(self, fn, *args):
+        future = _RunsPoolOnResult(self)
+        self.queued.append((future, fn, args))
+        return future
+
+    def run(self):
+        queued, self.queued = self.queued, []
+        for future, fn, args in reversed(queued):
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+
+class _RunsPoolOnResult(Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.run()
+        return super().result(timeout)
 
 
 class TestScoreMany:
@@ -221,6 +263,55 @@ class TestScoreMany:
         assert sent <= 4 * (1 + 1)
         time.sleep(0.05)  # every request of the failed batch ended before it raised
         assert len(http_service.requests["/score"]) == sent
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_call_started_after_a_later_one_failed_is_still_made(self, http_service, tmp_path, cached):
+        """Every call before the failing one is made and answered, whatever
+        order the pool starts them in; none is skipped, answered None or
+        stored as null."""
+        example = ten_by_ten_example()
+        bodies = batch_bodies(example)
+        http_service.responses["/score"] = lambda body: (404, {}) if body == bodies[-1] else {"probability": 0.25}
+        remote = RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0)
+        remote._pool = LastFirstPool()
+        scorer = CachingBackend(remote, ResponseCache(tmp_path / "cache"), "scorer") if cached else remote
+        answers = []
+        with pytest.raises(TransportError, match="status 404"):
+            with providers.answers_of(scorer, make_requests(example)) as batch:
+                answers.extend(batch)
+        assert len(http_service.requests["/score"]) == len(bodies)
+        if cached:
+            with cache_db(tmp_path / "cache") as db:
+                assert sorted(db.execute("SELECT response FROM responses")) == [('{"probability":0.25}',)] * 109
+        else:
+            assert answers == [0.25] * 109
+
+    def test_a_consumer_that_fails_mid_batch_stops_its_requests(self, http_service, tmp_path):
+        """A cache put that raises ends the batch at once, although the
+        error, and with it the consuming frame, is still held."""
+
+        def score(body):
+            time.sleep(0.005)
+            return {"probability": 0.25}
+
+        http_service.responses["/score"] = score
+        cache = ResponseCache(tmp_path / "cache")
+        scorer = CachingBackend(RemoteScorer(http_service.url("/score"), backoff=0.0), cache, "scorer")
+
+        def put(service, body, response):
+            raise ContractViolation("disk full")
+
+        cache.put = put
+        with pytest.raises(ContractViolation, match="disk full") as held:
+            build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
+        sent = len(http_service.requests["/score"])
+        time.sleep(0.1)
+        assert len(http_service.requests["/score"]) == sent <= 2 * RemoteScorer.max_in_flight
+        assert held.value is not None
+
+    def test_pool_holds_four_or_one_per_worker_thread(self):
+        sizes = [RemoteScorer("http://127.0.0.1:9", workers=workers).pool_size for workers in (1, 2, 4, 8)]
+        assert sizes == [4, 4, 4, 8]
 
     def test_threads_sharing_one_client_keep_at_most_four_in_flight(self, http_service):
         """Eight threads start their first batch at once on one client: one pool is built, not one per thread."""
