@@ -372,12 +372,6 @@ def _finish_mine(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
 def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     def serialize(item) -> readerio.ReaderExample:
         qid, example, m = item
-        lps, rps = {i for i, _, _ in m.pairs}, {j for _, j, _ in m.pairs}
-        if len(m.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
-            raise PipelineError(
-                f"{qid}: matching has {len(m.pairs)} pairs over {len(lps)} generated and"
-                f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
-            )
         variant = cfg["serialize.variant"]
         budget = cfg["serialize.budget"] or readerio.default_budget(example, variant)
         return readerio.serialize_variant(example, m, variant, budget, seed=derive_seed(cfg["seed"], qid))
@@ -395,7 +389,7 @@ def _finish_serialize(cfg: PipelineConfig, examples, reader_examples) -> tuple[d
 
 def _build_analyze(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
     # item: question id, example, matrix or None, then one answer per analyze.predictions method
-    return lambda item: (analysis.conflicting_rate(item[1]), item[2], item[3:])
+    return lambda item: (analysis.conflicting_rate(item[1]), item[2] and item[2].fitted(item[1]), item[3:])
 
 
 def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:

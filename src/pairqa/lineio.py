@@ -114,7 +114,7 @@ def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dic
             if qid in records:
                 raise ValueError(f"repeated question_id {qid!r}")
             records[qid] = parse(rec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge integer
             raise ContractViolation(f"{path} line {lineno}: bad {what} record: {exc}") from None
     return records
 

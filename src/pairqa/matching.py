@@ -378,11 +378,7 @@ def match(strategy: Strategy, example: QAExample, matrix: CompatibilityMatrix, s
     same-answer pair without it, drawing from ``seed``, and then take their
     scores from its combined grid; same-answer keeps its own pair order.
     """
-    qid = example.question_id
-    if (matrix.m, matrix.n) != (example.m, example.n):
-        raise ContractViolation(
-            f"{qid}: matrix is {matrix.m}x{matrix.n} but the dataset has {example.m}x{example.n}"
-        )
+    qid, matrix = example.question_id, matrix.fitted(example)
     if strategy is Strategy.OPTIMAL:
         return match_optimal(equalize_pools(matrix), qid)
     if strategy is Strategy.GREEDY:

@@ -23,17 +23,19 @@ question id), so that re-running a mining or scoring pass replays identical
 bytes. A cache entry that is not a JSON object, a scorer entry without a
 number ``probability`` or a predictor entry without a string ``answer``
 raises ``ContractViolation`` naming the database file and the entry's key.
+A probability from the wire or a cache entry must be a number; one outside
+[0, 1] is clamped with a warning. Then ``scoring.CompatibilityMatrix`` checks it.
 Backends are duck-typed: a scorer exposes ``score(req) -> float`` and
 ``score_many(reqs)``, an iterable of one float per request in request order
 (a failure raises from it after the answers before it), and a predictor
-``predict(req) -> str``. ``RemoteScorer.score_many`` keeps at most 4 requests
+``predict(req) -> str``; a scorer wrapped in ``CachingBackend`` is called
+through ``score_many`` only. ``RemoteScorer.score_many`` keeps at most 4 requests
 in flight per client (one per ``--workers`` thread, if more), over every
 batch of every thread; no request after a failed one of its batch is sent.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
@@ -176,17 +178,6 @@ class ResponseCache:
     def put(self, service: str, body: Mapping, response: Mapping) -> None:
         row = (self.key(service, body), dumps_canonical(dict(response)))
         self._execute("INSERT OR REPLACE INTO responses VALUES (?, ?)", row)
-
-
-@contextlib.contextmanager
-def answers_of(scorer, reqs: Sequence["ScoreRequest"]):
-    """``scorer.score_many(reqs)``, closed on exit if it can be: a batch whose
-    consumer stops early, on an error of its own too, sends nothing more."""
-    answers = scorer.score_many(reqs)
-    try:
-        yield answers
-    finally:
-        getattr(answers, "close", lambda: None)()
 
 
 class _ServiceClient:
@@ -373,35 +364,27 @@ class CachingBackend:
         self.cache = cache
         self.service = service
 
-    def _cached_probability(self, req: ScoreRequest) -> tuple[dict, float | None]:
-        """The request's cache body and its cached probability, None on a miss."""
-        body = {**req.wire_body(), "question_id": req.question_id}
-        cached = self.cache.get(self.service, body)
-        if cached is None:
-            return body, None
-        try:
-            return body, _clamp_probability(cached.get("probability"), "scorer cache")
-        except ProtocolError:
-            entry = self.cache.path(self.service, body)
-            raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
-
-    def score(self, req: ScoreRequest) -> float:
-        body, value = self._cached_probability(req)
-        if value is None:
-            value = self.inner.score(req)
-            self.cache.put(self.service, body, {"probability": value})
-        return value
-
     def score_many(self, reqs: Sequence[ScoreRequest]) -> list[float]:
-        """Looks up each request, then scores the misses in one inner batch, storing each answer as it arrives."""
-        looked_up = [self._cached_probability(req) for req in reqs]
-        values = [value for _, value in looked_up]
+        """Looks up each request, then scores the misses in one inner batch, storing
+        each answer as it arrives; the batch is closed if a put fails, so sends no more."""
+        bodies = [{**req.wire_body(), "question_id": req.question_id} for req in reqs]
+        values = []
+        for body in bodies:
+            cached = self.cache.get(self.service, body)
+            try:
+                values.append(None if cached is None else _clamp_probability(cached.get("probability"), "scorer cache"))
+            except ProtocolError:
+                entry = self.cache.path(self.service, body)
+                raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
         misses = [k for k, value in enumerate(values) if value is None]
         if misses:  # a fully cached batch starts no client pool
-            with answers_of(self.inner, [reqs[k] for k in misses]) as answers:
+            answers = self.inner.score_many([reqs[k] for k in misses])
+            try:
                 for k, value in zip(misses, answers):
-                    self.cache.put(self.service, looked_up[k][0], {"probability": value})
+                    self.cache.put(self.service, bodies[k], {"probability": value})
                     values[k] = value
+            finally:
+                getattr(answers, "close", lambda: None)()
         return values
 
     def predict(self, req: PredictRequest) -> str:

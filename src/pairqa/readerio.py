@@ -90,20 +90,6 @@ def _single_block(question: str, marker: str, text: str, budget: int) -> str:
     return _join([QUESTION_MARKER, question, marker, _truncate(text, budget - overhead)])
 
 
-def _pair_texts(example: QAExample, matching: PairMatching) -> list[tuple[str, str]]:
-    texts = []
-    for lp_index, rp_index, _ in matching.pairs:
-        if not (0 <= lp_index < example.m and 0 <= rp_index < example.n):
-            raise ContractViolation(
-                f"{example.question_id}: pair ({lp_index},{rp_index}) out of range for "
-                f"M={example.m}, N={example.n}"
-            )
-        texts.append(
-            (example.generated[lp_index].text(with_titles=True), example.retrieved[rp_index].text(with_titles=True))
-        )
-    return texts
-
-
 def serialize_variant(
     example: QAExample,
     matching: PairMatching,
@@ -112,8 +98,16 @@ def serialize_variant(
     seed: int = 0,
 ) -> ReaderExample:
     """Serialize under any input variant: pairwise is one block per matched pair,
-    in matching (compatibility-sorted) order; shuffles derive from ``seed``."""
-    question, texts = example.question, _pair_texts(example, matching)
+    in matching (compatibility-sorted) order; shuffles derive from ``seed``. A
+    matching that does not pair every passage of both pools raises ContractViolation."""
+    lps, rps = {i for i, _, _ in matching.pairs}, {j for _, j, _ in matching.pairs}
+    if len(matching.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
+        raise ContractViolation(
+            f"{example.question_id}: matching has {len(matching.pairs)} pairs over {len(lps)} generated and"
+            f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
+        )
+    question, generated, retrieved = example.question, example.generated, example.retrieved
+    texts = [(generated[i].text(with_titles=True), retrieved[j].text(with_titles=True)) for i, j, _ in matching.pairs]
     if variant is Variant.PAIRWISE:
         blocks = [_pair_block(question, lp_text, rp_text, budget) for lp_text, rp_text in texts]
     elif variant is Variant.LINEARIZED:

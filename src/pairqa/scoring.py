@@ -8,6 +8,10 @@ retrieved passage's evidentiality strictly exceeds 0.5 (zero otherwise).
 The cutoff binarizes a poorly calibrated evidentiality signal so that
 non-evidential pairs can never outrank evidential ones during matching.
 
+A probability is checked where it enters, at the wire or a cache entry
+(``providers``), then once by the matrix, whether ``build_matrix`` or a dump
+builds it: a ragged or empty grid, or a value NaN or outside [0, 1], raises.
+
 The matrix dump (``matrices.jsonl``) holds one record per question,
 ``{"question_id", "mode", "evidentiality": [N], "consistency": [[N] x M]}``;
 combined scores are recomputed from it, which gives back the same floats.
@@ -23,7 +27,7 @@ from typing import Sequence
 from .corpus import QAExample
 from .errors import ContractViolation
 from .lineio import read_keyed, write_jsonl
-from .providers import ScoreKind, ScoreRequest, answers_of
+from .providers import ScoreKind, ScoreRequest
 
 
 class CombineMode(Enum):
@@ -37,16 +41,8 @@ class PairType(Enum):
     NON_EVIDENTIAL = "non_evidential"
 
 
-def _check_probability(name: str, p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ContractViolation(f"{name} {p!r} outside [0,1]")
-    return p
-
-
 def combine(evidentiality: float, consistency: float, mode: CombineMode) -> float:
     """Combined compatibility of one pair; cutoff uses a strict > 0.5 gate."""
-    _check_probability("evidentiality", evidentiality)
-    _check_probability("consistency", consistency)
     if mode is CombineMode.CUTOFF:
         return consistency if evidentiality > 0.5 else 0.0
     return evidentiality * consistency
@@ -64,12 +60,22 @@ def classify_pair(evidentiality: float, consistency: float) -> PairType:
 class CompatibilityMatrix:
     """Discriminator scores of one question: ``evidentiality[j]`` of
     retrieved passage j and ``consistency[i][j]`` of the pair (generated
-    passage i, retrieved passage j). M and N are the grid's shape."""
+    passage i, retrieved passage j). M and N are the grid's shape. A ragged
+    or empty grid, or a value NaN or outside [0, 1], raises ContractViolation."""
 
     question_id: str
     evidentiality: tuple[float, ...]
     consistency: tuple[tuple[float, ...], ...]
     mode: CombineMode
+
+    def __post_init__(self):
+        for field, rows in (("evidentiality", (self.evidentiality,)), ("consistency", self.consistency)):
+            bad = [p for row in rows for p in row if not 0.0 <= p <= 1.0]  # NaN fails the test too
+            if bad:
+                raise ContractViolation(f"{field} {bad[0]!r} outside [0,1]")
+        lengths = sorted({len(row) for row in self.consistency})
+        if lengths != [self.n] or self.n == 0:
+            raise ContractViolation(f"ragged or empty grid: rows of {lengths} values, {self.n} retrieved passages")
 
     @property
     def m(self) -> int:
@@ -81,6 +87,12 @@ class CompatibilityMatrix:
 
     def combined_grid(self) -> list[list[float]]:
         return [[combine(e, c, self.mode) for e, c in zip(self.evidentiality, row)] for row in self.consistency]
+
+    def fitted(self, ex: QAExample) -> "CompatibilityMatrix":
+        """This matrix, if its shape is the example's pools; else ContractViolation."""
+        if (self.m, self.n) != (ex.m, ex.n):
+            raise ContractViolation(f"{ex.question_id}: matrix is {self.m}x{self.n} but the dataset has {ex.m}x{ex.n}")
+        return self
 
     def pair_type(self, i: int, j: int) -> PairType:
         return classify_pair(self.evidentiality[j], self.consistency[i][j])
@@ -101,9 +113,10 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     the retrieved passage), then M*N consistency queries by generated
     passage; the scorer answers one float per query, in order. A remote
     scorer keeps up to 4 in flight per client, which ``--workers`` up to 4
-    does not raise, and sends none after a failed one. A scorer failure, or
-    a probability outside [0, 1], propagates: no value is imputed, and the
-    caller records the question as failed.
+    does not raise, and sends none after a failed one. A probability is
+    checked at the wire or cache entry, then once by the matrix. A scorer
+    failure, or a probability the matrix rejects, propagates: no value is
+    imputed, and the caller records the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
@@ -116,8 +129,7 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     question, qid, n = example.question, example.question_id, example.n
     requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, question, r, None, qid) for r in retrieved]
     requests += [ScoreRequest(ScoreKind.CONSISTENCY, question, r, g, qid) for g in generated for r in retrieved]
-    with answers_of(scorer, requests) as answers:
-        values = [_check_probability(req.kind.value, p) for req, p in zip(requests, answers)]
+    values = list(scorer.score_many(requests))
     return CompatibilityMatrix(
         question_id=qid,
         evidentiality=tuple(values[:n]),
@@ -139,24 +151,18 @@ def _probabilities(values, field: str) -> tuple[float, ...]:
     for p in values:
         if type(p) is not float and type(p) is not int:
             raise TypeError(f"{field} {p!r} is not a number")
-        if not 0.0 <= p <= 1.0:  # NaN fails this too
-            raise ValueError(f"{field} {p!r} outside [0,1]")
     return tuple(map(float, values))
 
 
 def _matrix(rec: dict) -> CompatibilityMatrix:
     if sorted(rec) != _DUMP_FIELDS:
         raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {sorted(rec)}")
-    matrix = CompatibilityMatrix(
+    return CompatibilityMatrix(
         question_id=rec["question_id"],
         evidentiality=_probabilities(rec["evidentiality"], "evidentiality"),
         consistency=tuple(_probabilities(row, "consistency") for row in rec["consistency"]),
         mode=CombineMode(rec["mode"]),
     )
-    lengths = sorted({len(row) for row in matrix.consistency})
-    if lengths != [matrix.n] or matrix.n == 0:
-        raise ValueError(f"ragged or empty grid: rows of {lengths} values, {matrix.n} retrieved passages")
-    return matrix
 
 
 def load_matrix_dump(path: str | Path) -> dict[str, CompatibilityMatrix]:

@@ -105,6 +105,11 @@ def _match_shape_differs(tmp, dataset, truth):
     return argv, qid, "matrix is 3x3 but the dataset has 3x4"
 
 
+def _analyze_shape_differs(tmp, dataset, truth):
+    argv, qid, message = _match_shape_differs(tmp, dataset, truth)
+    return ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.matrices", argv[-1]], qid, message
+
+
 def _match_no_matrix(tmp, dataset, truth):
     out = tmp / "out"
     assert run("score", "--dataset", dataset, "--out", out) == 0
@@ -300,6 +305,11 @@ def _ragged(record):
 
 def _consistency_text(record):
     record["consistency"][0][0] = "0.0"
+    return record
+
+
+def _huge_evidentiality(record):
+    record["evidentiality"][0] = 10**400  # a JSON integer no float holds
     return record
 
 
@@ -1021,6 +1031,7 @@ class TestErrorHandling:
             _score_empty_pool,
             _analyze_empty_pool,
             _analyze_no_matrix,
+            _analyze_shape_differs,
             _analyze_not_in_dataset,
             _analyze_prediction_not_in_dataset,
             _mine_one_retrieved,
@@ -1034,6 +1045,7 @@ class TestErrorHandling:
             "score-empty-pool",
             "analyze-empty-pool",
             "analyze-no-matrix",
+            "analyze-shape-differs",
             "analyze-not-in-dataset",
             "analyze-prediction-not-in-dataset",
             "mine-n-1",
@@ -1068,6 +1080,7 @@ class TestErrorHandling:
             _bad_probability("evidentiality", float("nan")),
             _bad_probability("consistency", 7.5),
             _bad_probability("evidentiality", -0.1),
+            _bad_stored_dump(_huge_evidentiality, where="stored.jsonl line 1: bad matrix record: int too large to convert"),
             _bad_stored_dump(
                 _consistency_text, where="stored.jsonl line 1: bad matrix record: consistency '0.0' is not a number"
             ),
@@ -1097,6 +1110,7 @@ class TestErrorHandling:
             "store-nan-probability",
             "store-probability-above-1",
             "store-probability-below-0",
+            "store-probability-a-huge-integer",
             "store-probability-a-string",
             "matchings-index-not-an-integer",
             "truth-supports-a-string",

@@ -145,13 +145,13 @@ class TestRemoteScorer:
         http_service.responses["/score"] = {"probability": 0.25}
         url = http_service.url("/score")
         scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
-        first = scorer.score(evid_request())
-        second = scorer.score(evid_request())
+        first = scorer.score_many([evid_request()])[0]
+        second = scorer.score_many([evid_request()])[0]
         assert first == second == 0.25
         assert len(http_service.requests["/score"]) == 1
         # a fresh client with the same cache never touches the service
         other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
-        assert other.score(evid_request()) == 0.25
+        assert other.score_many([evid_request()])[0] == 0.25
         assert len(http_service.requests["/score"]) == 1
 
     def test_nan_probability_is_a_protocol_error_and_never_cached(self, http_service, tmp_path):
@@ -160,14 +160,14 @@ class TestRemoteScorer:
         url = http_service.url("/score")
         scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         with pytest.raises(ProtocolError, match="not a number: nan"):
-            scorer.score(evid_request())
+            scorer.score_many([evid_request()])[0]
         with cache_db(tmp_path / "cache") as db:
             assert db.execute("SELECT count(*) FROM responses").fetchone() == (0,)
 
     def test_nan_cache_entry_is_corrupt_and_named(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(LexicalMockScorer.from_examples([make_example()]), cache, "scorer:lexical")
-        assert scorer.score(evid_request()) == 1.0  # cached
+        assert scorer.score_many([evid_request()])[0] == 1.0  # cached
         body = {**evid_request().wire_body(), "question_id": "q1"}
         key = cache.key("scorer:lexical", body)
         with cache_db(tmp_path / "cache") as db:
@@ -175,7 +175,7 @@ class TestRemoteScorer:
         entry = f"{tmp_path / 'cache' / 'responses.sqlite3'} key {key}"
         assert cache.path("scorer:lexical", body) == entry
         with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
-            scorer.score(evid_request())
+            scorer.score_many([evid_request()])[0]
 
 
 def ten_by_ten_example():
@@ -277,8 +277,11 @@ class TestScoreMany:
         scorer = CachingBackend(remote, ResponseCache(tmp_path / "cache"), "scorer") if cached else remote
         answers = []
         with pytest.raises(TransportError, match="status 404"):
-            with providers.answers_of(scorer, make_requests(example)) as batch:
+            batch = scorer.score_many(make_requests(example))
+            try:
                 answers.extend(batch)
+            finally:
+                getattr(batch, "close", lambda: None)()
         assert len(http_service.requests["/score"]) == len(bodies)
         if cached:
             with cache_db(tmp_path / "cache") as db:

@@ -83,7 +83,7 @@ class TestPairwiseBlocks:
         chain = make_chain("body text", "r0", title="Dolphins")
         from dataclasses import replace
 
-        example = replace(example, retrieved=(chain,))
+        example = replace(example, retrieved=(chain,), generated=example.generated[:1])
         matching = matching_for(example, [(0, 0, 1.0)])
         reader = serialize_variant(example, matching, Variant.PAIRWISE, 400)
         assert "retrieved passage: Dolphins . body text" in reader.blocks[0]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from pairqa.errors import ContractViolation, TransportError
 from pairqa.providers import ScoreKind
 from pairqa.scoring import (
     CombineMode,
+    CompatibilityMatrix,
     PairType,
     build_matrix,
     classify_pair,
@@ -58,11 +61,6 @@ class TestCombine:
         assert combine(0.9, 0.7, CombineMode.PRODUCT) == 0.9 * 0.7
         assert combine(0.9, 0.7, CombineMode.PRODUCT) == pytest.approx(0.63)
 
-    @pytest.mark.parametrize("evid,cons", [(-0.1, 0.5), (0.5, 1.2), (2.0, 2.0)])
-    def test_out_of_range_rejected(self, evid, cons):
-        with pytest.raises(ContractViolation):
-            combine(evid, cons, CombineMode.CUTOFF)
-
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_cutoff_equals_indicator_form(self, evid, cons):
         assert combine(evid, cons, CombineMode.CUTOFF) == cons * (evid > 0.5)
@@ -70,6 +68,24 @@ class TestCombine:
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_product_bounded_by_min(self, evid, cons):
         assert combine(evid, cons, CombineMode.PRODUCT) <= min(evid, cons) + 1e-15
+
+
+class TestCompatibilityMatrix:
+    @pytest.mark.parametrize(
+        "evidentiality,consistency,message",
+        [
+            ((float("nan"),), ((0.5,),), "evidentiality nan outside [0,1]"),
+            ((-0.1,), ((0.5,),), "evidentiality -0.1 outside [0,1]"),
+            ((0.5,), ((1.2,),), "consistency 1.2 outside [0,1]"),
+            ((2.0,), ((2.0,),), "evidentiality 2.0 outside [0,1]"),
+            ((0.5, 0.5), ((0.5, 0.5), (0.5,)), "ragged or empty grid: rows of [1, 2] values, 2 retrieved passages"),
+            ((), (), "ragged or empty grid: rows of [] values, 0 retrieved passages"),
+        ],
+        ids=["nan", "negative", "above-one", "both-above-one", "ragged", "empty"],
+    )
+    def test_construction_rejects(self, evidentiality, consistency, message):
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            CompatibilityMatrix("q1", evidentiality, consistency, CombineMode.CUTOFF)
 
 
 class TestClassifyPair:
