@@ -77,9 +77,7 @@ def conflicting_rate(example: QAExample) -> ConflictStats:
 
 
 def bin_index(rate: float) -> int:
-    """Index into BIN_EDGES; bins are left-closed, the last one closed."""
-    if not 0.0 <= rate <= 1.0:
-        raise ContractViolation(f"conflicting rate {rate!r} outside [0,1]")
+    """Index into BIN_EDGES of a rate in [0, 1]; bins are left-closed, the last one closed."""
     for idx, (lower, upper) in enumerate(BIN_EDGES):
         if lower <= rate < upper:
             return idx
@@ -121,7 +119,7 @@ def bin_report(
 
 
 def pair_type_distribution(matrices: Sequence[CompatibilityMatrix]) -> dict[PairType, float]:
-    """Fraction of each pair type over all cells of all matrices."""
+    """Fraction of each pair type over all cells of one or more matrices."""
     counts = {t: 0 for t in PairType}
     total = 0
     for matrix in matrices:
@@ -129,19 +127,14 @@ def pair_type_distribution(matrices: Sequence[CompatibilityMatrix]) -> dict[Pair
             for j in range(matrix.n):
                 counts[matrix.pair_type(i, j)] += 1
         total += matrix.m * matrix.n
-    if total == 0:
-        raise ContractViolation("no matrices to classify")
     return {t: counts[t] / total for t in PairType}
 
 
 def label_confusion(
     predicted: Sequence[PairType], annotated: Sequence[PairType]
 ) -> tuple[dict[PairType, dict[PairType, int]], float]:
-    """3x3 counts[predicted][annotated] and overall accuracy."""
-    if len(predicted) != len(annotated):
-        raise ContractViolation("predicted and annotated lists differ in length")
-    if not predicted:
-        raise ContractViolation("cannot build a confusion matrix from empty lists")
+    """3x3 counts[predicted][annotated] and overall accuracy, over two
+    non-empty lists of one length (one entry each per annotation record)."""
     counts = {p: {a: 0 for a in PairType} for p in PairType}
     agree = 0
     for p, a in zip(predicted, annotated):

@@ -158,7 +158,7 @@ class PipelineConfig(dict):
             if text:
                 value = None if value == "null" else kind.parse(value)
             self[dotted] = kind.convert(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge integer
             raise ContractViolation(f"{dotted} must be {kind.what}, got {value!r}") from None
 
 
@@ -411,6 +411,8 @@ def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
                 annotated.append(scoring.PairType(rec["annotated"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {exc}") from None
+        if not predicted:
+            raise ContractViolation(f"{annotations_file}: no annotation records")
         confusion = analysis.label_confusion(predicted, annotated)
 
     types = list(scoring.PairType)
@@ -539,8 +541,10 @@ def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConf
             document = json.loads(Path(args.config).read_bytes().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ContractViolation(f"config file {args.config} is not UTF-8: {exc}") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() takes
+            raise ContractViolation(f"config file {args.config} is not JSON: {exc}") from None
         if not isinstance(document, dict):
-            raise ContractViolation("config file must hold one JSON object")
+            raise ContractViolation(f"config file {args.config} must hold one JSON object")
         for key, value in document.items():
             # a top-level object is a section: each of its members is one field
             members = [(f"{key}.{k}", v) for k, v in value.items()] if isinstance(value, dict) else [(key, value)]
@@ -564,7 +568,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args, extras)
         return cmd_simulate(cfg) if args.command == "simulate" else run_stage(args.command, cfg)
-    except (ContractViolation, PipelineError, OSError, json.JSONDecodeError) as exc:
+    except (ContractViolation, PipelineError, OSError) as exc:
         summary = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True), file=sys.stderr)
         return 1

@@ -91,7 +91,7 @@ def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Itera
                 obj = json.loads(line)
             except UnicodeDecodeError as exc:
                 problem = f"not UTF-8: {exc}"
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() takes
                 problem = f"invalid JSON: {exc}"
             else:
                 problem = None if isinstance(obj, dict) else "record is not an object"

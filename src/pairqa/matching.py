@@ -88,16 +88,13 @@ class WeightedBipartiteGraph:
 
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence[float]]) -> "WeightedBipartiteGraph":
+        """The graph of a weight grid from outside the pipeline, which must be
+        non-empty and square: ``equalize_weights`` squares the pipeline's own."""
         rows = tuple(tuple(float(w) for w in row) for row in weights)
-        m = len(rows)
-        if m == 0 or any(len(row) != len(rows[0]) for row in rows):
-            raise ContractViolation("weight grid must be non-empty and rectangular")
-        n = len(rows[0])
-        return cls(m=m, n=n, weights=rows, row_origin=tuple(range(m)), col_origin=tuple(range(n)))
-
-    @property
-    def is_square(self) -> bool:
-        return self.m == self.n
+        k = len(rows)
+        if k == 0 or any(len(row) != k for row in rows):
+            raise ContractViolation("weight grid must be non-empty and square")
+        return cls(m=k, n=k, weights=rows, row_origin=tuple(range(k)), col_origin=tuple(range(k)))
 
 
 def _square_origins(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -208,8 +205,6 @@ def match_optimal(graph: WeightedBipartiteGraph, question_id: str = "") -> PairM
     an exact zero test drops tight edges on continuous weights and keeps a
     lexicographically larger optimum.
     """
-    if not graph.is_square:
-        raise ContractViolation(f"matching requires a square graph, got {graph.m}x{graph.n}")
     k = graph.m
     weights = graph.weights
     cost = [[-w for w in row] for row in weights]
@@ -270,12 +265,9 @@ def match_greedy(
 ) -> PairMatching:
     """Type-staged greedy baseline: compatible pairs first, then
     conflicting, then non-evidential; within a stage, highest score first
-    among rows/columns not used by an earlier pair."""
-    if not graph.is_square:
-        raise ContractViolation(f"matching requires a square graph, got {graph.m}x{graph.n}")
+    among rows/columns not used by an earlier pair. ``types`` is the
+    graph's own pair-type grid (``equalize_pair_types``)."""
     k = graph.m
-    if len(types) != k or any(len(row) != k for row in types):
-        raise ContractViolation("type grid shape must match the graph")
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     selected: list[tuple[int, int]] = []
@@ -309,8 +301,6 @@ def match_random(m: int, n: int, seed: int, question_id: str = "") -> PairMatchi
     Scores are zero (no matrix is consulted); ``match`` attributes them
     from the question's combined grid afterwards with ``score_matching``.
     """
-    if m < 1 or n < 1:
-        raise ContractViolation("match_random requires m, n >= 1")
     row_origin, col_origin = _square_origins(m, n)
     perm = list(range(len(row_origin)))
     random.Random(seed).shuffle(perm)
@@ -325,8 +315,6 @@ def match_same_answer(example: QAExample, seed: int) -> PairMatching:
     (ascending index order), pair the rest uniformly at random, and rank
     the answer-bearing pairs first."""
     m, n = example.m, example.n
-    if m < 1 or n < 1:
-        raise ContractViolation(f"{example.question_id}: same-answer matching needs both pools")
     lp_has = [contains_answer(c, example.answers) for c in example.generated]
     rp_has = [contains_answer(c, example.answers) for c in example.retrieved]
     row_origin, col_origin = _square_origins(m, n)

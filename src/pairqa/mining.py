@@ -82,12 +82,6 @@ class SilverLabel:
     verdict: Verdict
     lp_index: int | None = None
 
-    def __post_init__(self):
-        if self.kind is LabelKind.CONSISTENCY and self.lp_index is None:
-            raise ContractViolation("consistency label requires lp_index")
-        if self.kind is LabelKind.EVIDENTIALITY and self.lp_index is not None:
-            raise ContractViolation("evidentiality label must not carry lp_index")
-
 
 def evidentiality_verdict(full_correct: bool, drop_correct: bool) -> Verdict:
     if full_correct and not drop_correct:

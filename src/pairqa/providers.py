@@ -24,7 +24,10 @@ bytes. A cache entry that is not a JSON object, a scorer entry without a
 number ``probability`` or a predictor entry without a string ``answer``
 raises ``ContractViolation`` naming the database file and the entry's key.
 A probability from the wire or a cache entry must be a number; one outside
-[0, 1] is clamped with a warning. Then ``scoring.CompatibilityMatrix`` checks it.
+[0, 1], a JSON integer too large for a float included, is clamped with a
+warning. Then ``scoring.CompatibilityMatrix`` checks it. Replies and cache
+entries are checked here, where they enter; the request classes are built by
+pairqa's own stages only, so they check nothing.
 Backends are duck-typed: a scorer exposes ``score(req) -> float`` and
 ``score_many(reqs)``, an iterable of one float per request in request order
 (a failure raises from it after the answers before it), and a predictor
@@ -39,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import threading
 import time
 import weakref
@@ -74,10 +76,6 @@ class GenerationRequest:
     num_passages: int
     mode: GenerationMode = GenerationMode.SINGLE_HOP_BACKGROUND
 
-    def __post_init__(self):
-        if self.num_passages < 1:
-            raise ContractViolation("num_passages must be >= 1")
-
     def wire_body(self) -> dict:
         return {"question": self.question, "n": self.num_passages, "mode": self.mode.value}
 
@@ -94,12 +92,6 @@ class ScoreRequest:
     generated_text: str | None = None
     question_id: str | None = None
 
-    def __post_init__(self):
-        if self.kind is ScoreKind.CONSISTENCY and self.generated_text is None:
-            raise ContractViolation("consistency request requires generated_text")
-        if self.kind is ScoreKind.EVIDENTIALITY and self.generated_text is not None:
-            raise ContractViolation("evidentiality request must not carry generated_text")
-
     def wire_body(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -113,10 +105,6 @@ class ScoreRequest:
 class PredictRequest:
     question: str
     passages: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.passages:
-            raise ContractViolation("predict request requires at least one passage block")
 
     def wire_body(self) -> dict:
         return {"question": self.question, "passages": list(self.passages)}
@@ -313,14 +301,14 @@ class _ServiceClient:
 
 
 def _clamp_probability(value, origin: str) -> float:
-    # NaN too: it fails no range test, and a cached NaN would replay forever
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or math.isnan(value):
+    # NaN (not equal to itself) fails no range test, and a cached NaN would replay
+    # forever; the bounds come before float(), which overflows on a huge integer
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
         raise ProtocolError(f"{origin}: probability is not a number: {value!r}")
-    p = float(value)
-    if p < 0.0 or p > 1.0:
-        logger.warning("%s: probability %r outside [0,1]; clamping", origin, p)
-        p = min(1.0, max(0.0, p))
-    return p
+    if value < 0 or value > 1:
+        logger.warning("%s: probability %r outside [0,1]; clamping", origin, value)
+        value = min(1, max(0, value))
+    return float(value)
 
 
 class RemoteScorer(_ServiceClient):

@@ -376,6 +376,13 @@ def _bad_annotation(record):
     return case
 
 
+def _empty_annotations(tmp, dataset, truth):
+    annotations = tmp / "annotations.jsonl"
+    annotations.write_text("")
+    argv = ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.annotations", annotations]
+    return argv, f"{annotations}: no annotation records"
+
+
 def _unparsable_override(tmp, dataset, truth):
     return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "simulate.n must be an integer, got 'abc'"
 
@@ -411,10 +418,16 @@ def _out_null(tmp, dataset, truth):
     return ["simulate", "--config", config], "out must be a path, got None"
 
 
-def _config_not_utf8(tmp, dataset, truth):
-    config = tmp / "config.json"
-    config.write_bytes(b'{"seed": "\xff"}')
-    return ["simulate", "--out", tmp / "o", "--config", config], "config.json is not UTF-8"
+def _config_file(content, problem):
+    """Run simulate with a config file of ``content``; the summary must name
+    the file and ``problem``."""
+
+    def case(tmp, dataset, truth):
+        config = tmp / "config.json"
+        config.write_bytes(content)
+        return ["simulate", "--out", tmp / "o", "--config", config], f"config file {config} {problem}"
+
+    return case
 
 
 def _bad_flag(command, flag, value):
@@ -1091,6 +1104,7 @@ class TestErrorHandling:
             _dump_line_not_utf8,
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
+            _empty_annotations,
             _unparsable_override,
             _cache_not_a_database,
             _bad_predictions(None, "bad prediction record: repeated question_id 'q00000'"),
@@ -1119,6 +1133,7 @@ class TestErrorHandling:
             "dump-line-not-utf8",
             "annotation-bogus-type",
             "annotation-missing-key",
+            "annotations-empty",
             "override-not-an-int",
             "cache-not-a-database",
             "predictions-repeated-question",
@@ -1254,7 +1269,10 @@ class TestErrorHandling:
             _bad_config("serialize", {"serialize": {"matchings": 5}}, "serialize.matchings must be a path or null, got 5"),
             _bad_config("score", {"scorer": {"backend": "file"}}, "scorer.backend must be one of lexical, remote, got 'file'"),
             _bad_config("score", {"scorer": {"store": "matrices.jsonl"}}, "unknown config field scorer.store"),
-            _config_not_utf8,
+            _config_file(b'{"seed": "\xff"}', "is not UTF-8"),
+            _config_file(b'{"seed": 1', "is not JSON"),
+            _config_file(b"[1]", "must hold one JSON object"),
+            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": 10**400 - 1}}, "simulate.p_llm_hallucinated must be a number, got 999"),
             _bad_flag("match", "--strategy", "psychic"),
             _bad_flag("score", "--scoring-mode", "sum"),
             _bad_flag("serialize", "--variant", "jumbled"),
@@ -1293,6 +1311,9 @@ class TestErrorHandling:
             "config-scorer-backend-file",
             "config-scorer-store",
             "config-not-utf8",
+            "config-not-json",
+            "config-not-an-object",
+            "config-number-too-large-for-a-float",
             "flag-strategy",
             "flag-scoring-mode",
             "flag-variant",

@@ -223,23 +223,6 @@ class TestMineConsistency:
             by_config = {o.config: o for o in pair}
             assert consistency_verdict(*(by_config.get(config) for config in Config)) is label.verdict
 
-    def test_label_invariants(self):
-        with pytest.raises(ContractViolation):
-            SilverLabel(
-                question_id="q",
-                kind=LabelKind.CONSISTENCY,
-                rp_index=0,
-                verdict=Verdict.POSITIVE,
-            )
-        with pytest.raises(ContractViolation):
-            SilverLabel(
-                question_id="q",
-                kind=LabelKind.EVIDENTIALITY,
-                rp_index=0,
-                lp_index=1,
-                verdict=Verdict.POSITIVE,
-            )
-
 
 def _evid_label(qid, j, verdict):
     return SilverLabel(
