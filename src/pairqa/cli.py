@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Any, Callable, Mapping, Sequence
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import atomic_open, boolean, integer, number, read_jsonl, read_keyed, string, write_jsonl
+from .lineio import atomic_open, boolean, integer, number, quoted, read_jsonl, read_keyed, string, write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
@@ -159,7 +160,7 @@ class PipelineConfig(dict):
                 value = None if value == "null" else kind.parse(value)
             self[dotted] = kind.convert(value)
         except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge integer
-            raise ContractViolation(f"{dotted} must be {kind.what}, got {value!r}") from None
+            raise ContractViolation(f"{dotted} must be {kind.what}, got {quoted(value)}") from None
 
 
 def _synth_spec(cfg: PipelineConfig) -> sim.SynthSpec:
@@ -417,7 +418,7 @@ def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
 
     types = list(scoring.PairType)
     write_jsonl(cfg["out"] / "conflict_stats.jsonl", (s.to_record() for s in stats))
-    mean_rate = sum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
+    mean_rate = math.fsum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
     lines = [f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}"]
     if report is not None:
         lines.append(analysis.format_bin_report(report))

@@ -45,31 +45,38 @@ def dumps_canonical(obj: Any) -> str:
     return _CANONICAL.encode(obj)
 
 
+def quoted(value) -> str:
+    """``repr(value)`` for a message; past 80 characters, its first 80 and its
+    length, since a value read from outside may be megabytes long."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 def integer(value) -> int:
     """``value`` if it is a JSON integer, else TypeError: ``int(True)`` is 1."""
     if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
+        raise TypeError(f"{quoted(value)} is not an integer")
     return value
 
 
 def number(value) -> float:
     """``value`` as a float if it is a JSON number, else TypeError: ``float("1")`` is 1.0."""
     if type(value) not in (int, float):
-        raise TypeError(f"{value!r} is not a number")
+        raise TypeError(f"{quoted(value)} is not a number")
     return float(value)
 
 
 def boolean(value) -> bool:
     """``value`` if it is a JSON boolean, else TypeError: ``bool("false")`` is True."""
     if type(value) is not bool:
-        raise TypeError(f"{value!r} is not true or false")
+        raise TypeError(f"{quoted(value)} is not true or false")
     return value
 
 
 def string(value) -> str:
     """``value`` if it is a JSON string, else TypeError: ``str(5)`` is "5"."""
     if type(value) is not str:
-        raise TypeError(f"{value!r} is not a string")
+        raise TypeError(f"{quoted(value)} is not a string")
     return value
 
 

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, ProtocolError, TransportError
-from .lineio import dumps_canonical
+from .lineio import dumps_canonical, quoted
 
 logger = logging.getLogger(__name__)
 
@@ -304,9 +304,9 @@ def _clamp_probability(value, origin: str) -> float:
     # NaN (not equal to itself) fails no range test, and a cached NaN would replay
     # forever; the bounds come before float(), which overflows on a huge integer
     if not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
-        raise ProtocolError(f"{origin}: probability is not a number: {value!r}")
+        raise ProtocolError(f"{origin}: probability is not a number: {quoted(value)}")
     if value < 0 or value > 1:
-        logger.warning("%s: probability %r outside [0,1]; clamping", origin, value)
+        logger.warning("%s: probability %s outside [0,1]; clamping", origin, quoted(value))
         value = min(1, max(0, value))
     return float(value)
 

@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairqa
 from pairqa.cli import FIELDS, build_parser, load_config, main
 from pairqa.corpus import HopType, read_examples, write_examples
+from pairqa.matching import Strategy
 from pairqa.sim import SynthSpec, generate_corpus, load_truth, write_truth
 
 from conftest import cache_db
@@ -53,6 +57,11 @@ def scorer_service(http_service, monkeypatch):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root``, by its path relative to ``root``."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(Path(root).rglob("*")) if path.is_file()}
 
 
 def _copy_with_first_record(src, dst, edit) -> dict:
@@ -498,22 +507,22 @@ class TestScoreMatchSerialize:
         assert len(blocks) == 8
         assert all(b["blocks"] for b in blocks)
         assert "generated passage:" in blocks[0]["blocks"][0]
+        # a copy of the matrix dump at another path, as stored probabilities, gives the same matchings
+        stored = tmp / "stored.jsonl"
+        stored.write_bytes((out / "matrices.jsonl").read_bytes())
+        assert run("match", "--dataset", dataset, "--out", tmp / "from-stored", "--matching.matrices", stored) == 0
+        assert (tmp / "from-stored" / "matchings.jsonl").read_bytes() == (out / "matchings.jsonl").read_bytes()
 
-    def test_byte_identical_reruns(self, sim_workspace):
-        tmp, dataset, _ = sim_workspace
-        outputs = []
-        for name in ("run_a", "run_b"):
-            out = tmp / name
-            assert run("score", "--dataset", dataset, "--out", out, "--seed", 3) == 0
-            assert run("match", "--dataset", dataset, "--out", out, "--seed", 3) == 0
-            assert run("serialize", "--dataset", dataset, "--out", out, "--seed", 3) == 0
-            outputs.append(
-                tuple(
-                    (out / f).read_bytes()
-                    for f in ("matrices.jsonl", "matchings.jsonl", "reader_inputs.jsonl")
-                )
-            )
-        assert outputs[0] == outputs[1]
+    def test_bridge_corpus_through_five_stages_reruns_byte_identical(self, tmp_path):
+        trees = []
+        for name in ("first", "rerun"):
+            out = tmp_path / name
+            assert run("simulate", "--out", out, "--simulate.num_questions", 8, "--simulate.hop_type", "bridge") == 0
+            data = ["--dataset", out / "sim_corpus.jsonl", "--out", out, "--predictor.truth", out / "sim_truth.jsonl"]
+            for stage in ("score", "match", "serialize", "mine", "analyze"):
+                assert run(stage, *data) == 0
+            trees.append(_tree(out))
+        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("strategy", ["greedy", "random", "same-answer"])
     def test_other_strategies(self, sim_workspace, strategy):
@@ -562,13 +571,6 @@ class TestScoreMatchSerialize:
         (reader,) = [json.loads(line) for line in (out / "reader_inputs.jsonl").read_text().splitlines()]
         assert [len(block.split()) for block in reader["blocks"]] == [1000, 1000]
 
-    def test_workers_do_not_change_output(self, sim_workspace):
-        tmp, dataset, _ = sim_workspace
-        out1, out4 = tmp / "w1", tmp / "w4"
-        for out, workers in ((out1, 1), (out4, 4)):
-            assert run("score", "--dataset", dataset, "--out", out, "--workers", workers) == 0
-        assert (out1 / "matrices.jsonl").read_bytes() == (out4 / "matrices.jsonl").read_bytes()
-
 
 def _cache_rows(cache_dir) -> int:
     with cache_db(cache_dir) as db:
@@ -601,12 +603,19 @@ class TestCacheDir:
             assert run("score", "--dataset", dataset, "--out", tmp_path / name, "--cache_dir", tmp_path / "cache") == 0
             assert (tmp_path / name / "matrices.jsonl").read_bytes() == plain, name
 
-    def test_old_layout_directory_misses_and_is_refilled(self, sim_workspace):
-        """A directory of ``<key>.json`` entries, as earlier versions wrote,
-        is not read: each of its keys is asked again and stored in the table."""
+    def test_cache_replays_the_uncached_run_and_refills_an_old_layout(self, sim_workspace):
+        """A cold then a warm pass into one cache write the uncached outputs, and the
+        warm one adds no row. A directory of ``<key>.json`` entries, as earlier
+        versions wrote, is not read: each of its keys is asked again and stored."""
         tmp, dataset, truth = sim_workspace
         self._score_and_mine(tmp, dataset, truth, tmp / "plain")
-        self._score_and_mine(tmp, dataset, truth, tmp / "fill", "--cache_dir", tmp / "fill-cache")
+        plain = [(tmp / "plain" / name).read_bytes() for name in self._OUTPUTS]
+        rows = []
+        for name in ("cold", "warm"):
+            self._score_and_mine(tmp, dataset, truth, tmp / name, "--cache_dir", tmp / "fill-cache")
+            assert [(tmp / name / output).read_bytes() for output in self._OUTPUTS] == plain, name
+            rows.append(_cache_rows(tmp / "fill-cache"))
+        assert rows[0] == rows[1]
         with cache_db(tmp / "fill-cache") as db:
             keys = [key for (key,) in db.execute("SELECT key FROM responses")]
         old = tmp / "old-cache"
@@ -614,8 +623,7 @@ class TestCacheDir:
         for key in keys:  # answers that would change every output if they were replayed
             (old / f"{key}.json").write_text('{"answer":"nobody","probability":0.25}')
         self._score_and_mine(tmp, dataset, truth, tmp / "old", "--cache_dir", old)
-        for name in self._OUTPUTS:
-            assert (tmp / "old" / name).read_bytes() == (tmp / "plain" / name).read_bytes(), name
+        assert [(tmp / "old" / output).read_bytes() for output in self._OUTPUTS] == plain
         assert _cache_rows(old) == len(keys)
 
     def test_cold_two_workers_then_warm_one_worker(self, sim_workspace, http_service):
@@ -625,7 +633,10 @@ class TestCacheDir:
         flags = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score"), "--cache_dir", cache]
         self._score_and_mine(tmp, dataset, truth, tmp / "cold", *flags, "--workers", 2)
         rows = _cache_rows(cache)
-        assert rows == len(http_service.requests["/score"]) + 8 * (1 + 4 + 2 * 3)
+        # one row per remote score request, and one per reader call, each of which the mining audit records once
+        audit = (tmp / "cold" / "mining_audit.jsonl").read_text().splitlines()
+        assert rows == len(http_service.requests["/score"]) + len(audit)
+        assert len(audit) == 8 * (1 + 4 + 2 * 3)
         http_service.close()  # from here on any request fails, so the warm pass must send none
         self._score_and_mine(tmp, dataset, truth, tmp / "warm", *flags, "--workers", 1, "--strict")
         for name in self._OUTPUTS:
@@ -756,17 +767,6 @@ class TestMine:
         assert capsys.readouterr().out.startswith("mined 32 labels (96 undetermined) over 8 questions")
         assert cons and all(set(r) == {"question", "generated", "retrieved", "label"} for r in cons)
 
-    def test_workers_do_not_change_output(self, sim_workspace):
-        tmp, dataset, truth_path = sim_workspace
-        outputs = []
-        for workers in (1, 4):
-            out = tmp / f"w{workers}"
-            argv = ["mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth_path, "--workers", workers]
-            assert run(*argv) == 0
-            names = ("labels.evidentiality.jsonl", "labels.consistency.jsonl", "mining_audit.jsonl", "mine_report.json")
-            outputs.append([(out / name).read_bytes() for name in names])
-        assert outputs[0] == outputs[1]
-
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     @pytest.mark.parametrize(
         "make_truth", [_other_seed_truth, _truth_first_question_dropped], ids=["other-seed", "question-missing"]
@@ -797,24 +797,24 @@ class TestMine:
 
 class TestAnalyze:
     def test_reports(self, sim_workspace, capsys):
-        tmp, dataset, _ = sim_workspace
-        out = tmp / "analyze"
-        assert run("score", "--dataset", dataset, "--out", out) == 0
-        predictions_path = tmp / "predictions.jsonl"
-        with open(predictions_path, "w") as fh:
-            for k in range(8):
-                fh.write(json.dumps({"question_id": f"q{k:05d}", "answer": f"gold{k:05d}"}) + "\n")
+        tmp, dataset, truth = sim_workspace
+        assert run("score", "--dataset", dataset, "--out", tmp / "scored") == 0
+        # the prediction handoffs of two methods: each question's gold answer, and its distractor
+        records = [json.loads(line) for line in truth.read_text().splitlines()]
+        predictions = {method: str(tmp / f"{method}.jsonl") for method in ("gold", "distractor")}
+        for method, path in predictions.items():
+            Path(path).write_text("".join(json.dumps({"question_id": r["question_id"], "answer": r[method]}) + "\n" for r in records))
         config = tmp / "config.json"
-        config.write_text(
-            json.dumps({"analyze": {"predictions": {"oracle": str(predictions_path)}}})
-        )
-        assert run("analyze", "--config", config, "--dataset", dataset, "--out", out) == 0
+        config.write_text(json.dumps({"analyze": {"predictions": predictions, "matrices": str(tmp / "scored" / "matrices.jsonl")}}))
+        trees = []
+        for name in ("analyze", "rerun"):
+            assert run("analyze", "--config", config, "--dataset", dataset, "--out", tmp / name) == 0
+            trees.append(_tree(tmp / name))
         captured = capsys.readouterr().out
         assert "conflicting rate" in captured
-        assert "EM(oracle)" in captured
-        assert (out / "conflict_stats.jsonl").exists()
-        assert (out / "bin_report.csv").exists()
-        assert (out / "pair_types.jsonl").exists()
+        assert "EM(gold)" in captured and "EM(distractor)" in captured
+        assert {"conflict_stats.jsonl", "bin_report.csv", "pair_types.jsonl"} <= set(trees[0])
+        assert trees[0] == trees[1]
 
     def _analyze(self, sim_workspace, predictions, *extra):
         """Run analyze with one predictions file per method, each given as
@@ -845,6 +845,76 @@ class TestAnalyze:
         assert "questions: 7\n" in capsys.readouterr().out
         assert report["questions"] == 7
         assert self._analyze(sim_workspace, predictions, "--strict")[0] == 1
+
+
+def test_scripts_run_and_the_demo_reruns_byte_identical(tmp_path):
+    """Both scripts, each in its own interpreter; the hallucination sweep's exit code checks its trend."""
+    demos = [("demo_pipeline.py", "--out", tmp_path / name, "--questions", 8) for name in ("demo", "rerun")]
+    for script, *args in [*demos, ("sweep_hallucination.py", "--questions", 20, "--n", 4, "--m", 4)]:
+        argv = [sys.executable, Path(__file__).resolve().parents[1] / "scripts" / script, *map(str, args)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert _tree(tmp_path / "demo") == _tree(tmp_path / "rerun")
+
+
+def _every_stage(lines, truth, *flags) -> dict[str, bytes]:
+    """Every dataset stage over a dataset of ``lines``, match and serialize by each
+    strategy into <strategy>/; returns every file written, as ``_tree`` does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, out = Path(tmp) / "dataset.jsonl", Path(tmp) / "out"
+        dataset.write_text("".join(line + "\n" for line in lines))
+        for stage in ("score", "mine", "analyze"):
+            assert run(stage, "--dataset", dataset, "--out", out, "--predictor.truth", truth, *flags) == 0
+        for strategy in Strategy:
+            argv = ["--dataset", dataset, "--out", out / strategy.value, "--strategy", strategy.value, *flags]
+            assert run("match", *argv, "--matching.matrices", out / "matrices.jsonl") == 0
+            assert run("serialize", *argv) == 0
+        return _tree(out)
+
+
+def _by_question(tree) -> dict[tuple[str, str | None], list[bytes]]:
+    """The lines of ``tree``'s JSON-lines files, by file and then question in file order: a record's
+    question_id, else its question text (a label), else None (a row over all questions)."""
+    grouped = {}
+    for name, data in tree.items():
+        for line in data.splitlines() if name.endswith(".jsonl") else ():
+            record = json.loads(line)
+            grouped.setdefault((name, record.get("question_id", record.get("question"))), []).append(line)
+    return grouped
+
+
+@pytest.fixture(scope="module")
+def forty_questions(tmp_path_factory):
+    """The dataset lines of a 40-question corpus (seed 3), its truth file, and ``_every_stage`` over it."""
+    tmp = tmp_path_factory.mktemp("forty")
+    assert run("simulate", "--out", tmp, "--seed", 3, "--simulate.num_questions", 40, "--simulate.single_pivot", "false") == 0
+    lines = (tmp / "sim_corpus.jsonl").read_text().splitlines()
+    return lines, tmp / "sim_truth.jsonl", _every_stage(lines, tmp / "sim_truth.jsonl")
+
+
+@settings(max_examples=8, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_shuffled_dataset_reorders_the_records_and_keeps_every_report(forty_questions, rng):
+    """At --workers 4 too: records follow the dataset's order, not the order the workers finish in."""
+    lines, truth, full = forty_questions
+    shuffled = rng.sample(lines, len(lines))
+    tree = _every_stage(shuffled, truth, "--workers", 4)
+    records = _by_question(tree)
+    rank = {record[key]: k for k, record in enumerate(map(json.loads, shuffled)) for key in ("question_id", "question")}
+    assert list(records) == sorted(records, key=lambda key: (key[0], rank.get(key[1], -1)))
+    assert records == _by_question(full)
+    reports = lambda files: {name: data for name, data in files.items() if not name.endswith(".jsonl")}
+    assert reports(tree) == reports(full)
+
+
+@settings(max_examples=3, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_dropped_questions_leave_every_other_questions_records(forty_questions, rng):
+    lines, truth, full = forty_questions
+    kept = [line for line in lines if rng.random() < 0.7]
+    keys = {record[key] for record in map(json.loads, kept) for key in ("question_id", "question")}
+    subset = {key: group for key, group in _by_question(_every_stage(kept, truth)).items() if key[1] is not None}
+    assert subset == {key: group for key, group in _by_question(full).items() if key[1] in keys}
 
 
 class TestSimulate:
@@ -1225,6 +1295,14 @@ class TestErrorHandling:
         assert str(missing) in summary["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    def test_long_reply_is_quoted_cut_short(self, sim_workspace, http_service):
+        tmp, dataset, _ = sim_workspace
+        http_service.responses["/score"] = {"probability": "x" * 100000}
+        remote = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score")]
+        assert run("score", "--dataset", dataset, "--out", tmp / "out", *remote) == 0
+        errors = [e["error"] for e in json.loads((tmp / "out" / "score_report.json").read_text())["errors"]]
+        assert len(errors) == 8 and all("not a number: 'xxx" in e and len(e) < 300 for e in errors)
+
     def test_strict_mode_aborts(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         with open(dataset, "a") as fh:
@@ -1381,12 +1459,15 @@ class TestConfigMerging:
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == "greedy" for m in matchings)
 
-    @pytest.mark.parametrize("dotted", list(FIELDS))
+    @pytest.mark.parametrize("dotted", [*FIELDS, None], ids=[*FIELDS, "every-field"])
     def test_field_spelled_at_its_default_changes_nothing(self, tmp_path, dotted):
+        """One field, or every field at once (None), spelled at its default in the config file."""
+        document = {}
+        for field in [dotted] if dotted else FIELDS:
+            section, dot, name = field.partition(".")
+            (document.setdefault(section, {}) if dot else document)[name or section] = FIELDS[field][0]
         config = tmp_path / "config.json"
-        section, dot, name = dotted.partition(".")
-        default = FIELDS[dotted][0]
-        config.write_text(json.dumps({section: {name: default}} if dot else {dotted: default}))
+        config.write_text(json.dumps(document))
         assert _loaded("--config", config) == _loaded()
 
     @pytest.mark.parametrize("dotted", list(FIELDS))

@@ -4,7 +4,9 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -454,3 +456,21 @@ def test_match_composes_each_strategy_and_checks_the_shape(strategy, composed):
     smaller = build_matrix(make_example(retrieved_texts=("Don Shula won",)), scorer, CombineMode.CUTOFF)
     with pytest.raises(ContractViolation, match="matrix is 2x1 but the dataset has 3x2"):
         match(strategy, example, smaller, 17)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 6), seed=st.integers(0, 2**32))
+def test_permuted_retrieved_pool_permutes_the_columns_and_keeps_the_optimum(k, seed):
+    """Continuous weights, drawn per passage text, are tie-free: the optimum pairs the same passages."""
+    rng, probabilities = random.Random(seed), {}
+    text_key = lambda req: (req.kind, req.retrieved_text, req.generated_text)
+    scorer = SimpleNamespace(score_many=lambda reqs: [probabilities.setdefault(text_key(r), rng.random()) for r in reqs])
+    example = make_example(retrieved_texts=[f"r{j}" for j in range(k)], generated_texts=[f"g{i}" for i in range(k)])
+    order = rng.sample(range(k), k)
+    permuted = replace(example, retrieved=tuple(example.retrieved[j] for j in order))
+    matrix, moved = build_matrix(example, scorer, CombineMode.PRODUCT), build_matrix(permuted, scorer, CombineMode.PRODUCT)
+    assert moved.evidentiality == tuple(matrix.evidentiality[j] for j in order)
+    assert moved.consistency == tuple(tuple(row[j] for j in order) for row in matrix.consistency)
+    before, after = match(Strategy.OPTIMAL, example, matrix, 0), match(Strategy.OPTIMAL, permuted, moved, 0)
+    assert after.total_weight == before.total_weight
+    assert sorted((i, order[j]) for i, j, _ in after.pairs) == sorted((i, j) for i, j, _ in before.pairs)

@@ -135,6 +135,7 @@ class TestRemoteScorer:
         assert len(http_service.requests["/score"]) == 1
         clamps = [r.message for r in caplog.records if "clamping" in r.message]
         assert len(clamps) == 2 and clamps[0].startswith(url) and clamps[1].startswith("scorer cache")
+        assert all(len(clamp) < 200 for clamp in clamps)  # not all 400 digits
 
     def test_missing_probability_is_protocol_error(self, http_service):
         http_service.responses["/score"] = {"p": 0.5}
@@ -295,7 +296,7 @@ class TestScoreMany:
         error, and with it the consuming frame, is still held."""
 
         def score(body):
-            time.sleep(0.005)
+            time.sleep(0.05)  # outlasts the batch's closing, so each pool thread starts at most one more
             return {"probability": 0.25}
 
         http_service.responses["/score"] = score
