@@ -119,7 +119,7 @@ def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dic
         try:
             qid = string(rec["question_id"])
             if qid in records:
-                raise ValueError(f"repeated question_id {qid!r}")
+                raise ValueError(f"repeated question_id {quoted(qid)}")
             records[qid] = parse(rec)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge integer
             raise ContractViolation(f"{path} line {lineno}: bad {what} record: {exc}") from None
