@@ -150,9 +150,9 @@ class PipelineConfig(dict):
         if dotted not in FIELDS:
             section, dot, _ = dotted.partition(".")
             if not dot and section in _SECTIONS:
-                raise ContractViolation(f"config section {section!r} must be an object of its fields")
+                raise ContractViolation(f"config section {quoted(section)} must be an object of its fields")
             if dot and section not in _SECTIONS:
-                raise ContractViolation(f"unknown config section {section!r} in {dotted}")
+                raise ContractViolation(f"unknown config section {quoted(section)} in {dotted}")
             raise ContractViolation(f"unknown config field {dotted}")
         kind = FIELDS[dotted][1]
         try:
@@ -180,7 +180,7 @@ def _parse_extra_flags(extras: Sequence[str]) -> list[tuple[str, str]]:
     pairs, args = [], iter(extras)
     for arg in args:
         if not arg.startswith("--"):
-            raise ContractViolation(f"unexpected argument {arg!r}")
+            raise ContractViolation(f"unexpected argument {quoted(arg)}")
         name, eq, value = arg[2:].partition("=")
         if not eq:
             value = next(args, None)

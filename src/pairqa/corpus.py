@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
-from .lineio import IngestionReport, read_jsonl, write_jsonl
+from .lineio import IngestionReport, quoted, read_jsonl, write_jsonl
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -155,7 +155,7 @@ def _parse_chain(raw, prefix: str, index: int) -> PassageChain:
         if pid is None:
             pid = segment_id(f"{prefix}{index}", seg_idx, len(raw))
         elif not isinstance(pid, str):
-            raise ContractViolation(f"chain segment {seg_idx} id must be a string, got {pid!r}")
+            raise ContractViolation(f"chain segment {seg_idx} id must be a string, got {quoted(pid)}")
         title = seg.get("title")
         if title is not None and not isinstance(title, str):
             raise ContractViolation("title must be a string when present")
@@ -173,7 +173,7 @@ def _parse_pool(raw, source: Source, prefix: str) -> tuple[PassageChain, ...]:
     for chain in chains:
         for seg in chain.segments:
             if seg.id in seen:
-                raise ContractViolation(f"duplicate passage id {seg.id!r} in {source.value} pool")
+                raise ContractViolation(f"duplicate passage id {quoted(seg.id)} in {source.value} pool")
             seen.add(seg.id)
     return chains
 
@@ -198,7 +198,7 @@ def example_from_record(record: dict) -> QAExample:
         try:
             hop_type = HopType(hop_raw)
         except ValueError:
-            raise ContractViolation(f"unknown hop_type {hop_raw!r}") from None
+            raise ContractViolation(f"unknown hop_type {quoted(hop_raw)}") from None
     return QAExample(
         question_id=question_id,
         question=question,
@@ -247,7 +247,7 @@ def read_examples(path: str | Path, expect_generated: bool = True) -> tuple[list
             report.error(lineno, str(exc))
             continue
         if example.question_id in seen:
-            report.error(lineno, f"duplicate question_id {example.question_id!r}")
+            report.error(lineno, f"duplicate question_id {quoted(example.question_id)}")
             continue
         seen.add(example.question_id)
         if not example.retrieved:

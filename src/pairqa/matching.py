@@ -7,17 +7,18 @@ negated internally, by shortest augmenting paths over dual potentials
 Dijkstra search scans only the columns it has not scanned yet, prefers a
 free column when two tie for the lowest distance (on tied 0/1 weights it
 stops at the first free tight column), and applies the dual updates once
-per augmentation, to the scanned rows and columns only. Unequal pools are
-first equalized by cyclic duplication so every passage is used at least
-once. Greedy, random, and same-answer-oracle strategies are provided as
-baselines; ``match`` is the one place that knows how each strategy uses
-the example and its matrix.
+per augmentation, to the scanned rows and columns only. Greedy, random,
+and same-answer-oracle strategies are provided as baselines.
 
-Determinism contract: equal-weight matchings resolve to the
-lexicographically smallest (lp_index, rp_index) sequence, and the final
-pair list is sorted by combined score, descending, ties by index. All
-weight totals are exactly-rounded sums (math.fsum), so equality
-comparisons do not depend on summation order.
+``match`` is the one place that knows how each strategy uses the example
+and its matrix. It equalizes the combined grid once, by cyclic
+duplication, so every passage is used at least once; every strategy picks
+cells of that graph, which builds each record one way: each pair scores
+its cell, the total is an exactly-rounded sum (math.fsum), so equality
+comparisons do not depend on summation order, and pairs are sorted by
+score, descending, ties by index, except for same-answer, which ranks its
+answer-bearing pairs first. Equal-weight optimal matchings resolve to the
+lexicographically smallest (lp_index, rp_index) sequence.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import QAExample, contains_answer
 from .errors import ContractViolation
@@ -77,11 +78,9 @@ def load_matchings(path: str | Path) -> dict[str, PairMatching]:
 
 @dataclass(frozen=True)
 class WeightedBipartiteGraph:
-    """Complete bipartite weight grid, plus the original index of every
+    """Complete square bipartite weight grid, plus the original index of every
     (possibly duplicated) row and column."""
 
-    m: int
-    n: int
     weights: tuple[tuple[float, ...], ...]
     row_origin: tuple[int, ...]
     col_origin: tuple[int, ...]
@@ -94,36 +93,31 @@ class WeightedBipartiteGraph:
         k = len(rows)
         if k == 0 or any(len(row) != k for row in rows):
             raise ContractViolation("weight grid must be non-empty and square")
-        return cls(m=k, n=k, weights=rows, row_origin=tuple(range(k)), col_origin=tuple(range(k)))
+        return cls(weights=rows, row_origin=tuple(range(k)), col_origin=tuple(range(k)))
 
-
-def _square_origins(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Original row and column index of each row and column of the
-    max(M, N) square that cyclic duplication makes of an M x N grid."""
-    k = max(m, n)
-    return tuple(i % m for i in range(k)), tuple(j % n for j in range(k))
+    def matching(
+        self, strategy: Strategy, question_id: str, cells: Iterable[tuple[int, int]], by_score: bool = True
+    ) -> PairMatching:
+        """The matching that pairs the grid's ``cells`` (i, j): each pair names
+        its original passages and scores the cell's weight, the pairs are
+        sorted by score, descending, ties by index, if ``by_score`` (else kept
+        in cell order), and the total is their exactly-rounded sum."""
+        pairs = [(self.row_origin[i], self.col_origin[j], self.weights[i][j]) for i, j in cells]
+        return PairMatching(
+            question_id=question_id,
+            strategy=strategy,
+            pairs=tuple(sorted(pairs, key=lambda p: (-p[2], p[0], p[1]))) if by_score else tuple(pairs),
+            total_weight=math.fsum(s for _, _, s in pairs),
+        )
 
 
 def equalize_weights(weights: Sequence[Sequence[float]]) -> WeightedBipartiteGraph:
     """Cyclically replicate rows (M<N) or columns (M>N) until square."""
-    row_origin, col_origin = _square_origins(len(weights), len(weights[0]))
+    m, n = len(weights), len(weights[0])
+    k = max(m, n)
+    row_origin, col_origin = tuple(i % m for i in range(k)), tuple(j % n for j in range(k))
     grid = tuple(tuple(float(weights[ri][cj]) for cj in col_origin) for ri in row_origin)
-    k = len(grid)
-    return WeightedBipartiteGraph(m=k, n=k, weights=grid, row_origin=row_origin, col_origin=col_origin)
-
-
-def equalize_pools(matrix: CompatibilityMatrix) -> WeightedBipartiteGraph:
-    return equalize_weights(matrix.combined_grid())
-
-
-def equalize_pair_types(matrix: CompatibilityMatrix) -> tuple[tuple[PairType, ...], ...]:
-    """Pair-type grid expanded with the same cyclic duplication as the weights."""
-    row_origin, col_origin = _square_origins(matrix.m, matrix.n)
-    return tuple(tuple(matrix.pair_type(ri, cj) for cj in col_origin) for ri in row_origin)
-
-
-def _sorted_pairs(pairs: Sequence[Pair]) -> tuple[Pair, ...]:
-    return tuple(sorted(pairs, key=lambda p: (-p[2], p[0], p[1])))
+    return WeightedBipartiteGraph(weights=grid, row_origin=row_origin, col_origin=col_origin)
 
 
 def _solve_min_assignment(cost: Sequence[Sequence[float]]):
@@ -205,8 +199,8 @@ def match_optimal(graph: WeightedBipartiteGraph, question_id: str = "") -> PairM
     an exact zero test drops tight edges on continuous weights and keeps a
     lexicographically larger optimum.
     """
-    k = graph.m
     weights = graph.weights
+    k = len(weights)
     cost = [[-w for w in row] for row in weights]
     assign, u, v = _solve_min_assignment(cost)
     wstar = math.fsum(weights[i][assign[i]] for i in range(k))
@@ -243,16 +237,7 @@ def match_optimal(graph: WeightedBipartiteGraph, question_id: str = "") -> PairM
                 assign = trial
                 break
 
-    pairs = [
-        (graph.row_origin[i], graph.col_origin[assign[i]], weights[i][assign[i]])
-        for i in range(k)
-    ]
-    return PairMatching(
-        question_id=question_id,
-        strategy=Strategy.OPTIMAL,
-        pairs=_sorted_pairs(pairs),
-        total_weight=wstar,
-    )
+    return graph.matching(Strategy.OPTIMAL, question_id, enumerate(assign))
 
 
 _GREEDY_TYPE_ORDER = (PairType.COMPATIBLE, PairType.CONFLICTING, PairType.NON_EVIDENTIAL)
@@ -266,111 +251,67 @@ def match_greedy(
     """Type-staged greedy baseline: compatible pairs first, then
     conflicting, then non-evidential; within a stage, highest score first
     among rows/columns not used by an earlier pair. ``types`` is the
-    graph's own pair-type grid (``equalize_pair_types``)."""
-    k = graph.m
+    graph's pair-type grid."""
+    k = len(graph.weights)
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     selected: list[tuple[int, int]] = []
     for stage in _GREEDY_TYPE_ORDER:
-        cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(k)
-            if types[i][j] is stage
-        ]
+        cells = [(i, j) for i in range(k) for j in range(k) if types[i][j] is stage]
         cells.sort(key=lambda ij: (-graph.weights[ij[0]][ij[1]], ij[0], ij[1]))
         for i, j in cells:
             if i not in used_rows and j not in used_cols:
                 used_rows.add(i)
                 used_cols.add(j)
                 selected.append((i, j))
-    pairs = [
-        (graph.row_origin[i], graph.col_origin[j], graph.weights[i][j]) for i, j in selected
-    ]
-    return PairMatching(
-        question_id=question_id,
-        strategy=Strategy.GREEDY,
-        pairs=_sorted_pairs(pairs),
-        total_weight=math.fsum(graph.weights[i][j] for i, j in selected),
-    )
+    return graph.matching(Strategy.GREEDY, question_id, selected)
 
 
-def match_random(m: int, n: int, seed: int, question_id: str = "") -> PairMatching:
-    """Pair duplicated rows with a seeded uniform permutation of columns.
-
-    Scores are zero (no matrix is consulted); ``match`` attributes them
-    from the question's combined grid afterwards with ``score_matching``.
-    """
-    row_origin, col_origin = _square_origins(m, n)
-    perm = list(range(len(row_origin)))
+def match_random(graph: WeightedBipartiteGraph, seed: int, question_id: str = "") -> PairMatching:
+    """Pair the graph's rows with a seeded uniform permutation of its columns."""
+    perm = list(range(len(graph.weights)))
     random.Random(seed).shuffle(perm)
-    pairs = tuple((row_origin[i], col_origin[q], 0.0) for i, q in enumerate(perm))
-    return PairMatching(
-        question_id=question_id, strategy=Strategy.RANDOM, pairs=pairs, total_weight=0.0
-    )
+    return graph.matching(Strategy.RANDOM, question_id, enumerate(perm))
 
 
-def match_same_answer(example: QAExample, seed: int) -> PairMatching:
+def match_same_answer(example: QAExample, graph: WeightedBipartiteGraph, seed: int) -> PairMatching:
     """Oracle baseline: pair passages that both contain a gold alias
     (ascending index order), pair the rest uniformly at random, and rank
     the answer-bearing pairs first."""
-    m, n = example.m, example.n
     lp_has = [contains_answer(c, example.answers) for c in example.generated]
     rp_has = [contains_answer(c, example.answers) for c in example.retrieved]
-    row_origin, col_origin = _square_origins(m, n)
-    k = len(row_origin)
+    row_origin, col_origin = graph.row_origin, graph.col_origin
+    k = len(graph.weights)
     answer_cols = [q for q in range(k) if rp_has[col_origin[q]]]
     ptr = 0
     used_cols: set[int] = set()
-    answer_pairs: list[Pair] = []
+    answer_cells: list[tuple[int, int]] = []
     rest_rows: list[int] = []
     for p in range(k):
         if lp_has[row_origin[p]] and ptr < len(answer_cols):
             q = answer_cols[ptr]
             ptr += 1
             used_cols.add(q)
-            answer_pairs.append((row_origin[p], col_origin[q], 0.0))
+            answer_cells.append((p, q))
         else:
             rest_rows.append(p)
     rest_cols = [q for q in range(k) if q not in used_cols]
     random.Random(seed).shuffle(rest_cols)
-    rest_pairs = [(row_origin[p], col_origin[q], 0.0) for p, q in zip(rest_rows, rest_cols)]
-    return PairMatching(
-        question_id=example.question_id,
-        strategy=Strategy.SAME_ANSWER,
-        pairs=tuple(answer_pairs + rest_pairs),
-        total_weight=0.0,
-    )
-
-
-def score_matching(
-    matching: PairMatching, weights: Sequence[Sequence[float]], resort: bool = True
-) -> PairMatching:
-    """Attribute weights from an original M x N grid to an existing
-    matching (used to evaluate random/oracle baselines on the same
-    instance the optimal strategy saw)."""
-    pairs = [(i, j, float(weights[i][j])) for i, j, _ in matching.pairs]
-    out = _sorted_pairs(pairs) if resort else tuple(pairs)
-    return PairMatching(
-        question_id=matching.question_id,
-        strategy=matching.strategy,
-        pairs=out,
-        total_weight=math.fsum(s for _, _, s in pairs),
-    )
+    cells = answer_cells + list(zip(rest_rows, rest_cols))
+    return graph.matching(Strategy.SAME_ANSWER, example.question_id, cells, by_score=False)
 
 
 def match(strategy: Strategy, example: QAExample, matrix: CompatibilityMatrix, seed: int) -> PairMatching:
-    """Pair ``example``'s generated and retrieved passages by ``strategy``.
-
-    Optimal and greedy solve over the equalized matrix. Random and
-    same-answer pair without it, drawing from ``seed``, and then take their
-    scores from its combined grid; same-answer keeps its own pair order.
-    """
+    """Pair ``example``'s generated and retrieved passages by ``strategy`` over
+    its matrix's combined grid, equalized once. Greedy also stages by the
+    matrix's pair types; random and same-answer draw from ``seed``."""
     qid, matrix = example.question_id, matrix.fitted(example)
+    graph = equalize_weights(matrix.combined_grid())
     if strategy is Strategy.OPTIMAL:
-        return match_optimal(equalize_pools(matrix), qid)
+        return match_optimal(graph, qid)
     if strategy is Strategy.GREEDY:
-        return match_greedy(equalize_pools(matrix), equalize_pair_types(matrix), qid)
+        types = [[matrix.pair_type(ri, cj) for cj in graph.col_origin] for ri in graph.row_origin]
+        return match_greedy(graph, types, qid)
     if strategy is Strategy.RANDOM:
-        return score_matching(match_random(example.m, example.n, seed, qid), matrix.combined_grid())
-    return score_matching(match_same_answer(example, seed), matrix.combined_grid(), resort=False)
+        return match_random(graph, seed, qid)
+    return match_same_answer(example, graph, seed)

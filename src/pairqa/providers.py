@@ -171,11 +171,11 @@ class ResponseCache:
 class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
     retrying transport failures, 5xx, 408 and 429 with exponential backoff;
-    any other status is not retried. ``timeout`` defaults to the class's
-    ``default_timeout``. ``_in_flight`` runs a batch of calls on the client's
+    any other status is not retried. Each attempt waits at most the class's
+    ``timeout`` seconds. ``_in_flight`` runs a batch of calls on the client's
     one pool of ``max(max_in_flight, workers)`` threads, ``workers`` sharing it."""
 
-    default_timeout = 30.0
+    timeout = 30.0
     # more requests in flight can overflow a server's listen backlog (5 for
     # http.server), and each dropped connection waits about 1 s to be retried
     max_in_flight = 4
@@ -186,14 +186,12 @@ class _ServiceClient:
         token: str | None = None,
         max_retries: int = 3,
         backoff: float = 0.5,
-        timeout: float | None = None,
         workers: int = 1,
     ):
         self.url = url
         self.token = token
         self.max_retries = max_retries
         self.backoff = backoff
-        self.timeout = self.default_timeout if timeout is None else timeout
         self.pool_size = max(self.max_in_flight, workers)  # each worker thread keeps one in flight, as one by one
         self._opener = None
         self._pool = None
@@ -327,7 +325,7 @@ class RemoteScorer(_ServiceClient):
 class RemotePredictor(_ServiceClient):
     """HTTP client for the QA predictor (reader) service."""
 
-    default_timeout = 60.0
+    timeout = 60.0
 
     def predict(self, req: PredictRequest) -> str:
         payload = self._post(req.wire_body())
@@ -415,7 +413,7 @@ class LexicalMockScorer:
     def score(self, req: ScoreRequest) -> float:
         answers = self._answers.get(req.question_id)
         if answers is None:
-            raise ContractViolation(f"lexical scorer has no answers for question {req.question_id!r}")
+            raise ContractViolation(f"lexical scorer has no answers for question {quoted(req.question_id)}")
         target = (req.retrieved_text if req.kind is ScoreKind.EVIDENTIALITY else req.generated_text) or ""
         key = (target, answers)
         verdict = self._verdicts.get(key)
@@ -447,7 +445,7 @@ def split_two_documents(raw: str) -> tuple[str, str]:
 class RemoteGenerator(_ServiceClient):
     """HTTP client for the passage generation service."""
 
-    default_timeout = 120.0
+    timeout = 120.0
 
     def generate(self, req: GenerationRequest) -> list[tuple[str, ...]]:
         """The segment texts of each generated passage that parses, in reply

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .corpus import QAExample
 from .errors import ContractViolation
-from .lineio import read_keyed, write_jsonl
+from .lineio import quoted, read_keyed, write_jsonl
 from .providers import ScoreKind, ScoreRequest
 
 
@@ -147,10 +147,10 @@ _DUMP_FIELDS = ["consistency", "evidentiality", "mode", "question_id"]
 
 def _probabilities(values, field: str) -> tuple[float, ...]:
     if not isinstance(values, list):
-        raise TypeError(f"{values!r} is not an array")
+        raise TypeError(f"{quoted(values)} is not an array")
     for p in values:
         if type(p) is not float and type(p) is not int:
-            raise TypeError(f"{field} {p!r} is not a number")
+            raise TypeError(f"{field} {quoted(p)} is not a number")
     return tuple(map(float, values))
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .corpus import HopType, PassageChain, QAExample, Source, named_chain
 from .errors import ContractViolation
-from .lineio import boolean, read_keyed, string, write_jsonl
+from .lineio import boolean, quoted, read_keyed, string, write_jsonl
 from .providers import PredictRequest
 
 
@@ -83,7 +83,7 @@ class GroundTruth:
     def for_question_text(self, question: str) -> QuestionTruth:
         qid = self._by_question_text.get(question)
         if qid is None:
-            raise ContractViolation(f"unknown synthetic question {question!r}")
+            raise ContractViolation(f"unknown synthetic question {quoted(question)}")
         return self.questions[qid]
 
     def chains_in(self, qt: QuestionTruth, block: str) -> list[ChainTruth]:
@@ -245,7 +245,7 @@ def load_truth(path: str | Path) -> GroundTruth:
         qid, question = rec["question_id"], string(rec["question"])
         holder = holders.setdefault(question, qid)
         if holder != qid:
-            raise ValueError(f"question_id {qid!r} has the question text of {holder!r}")
+            raise ValueError(f"question_id {quoted(qid)} has the question text of {quoted(holder)}")
         chains = [
             ChainTruth(string(c["id"]), Source(c["source"]), string(c["text"]), boolean(c["supports"]))
             for c in rec["chains"]

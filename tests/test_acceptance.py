@@ -75,7 +75,7 @@ def test_criterion_02_strategy_dominance():
         graph = matching.WeightedBipartiteGraph.from_weights(weights)
         optimal = matching.match_optimal(graph)
         greedy = matching.match_greedy(graph, types)
-        rand = matching.score_matching(matching.match_random(n, n, seed=trial), weights)
+        rand = matching.match_random(graph, seed=trial)
         assert optimal.total_weight >= greedy.total_weight
         assert optimal.total_weight >= rand.total_weight
         strict_over_random += optimal.total_weight > rand.total_weight
@@ -309,11 +309,9 @@ def test_criterion_10_trend_reproduction():
             rates.append(analysis.conflicting_rate(example).conflicting_rate)
             matrix = scoring.build_matrix(example, scorer, CombineMode.CUTOFF)
             weights = matrix.combined_grid()
-            optimal = matching.match_optimal(matching.equalize_pools(matrix), example.question_id)
-            rand = matching.score_matching(
-                matching.match_random(example.m, example.n, seed=derive_seed(31, example.question_id)),
-                weights,
-            )
+            graph = matching.equalize_weights(weights)
+            optimal = matching.match_optimal(graph, example.question_id)
+            rand = matching.match_random(graph, seed=derive_seed(31, example.question_id))
             for name, result in (("optimal", optimal), ("random", rand)):
                 lp, rp, _ = result.pairs[0]
                 if matrix.pair_type(lp, rp) is PairType.COMPATIBLE:

@@ -1012,6 +1012,28 @@ class TestErrorHandling:
         assert "not UTF-8" in report["errors"][0]["error"]
         assert run("score", "--dataset", dataset, "--out", tmp / "strict", "--strict") == 1
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: {**rec, "hop_type": "h" * 100000}, "unknown hop_type 'hhh"),
+            (
+                lambda rec: {**rec, "retrieved": [{"id": "p" * 100000, "text": "Don Shula won"}] * 2},
+                "duplicate passage id 'ppp",
+            ),
+        ],
+        ids=["long-hop-type", "repeated-long-passage-id"],
+    )
+    def test_long_dataset_value_is_quoted_cut_short(self, tmp_path, edit, message):
+        record = {"question_id": "q1", "question": "who won", "answers": ["Don Shula"], "retrieved": [{"text": "Don Shula won"}]}
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps(edit({**record, "generated": [{"text": "Don Shula led"}]})) + "\n")
+        assert run("score", "--dataset", dataset, "--out", tmp_path / "out") == 0
+        text = (tmp_path / "out" / "score_report.json").read_text()
+        [error] = json.loads(text)["errors"]
+        assert (error["stage"], error["line"]) == ("ingest", 1)
+        assert message in error["error"] and len(error["error"]) < 300
+        assert len(text) < 1000
+
     def test_truncated_dump_is_a_per_item_error(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         out = tmp / "truncated"
@@ -1168,6 +1190,9 @@ class TestErrorHandling:
             _bad_stored_dump(
                 _consistency_text, where="stored.jsonl line 1: bad matrix record: consistency '0.0' is not a number"
             ),
+            _bad_stored_dump(
+                lambda rec: {**rec, "evidentiality": "x" * 100000}, where="stored.jsonl line 1: bad matrix record: 'xxx"
+            ),
             _matchings_float_index,
             _bad_truth("chains.supports", "false", "'false' is not true or false"),
             _bad_truth("chains.text", 5, "5 is not a string"),
@@ -1198,6 +1223,7 @@ class TestErrorHandling:
             "store-probability-below-0",
             "store-probability-a-huge-integer",
             "store-probability-a-string",
+            "store-evidentiality-a-long-string",
             "matchings-index-not-an-integer",
             "truth-supports-a-string",
             "truth-text-a-number",

@@ -19,15 +19,12 @@ from pairqa.matching import (
     Strategy,
     WeightedBipartiteGraph,
     _solve_min_assignment,
-    equalize_pair_types,
-    equalize_pools,
     equalize_weights,
     match,
     match_greedy,
     match_optimal,
     match_random,
     match_same_answer,
-    score_matching,
 )
 from pairqa.scoring import CombineMode, PairType, build_matrix
 
@@ -214,7 +211,7 @@ class TestSolverCertificate:
         # large-pools' shape: 60 generated x 80 retrieved, rows duplicated to 80 x 80
         rng = random.Random(60)
         graph = equalize_weights([[float(rng.random() < 0.3) for _ in range(80)] for _ in range(60)])
-        assert graph.m == graph.n == 80
+        assert len(graph.weights) == len(graph.weights[0]) == 80
         assert_duals_certify(graph.weights)
 
 
@@ -225,14 +222,14 @@ class TestEqualize:
             generated_texts=tuple(f"g{i}" for i in range(10)),
         )
         matrix = build_matrix(example, _unit_scorer(), CombineMode.PRODUCT)
-        graph = equalize_pools(matrix)
-        assert graph.m == graph.n == 10
+        graph = equalize_weights(matrix.combined_grid())
+        assert len(graph.weights) == len(graph.weights[0]) == 10
         assert graph.row_origin == tuple(range(10))
         assert graph.col_origin == tuple(range(10))
 
     def test_rows_duplicated_cyclically(self):
         graph = equalize_weights([[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 10.0]])
-        assert graph.m == graph.n == 5
+        assert len(graph.weights) == len(graph.weights[0]) == 5
         assert graph.row_origin == (0, 1, 0, 1, 0)
         assert graph.weights[2] == graph.weights[0]
 
@@ -266,6 +263,11 @@ def _unit_scorer():
 
 def all_types(n, kind):
     return [[kind] * n for _ in range(n)]
+
+
+def zeros(m, n):
+    """The equalized graph of an all-zero m x n grid."""
+    return equalize_weights([[0.0] * n for _ in range(m)])
 
 
 class TestMatchGreedy:
@@ -303,25 +305,25 @@ class TestMatchGreedy:
 
 class TestMatchRandom:
     def test_deterministic_given_seed(self):
-        a = match_random(4, 4, seed=99)
-        b = match_random(4, 4, seed=99)
+        a = match_random(zeros(4, 4), seed=99)
+        b = match_random(zeros(4, 4), seed=99)
         assert a == b
         assert dumps_canonical(a.to_record()) == dumps_canonical(b.to_record())
 
     def test_trivial_instance(self):
-        assert match_random(1, 1, seed=0).pairs == ((0, 0, 0.0),)
+        assert match_random(zeros(1, 1), seed=0).pairs == ((0, 0, 0.0),)
 
     def test_permutations_are_uniform(self):
         counts = Counter()
         for seed in range(1000):
-            result = match_random(3, 3, seed=seed)
+            result = match_random(zeros(3, 3), seed=seed)
             counts[assignment_of(result, 3)] += 1
         assert len(counts) == 6
         for perm, count in counts.items():
             assert abs(count / 1000 - 1 / 6) < 0.05, (perm, count)
 
     def test_unequal_pools_covered(self):
-        result = match_random(2, 5, seed=5)
+        result = match_random(zeros(2, 5), seed=5)
         assert {j for _, j, _ in result.pairs} == set(range(5))
         assert {i for i, _, _ in result.pairs} == {0, 1}
 
@@ -332,7 +334,7 @@ class TestMatchSameAnswer:
             retrieved_texts=("Don Shula here", "Don Shula there"),
             generated_texts=("Don Shula indeed", "Don Shula again"),
         )
-        result = match_same_answer(example, seed=0)
+        result = match_same_answer(example, zeros(2, 2), seed=0)
         assert result.strategy is Strategy.SAME_ANSWER
         assert len(result.pairs) == 2
 
@@ -342,8 +344,8 @@ class TestMatchSameAnswer:
             retrieved_texts=("alpha", "beta", "gamma"),
             generated_texts=("delta", "epsilon", "zeta"),
         )
-        result = match_same_answer(example, seed=123)
-        random_result = match_random(3, 3, seed=123, question_id="q1")
+        result = match_same_answer(example, zeros(3, 3), seed=123)
+        random_result = match_random(zeros(3, 3), seed=123, question_id="q1")
         assert result.pairs == random_result.pairs
 
     def test_single_answer_pair_ranked_first(self):
@@ -351,12 +353,12 @@ class TestMatchSameAnswer:
             retrieved_texts=("nothing here", "Don Shula coached"),
             generated_texts=("Don Shula generated", "irrelevant text"),
         )
-        result = match_same_answer(example, seed=0)
+        result = match_same_answer(example, zeros(2, 2), seed=0)
         assert result.pairs[0][:2] == (0, 1)
 
     def test_deterministic(self):
         example = make_example()
-        assert match_same_answer(example, 7) == match_same_answer(example, 7)
+        assert match_same_answer(example, zeros(2, 2), 7) == match_same_answer(example, zeros(2, 2), 7)
 
 
 class TestDominanceAndScoring:
@@ -368,14 +370,13 @@ class TestDominanceAndScoring:
             graph = WeightedBipartiteGraph.from_weights(weights)
             opt = match_optimal(graph)
             greedy = match_greedy(graph, all_types(n, PairType.COMPATIBLE))
-            rand = score_matching(match_random(n, n, seed=trial), weights)
+            rand = match_random(graph, seed=trial)
             assert opt.total_weight >= greedy.total_weight >= 0.0
             assert opt.total_weight >= rand.total_weight
 
-    def test_score_matching_attributes_weights(self):
+    def test_random_matching_attributes_weights(self):
         weights = [[0.1, 0.9], [0.8, 0.2]]
-        rand = match_random(2, 2, seed=1)
-        scored = score_matching(rand, weights)
+        rand = scored = match_random(WeightedBipartiteGraph.from_weights(weights), seed=1)
         assert scored.total_weight == math.fsum(weights[i][j] for i, j, _ in rand.pairs)
         values = [s for _, _, s in scored.pairs]
         assert values == sorted(values, reverse=True)
@@ -416,7 +417,8 @@ class TestEqualizePairTypes:
         from pairqa.providers import LexicalMockScorer
 
         matrix = build_matrix(example, LexicalMockScorer.from_examples([example]), CombineMode.CUTOFF)
-        types = equalize_pair_types(matrix)
+        graph = equalize_weights(matrix.combined_grid())
+        types = [[matrix.pair_type(ri, cj) for cj in graph.col_origin] for ri in graph.row_origin]
         assert len(types) == 3 and len(types[0]) == 3
         assert types[0][0] is PairType.COMPATIBLE
         assert types[1][0] is PairType.CONFLICTING
@@ -424,35 +426,30 @@ class TestEqualizePairTypes:
         assert types[0][1] is types[0][0]
 
 
-@pytest.mark.parametrize(
-    "strategy, composed",
-    [
-        (Strategy.OPTIMAL, lambda ex, mx, seed: match_optimal(equalize_pools(mx), ex.question_id)),
-        (
-            Strategy.GREEDY,
-            lambda ex, mx, seed: match_greedy(equalize_pools(mx), equalize_pair_types(mx), ex.question_id),
-        ),
-        (
-            Strategy.RANDOM,
-            lambda ex, mx, seed: score_matching(match_random(ex.m, ex.n, seed, ex.question_id), mx.combined_grid()),
-        ),
-        (
-            Strategy.SAME_ANSWER,
-            lambda ex, mx, seed: score_matching(match_same_answer(ex, seed), mx.combined_grid(), resort=False),
-        ),
-    ],
-    ids=[s.value for s in Strategy],
-)
-def test_match_composes_each_strategy_and_checks_the_shape(strategy, composed):
+@pytest.mark.parametrize("mode", list(CombineMode), ids=[m.value for m in CombineMode])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=[s.value for s in Strategy])
+def test_match_scores_orders_and_covers_each_strategy_and_checks_the_shape(strategy, mode):
     from pairqa.providers import LexicalMockScorer
 
-    example = make_example(
-        retrieved_texts=("Don Shula won", "nothing here"),
-        generated_texts=("Don Shula led", "George Halas led", "Don Shula again"),
-    )
+    pools = {
+        (3, 2): (("Don Shula won", "nothing here"), ("Don Shula led", "George Halas led", "Don Shula again")),
+        (2, 5): (("Don Shula won", "nothing", "Don Shula lost", "George Halas", "Don Shula"), ("Don Shula led", "other")),
+    }
+    for (m, n), (retrieved, generated) in pools.items():
+        example = make_example(retrieved_texts=retrieved, generated_texts=generated)
+        matrix = build_matrix(example, LexicalMockScorer.from_examples([example]), mode)
+        grid = matrix.combined_grid()
+        result = match(strategy, example, matrix, 17)
+        assert (result.question_id, result.strategy) == (example.question_id, strategy)
+        assert all(s == grid[i][j] for i, j, s in result.pairs)
+        assert result.total_weight == math.fsum(s for _, _, s in result.pairs)
+        assert len(result.pairs) == max(m, n)
+        assert {i for i, _, _ in result.pairs} == set(range(m))
+        assert {j for _, j, _ in result.pairs} == set(range(n))
+        if strategy is not Strategy.SAME_ANSWER:
+            assert list(result.pairs) == sorted(result.pairs, key=lambda p: (-p[2], p[0], p[1]))
+    example = make_example(retrieved_texts=pools[3, 2][0], generated_texts=pools[3, 2][1])
     scorer = LexicalMockScorer.from_examples([example])
-    matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
-    assert match(strategy, example, matrix, 17) == composed(example, matrix, 17)
     smaller = build_matrix(make_example(retrieved_texts=("Don Shula won",)), scorer, CombineMode.CUTOFF)
     with pytest.raises(ContractViolation, match="matrix is 2x1 but the dataset has 3x2"):
         match(strategy, example, smaller, 17)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pairqa.analysis import conflicting_rate
 from pairqa.corpus import HopType, Source, contains_answer
 from pairqa.errors import ContractViolation
-from pairqa.matching import equalize_pools, match_optimal
+from pairqa.matching import equalize_weights, match_optimal
 from pairqa.mining import LabelKind, Verdict, mine_question
 from pairqa.providers import LexicalMockScorer, PredictRequest
 from pairqa.scoring import CombineMode, build_matrix
@@ -281,7 +281,7 @@ class TestLexicalScorerAgainstBruteForce:
         scorer = LexicalMockScorer.from_examples(examples)
         for example in examples:
             matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
-            result = match_optimal(equalize_pools(matrix))
+            result = match_optimal(equalize_weights(matrix.combined_grid()))
             weights = matrix.combined_grid()
             best = max(
                 math.fsum(weights[i][perm[i]] for i in range(5))
