@@ -16,14 +16,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import QAExample, contains_answer, exact_match
 from .errors import ContractViolation
-from .lineio import atomic_open
+from .lineio import atomic_open, clipped
 from .scoring import CompatibilityMatrix, PairType
 
 # Left-closed bins; the last bin includes 1.0.
 BIN_EDGES = ((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5), (0.5, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConflictStats:
     question_id: str
     n: int
@@ -43,7 +43,7 @@ class ConflictStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Bin:
     lower: float
     upper: float
@@ -52,7 +52,7 @@ class Bin:
     em_by_method: Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinReport:
     bins: tuple[Bin, ...]
     total: int
@@ -60,9 +60,9 @@ class BinReport:
 
 def conflicting_rate(example: QAExample) -> ConflictStats:
     if example.n < 1:
-        raise ContractViolation(f"{example.question_id}: empty retrieved pool")
+        raise ContractViolation(f"{clipped(example.question_id)}: empty retrieved pool")
     if example.m < 1:
-        raise ContractViolation(f"{example.question_id}: empty generated pool")
+        raise ContractViolation(f"{clipped(example.question_id)}: empty generated pool")
     n_a = sum(contains_answer(c, example.answers) for c in example.retrieved)
     m_a = sum(contains_answer(c, example.answers) for c in example.generated)
     rate = n_a * (example.m - m_a) / (example.n * example.m)

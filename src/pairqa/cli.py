@@ -38,7 +38,7 @@ from typing import Any, Callable, Mapping, Sequence
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import atomic_open, boolean, integer, number, quoted, read_jsonl, read_keyed, string, write_jsonl
+from .lineio import atomic_open, boolean, clipped, integer, number, quoted, read_jsonl, read_keyed, string, write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
@@ -46,7 +46,7 @@ from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseC
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Kind:
     """What a config value must be (``what``, for the error); ``convert`` makes
     the config value of a JSON value, raising TypeError or ValueError for one
@@ -152,8 +152,8 @@ class PipelineConfig(dict):
             if not dot and section in _SECTIONS:
                 raise ContractViolation(f"config section {quoted(section)} must be an object of its fields")
             if dot and section not in _SECTIONS:
-                raise ContractViolation(f"unknown config section {quoted(section)} in {dotted}")
-            raise ContractViolation(f"unknown config field {dotted}")
+                raise ContractViolation(f"unknown config section {quoted(section)} in {clipped(dotted)}")
+            raise ContractViolation(f"unknown config field {clipped(dotted)}")
         kind = FIELDS[dotted][1]
         try:
             if text:
@@ -261,9 +261,9 @@ def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[
             item, exc = payload
             qid = item[0] if isinstance(item, tuple) else item.question_id
             errors.append({"stage": label, "question_id": qid, "error": str(exc)})
-            logger.warning("%s: %s failed: %s", label, qid, exc)
+            logger.warning("%s: %s failed: %s", label, clipped(qid), exc)
             if cfg["strict"]:
-                raise PipelineError(f"{label} failed for {qid}: {exc}") from exc
+                raise PipelineError(f"{label} failed for {clipped(qid)}: {exc}") from exc
     return results
 
 
@@ -283,10 +283,10 @@ def _both_sides(fn: Callable, no_records: Sequence[str | None]) -> Callable:
     def both(item: tuple):
         qid, example, *records = item
         if example is None:
-            raise PipelineError(f"{qid}: not in dataset")
+            raise PipelineError(f"{clipped(qid)}: not in dataset")
         missing = [no_record for no_record, record in zip(no_records, records) if no_record and record is None]
         if missing:
-            raise PipelineError(f"{qid}: {', '.join(missing)}")
+            raise PipelineError(f"{clipped(qid)}: {', '.join(missing)}")
         return fn(item)
 
     return both

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
-from .lineio import IngestionReport, quoted, read_jsonl, write_jsonl
+from .lineio import IngestionReport, clipped, quoted, read_jsonl, write_jsonl
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -45,14 +45,14 @@ class HopType(Enum):
         return self in (HopType.MULTI_HOP_BRIDGE, HopType.MULTI_HOP_COMPARISON)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Passage:
     id: str
     text: str
     title: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PassageChain:
     """An ordered list of passage segments; length 1 single-hop, 2 multi-hop."""
 
@@ -85,7 +85,7 @@ def named_chain(name: str, texts: Sequence[str]) -> PassageChain:
     return PassageChain(tuple(Passage(id=segment_id(name, s, len(texts)), text=t) for s, t in enumerate(texts)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QAExample:
     question_id: str
     question: str
@@ -251,9 +251,9 @@ def read_examples(path: str | Path, expect_generated: bool = True) -> tuple[list
             continue
         seen.add(example.question_id)
         if not example.retrieved:
-            report.warn(lineno, f"{example.question_id}: empty retrieved pool")
+            report.warn(lineno, f"{clipped(example.question_id)}: empty retrieved pool")
         if not example.generated and expect_generated:
-            report.warn(lineno, f"{example.question_id}: empty generated pool")
+            report.warn(lineno, f"{clipped(example.question_id)}: empty generated pool")
         examples.append(example)
     return examples, report
 

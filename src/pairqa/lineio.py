@@ -17,13 +17,13 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 from .errors import ContractViolation
 
 
-@dataclass
+@dataclass(slots=True)
 class LineError:
     line: int
     message: str
 
 
-@dataclass
+@dataclass(slots=True)
 class IngestionReport:
     """Collects per-line errors and warnings instead of aborting a run."""
 
@@ -45,11 +45,15 @@ def dumps_canonical(obj: Any) -> str:
     return _CANONICAL.encode(obj)
 
 
-def quoted(value) -> str:
-    """``repr(value)`` for a message; past 80 characters, its first 80 and its
+def clipped(text: str) -> str:
+    """``text`` for a message; past 80 characters, its first 80 and its
     length, since a value read from outside may be megabytes long."""
-    text = repr(value)
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for a message, clipped."""
+    return clipped(repr(value))
 
 
 def integer(value) -> int:

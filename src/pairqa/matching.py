@@ -45,7 +45,7 @@ class Strategy(Enum):
     SAME_ANSWER = "same-answer"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairMatching:
     question_id: str
     strategy: Strategy
@@ -76,7 +76,7 @@ def load_matchings(path: str | Path) -> dict[str, PairMatching]:
     return read_keyed(path, "matching", parse)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WeightedBipartiteGraph:
     """Complete square bipartite weight grid, plus the original index of every
     (possibly duplicated) row and column."""

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .corpus import QAExample, exact_match
 from .errors import ContractViolation, PipelineError
-from .lineio import write_jsonl
+from .lineio import clipped, write_jsonl
 from .providers import PredictRequest
 
 logger = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ class LabelKind(Enum):
     CONSISTENCY = "consistency"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConfigOutcome:
     """One reader call: its configuration, the generated passage it adds
     (III, IV) and the retrieved passage it drops (II, IV)."""
@@ -74,7 +74,7 @@ class ConfigOutcome:
     rp_index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SilverLabel:
     question_id: str
     kind: LabelKind
@@ -116,7 +116,7 @@ def mine_question(example: QAExample, predictor) -> tuple[list[SilverLabel], lis
     it undetermined.
     """
     if example.n < 2:
-        raise ContractViolation(f"{example.question_id}: leave-one-out mining needs N >= 2")
+        raise ContractViolation(f"{clipped(example.question_id)}: leave-one-out mining needs N >= 2")
     qid = example.question_id
     blocks = [chain.text() for chain in example.retrieved]
     log: list[ConfigOutcome] = []
@@ -127,7 +127,7 @@ def mine_question(example: QAExample, predictor) -> tuple[list[SilverLabel], lis
         try:
             prediction = predictor.predict(PredictRequest(question=example.question, passages=tuple(passages)))
         except PipelineError as exc:
-            logger.warning("%s: config %s failed (lp %s, rp %s): %s", qid, config.value, lp, rp, exc)
+            logger.warning("%s: config %s failed (lp %s, rp %s): %s", clipped(qid), config.value, lp, rp, exc)
             return None
         correct = checked.get(prediction)
         if correct is None:

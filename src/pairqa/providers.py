@@ -70,7 +70,7 @@ class ScoreKind(Enum):
     CONSISTENCY = "consistency"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GenerationRequest:
     question: str
     num_passages: int
@@ -80,7 +80,7 @@ class GenerationRequest:
         return {"question": self.question, "n": self.num_passages, "mode": self.mode.value}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScoreRequest:
     """One discriminator query. ``question_id`` is not part of the wire body;
     it keys the lexical scorer's answers, so ``CachingBackend`` adds it to
@@ -101,7 +101,7 @@ class ScoreRequest:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PredictRequest:
     question: str
     passages: tuple[str, ...]

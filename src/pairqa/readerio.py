@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .corpus import QAExample
 from .errors import ContractViolation
-from .lineio import write_jsonl
+from .lineio import clipped, write_jsonl
 from .matching import PairMatching
 
 QUESTION_MARKER = "question:"
@@ -40,7 +40,7 @@ class Variant(Enum):
     SHUFFLED_WITHIN_PAIR = "shuffled-within-pair"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReaderExample:
     question_id: str
     blocks: tuple[str, ...]
@@ -103,7 +103,7 @@ def serialize_variant(
     lps, rps = {i for i, _, _ in matching.pairs}, {j for _, j, _ in matching.pairs}
     if len(matching.pairs) != max(example.m, example.n) or (lps, rps) != (set(range(example.m)), set(range(example.n))):
         raise ContractViolation(
-            f"{example.question_id}: matching has {len(matching.pairs)} pairs over {len(lps)} generated and"
+            f"{clipped(example.question_id)}: matching has {len(matching.pairs)} pairs over {len(lps)} generated and"
             f" {len(rps)} retrieved passages, but the dataset has {example.m}x{example.n}"
         )
     question, generated, retrieved = example.question, example.generated, example.retrieved

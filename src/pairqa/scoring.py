@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .corpus import QAExample
 from .errors import ContractViolation
-from .lineio import quoted, read_keyed, write_jsonl
+from .lineio import clipped, quoted, read_keyed, write_jsonl
 from .providers import ScoreKind, ScoreRequest
 
 
@@ -56,7 +56,7 @@ def classify_pair(evidentiality: float, consistency: float) -> PairType:
     return PairType.COMPATIBLE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompatibilityMatrix:
     """Discriminator scores of one question: ``evidentiality[j]`` of
     retrieved passage j and ``consistency[i][j]`` of the pair (generated
@@ -91,7 +91,7 @@ class CompatibilityMatrix:
     def fitted(self, ex: QAExample) -> "CompatibilityMatrix":
         """This matrix, if its shape is the example's pools; else ContractViolation."""
         if (self.m, self.n) != (ex.m, ex.n):
-            raise ContractViolation(f"{ex.question_id}: matrix is {self.m}x{self.n} but the dataset has {ex.m}x{ex.n}")
+            raise ContractViolation(f"{clipped(ex.question_id)}: matrix is {self.m}x{self.n} but the dataset has {ex.m}x{ex.n}")
         return self
 
     def pair_type(self, i: int, j: int) -> PairType:
@@ -120,7 +120,7 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
-            f"{example.question_id}: matching needs M >= 1 and N >= 1 (got M={example.m}, N={example.n})"
+            f"{clipped(example.question_id)}: matching needs M >= 1 and N >= 1 (got M={example.m}, N={example.n})"
         )
 
     # the text of every chain, joined once per question rather than per pair

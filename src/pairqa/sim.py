@@ -26,11 +26,11 @@ from typing import Sequence
 
 from .corpus import HopType, PassageChain, QAExample, Source, named_chain
 from .errors import ContractViolation
-from .lineio import boolean, quoted, read_keyed, string, write_jsonl
+from .lineio import boolean, clipped, quoted, read_keyed, string, write_jsonl
 from .providers import PredictRequest
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SynthSpec:
     """The shape of a synthetic corpus; ``pairqa.cli.FIELDS`` holds the
     defaults of its ``simulate`` fields."""
@@ -53,7 +53,7 @@ class SynthSpec:
                 raise ContractViolation(f"{name} must lie in [0,1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainTruth:
     chain_id: str
     source: Source
@@ -61,7 +61,7 @@ class ChainTruth:
     supports: bool  # evidential (retrieved) / faithful (generated)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuestionTruth:
     question_id: str
     question: str
@@ -193,7 +193,7 @@ def mock_predict(question: str, blocks: Sequence[str], truth: GroundTruth) -> st
         present = truth.chains_in(qt, block)
         if not present:
             raise ContractViolation(
-                f"block for {qt.question_id} does not contain any known chain text"
+                f"block for {clipped(qt.question_id)} does not contain any known chain text"
             )
         for ct in present:
             if ct.supports:

@@ -448,6 +448,15 @@ def _bad_flag(command, flag, value):
     return case
 
 
+def _long_unknown_flag(name, message):
+    """Run ``score`` with the unknown flag ``--name 1``; the summary must hold ``message``."""
+
+    def case(tmp, dataset, truth):
+        return ["score", "--dataset", dataset, "--out", tmp / "o", f"--{name}", "1"], message
+
+    return case
+
+
 def _loaded(*argv):
     """The config ``serialize`` would run with, given ``argv``."""
     args, extras = build_parser().parse_known_args(["serialize", *map(str, argv)])
@@ -1034,6 +1043,24 @@ class TestErrorHandling:
         assert message in error["error"] and len(error["error"]) < 300
         assert len(text) < 1000
 
+    def test_long_question_id_is_clipped_in_every_message(self, tmp_path):
+        """Every stderr line of a stage process stays short; the report holds the id once, as the failed question's."""
+        qid = "q" * 100000
+        record = {"question_id": qid, "question": "who won", "answers": ["Don Shula"], "retrieved": []}
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps({**record, "generated": [{"text": "Don Shula led"}]}) + "\n")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(pairqa.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "pairqa.cli", "score", "--dataset", dataset, "--out", out]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[:2000]
+        lines = proc.stderr.splitlines()
+        assert "empty retrieved pool" in lines[0] and "score: qqq" in lines[1]
+        assert max(len(line.encode()) for line in lines) < 1000
+        text = (out / "score_report.json").read_text()
+        assert text.count(qid) == 1
+        assert [e["question_id"] for e in json.loads(text)["errors"]] == [qid]
+
     def test_truncated_dump_is_a_per_item_error(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
         out = tmp / "truncated"
@@ -1386,6 +1413,8 @@ class TestErrorHandling:
             _bad_flag("serialize", "--budget", "many"),
             _bad_flag("score", "--workers", "two"),
             _bad_flag("score", "--seed", "1.5"),
+            _long_unknown_flag("scorer." + "z" * 100000, "unknown config field scorer.zzz"),
+            _long_unknown_flag("z" * 100000 + ".x", "unknown config section 'zzz"),
         ],
         ids=[
             "matching-strategy",
@@ -1427,16 +1456,20 @@ class TestErrorHandling:
             "flag-budget",
             "flag-workers",
             "flag-seed",
+            "flag-long-unknown-field",
+            "flag-long-unknown-section",
         ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):
         argv, value = case(*sim_workspace)
         capsys.readouterr()
         assert run(*argv) == 1
-        summary = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        summary = json.loads(err)
         assert set(summary) == {"error", "message"}
         assert summary["error"] == "ContractViolation"
         assert value in summary["message"]
+        assert len(err.encode()) < 1000  # a name read from outside is clipped
 
     @pytest.mark.parametrize(
         "stage_argv, corruption, message",
