@@ -13,11 +13,13 @@ the run with "<dotted> must be <kind>, got <value>". Endpoint URLs and
 tokens can also come from PAIRQA_SCORER_URL, PAIRQA_SCORER_TOKEN and the
 like for PREDICTOR and GENERATOR, or PAIRQA_TOKEN.
 
-A stage joins each question-keyed file it reads (``STAGES``) to the dataset
-by question id. A question on one side only, like every per-item failure,
-is collected into the stage report and aborts the run only under
-``--strict``. Given identical config, seeds, and cached provider
-responses, every stage writes byte-identical outputs.
+Each dataset stage is one function in ``STAGES``, which reads its inputs,
+runs its per-item function through ``each`` and writes its outputs. ``each``
+joins each question-keyed file the stage reads to the dataset by question
+id; a question on one side only, like every per-item failure, is collected
+into the stage report and aborts the run only under ``--strict``. Given
+identical config, seeds, and cached provider responses, every stage writes
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import Any, Callable, Mapping, Sequence
 from . import analysis, matching, mining, readerio, scoring, sim
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import atomic_open, boolean, clipped, integer, number, quoted, read_jsonl, read_keyed, string, write_jsonl
+from .lineio import atomic_open, boolean, clipped, integer, member, number, quoted, read_jsonl, read_keyed, string
+from .lineio import write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
@@ -185,7 +188,7 @@ def _parse_extra_flags(extras: Sequence[str]) -> list[tuple[str, str]]:
         if not eq:
             value = next(args, None)
             if value is None:
-                raise ContractViolation(f"flag --{name} is missing a value")
+                raise ContractViolation(f"flag --{clipped(name)} is missing a value")
         pairs.append((_FLAG_ALIASES.get(name, name), value))
     return pairs
 
@@ -232,64 +235,60 @@ def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):
     return _cached(cfg, RemotePredictor(url, token), f"predictor:remote:{url}")
 
 
-def _map_items(items: Sequence, fn: Callable, cfg: PipelineConfig, errors: list[dict], label: str) -> list:
-    """Run fn over items (bounded pool), collecting per-item failures.
+def _per_item(cfg: PipelineConfig, stage: str, examples: Sequence[QAExample], errors: list[dict]) -> Callable:
+    """``each(fn, *handoffs)``, the one per-item path of ``stage``. A handoff is a
+    file an earlier stage wrote: (the error of a dataset question it lacks, or None;
+    its records by question id). ``each`` joins the dataset to the handoffs by
+    question id, the dataset's questions in dataset order, then those only a file
+    has, in file order; with no handoff the join is the dataset itself. It returns
+    ``fn(example, *records)`` of each joined question in join order, run on
+    ``--workers`` threads. A question not in the dataset or lacking a record, like a
+    failure of ``fn``, is an error under its question id; ``--strict`` makes it fatal."""
 
-    This is every stage's one per-item error path: a failure is recorded in
-    ``errors`` under its question id, and ``--strict`` makes it fatal. Items
-    are examples, or tuples led by the question id.
-    """
+    def each(fn: Callable, *handoffs: tuple[str | None, Mapping[str, Any]]) -> list:
+        by_id = {ex.question_id: ex for ex in examples}
+        qids = dict.fromkeys([*by_id, *(qid for _, by_qid in handoffs for qid in by_qid)])
 
-    def run(item):
-        try:
-            return ("ok", fn(item))
-        except (PipelineError, ContractViolation) as exc:
-            return ("err", (item, exc))
+        def run(qid: str):
+            try:
+                if qid not in by_id:
+                    raise PipelineError(f"{clipped(qid)}: not in dataset")
+                missing = [no_record for no_record, by_qid in handoffs if no_record and qid not in by_qid]
+                if missing:
+                    raise PipelineError(f"{clipped(qid)}: {', '.join(missing)}")
+                return True, fn(by_id[qid], *(by_qid.get(qid) for _, by_qid in handoffs))
+            except (PipelineError, ContractViolation) as exc:
+                return False, exc
 
-    if cfg["workers"] > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here: single-worker runs never load it
+        if cfg["workers"] > 1:
+            from concurrent.futures import ThreadPoolExecutor  # here: single-worker runs never load it
 
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            outcomes = list(pool.map(run, items))
-    else:
-        outcomes = [run(item) for item in items]
-    results = []
-    for status, payload in outcomes:
-        if status == "ok":
-            results.append(payload)
+            with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
+                outcomes = list(pool.map(run, qids))
         else:
-            item, exc = payload
-            qid = item[0] if isinstance(item, tuple) else item.question_id
-            errors.append({"stage": label, "question_id": qid, "error": str(exc)})
-            logger.warning("%s: %s failed: %s", label, clipped(qid), exc)
-            if cfg["strict"]:
-                raise PipelineError(f"{label} failed for {clipped(qid)}: {exc}") from exc
-    return results
+            outcomes = [run(qid) for qid in qids]
+        for qid, (ok, exc) in zip(qids, outcomes):
+            if not ok:
+                errors.append({"stage": stage, "question_id": qid, "error": str(exc)})
+                logger.warning("%s: %s failed: %s", stage, clipped(qid), exc)
+                if cfg["strict"]:
+                    raise PipelineError(f"{stage} failed for {clipped(qid)}: {exc}") from exc
+        return [result for ok, result in outcomes if ok]
+
+    return each
 
 
-def _join(examples: Sequence[QAExample], files: Sequence[Mapping[str, Any]]) -> list[tuple]:
-    """Join handoff files (question id -> record) to the dataset: ``(question_id,
-    example | None, one record | None per file)`` for each dataset question in
-    dataset order, then for each question the dataset lacks, in file order."""
-    by_id = {ex.question_id: ex for ex in examples}
-    qids = dict.fromkeys([*by_id, *(qid for records in files for qid in records)])
-    return [(qid, by_id.get(qid), *(records.get(qid) for records in files)) for qid in qids]
-
-
-def _both_sides(fn: Callable, no_records: Sequence[str | None]) -> Callable:
-    """``fn`` over joined items, failing an item whose question is not in the dataset
-    or is lacked by a file whose ``no_records`` entry (the error) is not None."""
-
-    def both(item: tuple):
-        qid, example, *records = item
-        if example is None:
-            raise PipelineError(f"{clipped(qid)}: not in dataset")
-        missing = [no_record for no_record, record in zip(no_records, records) if no_record and record is None]
-        if missing:
-            raise PipelineError(f"{clipped(qid)}: {', '.join(missing)}")
-        return fn(item)
-
-    return both
+def _handoff(cfg: PipelineConfig, dotted: str, load: Callable, optional: bool = False) -> dict | None:
+    """The records of the file an earlier stage wrote, at config field ``dotted``,
+    else at <out>/<field name>.jsonl; None for an ``optional`` file absent from
+    that default path."""
+    configured, key = cfg[dotted], dotted.partition(".")[2]
+    path = Path(configured) if configured else cfg["out"] / f"{key}.jsonl"
+    if path.exists():
+        return load(path)
+    if configured or not optional:
+        raise ContractViolation(f"no {key} file at {path}")
+    return None
 
 
 def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
@@ -298,12 +297,14 @@ def _write_report(cfg: PipelineConfig, stage: str, payload: dict) -> None:
         fh.write("\n")
 
 
-# Each dataset stage is a builder, which reads the stage's own inputs and
-# returns the per-item function, and a finisher, which writes the outputs and
-# returns the report fields and the summary line.
+# Each dataset stage is one function of the config, the dataset's examples and
+# ``each`` (``_per_item``): it reads its own inputs, runs its per-item function
+# through ``each``, writes its outputs and returns the report fields and the
+# summary line. It looks a handoff's loader up when it runs, so that a
+# wrapper bound later to the module attribute sees the call.
 
 
-def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
+def _generate(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
     client = RemoteGenerator(*_service(cfg, "generator"))
 
     def generate(example: QAExample) -> QAExample:
@@ -311,50 +312,38 @@ def _build_generate(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Calla
         chains = tuple(named_chain(f"{example.question_id}-g{k}", texts) for k, texts in enumerate(passages))
         return dataclasses.replace(example, generated=chains)
 
-    return generate
-
-
-def _finish_generate(cfg: PipelineConfig, examples, updated) -> tuple[dict, str]:
+    updated = each(generate)
     out_path = cfg["out"] / "generated.jsonl"
     write_examples(out_path, updated)
     summary = f"generated passages for {len(updated)}/{len(examples)} questions -> {out_path}"
     return {"questions": len(examples), "generated": len(updated)}, summary
 
 
-def _build_score(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
+def _score(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
     scorer = build_scorer(cfg, examples)
-    return lambda example: scoring.build_matrix(example, scorer, cfg["scoring.mode"])
-
-
-def _finish_score(cfg: PipelineConfig, examples, matrices) -> tuple[dict, str]:
+    matrices = each(lambda example: scoring.build_matrix(example, scorer, cfg["scoring.mode"]))
     out_path = cfg["out"] / "matrices.jsonl"
     scoring.write_matrix_dump(out_path, matrices)
     summary = f"scored {len(matrices)}/{len(examples)} questions -> {out_path}"
     return {"questions": len(examples), "scored": len(matrices)}, summary
 
 
-def _build_match(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
-    def match(item) -> matching.PairMatching:
-        qid, example, matrix = item
-        return matching.match(cfg["matching.strategy"], example, matrix, derive_seed(cfg["seed"], qid))
+def _match(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
+    strategy = cfg["matching.strategy"]
 
-    return match
+    def match(example: QAExample, matrix: scoring.CompatibilityMatrix) -> matching.PairMatching:
+        return matching.match(strategy, example, matrix, derive_seed(cfg["seed"], example.question_id))
 
-
-def _finish_match(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
+    results = each(match, ("no compatibility matrix", _handoff(cfg, "matching.matrices", scoring.load_matrix_dump)))
     out_path = cfg["out"] / "matchings.jsonl"
     write_jsonl(out_path, (r.to_record() for r in results))
-    strategy = cfg["matching.strategy"].value
-    summary = f"matched {len(results)} questions ({strategy}) -> {out_path}"
-    return {"strategy": strategy, "matched": len(results)}, summary
+    summary = f"matched {len(results)} questions ({strategy.value}) -> {out_path}"
+    return {"strategy": strategy.value, "matched": len(results)}, summary
 
 
-def _build_mine(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
+def _mine(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
     predictor = build_predictor(cfg, examples)
-    return lambda example: (example.question_id, *mining.mine_question(example, predictor))
-
-
-def _finish_mine(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
+    results = each(lambda example: (example.question_id, *mining.mine_question(example, predictor)))
     labels = [label for _, batch, _ in results for label in batch]
     counts = {}
     for kind in mining.LabelKind:
@@ -370,37 +359,39 @@ def _finish_mine(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
     return fields, summary
 
 
-def _build_serialize(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
-    def serialize(item) -> readerio.ReaderExample:
-        qid, example, m = item
-        variant = cfg["serialize.variant"]
+def _serialize(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
+    variant = cfg["serialize.variant"]
+
+    def serialize(example: QAExample, m: matching.PairMatching) -> readerio.ReaderExample:
         budget = cfg["serialize.budget"] or readerio.default_budget(example, variant)
-        return readerio.serialize_variant(example, m, variant, budget, seed=derive_seed(cfg["seed"], qid))
+        return readerio.serialize_variant(example, m, variant, budget, derive_seed(cfg["seed"], example.question_id))
 
-    return serialize
-
-
-def _finish_serialize(cfg: PipelineConfig, examples, reader_examples) -> tuple[dict, str]:
+    reader_examples = each(serialize, ("no matching", _handoff(cfg, "serialize.matchings", load_matchings)))
     out_path = cfg["out"] / "reader_inputs.jsonl"
     readerio.write_reader_examples(out_path, reader_examples)
-    variant = cfg["serialize.variant"].value
-    summary = f"serialized {len(reader_examples)} questions ({variant}) -> {out_path}"
-    return {"variant": variant, "serialized": len(reader_examples)}, summary
+    summary = f"serialized {len(reader_examples)} questions ({variant.value}) -> {out_path}"
+    return {"variant": variant.value, "serialized": len(reader_examples)}, summary
 
 
-def _build_analyze(cfg: PipelineConfig, examples: Sequence[QAExample]) -> Callable:
-    # item: question id, example, matrix or None, then one answer per analyze.predictions method
-    return lambda item: (analysis.conflicting_rate(item[1]), item[2] and item[2].fitted(item[1]), item[3:])
+def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
+    # the handoffs: the matrix dump, if any, then one answer file per analyze.predictions method
+    matrices = _handoff(cfg, "analyze.matrices", scoring.load_matrix_dump, optional=True)
+    handoffs = [(None, {}) if matrices is None else ("no compatibility matrix", matrices)]
+    answer = lambda rec: string(rec["answer"])
+    for method, path in cfg["analyze.predictions"].items():
+        handoffs.append((f"no prediction from {method}", read_keyed(path, "prediction", answer)))
 
+    def analyze(example: QAExample, matrix: scoring.CompatibilityMatrix | None, *answers: str) -> tuple:
+        return analysis.conflicting_rate(example), matrix and matrix.fitted(example), answers
 
-def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
+    results = each(analyze, *handoffs)
     # the annotations too are read and checked, and --strict decided, before any file is written
     stats = [stat for stat, _, _ in results]
     methods = enumerate(cfg["analyze.predictions"])
     predictions = {method: {stat.question_id: answers[k] for stat, _, answers in results} for k, method in methods}
     report = analysis.bin_report(stats, predictions, examples) if predictions else None
-    matrices = [matrix for _, matrix, _ in results if matrix is not None]
-    distribution = analysis.pair_type_distribution(matrices) if matrices else None
+    fitted = [matrix for _, matrix, _ in results if matrix is not None]
+    distribution = analysis.pair_type_distribution(fitted) if fitted else None
 
     annotations_file = cfg["analyze.annotations"]
     confusion = None
@@ -408,8 +399,8 @@ def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
         predicted, annotated = [], []
         for lineno, rec in read_jsonl(annotations_file):
             try:
-                predicted.append(scoring.PairType(rec["predicted"]))
-                annotated.append(scoring.PairType(rec["annotated"]))
+                predicted.append(member(scoring.PairType, rec["predicted"]))
+                annotated.append(member(scoring.PairType, rec["annotated"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {exc}") from None
         if not predicted:
@@ -435,50 +426,20 @@ def _finish_analyze(cfg: PipelineConfig, examples, results) -> tuple[dict, str]:
     return {"questions": len(stats), "mean_conflicting_rate": mean_rate}, "\n".join(lines)
 
 
-# A stage's handoffs are the question-keyed files it joins to the dataset, each
-# as (the per-item error of a dataset question the file lacks, or None if it
-# may lack any; its records by question id). A loader looks its function up
-# when called, so that a wrapper bound later to the module attribute sees it.
-_MATRICES = ("matrices", lambda path: scoring.load_matrix_dump(path), "no compatibility matrix")
-_MATCHINGS = ("matchings", lambda path: load_matchings(path), "no matching")
-
-
-def _dumped(cfg: PipelineConfig, section: str, key: str, load: Callable, no_record: str, optional=False) -> tuple:
-    """The handoff an earlier stage wrote, at <section>.<key>, else <out>/<key>.jsonl;
-    an ``optional`` one absent from its default path joins as a file without records."""
-    configured = cfg[f"{section}.{key}"]
-    path = Path(configured) if configured else cfg["out"] / f"{key}.jsonl"
-    if not path.exists() and (configured or not optional):
-        raise ContractViolation(f"no {key} file at {path}")
-    return (no_record, load(path)) if path.exists() else (None, {})
-
-
-def _analyze_handoffs(cfg: PipelineConfig) -> list[tuple]:
-    """The matrix dump, if any, then one ``{"question_id", "answer"}`` file per analyze.predictions method."""
-    answer = lambda rec: string(rec["answer"])
-    handoffs = [_dumped(cfg, "analyze", *_MATRICES, optional=True)]
-    for method, path in cfg["analyze.predictions"].items():
-        handoffs.append((f"no prediction from {method}", read_keyed(path, "prediction", answer)))
-    return handoffs
-
-
-# name -> (builder, finisher, None or the function of the config that reads the stage's handoffs)
-STAGES: dict[str, tuple[Callable, Callable, Callable | None]] = {
-    "generate": (_build_generate, _finish_generate, None),
-    "score": (_build_score, _finish_score, None),
-    "match": (_build_match, _finish_match, lambda cfg: [_dumped(cfg, "matching", *_MATRICES)]),
-    "mine": (_build_mine, _finish_mine, None),
-    "serialize": (_build_serialize, _finish_serialize, lambda cfg: [_dumped(cfg, "serialize", *_MATCHINGS)]),
-    "analyze": (_build_analyze, _finish_analyze, _analyze_handoffs),
+STAGES: dict[str, Callable] = {
+    "generate": _generate,
+    "score": _score,
+    "match": _match,
+    "mine": _mine,
+    "serialize": _serialize,
+    "analyze": _analyze,
 }
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> int:
-    """Run one dataset stage: load the dataset and the stage's handoff files,
-    run the per-item function over the examples (or over their join), then
-    write the outputs, the report and the summary. Every input is read, and
-    ``--strict`` decided, before the first file is written."""
-    build, finish, handoffs = STAGES[name]
+    """Run one dataset stage: load the dataset, run the stage over it with its
+    per-item path, then write the report and print the summary. Every input is
+    read, and ``--strict`` decided, before the first file is written."""
     if not cfg["dataset"]:
         raise ContractViolation("this command needs --dataset (or config dataset)")
     examples, ingest = read_examples(cfg["dataset"], expect_generated=name != "generate")
@@ -487,12 +448,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     errors = [{"stage": "ingest", "line": e.line, "error": e.message} for e in ingest.errors]
     if cfg["strict"] and errors:
         raise PipelineError(f"{len(errors)} malformed dataset records")
-    items, work = examples, build(cfg, examples)
-    if handoffs is not None:
-        no_records, files = zip(*handoffs(cfg))
-        items, work = _join(examples, files), _both_sides(work, no_records)
-    results = _map_items(items, work, cfg, errors, name)
-    fields, summary = finish(cfg, examples, results)
+    fields, summary = STAGES[name](cfg, examples, _per_item(cfg, name, examples, errors))
     _write_report(cfg, name, {**fields, "errors": errors})
     print(summary)
     return 0

@@ -11,6 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -54,6 +55,15 @@ def clipped(text: str) -> str:
 def quoted(value) -> str:
     """``repr(value)`` for a message, clipped."""
     return clipped(repr(value))
+
+
+def member(cls: type[Enum], value) -> Enum:
+    """The member of ``cls`` whose value is ``value``, else the ValueError of
+    ``cls(value)`` with the value quoted."""
+    try:
+        return cls(value)
+    except ValueError:
+        raise ValueError(f"{quoted(value)} is not a valid {cls.__qualname__}") from None
 
 
 def integer(value) -> int:

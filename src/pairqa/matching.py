@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .corpus import QAExample, contains_answer
 from .errors import ContractViolation
-from .lineio import integer, number, read_keyed
+from .lineio import integer, member, number, read_keyed
 from .scoring import CompatibilityMatrix, PairType
 
 Pair = tuple[int, int, float]
@@ -68,7 +68,7 @@ def load_matchings(path: str | Path) -> dict[str, PairMatching]:
     def parse(rec: dict) -> PairMatching:
         return PairMatching(
             question_id=rec["question_id"],
-            strategy=Strategy(rec["strategy"]),
+            strategy=member(Strategy, rec["strategy"]),
             pairs=tuple((integer(i), integer(j), number(s)) for i, j, s in rec["pairs"]),
             total_weight=number(rec["total_weight"]),
         )

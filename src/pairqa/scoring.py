@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .corpus import QAExample
 from .errors import ContractViolation
-from .lineio import clipped, quoted, read_keyed, write_jsonl
+from .lineio import clipped, member, quoted, read_keyed, write_jsonl
 from .providers import ScoreKind, ScoreRequest
 
 
@@ -156,12 +156,12 @@ def _probabilities(values, field: str) -> tuple[float, ...]:
 
 def _matrix(rec: dict) -> CompatibilityMatrix:
     if sorted(rec) != _DUMP_FIELDS:
-        raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {sorted(rec)}")
+        raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {quoted(sorted(rec))}")
     return CompatibilityMatrix(
         question_id=rec["question_id"],
         evidentiality=_probabilities(rec["evidentiality"], "evidentiality"),
         consistency=tuple(_probabilities(row, "consistency") for row in rec["consistency"]),
-        mode=CombineMode(rec["mode"]),
+        mode=member(CombineMode, rec["mode"]),
     )
 
 

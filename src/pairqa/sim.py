@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .corpus import HopType, PassageChain, QAExample, Source, named_chain
 from .errors import ContractViolation
-from .lineio import boolean, clipped, quoted, read_keyed, string, write_jsonl
+from .lineio import boolean, clipped, member, quoted, read_keyed, string, write_jsonl
 from .providers import PredictRequest
 
 
@@ -106,7 +106,8 @@ class GroundTruth:
                 bad.append(ex.question_id)
         if bad:
             raise ContractViolation(
-                f"truth file {path} does not match {len(bad)} of {len(examples)} dataset questions (first {bad[0]})"
+                f"truth file {path} does not match {len(bad)} of {len(examples)} dataset questions"
+                f" (first {clipped(bad[0])})"
             )
 
 
@@ -247,7 +248,7 @@ def load_truth(path: str | Path) -> GroundTruth:
         if holder != qid:
             raise ValueError(f"question_id {quoted(qid)} has the question text of {quoted(holder)}")
         chains = [
-            ChainTruth(string(c["id"]), Source(c["source"]), string(c["text"]), boolean(c["supports"]))
+            ChainTruth(string(c["id"]), member(Source, c["source"]), string(c["text"]), boolean(c["supports"]))
             for c in rec["chains"]
         ]
         return QuestionTruth(

@@ -14,6 +14,7 @@ import pytest
 import pairqa
 from pairqa.cli import FIELDS, build_parser, load_config, main
 from pairqa.corpus import HopType, read_examples, write_examples
+from pairqa.lineio import clipped
 from pairqa.matching import Strategy
 from pairqa.sim import SynthSpec, generate_corpus, load_truth, write_truth
 
@@ -341,12 +342,17 @@ def _cache_not_a_database(tmp, dataset, truth):
     return argv, f"response cache {cache / 'responses.sqlite3'}: file is not a database"
 
 
-def _matchings_float_index(tmp, dataset, truth):
-    out = tmp / "out"
-    assert run("score", "--dataset", dataset, "--out", out) == 0
-    assert run("match", "--dataset", dataset, "--out", out) == 0
-    _copy_with_first_record(out / "matchings.jsonl", out / "matchings.jsonl", lambda rec: {**rec, "pairs": [[2.7, 2, 1.0]]})
-    return ["serialize", "--dataset", dataset, "--out", out], "matchings.jsonl line 1: bad matching record: 2.7 is not an integer"
+def _bad_matchings(edit, where):
+    """``serialize`` from the matchings of the workspace, their first record edited."""
+
+    def case(tmp, dataset, truth):
+        out = tmp / "out"
+        assert run("score", "--dataset", dataset, "--out", out) == 0
+        assert run("match", "--dataset", dataset, "--out", out) == 0
+        _copy_with_first_record(out / "matchings.jsonl", out / "matchings.jsonl", edit)
+        return ["serialize", "--dataset", dataset, "--out", out], f"matchings.jsonl line 1: bad matching record: {where}"
+
+    return case
 
 
 def _bad_truth(field, value, problem):
@@ -375,12 +381,12 @@ def _dump_line_not_utf8(tmp, dataset, truth):
     return ["match", "--dataset", dataset, "--out", out], "matrices.jsonl line 9: not UTF-8"
 
 
-def _bad_annotation(record):
+def _bad_annotation(record, where=""):
     def case(tmp, dataset, truth):
         annotations = tmp / "annotations.jsonl"
         annotations.write_text(json.dumps(record) + "\n")
         argv = ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.annotations", annotations]
-        return argv, "annotations.jsonl line 1"
+        return argv, f"annotations.jsonl line 1{where}"
 
     return case
 
@@ -453,6 +459,15 @@ def _long_unknown_flag(name, message):
 
     def case(tmp, dataset, truth):
         return ["score", "--dataset", dataset, "--out", tmp / "o", f"--{name}", "1"], message
+
+    return case
+
+
+def _flag_without_value(name):
+    """Run ``score`` ending in ``--name`` with no value."""
+
+    def case(tmp, dataset, truth):
+        return ["score", "--dataset", dataset, "--out", tmp / "o", f"--{name}"], f"flag --{clipped(name)} is missing a value"
 
     return case
 
@@ -586,6 +601,26 @@ class TestScoreMatchSerialize:
             assert run(stage, "--dataset", dataset, "--out", out, "--strict") == 0
         (reader,) = [json.loads(line) for line in (out / "reader_inputs.jsonl").read_text().splitlines()]
         assert [len(block.split()) for block in reader["blocks"]] == [1000, 1000]
+
+    def test_a_loader_bound_after_import_sees_every_handoff_read(self, sim_workspace, monkeypatch):
+        """A stage looks its handoff loader up when it runs, so a wrapper bound later to
+        ``pairqa.scoring.load_matrix_dump`` or ``pairqa.cli.load_matchings`` sees each read."""
+        tmp, dataset, _ = sim_workspace
+        out = tmp / "out"
+        assert run("score", "--dataset", dataset, "--out", out) == 0
+        calls = []
+        for module, name in ((pairqa.scoring, "load_matrix_dump"), (pairqa.cli, "load_matchings")):
+
+            def counted(path, load=getattr(module, name), name=name):
+                calls.append(name)
+                return load(path)
+
+            monkeypatch.setattr(module, name, counted)
+        reads = {}
+        for stage in ("match", "serialize", "analyze"):
+            assert run(stage, "--dataset", dataset, "--out", out) == 0
+            reads[stage], calls[:] = list(calls), []
+        assert reads == {"match": ["load_matrix_dump"], "serialize": ["load_matchings"], "analyze": ["load_matrix_dump"]}
 
 
 def _cache_rows(cache_dir) -> int:
@@ -752,6 +787,14 @@ def _truth_first_question_dropped(tmp, truth_path):
     return bad
 
 
+def _long_question_id_not_in_truth(tmp, truth_path):
+    """The workspace's truth, for a dataset whose first question has a 100000-character
+    id and a question text that no truth record holds."""
+    dataset = tmp / "corpus.jsonl"
+    _copy_with_first_record(dataset, dataset, lambda rec: {**rec, "question_id": "q" * 100000, "question": "who?"})
+    return truth_path
+
+
 class TestMine:
     def test_mine_with_sim_predictor(self, sim_workspace, capsys):
         tmp, dataset, truth_path = sim_workspace
@@ -785,7 +828,9 @@ class TestMine:
 
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     @pytest.mark.parametrize(
-        "make_truth", [_other_seed_truth, _truth_first_question_dropped], ids=["other-seed", "question-missing"]
+        "make_truth",
+        [_other_seed_truth, _truth_first_question_dropped, _long_question_id_not_in_truth],
+        ids=["other-seed", "question-missing", "long-question-id"],
     )
     def test_a_truth_file_that_does_not_fit_stops_the_run_up_front(self, sim_workspace, make_truth, strict, capsys):
         """One ContractViolation naming the truth file, the first question it does not
@@ -803,11 +848,13 @@ class TestMine:
         out = tmp / "out"
         capsys.readouterr()
         assert run("mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth, *["--strict"] * strict) == 1
-        summary = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        summary = json.loads(err)
         assert summary == {
             "error": "ContractViolation",
-            "message": f"truth file {truth} does not match {len(misfits)} of 8 dataset questions (first {misfits[0]})",
+            "message": f"truth file {truth} does not match {len(misfits)} of 8 dataset questions (first {clipped(misfits[0])})",
         }
+        assert len(err.encode()) < 1000  # a question id read from outside is clipped
         assert not out.exists()
 
 
@@ -1220,13 +1267,26 @@ class TestErrorHandling:
             _bad_stored_dump(
                 lambda rec: {**rec, "evidentiality": "x" * 100000}, where="stored.jsonl line 1: bad matrix record: 'xxx"
             ),
-            _matchings_float_index,
+            _bad_stored_dump(
+                lambda rec: {**rec, "mode": "m" * 100000}, where="stored.jsonl line 1: bad matrix record: 'mmm"
+            ),
+            _bad_stored_dump(
+                lambda rec: {**rec, "k" * 100000: 1},
+                where="stored.jsonl line 1: bad matrix record: expected string question_id and fields"
+                " ['consistency', 'evidentiality', 'mode', 'question_id'], got ['consistency', 'evidentiality', 'kkk",
+            ),
+            _bad_matchings(lambda rec: {**rec, "pairs": [[2.7, 2, 1.0]]}, "2.7 is not an integer"),
+            _bad_matchings(lambda rec: {**rec, "strategy": "psychic"}, "'psychic' is not a valid Strategy"),
+            _bad_matchings(lambda rec: {**rec, "strategy": "s" * 100000}, "'sss"),
             _bad_truth("chains.supports", "false", "'false' is not true or false"),
             _bad_truth("chains.text", 5, "5 is not a string"),
             _bad_truth("gold", 5, "5 is not a string"),
+            _bad_truth("chains.source", "fiction", "'fiction' is not a valid Source"),
+            _bad_truth("chains.source", "s" * 100000, "'sss"),
             _dump_line_not_utf8,
             _bad_annotation({"predicted": "bogus", "annotated": "compatible"}),
             _bad_annotation({"predicted": "compatible"}),
+            _bad_annotation({"predicted": "p" * 100000, "annotated": "compatible"}, ": bad annotation record: 'ppp"),
             _empty_annotations,
             _unparsable_override,
             _cache_not_a_database,
@@ -1251,13 +1311,20 @@ class TestErrorHandling:
             "store-probability-a-huge-integer",
             "store-probability-a-string",
             "store-evidentiality-a-long-string",
+            "store-long-mode",
+            "store-long-extra-key",
             "matchings-index-not-an-integer",
+            "matchings-unknown-strategy",
+            "matchings-long-strategy",
             "truth-supports-a-string",
             "truth-text-a-number",
             "truth-gold-a-number",
+            "truth-unknown-source",
+            "truth-long-source",
             "dump-line-not-utf8",
             "annotation-bogus-type",
             "annotation-missing-key",
+            "annotation-long-predicted",
             "annotations-empty",
             "override-not-an-int",
             "cache-not-a-database",
@@ -1415,6 +1482,8 @@ class TestErrorHandling:
             _bad_flag("score", "--seed", "1.5"),
             _long_unknown_flag("scorer." + "z" * 100000, "unknown config field scorer.zzz"),
             _long_unknown_flag("z" * 100000 + ".x", "unknown config section 'zzz"),
+            _flag_without_value("seed"),
+            _flag_without_value("z" * 100000),
         ],
         ids=[
             "matching-strategy",
@@ -1458,6 +1527,8 @@ class TestErrorHandling:
             "flag-seed",
             "flag-long-unknown-field",
             "flag-long-unknown-section",
+            "flag-without-value",
+            "flag-long-without-value",
         ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):
