@@ -402,7 +402,8 @@ def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable)
                 predicted.append(member(scoring.PairType, rec["predicted"]))
                 annotated.append(member(scoring.PairType, rec["annotated"]))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {exc}") from None
+                problem = f"missing field {quoted(exc.args[0])}" if type(exc) is KeyError else exc
+                raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {problem}") from None
         if not predicted:
             raise ContractViolation(f"{annotations_file}: no annotation records")
         confusion = analysis.label_confusion(predicted, annotated)

@@ -125,9 +125,9 @@ def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Itera
 
 
 def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dict[str, Any]:
-    """``parse`` of each record of a question-keyed file, by question id in file order.
-    A line that is not a JSON object, a repeated or non-string question_id, or a record
-    that ``parse`` rejects raises ContractViolation "<path> line N: bad <what> record: ..."."""
+    """``parse`` of each record of a question-keyed file, by question id in file order. A line that is
+    not a JSON object, a repeated or non-string question_id, or a record that ``parse`` rejects (one
+    missing a field included) raises ContractViolation "<path> line N: bad <what> record: ..."."""
     records = {}
     for lineno, rec in read_jsonl(path):
         try:
@@ -136,7 +136,8 @@ def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dic
                 raise ValueError(f"repeated question_id {quoted(qid)}")
             records[qid] = parse(rec)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge integer
-            raise ContractViolation(f"{path} line {lineno}: bad {what} record: {exc}") from None
+            problem = f"missing field {quoted(exc.args[0])}" if type(exc) is KeyError else exc
+            raise ContractViolation(f"{path} line {lineno}: bad {what} record: {problem}") from None
     return records
 
 

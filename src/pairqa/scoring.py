@@ -7,14 +7,19 @@ two or, in cutoff mode, keeps the consistency probability only when the
 retrieved passage's evidentiality strictly exceeds 0.5 (zero otherwise).
 The cutoff binarizes a poorly calibrated evidentiality signal so that
 non-evidential pairs can never outrank evidential ones during matching.
+So cutoff mode scores the consistency of the open columns only (those of
+evidentiality > 0.5), N + M*|open| scorer calls in two batches, and the
+matrix holds None in the other cells.
 
 A probability is checked where it enters, at the wire or a cache entry
 (``providers``), then once by the matrix, whether ``build_matrix`` or a dump
-builds it: a ragged or empty grid, or a value NaN or outside [0, 1], raises.
+builds it: a ragged or empty grid, a value NaN or outside [0, 1], or a None
+in a column the combined score reads, raises.
 
 The matrix dump (``matrices.jsonl``) holds one record per question,
-``{"question_id", "mode", "evidentiality": [N], "consistency": [[N] x M]}``;
-combined scores are recomputed from it, which gives back the same floats.
+``{"question_id", "mode", "evidentiality": [N], "consistency": [M rows]}``,
+a row the scored cells, in column order: all N, or in cutoff mode the open
+columns'. Combined scores are recomputed from it, which gives back the same floats.
 """
 
 from __future__ import annotations
@@ -56,26 +61,48 @@ def classify_pair(evidentiality: float, consistency: float) -> PairType:
     return PairType.COMPATIBLE
 
 
+def _open_columns(evidentiality: Sequence[float], mode: CombineMode) -> list[int]:
+    """The columns the combined score reads: all, or in cutoff mode those of evidentiality > 0.5."""
+    bad = [p for p in evidentiality if not 0.0 <= p <= 1.0]  # NaN fails the test too
+    if bad:
+        raise ContractViolation(f"evidentiality {bad[0]!r} outside [0,1]")
+    return [j for j, e in enumerate(evidentiality) if mode is CombineMode.PRODUCT or e > 0.5]
+
+
+def _spread(values: Sequence[float], columns: list[int], n: int) -> tuple[float | None, ...]:
+    """A row of N consistencies: ``values`` if N, else those of ``columns``, None in the other cells."""
+    if len(values) == n:
+        return tuple(values)
+    if len(values) != len(columns):
+        raise ContractViolation(f"consistency row of {len(values)} values for {n} columns, {len(columns)} open")
+    row = [None] * n
+    for j, p in zip(columns, values):
+        row[j] = p
+    return tuple(row)
+
+
 @dataclass(slots=True)
 class CompatibilityMatrix:
-    """Discriminator scores of one question: ``evidentiality[j]`` of
-    retrieved passage j and ``consistency[i][j]`` of the pair (generated
-    passage i, retrieved passage j). M and N are the grid's shape. A ragged
-    or empty grid, or a value NaN or outside [0, 1], raises ContractViolation."""
+    """Discriminator scores of one question: ``evidentiality[j]`` of retrieved passage j and
+    ``consistency[i][j]`` of the pair (generated passage i, retrieved passage j), None where
+    cutoff mode did not score it. M and N are the grid's shape. A ragged or empty grid, a value
+    NaN or outside [0, 1], or a None in a column the combined score reads raises ContractViolation."""
 
     question_id: str
     evidentiality: tuple[float, ...]
-    consistency: tuple[tuple[float, ...], ...]
+    consistency: tuple[tuple[float | None, ...], ...]
     mode: CombineMode
 
     def __post_init__(self):
-        for field, rows in (("evidentiality", (self.evidentiality,)), ("consistency", self.consistency)):
-            bad = [p for row in rows for p in row if not 0.0 <= p <= 1.0]  # NaN fails the test too
-            if bad:
-                raise ContractViolation(f"{field} {bad[0]!r} outside [0,1]")
+        columns = _open_columns(self.evidentiality, self.mode)
         lengths = sorted({len(row) for row in self.consistency})
         if lengths != [self.n] or self.n == 0:
             raise ContractViolation(f"ragged or empty grid: rows of {lengths} values, {self.n} retrieved passages")
+        bad = [p for row in self.consistency for p in row if p is not None and not 0.0 <= p <= 1.0]  # NaN fails too
+        if bad:
+            raise ContractViolation(f"consistency {bad[0]!r} outside [0,1]")
+        if any(row[j] is None for row in self.consistency for j in columns):
+            raise ContractViolation(f"consistency None in a column that {self.mode.value} mode reads")
 
     @property
     def m(self) -> int:
@@ -98,25 +125,25 @@ class CompatibilityMatrix:
         return classify_pair(self.evidentiality[j], self.consistency[i][j])
 
     def to_record(self) -> dict:
+        columns = _open_columns(self.evidentiality, self.mode)  # a row holds the scored cells only
+        consistency = self.consistency if len(columns) == self.n else [[row[j] for j in columns] for row in self.consistency]
         return {
             "question_id": self.question_id,
             "mode": self.mode.value,
             "evidentiality": self.evidentiality,
-            "consistency": self.consistency,
+            "consistency": consistency,
         }
 
 
 def build_matrix(example: QAExample, scorer, mode: CombineMode) -> CompatibilityMatrix:
-    """Score all M x N pairs of one question in one ``scorer.score_many`` call.
-
-    The batch holds N evidentiality queries (evidentiality depends only on
-    the retrieved passage), then M*N consistency queries by generated
-    passage; the scorer answers one float per query, in order. A remote
-    scorer keeps up to 4 in flight per client, which ``--workers`` up to 4
-    does not raise, and sends none after a failed one. A probability is
-    checked at the wire or cache entry, then once by the matrix. A scorer
-    failure, or a probability the matrix rejects, propagates: no value is
-    imputed, and the caller records the question as failed.
+    """Score one question in two ``scorer.score_many`` calls: its N evidentiality
+    queries, then the consistency queries of the open columns by generated
+    passage, in column order (M*|open| in cutoff mode, M*N in product mode).
+    The scorer answers one float per query, in order. A remote scorer keeps up
+    to 4 in flight per client, which ``--workers`` up to 4 does not raise, and
+    sends none after a failed one. A scorer failure, or a probability the
+    matrix rejects, propagates: no value is imputed, and the caller records
+    the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
@@ -128,12 +155,14 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     generated = [lp.text() for lp in example.generated]
     question, qid, n = example.question, example.question_id, example.n
     requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, question, r, None, qid) for r in retrieved]
-    requests += [ScoreRequest(ScoreKind.CONSISTENCY, question, r, g, qid) for g in generated for r in retrieved]
-    values = list(scorer.score_many(requests))
+    evidentiality = tuple(scorer.score_many(requests))
+    columns = _open_columns(evidentiality, mode)
+    requests = [ScoreRequest(ScoreKind.CONSISTENCY, question, retrieved[j], g, qid) for g in generated for j in columns]
+    values, k = list(scorer.score_many(requests)), len(columns)
     return CompatibilityMatrix(
         question_id=qid,
-        evidentiality=tuple(values[:n]),
-        consistency=tuple(tuple(values[start : start + n]) for start in range(n, len(values), n)),
+        evidentiality=evidentiality,
+        consistency=tuple(_spread(values[i * k : (i + 1) * k], columns, n) for i in range(example.m)),
         mode=mode,
     )
 
@@ -157,20 +186,22 @@ def _probabilities(values, field: str) -> tuple[float, ...]:
 def _matrix(rec: dict) -> CompatibilityMatrix:
     if sorted(rec) != _DUMP_FIELDS:
         raise ValueError(f"expected string question_id and fields {_DUMP_FIELDS}, got {quoted(sorted(rec))}")
+    evidentiality, mode = _probabilities(rec["evidentiality"], "evidentiality"), member(CombineMode, rec["mode"])
+    columns, n = _open_columns(evidentiality, mode), len(evidentiality)
     return CompatibilityMatrix(
         question_id=rec["question_id"],
-        evidentiality=_probabilities(rec["evidentiality"], "evidentiality"),
-        consistency=tuple(_probabilities(row, "consistency") for row in rec["consistency"]),
-        mode=member(CombineMode, rec["mode"]),
+        evidentiality=evidentiality,
+        consistency=tuple(_spread(_probabilities(row, "consistency"), columns, n) for row in rec["consistency"]),
+        mode=mode,
     )
 
 
 def load_matrix_dump(path: str | Path) -> dict[str, CompatibilityMatrix]:
     """Read a dump back, by question id in file order.
 
-    A record that does not have the dump's shape (an old per-cell record
-    included), a ragged grid, a probability that is NaN or outside [0, 1], an
-    unknown mode or a repeated question raises ContractViolation naming the
-    file and line.
+    A cutoff row holds N values or one per open column. A record that does not
+    have the dump's shape (an old per-cell record included), a row of another
+    length, a probability that is not a number, NaN or outside [0, 1], an
+    unknown mode or a repeated question raises ContractViolation naming the file and line.
     """
     return read_keyed(path, "matrix", _matrix)

@@ -302,15 +302,26 @@ def _per_cell(record):
 
 
 def _one_retrieved_fewer(record):
-    record["evidentiality"].pop()
-    for row in record["consistency"]:
-        row.pop()
+    """The record without its last retrieved passage; a cutoff row holds that
+    passage's cell, as its last value, only if the passage is evidential."""
+    if record["evidentiality"].pop() > 0.5 or record["mode"] == "product":
+        for row in record["consistency"]:
+            row.pop()
     return record
 
 
 def _ragged(record):
     record["consistency"][1] = record["consistency"][1][:-1]
     return record
+
+
+def _first_column_open_then(fields):
+    """An edit that opens only the first of four columns, then sets ``fields``."""
+    return lambda record: {**record, "mode": "cutoff", "evidentiality": [1.0, 0.0, 0.0, 0.0], **fields}
+
+
+def _without(field):
+    return lambda record: {k: v for k, v in record.items() if k != field}
 
 
 def _consistency_text(record):
@@ -355,22 +366,28 @@ def _bad_matchings(edit, where):
     return case
 
 
-def _bad_truth(field, value, problem):
-    """A truth file whose first record holds ``value`` for ``field``, a field
-    of the record or, as ``chains.<name>``, of its first chain."""
+def _bad_truth_record(edit, problem):
+    """A truth file whose first record is edited by ``edit``."""
 
     def case(tmp, dataset, truth):
-        def edit(record):
-            target = record["chains"][0] if field.startswith("chains.") else record
-            target[field.removeprefix("chains.")] = value
-            return record
-
         bad = tmp / "bad_truth.jsonl"
         _copy_with_first_record(truth, bad, edit)
         argv = ["mine", "--dataset", dataset, "--out", tmp / "out", "--predictor.truth", bad]
         return argv, f"bad_truth.jsonl line 1: bad truth record: {problem}"
 
     return case
+
+
+def _bad_truth(field, value, problem):
+    """A truth file whose first record holds ``value`` for ``field``, a field
+    of the record or, as ``chains.<name>``, of its first chain."""
+
+    def edit(record):
+        target = record["chains"][0] if field.startswith("chains.") else record
+        target[field.removeprefix("chains.")] = value
+        return record
+
+    return _bad_truth_record(edit, problem)
 
 
 def _dump_line_not_utf8(tmp, dataset, truth):
@@ -694,6 +711,22 @@ class TestCacheDir:
             assert (tmp / "warm" / name).read_bytes() == (tmp / "cold" / name).read_bytes(), name
         assert _cache_rows(cache) == rows
 
+    def test_a_product_run_fills_the_cache_a_cutoff_run_replays(self, sim_workspace, http_service):
+        """Cache keys name the request, not the combine mode: a product run asks
+        every cell, so a cutoff run over its cache sends nothing and writes the
+        dump of an uncached cutoff run."""
+        tmp, dataset, _ = sim_workspace
+        http_service.responses["/score"] = lambda body: {"probability": len(body["retrieved"]) % 7 / 7}
+        remote = ["--dataset", dataset, "--scorer.backend", "remote", "--scorer.url", http_service.url("/score")]
+        assert run("score", *remote, "--out", tmp / "plain", "--strict") == 0
+        gated = len(http_service.requests["/score"])
+        cached = [*remote, "--cache_dir", tmp / "cache", "--strict"]
+        assert run("score", *cached, "--out", tmp / "product", "--scoring.mode", "product") == 0
+        assert len(http_service.requests["/score"]) - gated == 8 * (4 + 3 * 4) > gated
+        http_service.close()  # from here on any request fails
+        assert run("score", *cached, "--out", tmp / "cutoff") == 0
+        assert (tmp / "cutoff" / "matrices.jsonl").read_bytes() == (tmp / "plain" / "matrices.jsonl").read_bytes()
+
     @pytest.mark.parametrize("workers", [1, 2, 6])
     def test_remote_score_keeps_four_or_one_per_worker_in_flight(self, sim_workspace, http_service, workers):
         """One client per stage, however many workers share it: at most 4
@@ -723,7 +756,10 @@ class TestCacheDir:
             with cache_db(cache) as db:
                 rows = sorted(db.execute("SELECT key, response FROM responses"))
             outputs[run_workers] = (out / "matrices.jsonl").read_bytes(), rows
-        assert len(outputs[1][1]) == 8 * (4 + 3 * 4)
+        # N evidentiality rows per question, then M consistency rows per column the cutoff leaves open
+        opened = [sum(len(rp.text()) % 7 / 7 > 0.5 for rp in ex.retrieved) for ex in read_examples(dataset)[0]]
+        assert 0 < sum(opened) < 8 * 4
+        assert len(outputs[1][1]) == sum(4 + 3 * k for k in opened)
         assert outputs[workers] == outputs[1]
 
 
@@ -1252,7 +1288,28 @@ class TestErrorHandling:
             _truth_repeated_question,
             _matchings_repeated_question,
             _bad_stored_dump(_per_cell, where="stored.jsonl line 1: bad matrix record: expected string question_id"),
-            _bad_stored_dump(_ragged, where="stored.jsonl line 1: bad matrix record: ragged"),
+            _bad_stored_dump(
+                _ragged, where="stored.jsonl line 1: bad matrix record: consistency row of 0 values for 4 columns, 1 open"
+            ),
+            _bad_stored_dump(
+                _first_column_open_then({"consistency": [[1.0, 1.0], [1.0], [1.0]]}),
+                where="stored.jsonl line 1: bad matrix record: consistency row of 2 values for 4 columns, 1 open",
+            ),
+            _bad_stored_dump(
+                _first_column_open_then({"consistency": [[None], [1.0], [1.0]]}),
+                where="stored.jsonl line 1: bad matrix record: consistency None is not a number",
+            ),
+            _bad_stored_dump(
+                _first_column_open_then({"mode": "product", "consistency": [[1.0, 1.0, 1.0, None]] + [[1.0] * 4] * 2}),
+                where="stored.jsonl line 1: bad matrix record: consistency None is not a number",
+            ),
+            _bad_stored_dump(
+                _without("question_id"), where="stored.jsonl line 1: bad matrix record: missing field 'question_id'"
+            ),
+            _bad_matchings(_without("pairs"), "missing field 'pairs'"),
+            _bad_truth_record(_without("question"), "missing field 'question'"),
+            _bad_predictions(json.dumps({"question_id": "q-extra"}), "bad prediction record: missing field 'answer'"),
+            _bad_annotation({"predicted": "compatible"}, ": bad annotation record: missing field 'annotated'"),
             _bad_stored_dump(lambda rec: {**rec, "mode": "bogus"}, where="stored.jsonl line 1: bad matrix record: 'bogus'"),
             _bad_stored_dump(
                 lambda rec: {**rec, "question_id": "q00001"}, where="stored.jsonl line 2: bad matrix record: repeated"
@@ -1303,6 +1360,14 @@ class TestErrorHandling:
             "matchings-repeated-question",
             "store-per-cell-record",
             "store-ragged-row",
+            "store-cutoff-row-of-neither-length",
+            "store-null-in-an-open-column",
+            "store-null-in-a-product-dump",
+            "store-missing-field",
+            "matchings-missing-field",
+            "truth-missing-field",
+            "prediction-missing-field",
+            "annotation-missing-field",
             "store-unknown-mode",
             "store-repeated-question",
             "store-nan-probability",

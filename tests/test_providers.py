@@ -188,7 +188,7 @@ def ten_by_ten_example():
 
 
 def make_requests(example):
-    """``build_matrix``'s batch for ``example``."""
+    """Every score request of ``example``: N evidentiality, then M*N consistency."""
     retrieved = [chain.text() for chain in example.retrieved]
     requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, example.question, r, None, example.question_id) for r in retrieved]
     generated = [chain.text() for chain in example.generated]
@@ -196,12 +196,14 @@ def make_requests(example):
     return requests + [ScoreRequest(*consistency, r, g, example.question_id) for g in generated for r in retrieved]
 
 
-def batch_bodies(example):
-    """The bodies of ``build_matrix``'s batch, in request order: N evidentiality, then M*N consistency."""
+def batch_bodies(example, columns=None):
+    """The bodies of ``build_matrix``'s two batches, in request order: N evidentiality,
+    then the consistency of ``columns`` (default all N) by generated passage."""
     retrieved = [chain.text() for chain in example.retrieved]
+    columns = range(len(retrieved)) if columns is None else columns
     body = lambda kind, r, g: {"kind": kind, "question": example.question, "retrieved": r, "generated": g}
     evidentiality = [body("evidentiality", r, None) for r in retrieved]
-    return evidentiality + [body("consistency", r, g.text()) for g in example.generated for r in retrieved]
+    return evidentiality + [body("consistency", retrieved[j], g.text()) for g in example.generated for j in columns]
 
 
 class LastFirstPool:
@@ -238,10 +240,12 @@ class _RunsPoolOnResult(Future):
 
 
 class TestScoreMany:
-    """``build_matrix`` scores a question in one ``score_many`` batch; the remote
-    scorer keeps up to four of its requests in flight."""
+    """``build_matrix`` scores a question in two ``score_many`` batches, the
+    evidentiality then the consistency of the columns the combine mode reads;
+    the remote scorer keeps up to four of a batch's requests in flight."""
 
-    def test_answers_come_in_request_order_when_replies_do_not(self, http_service):
+    @pytest.mark.parametrize("mode", list(CombineMode), ids=[m.value for m in CombineMode])
+    def test_answers_come_in_request_order_when_replies_do_not(self, http_service, mode):
         def probability(body):
             return zlib.crc32(json.dumps(body, sort_keys=True).encode()) % 1000 / 1000
 
@@ -251,10 +255,28 @@ class TestScoreMany:
 
         http_service.responses["/score"] = score
         example = ten_by_ten_example()
-        matrix = build_matrix(example, RemoteScorer(http_service.url("/score"), backoff=0.0), CombineMode.CUTOFF)
-        expected = [probability(body) for body in batch_bodies(example)]
-        assert [*matrix.evidentiality, *(p for row in matrix.consistency for p in row)] == expected
-        assert len(http_service.requests["/score"]) == 110
+        matrix = build_matrix(example, RemoteScorer(http_service.url("/score"), backoff=0.0), mode)
+        evidentiality = [probability(body) for body in batch_bodies(example, columns=[])]
+        columns = [j for j, e in enumerate(evidentiality) if mode is CombineMode.PRODUCT or e > 0.5]
+        assert len(columns) == 10 if mode is CombineMode.PRODUCT else 0 < len(columns) < 10
+        bodies = batch_bodies(example, columns)
+        scored = [*matrix.evidentiality, *(row[j] for row in matrix.consistency for j in columns)]
+        assert scored == [probability(body) for body in bodies]
+        assert {row[j] for row in matrix.consistency for j in range(10) if j not in columns} <= {None}
+        sent = http_service.requests["/score"]
+        assert len(sent) == 10 + 10 * len(columns)
+        assert sorted(map(json.dumps, sent)) == sorted(map(json.dumps, bodies))
+
+    def test_a_failed_evidentiality_batch_sends_no_consistency_request(self, http_service):
+        def score(body):
+            return (500, {}) if body["retrieved"] == "retrieved 7" else {"probability": 0.75}
+
+        http_service.responses["/score"] = score
+        scorer = RemoteScorer(http_service.url("/score"), max_retries=0)
+        with pytest.raises(TransportError):
+            build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
+        time.sleep(0.05)  # a consistency request sent late would be counted
+        assert {body["kind"] for body in http_service.requests["/score"]} == {"evidentiality"}
 
     def test_a_question_whose_requests_all_fail_sends_at_most_four_with_their_retries(self, http_service):
         http_service.responses["/score"] = lambda body: (500, {})
@@ -360,7 +382,9 @@ class TestScoreMany:
         example = ten_by_ten_example()
         bodies = batch_bodies(example)
         failing = bodies.index({**bodies[0], "kind": "consistency", "retrieved": "retrieved 3", "generated": "generated 4"})
-        http_service.responses["/score"] = lambda body: (500, {}) if body == bodies[failing] else {"probability": 0.25}
+        # every column evidential, so the cutoff sends each consistency request
+        answer = lambda body: {"probability": 0.75 if body["kind"] == "evidentiality" else 0.25}
+        http_service.responses["/score"] = lambda body: (500, {}) if body == bodies[failing] else answer(body)
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0), cache, "scorer")
         with pytest.raises(TransportError):
@@ -369,7 +393,7 @@ class TestScoreMany:
             stored = {key for (key,) in db.execute("SELECT key FROM responses")}
         assert stored == {cache.key("scorer", {**body, "question_id": "q1"}) for body in bodies[:failing]}
         # the rerun asks only what the cache lacks
-        http_service.responses["/score"] = {"probability": 0.25}
+        http_service.responses["/score"] = answer
         sent = len(http_service.requests["/score"])
         build_matrix(example, scorer, CombineMode.CUTOFF)
         assert len(http_service.requests["/score"]) - sent == len(bodies) - failing
@@ -537,13 +561,14 @@ class TestLexicalMock:
 
     @staticmethod
     def direct_verdicts(example):
-        """(evidentiality, consistency) from one answer check per pair."""
+        """(evidentiality, consistency) from one answer check per pair; a cell
+        of a column the cutoff closes (evidentiality 0.0) is unscored, None."""
 
         def verdict(chain):
             return 1.0 if text_contains_answer(chain.text(), example.answers) else 0.0
 
         evidentiality = tuple(verdict(rp) for rp in example.retrieved)
-        return evidentiality, tuple(tuple(verdict(lp) for _ in example.retrieved) for lp in example.generated)
+        return evidentiality, tuple(tuple(verdict(lp) if e else None for e in evidentiality) for lp in example.generated)
 
     def test_each_passage_text_is_checked_once_per_question(self, monkeypatch):
         example = make_example(
@@ -571,7 +596,7 @@ class TestLexicalMock:
         for example in examples + examples[::-1]:
             matrix = build_matrix(example, scorer, CombineMode.CUTOFF)
             assert (matrix.evidentiality, matrix.consistency) == self.direct_verdicts(example)
-        assert build_matrix(examples[1], scorer, CombineMode.CUTOFF).consistency == ((0.0, 0.0), (1.0, 1.0))
+        assert build_matrix(examples[1], scorer, CombineMode.PRODUCT).consistency == ((0.0, 0.0), (1.0, 1.0))
 
     def test_threads_sharing_one_scorer_get_the_direct_verdicts(self):
         examples = [

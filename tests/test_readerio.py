@@ -243,10 +243,10 @@ class TestPredictionsIO:
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "predictions.jsonl"
         for line, problem in [
-            (json.dumps({"question_id": "q1"}), "bad prediction record: 'answer'"),
+            (json.dumps({"question_id": "q1"}), "bad prediction record: missing field 'answer'"),
             (json.dumps({"question_id": "q1", "answer": 7}), "bad prediction record: 7 is not a string"),
             (json.dumps({"question_id": 7, "answer": "a"}), "bad prediction record: 7 is not a string"),
-            (json.dumps({"answer": "a"}), "bad prediction record: 'question_id'"),
+            (json.dumps({"answer": "a"}), "bad prediction record: missing field 'question_id'"),
             ("{broken json", "invalid JSON"),
         ]:
             path.write_text(json.dumps({"question_id": "q0", "answer": "a"}) + "\n" + line + "\n")
