@@ -103,7 +103,7 @@ _PATH, _URL, _TOKEN = (Kind(what, string).or_null() for what in ("a path", "a UR
 FIELDS: dict[str, tuple[Any, Kind]] = {
     "dataset": (None, Kind("an existing file", _checked(string, lambda path: Path(path).exists())).or_null()),
     "out": ("out", Kind("a path", lambda value: Path(string(value)))),
-    "workers": (1, _POSITIVE),
+    "workers": (None, _POSITIVE.or_null()),
     "seed": (0, _INTEGER),
     "strict": (False, _BOOLEAN),
     "cache_dir": (None, Kind("a directory path", string).or_null()),
@@ -219,7 +219,7 @@ def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
     if cfg["scorer.backend"] == "lexical":
         return _cached(cfg, LexicalMockScorer.from_examples(examples), "scorer:lexical", cfg["dataset"])
     url, token = _service(cfg, "scorer")
-    return _cached(cfg, RemoteScorer(url, token, workers=cfg["workers"]), f"scorer:remote:{url}")
+    return _cached(cfg, RemoteScorer(url, token), f"scorer:remote:{url}")
 
 
 def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):
@@ -235,6 +235,19 @@ def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):
     return _cached(cfg, RemotePredictor(url, token), f"predictor:remote:{url}")
 
 
+def worker_threads(cfg: PipelineConfig, stage: str) -> int:
+    """The threads ``stage`` runs its questions on: ``--workers``, else 4 for a
+    stage that calls a service (``generate``, and ``score`` or ``mine`` with a
+    remote backend), where each thread keeps one request in flight, and 1 for
+    any other, which more threads only slow down. Four in flight stay within a
+    listen backlog of 5 (http.server's), which drops a connection beyond it to
+    be retried about 1 s later."""
+    if cfg["workers"] is not None:
+        return cfg["workers"]
+    remote = {"generate": True, "score": cfg["scorer.backend"] == "remote", "mine": cfg["predictor.backend"] == "remote"}
+    return 4 if remote.get(stage) else 1
+
+
 def _per_item(cfg: PipelineConfig, stage: str, examples: Sequence[QAExample], errors: list[dict]) -> Callable:
     """``each(fn, *handoffs)``, the one per-item path of ``stage``. A handoff is a
     file an earlier stage wrote: (the error of a dataset question it lacks, or None;
@@ -242,8 +255,10 @@ def _per_item(cfg: PipelineConfig, stage: str, examples: Sequence[QAExample], er
     question id, the dataset's questions in dataset order, then those only a file
     has, in file order; with no handoff the join is the dataset itself. It returns
     ``fn(example, *records)`` of each joined question in join order, run on
-    ``--workers`` threads. A question not in the dataset or lacking a record, like a
+    ``worker_threads`` threads. A question not in the dataset or lacking a record, like a
     failure of ``fn``, is an error under its question id; ``--strict`` makes it fatal."""
+
+    workers = worker_threads(cfg, stage)
 
     def each(fn: Callable, *handoffs: tuple[str | None, Mapping[str, Any]]) -> list:
         by_id = {ex.question_id: ex for ex in examples}
@@ -260,10 +275,10 @@ def _per_item(cfg: PipelineConfig, stage: str, examples: Sequence[QAExample], er
             except (PipelineError, ContractViolation) as exc:
                 return False, exc
 
-        if cfg["workers"] > 1:
+        if workers > 1:
             from concurrent.futures import ThreadPoolExecutor  # here: single-worker runs never load it
 
-            with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(run, qids))
         else:
             outcomes = [run(qid) for qid in qids]

@@ -32,9 +32,10 @@ Backends are duck-typed: a scorer exposes ``score(req) -> float`` and
 ``score_many(reqs)``, an iterable of one float per request in request order
 (a failure raises from it after the answers before it), and a predictor
 ``predict(req) -> str``; a scorer wrapped in ``CachingBackend`` is called
-through ``score_many`` only. ``RemoteScorer.score_many`` keeps at most 4 requests
-in flight per client (one per ``--workers`` thread, if more), over every
-batch of every thread; no request after a failed one of its batch is sent.
+through ``score_many`` only. ``RemoteScorer.score_many`` sends a batch's
+requests one at a time, on the calling thread, as its consumer asks for them:
+no request after a failed one is sent, nor any once the consumer stops. A
+stage keeps as many requests in flight as it runs ``--workers`` threads.
 """
 
 from __future__ import annotations
@@ -172,64 +173,16 @@ class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
     retrying transport failures, 5xx, 408 and 429 with exponential backoff;
     any other status is not retried. Each attempt waits at most the class's
-    ``timeout`` seconds. ``_in_flight`` runs a batch of calls on the client's
-    one pool of ``max(max_in_flight, workers)`` threads, ``workers`` sharing it."""
+    ``timeout`` seconds. A client is shared by every thread of its stage."""
 
     timeout = 30.0
-    # more requests in flight can overflow a server's listen backlog (5 for
-    # http.server), and each dropped connection waits about 1 s to be retried
-    max_in_flight = 4
 
-    def __init__(
-        self,
-        url: str,
-        token: str | None = None,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        workers: int = 1,
-    ):
+    def __init__(self, url: str, token: str | None = None, max_retries: int = 3, backoff: float = 0.5):
         self.url = url
         self.token = token
         self.max_retries = max_retries
         self.backoff = backoff
-        self.pool_size = max(self.max_in_flight, workers)  # each worker thread keeps one in flight, as one by one
         self._opener = None
-        self._pool = None
-        self._pool_lock = threading.Lock()
-
-    def _in_flight(self, call, items: Sequence):
-        """Yield ``call(item)`` for each item, in item order, from the client's
-        pool. No call after a failed one is made, nor any once the consumer
-        stops; those running are waited for. Every answer before a failure is yielded."""
-        from concurrent.futures import CancelledError, ThreadPoolExecutor  # here: runs that send nothing never load it
-
-        with self._pool_lock:  # one pool per client, however many threads send batches
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self.pool_size)
-        lock = threading.Lock()
-        last = [len(items)]  # no call after this index is made: the earliest failed one, or -1 once done
-
-        def send(index, item):
-            with lock:
-                if index > last[0]:  # a failed call comes first, so the consumer never meets this
-                    raise CancelledError(index)
-            try:
-                return call(item)
-            except BaseException:
-                with lock:
-                    last[0] = min(last[0], index)
-                raise
-
-        futures = [self._pool.submit(send, index, item) for index, item in enumerate(items)]
-        try:
-            for future in futures:
-                yield future.result()
-        finally:
-            with lock:
-                last[0] = -1
-            for future in futures:
-                if not future.cancel():
-                    future.exception()  # waits: no request of the batch outlives it
 
     def _post(self, body: Mapping) -> dict:
         # Imported here, not at module level: offline or fully cached runs
@@ -319,7 +272,7 @@ class RemoteScorer(_ServiceClient):
         return _clamp_probability(payload["probability"], self.url)
 
     def score_many(self, reqs: Sequence[ScoreRequest]) -> Iterator[float]:
-        return self._in_flight(self.score, reqs)
+        return map(self.score, reqs)
 
 
 class RemotePredictor(_ServiceClient):
@@ -352,7 +305,7 @@ class CachingBackend:
 
     def score_many(self, reqs: Sequence[ScoreRequest]) -> list[float]:
         """Looks up each request, then scores the misses in one inner batch, storing
-        each answer as it arrives; the batch is closed if a put fails, so sends no more."""
+        each answer as it arrives; a put that fails stops the batch."""
         bodies = [{**req.wire_body(), "question_id": req.question_id} for req in reqs]
         values = []
         for body in bodies:
@@ -363,14 +316,9 @@ class CachingBackend:
                 entry = self.cache.path(self.service, body)
                 raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
         misses = [k for k, value in enumerate(values) if value is None]
-        if misses:  # a fully cached batch starts no client pool
-            answers = self.inner.score_many([reqs[k] for k in misses])
-            try:
-                for k, value in zip(misses, answers):
-                    self.cache.put(self.service, bodies[k], {"probability": value})
-                    values[k] = value
-            finally:
-                getattr(answers, "close", lambda: None)()
+        for k, value in zip(misses, self.inner.score_many([reqs[k] for k in misses])):
+            self.cache.put(self.service, bodies[k], {"probability": value})
+            values[k] = value
         return values
 
     def predict(self, req: PredictRequest) -> str:

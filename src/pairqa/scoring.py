@@ -139,11 +139,10 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     """Score one question in two ``scorer.score_many`` calls: its N evidentiality
     queries, then the consistency queries of the open columns by generated
     passage, in column order (M*|open| in cutoff mode, M*N in product mode).
-    The scorer answers one float per query, in order. A remote scorer keeps up
-    to 4 in flight per client, which ``--workers`` up to 4 does not raise, and
-    sends none after a failed one. A scorer failure, or a probability the
-    matrix rejects, propagates: no value is imputed, and the caller records
-    the question as failed.
+    The scorer answers one float per query, in order; a remote scorer sends
+    them one at a time, and none after a failed one. A scorer failure, or a
+    probability the matrix rejects, propagates: no value is imputed, and the
+    caller records the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import pairqa
-from pairqa.cli import FIELDS, build_parser, load_config, main
-from pairqa.corpus import HopType, read_examples, write_examples
+from pairqa.cli import FIELDS, STAGES, build_parser, load_config, main, worker_threads
+from pairqa.corpus import HopType, read_examples, text_contains_answer, write_examples
 from pairqa.lineio import clipped
 from pairqa.matching import Strategy
 from pairqa.sim import SynthSpec, generate_corpus, load_truth, write_truth
@@ -495,6 +495,23 @@ def _loaded(*argv):
     return load_config(args, extras)
 
 
+class _InFlight:
+    """A reply callable for the HTTP fixture: ``reply(body)`` after 5 ms, counting
+    the calls in flight at once; ``peak`` is the most seen."""
+
+    def __init__(self, reply):
+        self.reply, self.lock, self.count, self.peak = reply, threading.Lock(), 0, 0
+
+    def __call__(self, body):
+        with self.lock:
+            self.count += 1
+            self.peak = max(self.peak, self.count)
+        time.sleep(0.005)
+        with self.lock:
+            self.count -= 1
+        return self.reply(body)
+
+
 def _score_argv(dataset, truth):
     return ["score", "--dataset", dataset]
 
@@ -727,55 +744,46 @@ class TestCacheDir:
         assert run("score", *cached, "--out", tmp / "cutoff") == 0
         assert (tmp / "cutoff" / "matrices.jsonl").read_bytes() == (tmp / "plain" / "matrices.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("workers", [1, 2, 6])
-    def test_remote_score_keeps_four_or_one_per_worker_in_flight(self, sim_workspace, http_service, workers):
-        """One client per stage, however many workers share it: at most 4
-        requests in flight, or one per worker if there are more. A --workers 2
-        or 6 run writes the matrices and cache rows of a --workers 1 run."""
+    def test_remote_score_keeps_one_request_in_flight_per_thread(self, sim_workspace, http_service):
+        """--workers N keeps min(N, questions) requests in flight, the default 4;
+        every run writes the matrices and cache rows of a --workers 1 run."""
         tmp, dataset, _ = sim_workspace
-        lock = threading.Lock()
-        in_flight, peak = [0], [0]
-
-        def score(body):
-            with lock:
-                in_flight[0] += 1
-                peak[0] = max(peak[0], in_flight[0])
-            time.sleep(0.005)
-            with lock:
-                in_flight[0] -= 1
-            return {"probability": len(body["retrieved"]) % 7 / 7}
-
-        http_service.responses["/score"] = score
-        outputs = {}
-        for run_workers in sorted({1, workers}):
-            peak[0] = 0
-            out, cache = tmp / f"w{run_workers}", tmp / f"cache-w{run_workers}"
+        in_flight = _InFlight(lambda body: {"probability": len(body["retrieved"]) % 7 / 7})
+        http_service.responses["/score"] = in_flight
+        outputs, peaks = {}, {}
+        for workers in (1, 2, 6, None):
+            in_flight.peak = 0
+            out, cache = tmp / f"w{workers}", tmp / f"cache-w{workers}"
             flags = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score"), "--cache_dir", cache]
-            assert run("score", "--dataset", dataset, "--out", out, "--workers", run_workers, *flags) == 0
-            assert 2 <= peak[0] <= max(4, run_workers), run_workers
+            flags += ["--workers", workers] if workers else []
+            assert run("score", "--dataset", dataset, "--out", out, *flags) == 0
+            peaks[workers] = in_flight.peak
             with cache_db(cache) as db:
                 rows = sorted(db.execute("SELECT key, response FROM responses"))
-            outputs[run_workers] = (out / "matrices.jsonl").read_bytes(), rows
+            outputs[workers] = (out / "matrices.jsonl").read_bytes(), rows
+        assert peaks == {1: 1, 2: 2, 6: 6, None: 4}
         # N evidentiality rows per question, then M consistency rows per column the cutoff leaves open
         opened = [sum(len(rp.text()) % 7 / 7 > 0.5 for rp in ex.retrieved) for ex in read_examples(dataset)[0]]
         assert 0 < sum(opened) < 8 * 4
         assert len(outputs[1][1]) == sum(4 + 3 * k for k in opened)
-        assert outputs[workers] == outputs[1]
+        assert all(output == outputs[1] for output in outputs.values())
 
 
 class TestStartup:
     """The HTTP modules cost a stage process tens of milliseconds to import:
-    only a request that is actually sent may load them, and the remote
-    scorer's thread pool (``concurrent.futures``) with them (each test checks
-    all of ``_LAZY_MODULES``); ``requests`` is never loaded. ``sqlite3`` is
-    loaded only by a run with a ``cache_dir``."""
+    only a request that is actually sent may load them; ``requests`` is never
+    loaded. The thread pool (``concurrent.futures``) is loaded by a stage that
+    runs on more than one thread, as a remote stage does by default, warm or
+    cold, and an offline one does not. Each test checks all of
+    ``_LAZY_MODULES``. ``sqlite3`` is loaded only by a run with a ``cache_dir``."""
 
     def test_import_leaves_requests_unloaded(self):
         assert _in_new_interpreter(modules=(*_LAZY_MODULES, "sqlite3")) == {"exit": None, "loaded": []}
 
-    def test_offline_score_leaves_requests_unloaded(self, sim_workspace):
-        tmp, dataset, _ = sim_workspace
-        result = _in_new_interpreter("score", "--dataset", dataset, "--out", tmp / "out")
+    @pytest.mark.parametrize("argv", [_score_argv, _mine_argv], ids=["score", "mine"])
+    def test_offline_stage_leaves_requests_and_threads_unloaded(self, sim_workspace, argv):
+        tmp, dataset, truth = sim_workspace
+        result = _in_new_interpreter(*argv(dataset, truth), "--out", tmp / "out")
         assert result == {"exit": 0, "loaded": []}
 
     def test_only_a_cached_score_loads_sqlite3(self, sim_workspace):
@@ -804,7 +812,8 @@ class TestStartup:
         argv = self._remote_score(tmp, dataset, http_service)
         assert run(*argv, "--out", tmp / "cold") == 0
         http_service.close()  # from here on any request fails, so the rerun must send none
-        assert _in_new_interpreter(*argv, "--out", tmp / "warm", "--strict") == {"exit": 0, "loaded": []}
+        warm = _in_new_interpreter(*argv, "--out", tmp / "warm", "--strict")
+        assert warm == {"exit": 0, "loaded": ["concurrent.futures"]}
         assert (tmp / "warm" / "matrices.jsonl").read_bytes() == (tmp / "cold" / "matrices.jsonl").read_bytes()
 
 
@@ -861,6 +870,31 @@ class TestMine:
         assert (report["labels"], report["undetermined"]) == (written, 8 * (4 + 3 * 4) - written) == (32, 96)
         assert capsys.readouterr().out.startswith("mined 32 labels (96 undetermined) over 8 questions")
         assert cons and all(set(r) == {"question", "generated", "retrieved", "label"} for r in cons)
+
+    def test_remote_mine_keeps_up_to_four_predict_requests_in_flight(self, sim_workspace, http_service):
+        """At the default, remote mine runs on 4 threads, each with one reader call
+        in flight, and writes the labels and audit of a --workers 1 run."""
+        tmp, dataset, _ = sim_workspace
+        answers = {ex.question: ex.answers for ex in read_examples(dataset)[0]}
+
+        def predict(body):
+            gold = answers[body["question"]]
+            found = any(text_contains_answer(text, gold) for text in body["passages"])
+            return {"answer": gold[0] if found else "nobody"}
+
+        in_flight = _InFlight(predict)
+        http_service.responses["/predict"] = in_flight
+        remote = ["--dataset", dataset, "--predictor.backend", "remote", "--predictor.url", http_service.url("/predict")]
+        names = ("labels.evidentiality.jsonl", "labels.consistency.jsonl", "mining_audit.jsonl")
+        outputs, peaks = {}, {}
+        for workers in (None, 1):
+            in_flight.peak = 0
+            out = tmp / f"w{workers}"
+            assert run("mine", *remote, "--out", out, "--strict", *(["--workers", workers] if workers else [])) == 0
+            peaks[workers] = in_flight.peak
+            outputs[workers] = [(out / name).read_bytes() for name in names]
+        assert 1 < peaks[None] <= 4 and peaks[1] == 1
+        assert outputs[None] == outputs[1] and all(outputs[1])
 
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     @pytest.mark.parametrize(
@@ -1520,7 +1554,7 @@ class TestErrorHandling:
             _bad_config("score", {"strict": "false"}, "strict must be true or false, got 'false'"),
             _bad_config("simulate", {"simulate": {"single_pivot": "false"}}, "simulate.single_pivot must be"),
             _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
-            _bad_config("score", {"workers": True}, "workers must be an integer >= 1, got True"),
+            _bad_config("score", {"workers": True}, "workers must be an integer >= 1 or null, got True"),
             _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be an integer >= 1 or null, got 0"),
             _bad_config("simulate", {"matchng": {"strategy": "greedy"}}, "unknown config section 'matchng'"),
             _bad_config("score", {"scorer": "remote"}, "config section 'scorer' must be an object"),
@@ -1656,6 +1690,26 @@ class TestConfigMerging:
         )
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == "greedy" for m in matchings)
+
+    def test_workers_null_runs_at_the_default(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"workers": None}))
+        for name, flags in (("default", []), ("config", ["--config", config]), ("flag", ["--workers", "null"])):
+            assert run("score", "--dataset", dataset, "--out", tmp / name, *flags) == 0
+        dumps = {(tmp / name / "matrices.jsonl").read_bytes() for name in ("default", "config", "flag")}
+        assert len(dumps) == 1
+
+    def test_workers_null_is_four_threads_for_a_stage_that_calls_a_service(self):
+        def threads(*argv):
+            cfg = _loaded(*argv)
+            return {stage: worker_threads(cfg, stage) for stage in STAGES}
+
+        one = dict.fromkeys(STAGES, 1)
+        assert threads() == {**one, "generate": 4}
+        assert threads("--scorer.backend", "remote") == {**one, "generate": 4, "score": 4}
+        assert threads("--predictor.backend", "remote") == {**one, "generate": 4, "mine": 4}
+        assert threads("--scorer.backend", "remote", "--workers", 2) == dict.fromkeys(STAGES, 2)
 
     @pytest.mark.parametrize("dotted", [*FIELDS, None], ids=[*FIELDS, "every-field"])
     def test_field_spelled_at_its_default_changes_nothing(self, tmp_path, dotted):

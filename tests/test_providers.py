@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -206,43 +206,10 @@ def batch_bodies(example, columns=None):
     return evidentiality + [body("consistency", retrieved[j], g.text()) for g in example.generated for j in columns]
 
 
-class LastFirstPool:
-    """Stands in for a client's pool: it starts a batch's calls last to first,
-    once the batch's first answer is asked for, as a real pool may when the
-    threads given the earlier calls stall before they start them."""
-
-    def __init__(self):
-        self.queued = []
-
-    def submit(self, fn, *args):
-        future = _RunsPoolOnResult(self)
-        self.queued.append((future, fn, args))
-        return future
-
-    def run(self):
-        queued, self.queued = self.queued, []
-        for future, fn, args in reversed(queued):
-            if future.set_running_or_notify_cancel():
-                try:
-                    future.set_result(fn(*args))
-                except BaseException as exc:
-                    future.set_exception(exc)
-
-
-class _RunsPoolOnResult(Future):
-    def __init__(self, pool):
-        super().__init__()
-        self.pool = pool
-
-    def result(self, timeout=None):
-        self.pool.run()
-        return super().result(timeout)
-
-
 class TestScoreMany:
     """``build_matrix`` scores a question in two ``score_many`` batches, the
     evidentiality then the consistency of the columns the combine mode reads;
-    the remote scorer keeps up to four of a batch's requests in flight."""
+    the remote scorer sends a batch's requests one at a time, as they are read."""
 
     @pytest.mark.parametrize("mode", list(CombineMode), ids=[m.value for m in CombineMode])
     def test_answers_come_in_request_order_when_replies_do_not(self, http_service, mode):
@@ -278,34 +245,26 @@ class TestScoreMany:
         time.sleep(0.05)  # a consistency request sent late would be counted
         assert {body["kind"] for body in http_service.requests["/score"]} == {"evidentiality"}
 
-    def test_a_question_whose_requests_all_fail_sends_at_most_four_with_their_retries(self, http_service):
+    def test_a_question_whose_requests_all_fail_sends_one_with_its_retries(self, http_service):
         http_service.responses["/score"] = lambda body: (500, {})
         scorer = RemoteScorer(http_service.url("/score"), max_retries=1, backoff=0.0)
         with pytest.raises(TransportError, match="after 2 attempts"):
             build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
-        sent = len(http_service.requests["/score"])
-        assert sent <= 4 * (1 + 1)
-        time.sleep(0.05)  # every request of the failed batch ended before it raised
-        assert len(http_service.requests["/score"]) == sent
+        time.sleep(0.05)  # a request sent late would be counted
+        assert len(http_service.requests["/score"]) == 1 + scorer.max_retries
 
     @pytest.mark.parametrize("cached", [False, True])
-    def test_a_call_started_after_a_later_one_failed_is_still_made(self, http_service, tmp_path, cached):
-        """Every call before the failing one is made and answered, whatever
-        order the pool starts them in; none is skipped, answered None or
-        stored as null."""
+    def test_every_call_before_the_failing_one_is_made_and_answered(self, http_service, tmp_path, cached):
+        """A batch whose last call fails: every call before it is made and
+        answered; none is skipped, answered None or stored as null."""
         example = ten_by_ten_example()
         bodies = batch_bodies(example)
         http_service.responses["/score"] = lambda body: (404, {}) if body == bodies[-1] else {"probability": 0.25}
         remote = RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0)
-        remote._pool = LastFirstPool()
         scorer = CachingBackend(remote, ResponseCache(tmp_path / "cache"), "scorer") if cached else remote
         answers = []
         with pytest.raises(TransportError, match="status 404"):
-            batch = scorer.score_many(make_requests(example))
-            try:
-                answers.extend(batch)
-            finally:
-                getattr(batch, "close", lambda: None)()
+            answers.extend(scorer.score_many(make_requests(example)))
         assert len(http_service.requests["/score"]) == len(bodies)
         if cached:
             with cache_db(tmp_path / "cache") as db:
@@ -314,14 +273,9 @@ class TestScoreMany:
             assert answers == [0.25] * 109
 
     def test_a_consumer_that_fails_mid_batch_stops_its_requests(self, http_service, tmp_path):
-        """A cache put that raises ends the batch at once, although the
-        error, and with it the consuming frame, is still held."""
-
-        def score(body):
-            time.sleep(0.05)  # outlasts the batch's closing, so each pool thread starts at most one more
-            return {"probability": 0.25}
-
-        http_service.responses["/score"] = score
+        """A cache put that raises ends the batch at once: no request follows the
+        first, although the error, and with it the consuming frame, is still held."""
+        http_service.responses["/score"] = {"probability": 0.25}
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(RemoteScorer(http_service.url("/score"), backoff=0.0), cache, "scorer")
 
@@ -331,30 +285,14 @@ class TestScoreMany:
         cache.put = put
         with pytest.raises(ContractViolation, match="disk full") as held:
             build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
-        sent = len(http_service.requests["/score"])
-        time.sleep(0.1)
-        assert len(http_service.requests["/score"]) == sent <= 2 * RemoteScorer.max_in_flight
+        time.sleep(0.05)  # a request sent late would be counted
+        assert len(http_service.requests["/score"]) == 1
         assert held.value is not None
 
-    def test_pool_holds_four_or_one_per_worker_thread(self):
-        sizes = [RemoteScorer("http://127.0.0.1:9", workers=workers).pool_size for workers in (1, 2, 4, 8)]
-        assert sizes == [4, 4, 4, 8]
-
-    def test_threads_sharing_one_client_keep_at_most_four_in_flight(self, http_service):
-        """Eight threads start their first batch at once on one client: one pool is built, not one per thread."""
-        lock = threading.Lock()
-        in_flight, peak = [0], [0]
-
-        def score(body):
-            with lock:
-                in_flight[0] += 1
-                peak[0] = max(peak[0], in_flight[0])
-            time.sleep(0.002)
-            with lock:
-                in_flight[0] -= 1
-            return {"probability": len(body["retrieved"]) / 100}
-
-        http_service.responses["/score"] = score
+    def test_threads_sharing_one_client_get_their_own_answers(self, http_service):
+        """Eight threads start their first batch at once on one client, as a
+        stage's threads do: each question gets its own answers, in order."""
+        http_service.responses["/score"] = lambda body: {"probability": len(body["retrieved"]) / 100}
         scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
         examples = [make_example(f"q{k}", retrieved_texts=("r" * (k + 1), "other"), generated_texts=("g",)) for k in range(8)]
         start = threading.Barrier(len(examples))
@@ -376,7 +314,6 @@ class TestScoreMany:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == {f"q{k}": ((k + 1) / 100, 0.05) for k in range(8)}
-        assert 2 <= peak[0] <= 4
 
     def test_cache_keeps_every_answer_before_the_failing_request(self, http_service, tmp_path):
         example = ten_by_ten_example()
