@@ -236,15 +236,15 @@ def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):
 
 
 def worker_threads(cfg: PipelineConfig, stage: str) -> int:
-    """The threads ``stage`` runs its questions on: ``--workers``, else 4 for a
-    stage that calls a service (``generate``, and ``score`` or ``mine`` with a
-    remote backend), where each thread keeps one request in flight, and 1 for
-    any other, which more threads only slow down. Four in flight stay within a
-    listen backlog of 5 (http.server's), which drops a connection beyond it to
-    be retried about 1 s later."""
+    """The threads ``stage`` runs its questions on: ``--workers``, else 4 for
+    ``score`` or ``mine`` with a remote backend, where each thread keeps one
+    request in flight, and 1 for any other, which more threads only slow down.
+    Four in flight stay within a listen backlog of 5 (http.server's), which
+    drops a connection beyond it to be retried about 1 s later. ``generate``
+    stays at 1: no workload measures its service under concurrent calls."""
     if cfg["workers"] is not None:
         return cfg["workers"]
-    remote = {"generate": True, "score": cfg["scorer.backend"] == "remote", "mine": cfg["predictor.backend"] == "remote"}
+    remote = {"score": cfg["scorer.backend"] == "remote", "mine": cfg["predictor.backend"] == "remote"}
     return 4 if remote.get(stage) else 1
 
 
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairqa",
         description="Compatibility-guided pairing of retrieved and generated passages. Any config field is set"
-        " with a flag of its dotted name (--dataset PATH, --out DIR, --seed INT, --workers INT,"
+        " with a flag of its dotted name (--dataset PATH, --out DIR, --seed INT, --workers INT|null,"
         " --scorer.backend remote); --strategy, --scoring-mode, --variant and --budget are short for"
         " matching.strategy, scoring.mode, serialize.variant and serialize.budget.",
     )
