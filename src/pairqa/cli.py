@@ -25,6 +25,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import hashlib
 import json
@@ -35,9 +36,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
-from . import analysis, matching, mining, readerio, scoring, sim
+from . import matching, readerio, scoring  # analysis, mining and sim: imported by the functions that use them
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
 from .lineio import atomic_open, boolean, clipped, integer, member, number, quoted, read_jsonl, read_keyed, string
@@ -167,6 +168,7 @@ class PipelineConfig(dict):
 
 
 def _synth_spec(cfg: PipelineConfig) -> sim.SynthSpec:
+    from . import sim  # here: a stage that sets no simulate.* field never loads it
     fields = {dotted.removeprefix("simulate."): v for dotted, v in cfg.items() if dotted.startswith("simulate.")}
     return sim.SynthSpec(seed=cfg["seed"], **fields)
 
@@ -225,6 +227,7 @@ def build_scorer(cfg: PipelineConfig, examples: Sequence[QAExample]):
 def build_predictor(cfg: PipelineConfig, examples: Sequence[QAExample]):
     """The reader backend; the ``sim`` one first checks that its truth file fits every example."""
     if cfg["predictor.backend"] == "sim":
+        from . import sim  # here: a remote mine never loads it
         truth_path = cfg["predictor.truth"]
         if not truth_path:
             raise ContractViolation("predictor backend 'sim' needs predictor.truth (a truth file)")
@@ -357,6 +360,7 @@ def _match(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -
 
 
 def _mine(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
+    from . import mining  # here: every other stage never loads it
     predictor = build_predictor(cfg, examples)
     results = each(lambda example: (example.question_id, *mining.mine_question(example, predictor)))
     labels = [label for _, batch, _ in results for label in batch]
@@ -389,6 +393,7 @@ def _serialize(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callabl
 
 
 def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -> tuple[dict, str]:
+    from . import analysis  # here: every other stage never loads it
     # the handoffs: the matrix dump, if any, then one answer file per analyze.predictions method
     matrices = _handoff(cfg, "analyze.matrices", scoring.load_matrix_dump, optional=True)
     handoffs = [(None, {}) if matrices is None else ("no compatibility matrix", matrices)]
@@ -471,6 +476,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
+    from . import sim  # here: only the commands that use sim load it
     examples, truth = sim.generate_corpus(_synth_spec(cfg))
     corpus_path = cfg["out"] / "sim_corpus.jsonl"
     truth_path = cfg["out"] / "sim_truth.jsonl"
@@ -508,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConfig:
     """The config of a run: the defaults, then the config file's fields, then
     ``--strict``, then the dotted flags, each value converted as it is set."""
-    cfg = PipelineConfig()
+    cfg, named = PipelineConfig(), []
     if args.config:
         try:
             document = json.loads(Path(args.config).read_bytes().decode("utf-8"))
@@ -523,11 +529,14 @@ def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConf
             members = [(f"{key}.{k}", v) for k, v in value.items()] if isinstance(value, dict) else [(key, value)]
             for dotted, field_value in members:
                 cfg.set(dotted, field_value)
+                named.append(dotted)
     if args.strict:
         cfg.set("strict", True)
     for dotted, text in _parse_extra_flags(extras):
         cfg.set(dotted, text, text=True)
-    _synth_spec(cfg)  # its checks stop every command, not only simulate
+        named.append(dotted)
+    if any(dotted.startswith("simulate.") for dotted in named):
+        _synth_spec(cfg)  # its checks stop every command that sets a simulate.* field; the defaults pass them
     return cfg
 
 
@@ -547,5 +556,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def exit_main() -> NoReturn:
+    """``main`` as a process (``python -m pairqa.cli``, the ``pairqa`` script), ended without interpreter teardown."""
+    code = main()
+    atexit._run_exitfuncs()  # logging's flush, and each ResponseCache's close, which folds in its WAL
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

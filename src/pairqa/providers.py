@@ -128,7 +128,7 @@ class ResponseCache:
         self._error = sqlite3.Error
         try:
             self._db = sqlite3.connect(self.file, isolation_level=None, check_same_thread=False)
-            self.close = weakref.finalize(self, self._db.close)  # also at collection or exit; folds in the WAL
+            self.close = weakref.finalize(self, self._db.close)  # also at collection, or in cli.exit_main; folds in the WAL
             self._db.executescript(
                 "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS"
                 " responses (key TEXT PRIMARY KEY, response TEXT NOT NULL) WITHOUT ROWID"

@@ -462,11 +462,11 @@ def _config_file(content, problem):
     return case
 
 
-def _bad_flag(command, flag, value):
-    """Run ``command`` with ``flag value``; the summary must name the value."""
+def _bad_flag(command, flag, value, message=None):
+    """Run ``command`` with ``flag value``; the summary must hold ``message``, else name the value."""
 
     def case(tmp, dataset, truth):
-        return [command, "--dataset", dataset, "--out", tmp / "o", flag, value], repr(value)
+        return [command, "--dataset", dataset, "--out", tmp / "o", flag, value], message or repr(value)
 
     return case
 
@@ -521,6 +521,7 @@ def _mine_argv(dataset, truth):
 
 
 _LAZY_MODULES = ("requests", "urllib.request", "http.client", "concurrent.futures")
+_STAGE_MODULES = ("pairqa.analysis", "pairqa.mining", "pairqa.sim")
 _REPORT_LOADED_MODULES = (
     "import json, sys\n"
     "from pairqa.cli import main\n"
@@ -775,10 +776,32 @@ class TestStartup:
     loaded. The thread pool (``concurrent.futures``) is loaded by a stage that
     runs on more than one thread, as a remote stage does by default, warm or
     cold, and an offline one does not. Each test checks all of
-    ``_LAZY_MODULES``. ``sqlite3`` is loaded only by a run with a ``cache_dir``."""
+    ``_LAZY_MODULES``. ``sqlite3`` is loaded only by a run with a ``cache_dir``.
+    Of ``_STAGE_MODULES``, a command loads only those its own work calls:
+    ``mining`` for ``mine``, ``analysis`` for ``analyze`` and ``sim`` for
+    ``simulate``, for the ``sim`` reader and for a set simulate.* field."""
 
     def test_import_leaves_requests_unloaded(self):
-        assert _in_new_interpreter(modules=(*_LAZY_MODULES, "sqlite3")) == {"exit": None, "loaded": []}
+        modules = (*_LAZY_MODULES, "sqlite3", *_STAGE_MODULES)
+        assert _in_new_interpreter(modules=modules) == {"exit": None, "loaded": []}
+
+    def test_each_command_loads_only_its_own_stage_modules(self, sim_workspace, http_service):
+        tmp, dataset, truth = sim_workspace
+        http_service.responses["/predict"] = {"answer": "nobody"}
+        stage = ["--dataset", dataset, "--out", tmp / "out"]
+        remote = ["--predictor.backend", "remote", "--predictor.url", http_service.url("/predict")]
+        expected = [
+            (["score", *stage], []),
+            (["match", *stage], []),
+            (["serialize", *stage], []),
+            (["mine", *stage, "--predictor.truth", truth], ["pairqa.mining", "pairqa.sim"]),
+            (["mine", *stage, *remote], ["pairqa.mining"]),
+            (["analyze", *stage], ["pairqa.analysis"]),
+            (["simulate", "--out", tmp / "sim", "--simulate.num_questions", 2], ["pairqa.sim"]),
+        ]
+        loaded = [(argv[0], _in_new_interpreter(*argv, modules=_STAGE_MODULES)) for argv, _ in expected]
+        assert loaded == [(argv[0], {"exit": 0, "loaded": modules}) for argv, modules in expected]
+        assert http_service.requests["/predict"]
 
     @pytest.mark.parametrize("argv", [_score_argv, _mine_argv], ids=["score", "mine"])
     def test_offline_stage_leaves_requests_and_threads_unloaded(self, sim_workspace, argv):
@@ -815,6 +838,58 @@ class TestStartup:
         warm = _in_new_interpreter(*argv, "--out", tmp / "warm", "--strict")
         assert warm == {"exit": 0, "loaded": ["concurrent.futures"]}
         assert (tmp / "warm" / "matrices.jsonl").read_bytes() == (tmp / "cold" / "matrices.jsonl").read_bytes()
+
+
+def _stage_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m pairqa.cli *argv`` in a new process, with stdout and stderr piped and
+    PYTHONUNBUFFERED unset, so that output the process leaves unflushed is lost."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pairqa.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "pairqa.cli", *map(str, argv)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestStageProcess:
+    """``python -m pairqa.cli`` and the ``pairqa`` script end in ``exit_main``, which
+    runs the exit handlers, flushes stdout and stderr and skips the interpreter's
+    teardown; ``main`` called in process never takes that path."""
+
+    def test_cached_score_with_a_failure_leaves_only_the_database(self, sim_workspace, scorer_service, http_service):
+        """A failed question's traceback keeps the cache open until exit: only its
+        exit handler folds the WAL into the database, and a new process reads it all."""
+        tmp, dataset, _ = sim_workspace
+        rejected = _copy_with_first_record(dataset, dataset, lambda rec: {**rec, "question": "reject " + rec["question"]})
+        argv = ["score", "--dataset", dataset, "--scorer.backend", "remote", "--cache_dir", tmp / "cache"]
+        cold = _stage_process(*argv, "--out", tmp / "cold")
+        assert cold.returncode == 0, cold.stderr
+        assert "scored 7/8 questions" in cold.stdout and rejected["question_id"] in cold.stderr
+        assert os.listdir(tmp / "cache") == ["responses.sqlite3"]
+        sent = len(http_service.requests["/score"])
+        warm = _stage_process(*argv, "--out", tmp / "warm")
+        assert warm.returncode == 0, warm.stderr
+        assert os.listdir(tmp / "cache") == ["responses.sqlite3"]
+        # the rerun asks the service again for the rejected question only
+        assert [body["question"][:7] for body in http_service.requests["/score"][sent:]] == ["reject "]
+        assert (tmp / "warm" / "matrices.jsonl").read_bytes() == (tmp / "cold" / "matrices.jsonl").read_bytes()
+
+    def test_summary_reaches_a_piped_stdout(self, sim_workspace):
+        tmp, dataset, _ = sim_workspace
+        proc = _stage_process("score", "--dataset", dataset, "--out", tmp / "out")
+        summary = f"scored 8/8 questions -> {tmp / 'out' / 'matrices.jsonl'}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, summary, "")
+
+    def test_error_run_exits_1_with_one_json_line_on_stderr(self, tmp_path):
+        proc = _stage_process("score", "--dataset", tmp_path / "missing.jsonl", "--out", tmp_path / "out")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        message = f"dataset must be an existing file or null, got {str(tmp_path / 'missing.jsonl')!r}"
+        assert json.loads(line) == {"error": "ContractViolation", "message": message}
+
+    def test_the_pairqa_script_ends_in_exit_main(self):
+        import tomllib
+
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"] == {"pairqa": "pairqa.cli:exit_main"}
 
 
 def _other_seed_truth(tmp, truth_path):
@@ -1579,6 +1654,10 @@ class TestErrorHandling:
             _bad_flag("serialize", "--budget", "many"),
             _bad_flag("score", "--workers", "two"),
             _bad_flag("score", "--seed", "1.5"),
+            _bad_flag("score", "--simulate.n", "0", "num_questions, n, and m must all be >= 1"),
+            _bad_flag("score", "--simulate.p_llm_hallucinated", "1.5", "p_llm_hallucinated must lie in [0,1]"),
+            _bad_config("score", {"simulate": {"m": 0}}, "num_questions, n, and m must all be >= 1"),
+            _bad_config("score", {"simulate.num_questions": 0}, "num_questions, n, and m must all be >= 1"),
             _long_unknown_flag("scorer." + "z" * 100000, "unknown config field scorer.zzz"),
             _long_unknown_flag("z" * 100000 + ".x", "unknown config section 'zzz"),
             _flag_without_value("seed"),
@@ -1624,6 +1703,10 @@ class TestErrorHandling:
             "flag-budget",
             "flag-workers",
             "flag-seed",
+            "score-simulate-n-zero",
+            "score-simulate-p-above-one",
+            "score-config-simulate-m-zero",
+            "score-config-dotted-simulate-num-questions-zero",
             "flag-long-unknown-field",
             "flag-long-unknown-section",
             "flag-without-value",
@@ -1699,6 +1782,14 @@ class TestConfigMerging:
             assert run("score", "--dataset", dataset, "--out", tmp / name, *flags) == 0
         dumps = {(tmp / name / "matrices.jsonl").read_bytes() for name in ("default", "config", "flag")}
         assert len(dumps) == 1
+
+    def test_synth_spec_takes_every_simulate_default(self):
+        """``load_config`` checks the simulate.* fields only when the config file or a flag
+        names one; that changes no outcome because their defaults pass ``SynthSpec``'s checks."""
+        simulate = {dotted: field for dotted, field in FIELDS.items() if dotted.startswith("simulate.")}
+        defaults = {dotted.removeprefix("simulate."): kind.convert(default) for dotted, (default, kind) in simulate.items()}
+        assert len(defaults) == 7
+        SynthSpec(seed=FIELDS["seed"][0], **defaults)
 
     def test_workers_null_is_four_threads_for_remote_score_and_mine(self):
         def threads(*argv):
