@@ -525,8 +525,9 @@ def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConf
         if not isinstance(document, dict):
             raise ContractViolation(f"config file {args.config} must hold one JSON object")
         for key, value in document.items():
-            # a top-level object is a section: each of its members is one field
-            members = [(f"{key}.{k}", v) for k, v in value.items()] if isinstance(value, dict) else [(key, value)]
+            # a top-level object that is not a field is a section: each of its members is one field
+            section = isinstance(value, dict) and key not in FIELDS
+            members = [(f"{key}.{k}", v) for k, v in value.items()] if section else [(key, value)]
             for dotted, field_value in members:
                 cfg.set(dotted, field_value)
                 named.append(dotted)

@@ -22,20 +22,20 @@ identity and a content hash of the request body (for a scorer, plus the
 question id), so that re-running a mining or scoring pass replays identical
 bytes. A cache entry that is not a JSON object, a scorer entry without a
 number ``probability`` or a predictor entry without a string ``answer``
-raises ``ContractViolation`` naming the database file and the entry's key.
+raises ``ContractViolation`` naming the database file and the entry's key,
+when its request is asked: the requests asked before it are answered, and
+their misses sent and stored, by then.
 A probability from the wire or a cache entry must be a number; one outside
 [0, 1], a JSON integer too large for a float included, is clamped with a
 warning. Then ``scoring.CompatibilityMatrix`` checks it. Replies and cache
 entries are checked here, where they enter; the request classes are built by
 pairqa's own stages only, so they check nothing.
-Backends are duck-typed: a scorer exposes ``score(req) -> float`` and
-``score_many(reqs)``, an iterable of one float per request in request order
-(a failure raises from it after the answers before it), and a predictor
-``predict(req) -> str``; a scorer wrapped in ``CachingBackend`` is called
-through ``score_many`` only. ``RemoteScorer.score_many`` sends a batch's
-requests one at a time, on the calling thread, as its consumer asks for them:
-no request after a failed one is sent, nor any once the consumer stops. A
-stage keeps as many requests in flight as it runs ``--workers`` threads.
+Backends are duck-typed and answer one request per call, on the calling
+thread: a scorer ``score(req) -> float``, a predictor ``predict(req) -> str``
+and a generator ``generate(req)``. ``CachingBackend`` wraps a scorer and a
+predictor alike: it looks the request up, and on a miss asks the inner
+backend and stores its answer. A stage keeps as many requests in flight as
+it runs ``--workers`` threads.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, ProtocolError, TransportError
@@ -271,9 +271,6 @@ class RemoteScorer(_ServiceClient):
             raise ProtocolError("scorer response missing 'probability'")
         return _clamp_probability(payload["probability"], self.url)
 
-    def score_many(self, reqs: Sequence[ScoreRequest]) -> Iterator[float]:
-        return map(self.score, reqs)
-
 
 class RemotePredictor(_ServiceClient):
     """HTTP client for the QA predictor (reader) service."""
@@ -303,23 +300,18 @@ class CachingBackend:
         self.cache = cache
         self.service = service
 
-    def score_many(self, reqs: Sequence[ScoreRequest]) -> list[float]:
-        """Looks up each request, then scores the misses in one inner batch, storing
-        each answer as it arrives; a put that fails stops the batch."""
-        bodies = [{**req.wire_body(), "question_id": req.question_id} for req in reqs]
-        values = []
-        for body in bodies:
-            cached = self.cache.get(self.service, body)
+    def score(self, req: ScoreRequest) -> float:
+        body = {**req.wire_body(), "question_id": req.question_id}
+        cached = self.cache.get(self.service, body)
+        if cached is not None:
             try:
-                values.append(None if cached is None else _clamp_probability(cached.get("probability"), "scorer cache"))
+                return _clamp_probability(cached.get("probability"), "scorer cache")
             except ProtocolError:
                 entry = self.cache.path(self.service, body)
                 raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
-        misses = [k for k, value in enumerate(values) if value is None]
-        for k, value in zip(misses, self.inner.score_many([reqs[k] for k in misses])):
-            self.cache.put(self.service, bodies[k], {"probability": value})
-            values[k] = value
-        return values
+        value = self.inner.score(req)
+        self.cache.put(self.service, body, {"probability": value})
+        return value
 
     def predict(self, req: PredictRequest) -> str:
         body = req.wire_body()
@@ -368,9 +360,6 @@ class LexicalMockScorer:
         if verdict is None:
             verdict = self._verdicts[key] = 1.0 if text_contains_answer(target, answers) else 0.0
         return verdict
-
-    def score_many(self, reqs: Sequence[ScoreRequest]) -> Iterator[float]:
-        return map(self.score, reqs)
 
 
 def split_two_documents(raw: str) -> tuple[str, str]:

@@ -8,8 +8,8 @@ retrieved passage's evidentiality strictly exceeds 0.5 (zero otherwise).
 The cutoff binarizes a poorly calibrated evidentiality signal so that
 non-evidential pairs can never outrank evidential ones during matching.
 So cutoff mode scores the consistency of the open columns only (those of
-evidentiality > 0.5), N + M*|open| scorer calls in two batches, and the
-matrix holds None in the other cells.
+evidentiality > 0.5), N + M*|open| scorer calls, and the matrix holds None
+in the other cells.
 
 A probability is checked where it enters, at the wire or a cache entry
 (``providers``), then once by the matrix, whether ``build_matrix`` or a dump
@@ -136,13 +136,12 @@ class CompatibilityMatrix:
 
 
 def build_matrix(example: QAExample, scorer, mode: CombineMode) -> CompatibilityMatrix:
-    """Score one question in two ``scorer.score_many`` calls: its N evidentiality
-    queries, then the consistency queries of the open columns by generated
-    passage, in column order (M*|open| in cutoff mode, M*N in product mode).
-    The scorer answers one float per query, in order; a remote scorer sends
-    them one at a time, and none after a failed one. A scorer failure, or a
-    probability the matrix rejects, propagates: no value is imputed, and the
-    caller records the question as failed.
+    """Score one question, one ``scorer.score`` call per query, in order: its N
+    evidentiality queries, then the consistency queries of the open columns by
+    generated passage, in column order (M*|open| in cutoff mode, M*N in product
+    mode). No query follows a failed one. A scorer failure, or a probability
+    the matrix rejects, propagates: no value is imputed, and the caller records
+    the question as failed.
     """
     if example.m < 1 or example.n < 1:
         raise ContractViolation(
@@ -154,10 +153,10 @@ def build_matrix(example: QAExample, scorer, mode: CombineMode) -> Compatibility
     generated = [lp.text() for lp in example.generated]
     question, qid, n = example.question, example.question_id, example.n
     requests = [ScoreRequest(ScoreKind.EVIDENTIALITY, question, r, None, qid) for r in retrieved]
-    evidentiality = tuple(scorer.score_many(requests))
+    evidentiality = tuple(map(scorer.score, requests))
     columns = _open_columns(evidentiality, mode)
     requests = [ScoreRequest(ScoreKind.CONSISTENCY, question, retrieved[j], g, qid) for g in generated for j in columns]
-    values, k = list(scorer.score_many(requests)), len(columns)
+    values, k = list(map(scorer.score, requests)), len(columns)
     return CompatibilityMatrix(
         question_id=qid,
         evidentiality=evidentiality,

@@ -1630,6 +1630,7 @@ class TestErrorHandling:
             _bad_config("simulate", {"simulate": {"single_pivot": "false"}}, "simulate.single_pivot must be"),
             _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
             _bad_config("score", {"workers": True}, "workers must be an integer >= 1 or null, got True"),
+            _bad_config("score", {"workers": {"a": 1}}, "workers must be an integer >= 1 or null, got {'a': 1}"),
             _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be an integer >= 1 or null, got 0"),
             _bad_config("simulate", {"matchng": {"strategy": "greedy"}}, "unknown config section 'matchng'"),
             _bad_config("score", {"scorer": "remote"}, "config section 'scorer' must be an object"),
@@ -1679,6 +1680,7 @@ class TestErrorHandling:
             "simulate-single-pivot-not-a-boolean",
             "config-float-integer",
             "config-boolean-integer",
+            "config-workers-an-object",
             "serialize-budget-zero",
             "config-unknown-section",
             "config-section-not-an-object",
@@ -1811,6 +1813,16 @@ class TestConfigMerging:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(document))
         assert _loaded("--config", config) == _loaded()
+
+    def test_dotted_key_holding_an_object_is_one_field(self, tmp_path):
+        """A top-level key that names a field sets it, an object value included, as its section does."""
+        predictions = {"m": "p.jsonl"}
+        dotted, nested = tmp_path / "dotted.json", tmp_path / "nested.json"
+        dotted.write_text(json.dumps({"analyze.predictions": predictions}))
+        nested.write_text(json.dumps({"analyze": {"predictions": predictions}}))
+        cfg = _loaded("--config", dotted)
+        assert cfg["analyze.predictions"] == predictions
+        assert cfg == _loaded("--config", nested) != _loaded()
 
     @pytest.mark.parametrize("dotted", list(FIELDS))
     def test_field_value_of_another_json_type_rejected(self, tmp_path, dotted, capsys):

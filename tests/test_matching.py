@@ -255,9 +255,6 @@ def _unit_scorer():
         def score(self, req):
             return 1.0
 
-        def score_many(self, reqs):
-            return [self.score(req) for req in reqs]
-
     return Unit()
 
 
@@ -461,7 +458,7 @@ def test_permuted_retrieved_pool_permutes_the_columns_and_keeps_the_optimum(k, s
     """Continuous weights, drawn per passage text, are tie-free: the optimum pairs the same passages."""
     rng, probabilities = random.Random(seed), {}
     text_key = lambda req: (req.kind, req.retrieved_text, req.generated_text)
-    scorer = SimpleNamespace(score_many=lambda reqs: [probabilities.setdefault(text_key(r), rng.random()) for r in reqs])
+    scorer = SimpleNamespace(score=lambda req: probabilities.setdefault(text_key(req), rng.random()))
     example = make_example(retrieved_texts=[f"r{j}" for j in range(k)], generated_texts=[f"g{i}" for i in range(k)])
     order = rng.sample(range(k), k)
     permuted = replace(example, retrieved=tuple(example.retrieved[j] for j in order))

@@ -126,12 +126,12 @@ class TestRemoteScorer:
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(RemoteScorer(url, backoff=0.0), cache, url)
         with caplog.at_level("WARNING"):
-            assert scorer.score_many([evid_request()]) == [clamped]
+            assert scorer.score(evid_request()) == clamped
         body = {**evid_request().wire_body(), "question_id": "q1"}
         with cache_db(tmp_path / "cache") as db:
             db.execute("UPDATE responses SET response = ? WHERE key = ?", (huge, cache.key(url, body)))
         with caplog.at_level("WARNING"):
-            assert scorer.score_many([evid_request()]) == [clamped]
+            assert scorer.score(evid_request()) == clamped
         assert len(http_service.requests["/score"]) == 1
         clamps = [r.message for r in caplog.records if "clamping" in r.message]
         assert len(clamps) == 2 and clamps[0].startswith(url) and clamps[1].startswith("scorer cache")
@@ -147,13 +147,13 @@ class TestRemoteScorer:
         http_service.responses["/score"] = {"probability": 0.25}
         url = http_service.url("/score")
         scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
-        first = scorer.score_many([evid_request()])[0]
-        second = scorer.score_many([evid_request()])[0]
+        first = scorer.score(evid_request())
+        second = scorer.score(evid_request())
         assert first == second == 0.25
         assert len(http_service.requests["/score"]) == 1
         # a fresh client with the same cache never touches the service
         other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
-        assert other.score_many([evid_request()])[0] == 0.25
+        assert other.score(evid_request()) == 0.25
         assert len(http_service.requests["/score"]) == 1
 
     def test_nan_probability_is_a_protocol_error_and_never_cached(self, http_service, tmp_path):
@@ -162,14 +162,14 @@ class TestRemoteScorer:
         url = http_service.url("/score")
         scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
         with pytest.raises(ProtocolError, match="not a number: nan"):
-            scorer.score_many([evid_request()])[0]
+            scorer.score(evid_request())
         with cache_db(tmp_path / "cache") as db:
             assert db.execute("SELECT count(*) FROM responses").fetchone() == (0,)
 
     def test_nan_cache_entry_is_corrupt_and_named(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(LexicalMockScorer.from_examples([make_example()]), cache, "scorer:lexical")
-        assert scorer.score_many([evid_request()])[0] == 1.0  # cached
+        assert scorer.score(evid_request()) == 1.0  # cached
         body = {**evid_request().wire_body(), "question_id": "q1"}
         key = cache.key("scorer:lexical", body)
         with cache_db(tmp_path / "cache") as db:
@@ -177,7 +177,7 @@ class TestRemoteScorer:
         entry = f"{tmp_path / 'cache' / 'responses.sqlite3'} key {key}"
         assert cache.path("scorer:lexical", body) == entry
         with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
-            scorer.score_many([evid_request()])[0]
+            scorer.score(evid_request())
 
 
 def ten_by_ten_example():
@@ -196,8 +196,8 @@ def make_requests(example):
     return requests + [ScoreRequest(*consistency, r, g, example.question_id) for g in generated for r in retrieved]
 
 
-def batch_bodies(example, columns=None):
-    """The bodies of ``build_matrix``'s two batches, in request order: N evidentiality,
+def request_bodies(example, columns=None):
+    """The bodies of ``build_matrix``'s requests, in request order: N evidentiality,
     then the consistency of ``columns`` (default all N) by generated passage."""
     retrieved = [chain.text() for chain in example.retrieved]
     columns = range(len(retrieved)) if columns is None else columns
@@ -206,10 +206,10 @@ def batch_bodies(example, columns=None):
     return evidentiality + [body("consistency", retrieved[j], g.text()) for g in example.generated for j in columns]
 
 
-class TestScoreMany:
-    """``build_matrix`` scores a question in two ``score_many`` batches, the
+class TestBuildMatrixRequests:
+    """``build_matrix`` scores a question one ``score`` call per request, the
     evidentiality then the consistency of the columns the combine mode reads;
-    the remote scorer sends a batch's requests one at a time, as they are read."""
+    no request follows a failed one."""
 
     @pytest.mark.parametrize("mode", list(CombineMode), ids=[m.value for m in CombineMode])
     def test_answers_come_in_request_order_when_replies_do_not(self, http_service, mode):
@@ -223,10 +223,10 @@ class TestScoreMany:
         http_service.responses["/score"] = score
         example = ten_by_ten_example()
         matrix = build_matrix(example, RemoteScorer(http_service.url("/score"), backoff=0.0), mode)
-        evidentiality = [probability(body) for body in batch_bodies(example, columns=[])]
+        evidentiality = [probability(body) for body in request_bodies(example, columns=[])]
         columns = [j for j, e in enumerate(evidentiality) if mode is CombineMode.PRODUCT or e > 0.5]
         assert len(columns) == 10 if mode is CombineMode.PRODUCT else 0 < len(columns) < 10
-        bodies = batch_bodies(example, columns)
+        bodies = request_bodies(example, columns)
         scored = [*matrix.evidentiality, *(row[j] for row in matrix.consistency for j in columns)]
         assert scored == [probability(body) for body in bodies]
         assert {row[j] for row in matrix.consistency for j in range(10) if j not in columns} <= {None}
@@ -234,7 +234,7 @@ class TestScoreMany:
         assert len(sent) == 10 + 10 * len(columns)
         assert sorted(map(json.dumps, sent)) == sorted(map(json.dumps, bodies))
 
-    def test_a_failed_evidentiality_batch_sends_no_consistency_request(self, http_service):
+    def test_a_failed_evidentiality_request_sends_no_consistency_request(self, http_service):
         def score(body):
             return (500, {}) if body["retrieved"] == "retrieved 7" else {"probability": 0.75}
 
@@ -255,16 +255,17 @@ class TestScoreMany:
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_every_call_before_the_failing_one_is_made_and_answered(self, http_service, tmp_path, cached):
-        """A batch whose last call fails: every call before it is made and
+        """A question whose last call fails: every call before it is made and
         answered; none is skipped, answered None or stored as null."""
         example = ten_by_ten_example()
-        bodies = batch_bodies(example)
+        bodies = request_bodies(example)
         http_service.responses["/score"] = lambda body: (404, {}) if body == bodies[-1] else {"probability": 0.25}
         remote = RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0)
         scorer = CachingBackend(remote, ResponseCache(tmp_path / "cache"), "scorer") if cached else remote
         answers = []
         with pytest.raises(TransportError, match="status 404"):
-            answers.extend(scorer.score_many(make_requests(example)))
+            for request in make_requests(example):
+                answers.append(scorer.score(request))
         assert len(http_service.requests["/score"]) == len(bodies)
         if cached:
             with cache_db(tmp_path / "cache") as db:
@@ -272,9 +273,9 @@ class TestScoreMany:
         else:
             assert answers == [0.25] * 109
 
-    def test_a_consumer_that_fails_mid_batch_stops_its_requests(self, http_service, tmp_path):
-        """A cache put that raises ends the batch at once: no request follows the
-        first, although the error, and with it the consuming frame, is still held."""
+    def test_a_cache_put_that_fails_stops_the_questions_requests(self, http_service, tmp_path):
+        """A cache put that raises ends the question at once: no request follows the
+        first, although the error, and with it the calling frame, is still held."""
         http_service.responses["/score"] = {"probability": 0.25}
         cache = ResponseCache(tmp_path / "cache")
         scorer = CachingBackend(RemoteScorer(http_service.url("/score"), backoff=0.0), cache, "scorer")
@@ -290,7 +291,7 @@ class TestScoreMany:
         assert held.value is not None
 
     def test_threads_sharing_one_client_get_their_own_answers(self, http_service):
-        """Eight threads start their first batch at once on one client, as a
+        """Eight threads start their first request at once on one client, as a
         stage's threads do: each question gets its own answers, in order."""
         http_service.responses["/score"] = lambda body: {"probability": len(body["retrieved"]) / 100}
         scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
@@ -317,7 +318,7 @@ class TestScoreMany:
 
     def test_cache_keeps_every_answer_before_the_failing_request(self, http_service, tmp_path):
         example = ten_by_ten_example()
-        bodies = batch_bodies(example)
+        bodies = request_bodies(example)
         failing = bodies.index({**bodies[0], "kind": "consistency", "retrieved": "retrieved 3", "generated": "generated 4"})
         # every column evidential, so the cutoff sends each consistency request
         answer = lambda body: {"probability": 0.75 if body["kind"] == "evidentiality" else 0.25}

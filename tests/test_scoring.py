@@ -47,9 +47,6 @@ class CountingScorer:
         self.cons_calls += 1
         return self.consistency.get((req.generated_text, req.retrieved_text), 0.7)
 
-    def score_many(self, reqs):
-        return [self.score(req) for req in reqs]
-
 
 class TestCombine:
     @pytest.mark.parametrize(
@@ -180,9 +177,6 @@ class TestBuildMatrix:
         class FailingScorer:
             def score(self, req):
                 raise TransportError("POST http://scorer failed with status 400; not retried")
-
-            def score_many(self, reqs):
-                return map(self.score, reqs)
 
         with pytest.raises(TransportError, match="status 400"):
             build_matrix(make_example(), FailingScorer(), CombineMode.CUTOFF)

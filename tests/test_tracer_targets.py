@@ -9,7 +9,6 @@ from pathlib import Path
 # re-pointed or deleted in perfbench, and none other may go dark.
 DARK = {
     "pairqa.providers:FileScoreStore.score",
-    "pairqa.providers:CachingBackend.score",
     "pairqa.mining:mine_evidentiality",
     "pairqa.mining:mine_consistency",
 }
