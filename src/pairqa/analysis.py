@@ -52,12 +52,6 @@ class Bin:
     em_by_method: Mapping[str, float]
 
 
-@dataclass(slots=True)
-class BinReport:
-    bins: tuple[Bin, ...]
-    total: int
-
-
 def conflicting_rate(example: QAExample) -> ConflictStats:
     if example.n < 1:
         raise ContractViolation(f"{clipped(example.question_id)}: empty retrieved pool")
@@ -88,10 +82,11 @@ def bin_report(
     stats: Sequence[ConflictStats],
     predictions: Mapping[str, Mapping[str, str]],
     examples: Iterable[QAExample],
-) -> BinReport:
-    """Per-bin EM for each method in ``predictions`` (method -> qid -> answer),
-    which holds a prediction of every method for every question in ``stats``,
-    so all methods are compared on the same questions."""
+) -> tuple[Bin, ...]:
+    """The bins of ``BIN_EDGES``, each with its share of ``stats`` and the EM
+    of each method in ``predictions`` (method -> qid -> answer), which holds
+    a prediction of every method for every question in ``stats``, so all
+    methods are compared on the same questions."""
     answers = {ex.question_id: ex.answers for ex in examples}
     methods = sorted(predictions)
     kept = [(bin_index(stat.conflicting_rate), stat.question_id) for stat in stats]
@@ -115,7 +110,7 @@ def bin_report(
                 em_by_method=em_by_method,
             )
         )
-    return BinReport(bins=tuple(bins), total=total)
+    return tuple(bins)
 
 
 def pair_type_distribution(matrices: Sequence[CompatibilityMatrix]) -> dict[PairType, float]:
@@ -143,8 +138,8 @@ def label_confusion(
     return counts, agree / len(predicted)
 
 
-def bin_report_rows(report: BinReport) -> Iterable[dict]:
-    for b in report.bins:
+def bin_report_rows(bins: Sequence[Bin]) -> Iterable[dict]:
+    for b in bins:
         for method, em in sorted(b.em_by_method.items()):
             yield {
                 "bin_lower": b.lower,
@@ -155,21 +150,21 @@ def bin_report_rows(report: BinReport) -> Iterable[dict]:
             }
 
 
-def write_bin_report_csv(path: str | Path, report: BinReport) -> None:
+def write_bin_report_csv(path: str | Path, bins: Sequence[Bin]) -> None:
     with atomic_open(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=["bin_lower", "bin_upper", "fraction", "method", "em"])
         writer.writeheader()
-        for row in bin_report_rows(report):
+        for row in bin_report_rows(bins):
             writer.writerow(row)
 
 
-def format_bin_report(report: BinReport) -> str:
-    methods = sorted(report.bins[0].em_by_method) if report.bins else []
+def format_bin_report(bins: Sequence[Bin]) -> str:
+    methods = sorted(bins[0].em_by_method) if bins else []
     header = ["bin", "subset%"] + [f"EM({m})" for m in methods]
     lines = ["  ".join(f"{h:>14}" for h in header)]
-    for b in report.bins:
+    for b in bins:
         row = [f"{b.lower:.1f} - {b.upper:.1f}", f"{100 * b.subset_fraction:13.1f}%"]
         row += [f"{100 * b.em_by_method[m]:14.1f}" for m in methods]
         lines.append("  ".join(f"{c:>14}" for c in row))
-    lines.append(f"questions: {report.total}")
+    lines.append(f"questions: {sum(b.count for b in bins)}")
     return "\n".join(lines)

@@ -409,7 +409,7 @@ def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable)
     stats = [stat for stat, _, _ in results]
     methods = enumerate(cfg["analyze.predictions"])
     predictions = {method: {stat.question_id: answers[k] for stat, _, answers in results} for k, method in methods}
-    report = analysis.bin_report(stats, predictions, examples) if predictions else None
+    bins = analysis.bin_report(stats, predictions, examples) if predictions else None
     fitted = [matrix for _, matrix, _ in results if matrix is not None]
     distribution = analysis.pair_type_distribution(fitted) if fitted else None
 
@@ -432,10 +432,10 @@ def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable)
     write_jsonl(cfg["out"] / "conflict_stats.jsonl", (s.to_record() for s in stats))
     mean_rate = math.fsum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
     lines = [f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}"]
-    if report is not None:
-        lines.append(analysis.format_bin_report(report))
-        write_jsonl(cfg["out"] / "bin_report.jsonl", analysis.bin_report_rows(report))
-        analysis.write_bin_report_csv(cfg["out"] / "bin_report.csv", report)
+    if bins is not None:
+        lines.append(analysis.format_bin_report(bins))
+        write_jsonl(cfg["out"] / "bin_report.jsonl", analysis.bin_report_rows(bins))
+        analysis.write_bin_report_csv(cfg["out"] / "bin_report.csv", bins)
     if distribution is not None:
         lines += [f"pair type {t.value}: {100 * distribution[t]:.1f}%" for t in types]
         write_jsonl(cfg["out"] / "pair_types.jsonl", [{"type": t.value, "fraction": distribution[t]} for t in types])
@@ -463,10 +463,10 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
     read, and ``--strict`` decided, before the first file is written."""
     if not cfg["dataset"]:
         raise ContractViolation("this command needs --dataset (or config dataset)")
-    examples, ingest = read_examples(cfg["dataset"], expect_generated=name != "generate")
-    for w in ingest.warnings:
+    examples, ingest_errors, warnings = read_examples(cfg["dataset"], expect_generated=name != "generate")
+    for w in warnings:
         logger.warning("ingest line %d: %s", w.line, w.message)
-    errors = [{"stage": "ingest", "line": e.line, "error": e.message} for e in ingest.errors]
+    errors = [{"stage": "ingest", "line": e.line, "error": e.message} for e in ingest_errors]
     if cfg["strict"] and errors:
         raise PipelineError(f"{len(errors)} malformed dataset records")
     fields, summary = STAGES[name](cfg, examples, _per_item(cfg, name, examples, errors))

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
-from .lineio import IngestionReport, clipped, quoted, read_jsonl, write_jsonl
+from .lineio import LineError, clipped, quoted, read_jsonl, write_jsonl
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -229,33 +229,36 @@ def example_to_record(example: QAExample) -> dict:
     }
 
 
-def read_examples(path: str | Path, expect_generated: bool = True) -> tuple[list[QAExample], IngestionReport]:
-    """Examples of a dataset file in file order, and the report of its ingest.
+def read_examples(
+    path: str | Path, expect_generated: bool = True
+) -> tuple[list[QAExample], list[LineError], list[LineError]]:
+    """Examples of a dataset file in file order, then the errors and the
+    warnings of its ingest, each a line number and a message.
 
     Malformed records, and second and later records of a question_id, are
-    recorded in the report (line number + message) and skipped; an empty
-    passage pool (a generated one only if ``expect_generated``) is flagged
-    as a warning, but the example is still kept.
+    errors and skipped; an empty passage pool (a generated one only if
+    ``expect_generated``) is a warning, but the example is still kept.
     """
-    report = IngestionReport()
     examples: list[QAExample] = []
+    errors: list[LineError] = []
+    warnings: list[LineError] = []
     seen: set[str] = set()
-    for lineno, record in read_jsonl(path, report):
+    for lineno, record in read_jsonl(path, errors):
         try:
             example = example_from_record(record)
         except ContractViolation as exc:
-            report.error(lineno, str(exc))
+            errors.append(LineError(lineno, str(exc)))
             continue
         if example.question_id in seen:
-            report.error(lineno, f"duplicate question_id {quoted(example.question_id)}")
+            errors.append(LineError(lineno, f"duplicate question_id {quoted(example.question_id)}"))
             continue
         seen.add(example.question_id)
         if not example.retrieved:
-            report.warn(lineno, f"{clipped(example.question_id)}: empty retrieved pool")
+            warnings.append(LineError(lineno, f"{clipped(example.question_id)}: empty retrieved pool"))
         if not example.generated and expect_generated:
-            report.warn(lineno, f"{clipped(example.question_id)}: empty generated pool")
+            warnings.append(LineError(lineno, f"{clipped(example.question_id)}: empty generated pool"))
         examples.append(example)
-    return examples, report
+    return examples, errors, warnings
 
 
 def write_examples(path: str | Path, examples: Iterable[QAExample]) -> int:

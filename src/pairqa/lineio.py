@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -22,20 +22,6 @@ from .errors import ContractViolation
 class LineError:
     line: int
     message: str
-
-
-@dataclass(slots=True)
-class IngestionReport:
-    """Collects per-line errors and warnings instead of aborting a run."""
-
-    errors: list[LineError] = field(default_factory=list)
-    warnings: list[LineError] = field(default_factory=list)
-
-    def error(self, line: int, message: str) -> None:
-        self.errors.append(LineError(line, message))
-
-    def warn(self, line: int, message: str) -> None:
-        self.warnings.append(LineError(line, message))
 
 
 # One encoder for every record: ``json.dumps`` with these options builds a new one per call.
@@ -94,14 +80,14 @@ def string(value) -> str:
     return value
 
 
-def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, errors: list[LineError] | None = None) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs.
 
-    Lines end at LF; line numbers are 1-based. A missing or unreadable file
-    raises OSError (fatal by contract). A line that is not UTF-8, or not a
-    JSON object, is recorded in ``report`` and skipped; without a report it
-    raises ContractViolation naming the file and line, so no handoff
-    silently loses a record.
+    Lines end at LF; line numbers are 1-based; a blank line is skipped. A
+    missing or unreadable file raises OSError (fatal by contract). A line
+    that is not UTF-8, or not a JSON object, is appended to ``errors`` as a
+    LineError and skipped; without the list it raises ContractViolation
+    naming the file and line, so no handoff silently loses a record.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -118,10 +104,10 @@ def read_jsonl(path: str | Path, report: IngestionReport | None = None) -> Itera
                 problem = None if isinstance(obj, dict) else "record is not an object"
             if problem is None:
                 yield lineno, obj
-            elif report is None:
+            elif errors is None:
                 raise ContractViolation(f"{path} line {lineno}: {problem}")
             else:
-                report.error(lineno, problem)
+                errors.append(LineError(lineno, problem))
 
 
 def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dict[str, Any]:

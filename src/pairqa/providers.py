@@ -171,17 +171,18 @@ class ResponseCache:
 
 class _ServiceClient:
     """Shared constructor of the HTTP clients. ``_post`` sends one JSON body,
-    retrying transport failures, 5xx, 408 and 429 with exponential backoff;
-    any other status is not retried. Each attempt waits at most the class's
-    ``timeout`` seconds. A client is shared by every thread of its stage."""
+    retrying transport failures, 5xx, 408 and 429 up to ``max_retries`` times,
+    waiting ``backoff`` seconds before the first retry and twice as long before
+    each next; any other status is not retried. Each attempt waits at most the
+    class's ``timeout`` seconds. A client is shared by every thread of its stage."""
 
     timeout = 30.0
+    max_retries = 3
+    backoff = 0.5
 
-    def __init__(self, url: str, token: str | None = None, max_retries: int = 3, backoff: float = 0.5):
+    def __init__(self, url: str, token: str | None = None):
         self.url = url
         self.token = token
-        self.max_retries = max_retries
-        self.backoff = backoff
         self._opener = None
 
     def _post(self, body: Mapping) -> dict:

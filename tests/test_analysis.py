@@ -130,22 +130,22 @@ class TestBinReport:
 
     def test_published_first_row_shape(self):
         examples, stats, predictions = self._fixture()
-        report = bin_report(stats, predictions, examples)
-        first = report.bins[0]
-        assert report.total == 2000
+        bins = bin_report(stats, predictions, examples)
+        first = bins[0]
+        assert len(stats) == 2000
         assert first.subset_fraction == 1124 / 2000 == 0.562
         assert round(100 * first.em_by_method["combo"], 1) == 48.5
 
     def test_populations_sum_to_total(self):
         examples, stats, predictions = self._fixture()
-        report = bin_report(stats, predictions, examples)
-        assert sum(b.count for b in report.bins) == report.total
-        assert sum(b.subset_fraction for b in report.bins) == pytest.approx(1.0, abs=1e-9)
+        bins = bin_report(stats, predictions, examples)
+        assert sum(b.count for b in bins) == len(stats)
+        assert sum(b.subset_fraction for b in bins) == pytest.approx(1.0, abs=1e-9)
 
     def test_em_is_plain_mean_of_booleans(self):
         examples, stats, predictions = self._fixture()
-        report = bin_report(stats, predictions, examples)
-        for idx, b in enumerate(report.bins):
+        bins = bin_report(stats, predictions, examples)
+        for idx, b in enumerate(bins):
             correct = self.FIRST_BIN_CORRECT if idx == 0 else self.POPULATIONS[idx] // 2
             assert b.em_by_method["combo"] == correct / self.POPULATIONS[idx]
 
@@ -153,17 +153,17 @@ class TestBinReport:
         examples = [example_with_counts(2, 2, 0, 0, f"q{k}") for k in range(5)]
         stats = [conflicting_rate(ex) for ex in examples]
         predictions = {"m": {ex.question_id: "gold token" for ex in examples}}
-        report = bin_report(stats, predictions, examples)
-        assert report.bins[0].subset_fraction == 1.0
-        assert all(b.count == 0 for b in report.bins[1:])
+        bins = bin_report(stats, predictions, examples)
+        assert bins[0].subset_fraction == 1.0
+        assert all(b.count == 0 for b in bins[1:])
 
     def test_rows_and_table_rendering(self):
         examples, stats, predictions = self._fixture()
-        report = bin_report(stats, predictions, examples)
-        rows = list(bin_report_rows(report))
+        bins = bin_report(stats, predictions, examples)
+        rows = list(bin_report_rows(bins))
         assert len(rows) == len(BIN_EDGES)
         assert {"bin_lower", "bin_upper", "fraction", "method", "em"} == set(rows[0])
-        table = format_bin_report(report)
+        table = format_bin_report(bins)
         assert "EM(combo)" in table
 
 

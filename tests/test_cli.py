@@ -144,10 +144,15 @@ def _score_empty_pool(tmp, dataset, truth):
     return ["score", "--dataset", edited, "--out", tmp / "out"], qid, "M >= 1"
 
 
-def _analyze_empty_pool(tmp, dataset, truth):
-    edited = tmp / "edited.jsonl"
-    qid = _copy_with_first_record(dataset, edited, _no_generated)["question_id"]
-    return ["analyze", "--dataset", edited, "--out", tmp / "out"], qid, "empty generated pool"
+def _analyze_empty(pool):
+    """Analyze a dataset whose first question has an empty ``pool``."""
+
+    def case(tmp, dataset, truth):
+        edited = tmp / "edited.jsonl"
+        qid = _copy_with_first_record(dataset, edited, lambda record: {**record, pool: []})["question_id"]
+        return ["analyze", "--dataset", edited, "--out", tmp / "out"], qid, f"empty {pool} pool"
+
+    return case
 
 
 def _analyze_no_matrix(tmp, dataset, truth):
@@ -983,7 +988,7 @@ class TestMine:
         tmp, dataset, truth_path = sim_workspace
         truth = make_truth(tmp, truth_path)
         known = {qt.question: {ct.text for ct in qt.chains.values()} for qt in load_truth(truth).questions.values()}
-        examples, _ = read_examples(dataset)
+        examples, _, _ = read_examples(dataset)
         misfits = [
             ex.question_id
             for ex in examples
@@ -1020,6 +1025,27 @@ class TestAnalyze:
         captured = capsys.readouterr().out
         assert "conflicting rate" in captured and "EM(gold)" in captured and "EM(distractor)" in captured
         assert {"conflict_stats.jsonl", "bin_report.csv", "pair_types.jsonl"} <= set(trees[0])
+        assert trees[0] == trees[1]
+
+    def test_annotations_give_the_label_confusion(self, sim_workspace, capsys):
+        tmp, dataset, _ = sim_workspace
+        annotations = tmp / "annotations.jsonl"
+        agree = json.dumps({"predicted": "compatible", "annotated": "compatible"})
+        differ = json.dumps({"predicted": "conflicting", "annotated": "non_evidential"})
+        annotations.write_text(f"{agree}\n\n{differ}\n")
+        trees = []
+        for name, stage_run in (("analyze", run), ("rerun", _run_in_new_interpreter)):
+            assert stage_run("analyze", "--dataset", dataset, "--out", tmp / name, "--analyze.annotations", annotations) == 0
+            trees.append(_tree(tmp / name))
+        assert "label confusion accuracy: 0.500\n" in capsys.readouterr().out
+        rows = [json.loads(line) for line in trees[0]["confusion.jsonl"].splitlines()]
+        assert len(rows) == 9
+        counts = {(row["predicted"], row["annotated"]): row["count"] for row in rows}
+        assert counts == {
+            (p, a): int((p, a) in {("compatible", "compatible"), ("conflicting", "non_evidential")})
+            for p in ("compatible", "conflicting", "non_evidential")
+            for a in ("compatible", "conflicting", "non_evidential")
+        }
         assert trees[0] == trees[1]
 
     def _analyze(self, sim_workspace, predictions, *extra):
@@ -1354,7 +1380,8 @@ class TestErrorHandling:
             _serialize_not_in_dataset,
             _score_scorer_failure,
             _score_empty_pool,
-            _analyze_empty_pool,
+            _analyze_empty("generated"),
+            _analyze_empty("retrieved"),
             _analyze_no_matrix,
             _analyze_shape_differs,
             _analyze_not_in_dataset,
@@ -1369,6 +1396,7 @@ class TestErrorHandling:
             "score-scorer-failure",
             "score-empty-pool",
             "analyze-empty-pool",
+            "analyze-empty-retrieved-pool",
             "analyze-no-matrix",
             "analyze-shape-differs",
             "analyze-not-in-dataset",
@@ -1529,7 +1557,7 @@ class TestErrorHandling:
             _argv_of(_match_no_matrix),
             _argv_of(_serialize_not_in_dataset),
             _argv_of(_mine_one_retrieved),
-            _argv_of(_analyze_empty_pool),
+            _argv_of(_analyze_empty("generated")),
             _argv_of(_analyze_no_matrix),
             _analyze_missing_prediction,
             _analyze_bad_annotation,
@@ -1663,6 +1691,9 @@ class TestErrorHandling:
             _long_unknown_flag("z" * 100000 + ".x", "unknown config section 'zzz"),
             _flag_without_value("seed"),
             _flag_without_value("z" * 100000),
+            _bad_flag("score", "stray", "1", "unexpected argument 'stray'"),
+            _bad_flag("score", "--scorer.backend", "remote", "scorer backend 'remote' needs a url (config or PAIRQA_SCORER_URL)"),
+            _bad_flag("mine", "--predictor.truth", "null", "predictor backend 'sim' needs predictor.truth"),
         ],
         ids=[
             "matching-strategy",
@@ -1713,6 +1744,9 @@ class TestErrorHandling:
             "flag-long-unknown-section",
             "flag-without-value",
             "flag-long-without-value",
+            "stray-positional-argument",
+            "remote-scorer-without-url",
+            "sim-mine-without-truth",
         ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):

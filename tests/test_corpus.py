@@ -141,30 +141,30 @@ class TestIngestion:
         import json
 
         path = tmp_path / "data.jsonl"
-        _write_lines(path, [json.dumps(_record("q1")), json.dumps(_record("q2"))])
-        examples, report = read_examples(path)
+        _write_lines(path, [json.dumps(_record("q1")), "", json.dumps(_record("q2"))])  # a blank line is skipped
+        examples, errors, _ = read_examples(path)
         assert [e.question_id for e in examples] == ["q1", "q2"]
-        assert not report.errors
+        assert not errors
 
     def test_duplicate_question_id_is_an_error(self, tmp_path):
         import json
 
         path = tmp_path / "data.jsonl"
         _write_lines(path, [json.dumps(_record("q1")), json.dumps(_record("q2")), json.dumps(_record("q1"))])
-        examples, report = read_examples(path)
+        examples, errors, _ = read_examples(path)
         assert [e.question_id for e in examples] == ["q1", "q2"]
-        assert [e.line for e in report.errors] == [3]
-        assert "q1" in report.errors[0].message
+        assert [e.line for e in errors] == [3]
+        assert "q1" in errors[0].message
 
     def test_empty_question_is_an_error(self, tmp_path):
         import json
 
         path = tmp_path / "data.jsonl"
         _write_lines(path, [json.dumps(_record(question=""))])
-        examples, report = read_examples(path)
+        examples, errors, _ = read_examples(path)
         assert examples == []
-        assert len(report.errors) == 1
-        assert report.errors[0].line == 1
+        assert len(errors) == 1
+        assert errors[0].line == 1
 
     @pytest.mark.parametrize(
         "overrides",
@@ -174,18 +174,32 @@ class TestIngestion:
             {"answers": []},
             {"answers": ["a", 3]},
             {"question": " \t "},
+            {"retrieved": [["Don Shula won"]]},
+            {"retrieved": [[{"id": "r0", "text": "Don Shula won", "title": 5}]]},
+            {"generated": "George Halas won"},
+            {"question_id": None},
         ],
-        ids=["blank-segment-text", "empty-chain", "no-answers", "non-string-answer", "blank-question"],
+        ids=[
+            "blank-segment-text",
+            "empty-chain",
+            "no-answers",
+            "non-string-answer",
+            "blank-question",
+            "segment-not-an-object",
+            "title-not-a-string",
+            "pool-not-an-array",
+            "no-question-id",
+        ],
     )
     def test_bad_record_is_an_ingest_error(self, tmp_path, overrides):
         # ingest is the one check of these facts: the data classes do not check them again
         import json
 
         path = tmp_path / "data.jsonl"
-        _write_lines(path, [json.dumps(_record("q1")), json.dumps(_record("q2", **overrides)), json.dumps(_record("q3"))])
-        examples, report = read_examples(path)
+        _write_lines(path, [json.dumps(_record("q1")), json.dumps({**_record("q2"), **overrides}), json.dumps(_record("q3"))])
+        examples, errors, _ = read_examples(path)
         assert [e.question_id for e in examples] == ["q1", "q3"]
-        assert [e.line for e in report.errors] == [2]
+        assert [e.line for e in errors] == [2]
 
     def test_ten_by_ten_pools(self, tmp_path):
         import json
@@ -196,7 +210,7 @@ class TestIngestion:
         )
         path = tmp_path / "data.jsonl"
         _write_lines(path, [json.dumps(record)])
-        examples, report = read_examples(path)
+        examples, _, _ = read_examples(path)
         assert examples[0].n == 10 and examples[0].m == 10
 
     def test_bare_object_chain_normalized(self):
@@ -221,10 +235,10 @@ class TestIngestion:
         path = tmp_path / "data.jsonl"
         bad = _record("q2", generated=[[{"id": pid, "text": "George Halas won"}]])
         _write_lines(path, [json.dumps(_record("q1")), json.dumps(bad)])
-        examples, report = read_examples(path)
+        examples, errors, _ = read_examples(path)
         assert [e.question_id for e in examples] == ["q1"]
-        assert [e.line for e in report.errors] == [2]
-        assert f"id must be a string, got {pid!r}" in report.errors[0].message
+        assert [e.line for e in errors] == [2]
+        assert f"id must be a string, got {pid!r}" in errors[0].message
 
     def test_duplicate_passage_id_rejected(self):
         record = _record(
@@ -240,19 +254,20 @@ class TestIngestion:
         import json
 
         path = tmp_path / "data.jsonl"
-        _write_lines(path, [json.dumps(_record(generated=[]))])
-        examples, report = read_examples(path)
+        _write_lines(path, [json.dumps(_record(generated=[], retrieved=[]))])
+        examples, _, warnings = read_examples(path)
         assert len(examples) == 1
-        assert any("empty generated pool" in w.message for w in report.warnings)
+        assert any("empty generated pool" in w.message for w in warnings)
+        assert [(w.line, w.message) for w in warnings] == [(1, "q1: empty retrieved pool"), (1, "q1: empty generated pool")]
 
     def test_malformed_json_line_reported(self, tmp_path):
         import json
 
         path = tmp_path / "data.jsonl"
         _write_lines(path, [json.dumps(_record("q1")), "{not json"])
-        examples, report = read_examples(path)
+        examples, errors, _ = read_examples(path)
         assert len(examples) == 1
-        assert report.errors[0].line == 2
+        assert errors[0].line == 2
 
     def test_integer_of_too_many_digits_reported(self, tmp_path):
         # json.loads raises a plain ValueError, not JSONDecodeError, past int()'s digit limit
@@ -260,10 +275,10 @@ class TestIngestion:
 
         path = tmp_path / "data.jsonl"
         _write_lines(path, [json.dumps(_record("q1")), '{"question_id": ' + "9" * 5000 + "}", json.dumps(_record("q2"))])
-        examples, report = read_examples(path)
+        examples, errors, _ = read_examples(path)
         assert [e.question_id for e in examples] == ["q1", "q2"]
-        assert [e.line for e in report.errors] == [2]
-        assert "invalid JSON" in report.errors[0].message
+        assert [e.line for e in errors] == [2]
+        assert "invalid JSON" in errors[0].message
 
     def test_line_not_utf8_reported(self, tmp_path):
         import json
@@ -271,10 +286,10 @@ class TestIngestion:
         path = tmp_path / "data.jsonl"
         lines = [json.dumps(_record("q1")).encode(), b'{"question_id": "q\xff"}', json.dumps(_record("q2")).encode()]
         path.write_bytes(b"\n".join(lines) + b"\n")
-        examples, report = read_examples(path)
+        examples, errors, _ = read_examples(path)
         assert [e.question_id for e in examples] == ["q1", "q2"]
-        assert [e.line for e in report.errors] == [2]
-        assert "not UTF-8" in report.errors[0].message
+        assert [e.line for e in errors] == [2]
+        assert "not UTF-8" in errors[0].message
 
     def test_hop_type_inference_and_parse(self):
         assert example_from_record(_record()).hop_type is HopType.SINGLE_HOP
@@ -298,11 +313,11 @@ class TestIngestion:
         )
         src = tmp_path / "src.jsonl"
         _write_lines(src, [json.dumps(record)])
-        first, report = read_examples(src)
-        assert not report.errors
+        first, errors, _ = read_examples(src)
+        assert not errors
         out = tmp_path / "out.jsonl"
         write_examples(out, first)
-        second, _ = read_examples(out)
+        second, _, _ = read_examples(out)
         assert [example_to_record(e) for e in first] == [example_to_record(e) for e in second]
         # a second serialization is byte-identical
         out2 = tmp_path / "out2.jsonl"

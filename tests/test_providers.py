@@ -10,6 +10,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,6 +48,12 @@ def evid_request(**overrides):
     return ScoreRequest(**fields)
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retries wait no time between attempts."""
+    monkeypatch.setattr(providers._ServiceClient, "backoff", 0.0)
+
+
 class TestRequestContracts:
     def test_wire_bodies(self):
         req = evid_request()
@@ -67,23 +74,26 @@ class TestRequestContracts:
         }
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestRemoteScorer:
     def test_scores_and_records_wire_shape(self, http_service):
         http_service.responses["/score"] = {"probability": 0.73}
-        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
         assert scorer.score(evid_request()) == 0.73
         sent = http_service.requests["/score"][0]
         assert set(sent) == {"kind", "question", "retrieved", "generated"}
 
     def test_retries_then_succeeds(self, http_service):
         http_service.responses["/score"] = [(500, {}), (500, {}), (200, {"probability": 0.5})]
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=3, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 3
         assert scorer.score(evid_request()) == 0.5
         assert len(http_service.requests["/score"]) == 3
 
     def test_client_error_is_not_retried(self, http_service):
         # the fixture answers 404 on a path with no response set
-        scorer = RemoteScorer(http_service.url("/missing"), max_retries=3, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/missing"))
+        scorer.max_retries = 3
         with pytest.raises(TransportError) as err:
             scorer.score(evid_request())
         assert err.value.attempts == 1
@@ -93,26 +103,29 @@ class TestRemoteScorer:
     @pytest.mark.parametrize("status", [408, 429])
     def test_timeout_and_rate_limit_are_retried(self, http_service, status):
         http_service.responses["/score"] = [(status, {}), (200, {"probability": 0.5})]
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=3, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 3
         assert scorer.score(evid_request()) == 0.5
         assert len(http_service.requests["/score"]) == 2
 
     def test_connection_refused_is_a_transport_error(self):
-        scorer = RemoteScorer("http://127.0.0.1:9", max_retries=0, backoff=0.0)
+        scorer = RemoteScorer("http://127.0.0.1:9")
+        scorer.max_retries = 0
         with pytest.raises(TransportError) as err:
             scorer.score(evid_request())
         assert err.value.attempts == 1
 
     def test_retry_budget_exhausted(self, http_service):
         http_service.responses["/score"] = [(500, {})] * 10
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=2, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 2
         with pytest.raises(TransportError) as err:
             scorer.score(evid_request())
         assert err.value.attempts == 3
 
     def test_out_of_range_probability_clamped(self, http_service, caplog):
         http_service.responses["/score"] = {"probability": 1.7}
-        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
         with caplog.at_level("WARNING"):
             assert scorer.score(evid_request()) == 1.0
         assert any("clamping" in r.message for r in caplog.records)
@@ -124,7 +137,7 @@ class TestRemoteScorer:
         http_service.responses["/score"] = huge.encode()
         url = http_service.url("/score")
         cache = ResponseCache(tmp_path / "cache")
-        scorer = CachingBackend(RemoteScorer(url, backoff=0.0), cache, url)
+        scorer = CachingBackend(RemoteScorer(url), cache, url)
         with caplog.at_level("WARNING"):
             assert scorer.score(evid_request()) == clamped
         body = {**evid_request().wire_body(), "question_id": "q1"}
@@ -139,20 +152,20 @@ class TestRemoteScorer:
 
     def test_missing_probability_is_protocol_error(self, http_service):
         http_service.responses["/score"] = {"p": 0.5}
-        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
         with pytest.raises(ProtocolError):
             scorer.score(evid_request())
 
     def test_cache_replays_without_calls(self, http_service, tmp_path):
         http_service.responses["/score"] = {"probability": 0.25}
         url = http_service.url("/score")
-        scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
+        scorer = CachingBackend(RemoteScorer(url), ResponseCache(tmp_path / "cache"), url)
         first = scorer.score(evid_request())
         second = scorer.score(evid_request())
         assert first == second == 0.25
         assert len(http_service.requests["/score"]) == 1
         # a fresh client with the same cache never touches the service
-        other = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
+        other = CachingBackend(RemoteScorer(url), ResponseCache(tmp_path / "cache"), url)
         assert other.score(evid_request()) == 0.25
         assert len(http_service.requests["/score"]) == 1
 
@@ -160,7 +173,7 @@ class TestRemoteScorer:
         # Python's json reads NaN, and NaN fails no range test
         http_service.responses["/score"] = b'{"probability": NaN}'
         url = http_service.url("/score")
-        scorer = CachingBackend(RemoteScorer(url, backoff=0.0), ResponseCache(tmp_path / "cache"), url)
+        scorer = CachingBackend(RemoteScorer(url), ResponseCache(tmp_path / "cache"), url)
         with pytest.raises(ProtocolError, match="not a number: nan"):
             scorer.score(evid_request())
         with cache_db(tmp_path / "cache") as db:
@@ -206,6 +219,7 @@ def request_bodies(example, columns=None):
     return evidentiality + [body("consistency", retrieved[j], g.text()) for g in example.generated for j in columns]
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestBuildMatrixRequests:
     """``build_matrix`` scores a question one ``score`` call per request, the
     evidentiality then the consistency of the columns the combine mode reads;
@@ -222,7 +236,7 @@ class TestBuildMatrixRequests:
 
         http_service.responses["/score"] = score
         example = ten_by_ten_example()
-        matrix = build_matrix(example, RemoteScorer(http_service.url("/score"), backoff=0.0), mode)
+        matrix = build_matrix(example, RemoteScorer(http_service.url("/score")), mode)
         evidentiality = [probability(body) for body in request_bodies(example, columns=[])]
         columns = [j for j, e in enumerate(evidentiality) if mode is CombineMode.PRODUCT or e > 0.5]
         assert len(columns) == 10 if mode is CombineMode.PRODUCT else 0 < len(columns) < 10
@@ -239,7 +253,8 @@ class TestBuildMatrixRequests:
             return (500, {}) if body["retrieved"] == "retrieved 7" else {"probability": 0.75}
 
         http_service.responses["/score"] = score
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 0
         with pytest.raises(TransportError):
             build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
         time.sleep(0.05)  # a consistency request sent late would be counted
@@ -247,7 +262,8 @@ class TestBuildMatrixRequests:
 
     def test_a_question_whose_requests_all_fail_sends_one_with_its_retries(self, http_service):
         http_service.responses["/score"] = lambda body: (500, {})
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=1, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 1
         with pytest.raises(TransportError, match="after 2 attempts"):
             build_matrix(ten_by_ten_example(), scorer, CombineMode.CUTOFF)
         time.sleep(0.05)  # a request sent late would be counted
@@ -260,7 +276,8 @@ class TestBuildMatrixRequests:
         example = ten_by_ten_example()
         bodies = request_bodies(example)
         http_service.responses["/score"] = lambda body: (404, {}) if body == bodies[-1] else {"probability": 0.25}
-        remote = RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0)
+        remote = RemoteScorer(http_service.url("/score"))
+        remote.max_retries = 0
         scorer = CachingBackend(remote, ResponseCache(tmp_path / "cache"), "scorer") if cached else remote
         answers = []
         with pytest.raises(TransportError, match="status 404"):
@@ -278,7 +295,7 @@ class TestBuildMatrixRequests:
         first, although the error, and with it the calling frame, is still held."""
         http_service.responses["/score"] = {"probability": 0.25}
         cache = ResponseCache(tmp_path / "cache")
-        scorer = CachingBackend(RemoteScorer(http_service.url("/score"), backoff=0.0), cache, "scorer")
+        scorer = CachingBackend(RemoteScorer(http_service.url("/score")), cache, "scorer")
 
         def put(service, body, response):
             raise ContractViolation("disk full")
@@ -294,7 +311,7 @@ class TestBuildMatrixRequests:
         """Eight threads start their first request at once on one client, as a
         stage's threads do: each question gets its own answers, in order."""
         http_service.responses["/score"] = lambda body: {"probability": len(body["retrieved"]) / 100}
-        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
         examples = [make_example(f"q{k}", retrieved_texts=("r" * (k + 1), "other"), generated_texts=("g",)) for k in range(8)]
         start = threading.Barrier(len(examples))
         results = {}
@@ -324,7 +341,9 @@ class TestBuildMatrixRequests:
         answer = lambda body: {"probability": 0.75 if body["kind"] == "evidentiality" else 0.25}
         http_service.responses["/score"] = lambda body: (500, {}) if body == bodies[failing] else answer(body)
         cache = ResponseCache(tmp_path / "cache")
-        scorer = CachingBackend(RemoteScorer(http_service.url("/score"), max_retries=0, backoff=0.0), cache, "scorer")
+        remote = RemoteScorer(http_service.url("/score"))
+        remote.max_retries = 0
+        scorer = CachingBackend(remote, cache, "scorer")
         with pytest.raises(TransportError):
             build_matrix(example, scorer, CombineMode.CUTOFF)
         with cache_db(tmp_path / "cache") as db:
@@ -358,6 +377,7 @@ def loopback_only(monkeypatch):
     yield monkeypatch, lookups
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestTransport:
     """What every remote client sends and how it fails, whatever library
     sends the request."""
@@ -365,15 +385,15 @@ class TestTransport:
     @pytest.mark.parametrize("reply", [b"<html>busy</html>", [0.5]], ids=["not-json", "array"])
     def test_reply_that_is_not_a_json_object_is_a_protocol_error(self, http_service, reply):
         http_service.responses["/score"] = [(200, reply)]
-        scorer = RemoteScorer(http_service.url("/score"), backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
         with pytest.raises(ProtocolError):
             scorer.score(evid_request())
 
     def test_token_is_sent_as_a_bearer_header(self, http_service):
         http_service.responses["/score"] = {"probability": 0.5}
         url = http_service.url("/score")
-        RemoteScorer(url, token="s3cret", backoff=0.0).score(evid_request())
-        RemoteScorer(url, backoff=0.0).score(evid_request())
+        RemoteScorer(url, token="s3cret").score(evid_request())
+        RemoteScorer(url).score(evid_request())
         with_token, without = http_service.headers["/score"]
         assert with_token["authorization"] == "Bearer s3cret"
         assert "authorization" not in without
@@ -385,7 +405,8 @@ class TestTransport:
             return {"probability": 0.5}
 
         http_service.responses["/score"] = stall
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=1, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 1
         scorer.timeout = 0.2
         start = time.monotonic()
         with pytest.raises(TransportError) as err:
@@ -397,7 +418,7 @@ class TestTransport:
     def test_non_ascii_question_arrives_intact(self, http_service):
         http_service.responses["/score"] = {"probability": 0.5}
         req = evid_request(question="Wer schrieb „Faust“? 誰が書いた", retrieved_text="Goethe — 1808")
-        RemoteScorer(http_service.url("/score"), backoff=0.0).score(req)
+        RemoteScorer(http_service.url("/score")).score(req)
         assert http_service.requests["/score"] == [req.wire_body()]
         # the body is json.dumps of the wire body: non-ASCII escaped, so ASCII on the wire
         (headers,) = http_service.headers["/score"]
@@ -405,7 +426,8 @@ class TestTransport:
 
     def test_redirect_is_neither_followed_nor_retried(self, http_service):
         http_service.responses["/score"] = [(307, {})]
-        scorer = RemoteScorer(http_service.url("/score"), max_retries=3, backoff=0.0)
+        scorer = RemoteScorer(http_service.url("/score"))
+        scorer.max_retries = 3
         with pytest.raises(TransportError) as err:
             scorer.score(evid_request())
         assert err.value.attempts == 1
@@ -415,7 +437,8 @@ class TestTransport:
     @pytest.mark.parametrize("url, attempts", [("example/score", 1), ("localhost:9/score", 2)])
     def test_malformed_url_is_a_transport_error(self, url, attempts):
         # a URL without a scheme is never sent; an unknown scheme is a URLError, retried as such
-        scorer = RemoteScorer(url, max_retries=1, backoff=0.0)
+        scorer = RemoteScorer(url)
+        scorer.max_retries = 1
         with pytest.raises(TransportError) as err:
             scorer.score(evid_request())
         assert err.value.attempts == attempts
@@ -424,7 +447,8 @@ class TestTransport:
         monkeypatch, lookups = loopback_only
         monkeypatch.setenv("http_proxy", http_service.url(""))
         http_service.responses["http://example.invalid/score"] = {"probability": 0.25}
-        scorer = RemoteScorer("http://example.invalid/score", max_retries=0, backoff=0.0)
+        scorer = RemoteScorer("http://example.invalid/score")
+        scorer.max_retries = 0
         assert scorer.score(evid_request()) == 0.25
         assert list(http_service.requests) == ["http://example.invalid/score"]
         assert "example.invalid" not in lookups
@@ -433,7 +457,8 @@ class TestTransport:
         monkeypatch, lookups = loopback_only
         monkeypatch.setenv("http_proxy", http_service.url(""))
         monkeypatch.setenv("no_proxy", "example.invalid")
-        scorer = RemoteScorer("http://example.invalid/score", max_retries=0, backoff=0.0)
+        scorer = RemoteScorer("http://example.invalid/score")
+        scorer.max_retries = 0
         with pytest.raises(TransportError) as err:
             scorer.score(evid_request())
         assert err.value.attempts == 1
@@ -448,16 +473,27 @@ def test_clients_keep_their_default_timeouts(client, default):
     assert client("http://127.0.0.1:9").timeout == default
 
 
+def test_retries_wait_half_a_second_doubling(http_service, monkeypatch):
+    http_service.responses["/score"] = [(500, {})] * 4
+    sleeps = []
+    monkeypatch.setattr(providers, "time", SimpleNamespace(sleep=sleeps.append))
+    with pytest.raises(TransportError) as err:
+        RemoteScorer(http_service.url("/score")).score(evid_request())
+    assert err.value.attempts == 4
+    assert sleeps == [0.5, 1.0, 2.0]
+    assert len(http_service.requests["/score"]) == 4
+
+
 class TestRemotePredictor:
     def test_fixture_echo(self, http_service):
         http_service.responses["/predict"] = {"answer": "Don Shula"}
-        predictor = RemotePredictor(http_service.url("/predict"), backoff=0.0)
+        predictor = RemotePredictor(http_service.url("/predict"))
         assert predictor.predict(PredictRequest("who won", ("block",))) == "Don Shula"
         assert http_service.requests["/predict"][0] == {"question": "who won", "passages": ["block"]}
 
     def test_missing_answer_is_protocol_error(self, http_service):
         http_service.responses["/predict"] = {"text": "Don Shula"}
-        predictor = RemotePredictor(http_service.url("/predict"), backoff=0.0)
+        predictor = RemotePredictor(http_service.url("/predict"))
         with pytest.raises(ProtocolError):
             predictor.predict(PredictRequest("who won", ("block",)))
 
@@ -574,19 +610,19 @@ class TestLexicalMock:
 class TestGenerator:
     def test_multi_hop_response_parsed_into_two_segments(self, http_service):
         http_service.responses["/generate"] = {"passages": [["Document 1: A\n\nDocument 2: B"]]}
-        client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
+        client = RemoteGenerator(http_service.url("/generate"))
         assert client.generate(GenerationRequest("q", 1, GenerationMode.MULTI_HOP_CHAIN)) == [("A", "B")]
 
     def test_single_hop_identity_parse(self, http_service):
         http_service.responses["/generate"] = {"passages": [["X"]]}
-        client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
+        client = RemoteGenerator(http_service.url("/generate"))
         assert client.generate(GenerationRequest("q", 1)) == [("X",)]
 
     def test_malformed_multi_hop_item_skipped(self, http_service, caplog):
         http_service.responses["/generate"] = {
             "passages": [["Document 1: only the first"], ["Document 1: A\n\nDocument 2: B"]]
         }
-        client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
+        client = RemoteGenerator(http_service.url("/generate"))
         with caplog.at_level("WARNING"):
             passages = client.generate(GenerationRequest("q", 5, GenerationMode.MULTI_HOP_CHAIN))
         assert passages == [("A", "B")]
@@ -595,14 +631,28 @@ class TestGenerator:
     def test_blank_or_empty_items_skipped(self, http_service, caplog):
         # the reply parser is the one check of a generated passage: no chain is built of these
         http_service.responses["/generate"] = {"passages": ["   ", [], ["ok", " "], "fine"]}
-        client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
+        client = RemoteGenerator(http_service.url("/generate"))
         with caplog.at_level("WARNING"):
             assert client.generate(GenerationRequest("q", 4)) == [("fine",)]
         assert sum("skipping unparseable" in r.message for r in caplog.records) == 3
 
+    def test_item_neither_a_string_nor_a_string_array_skipped(self, http_service, caplog):
+        http_service.responses["/generate"] = {"passages": [5, ["ok", None], "fine"]}
+        client = RemoteGenerator(http_service.url("/generate"))
+        with caplog.at_level("WARNING"):
+            assert client.generate(GenerationRequest("q", 3)) == [("fine",)]
+        assert sum("neither a string nor a string array" in r.message for r in caplog.records) == 2
+
+    @pytest.mark.parametrize("reply", [{}, {"passages": "one passage"}], ids=["missing", "a-string"])
+    def test_reply_without_a_passages_array_is_a_protocol_error(self, http_service, reply):
+        http_service.responses["/generate"] = reply
+        client = RemoteGenerator(http_service.url("/generate"))
+        with pytest.raises(ProtocolError, match="missing 'passages' array"):
+            client.generate(GenerationRequest("q", 1))
+
     def test_returns_at_most_n(self, http_service):
         http_service.responses["/generate"] = {"passages": [["a"], ["b"], ["c"]]}
-        client = RemoteGenerator(http_service.url("/generate"), backoff=0.0)
+        client = RemoteGenerator(http_service.url("/generate"))
         assert client.generate(GenerationRequest("q", 2)) == [("a",), ("b",)]
 
     def test_split_two_documents_errors(self):
@@ -610,6 +660,8 @@ class TestGenerator:
             split_two_documents("Document 1: A only")
         with pytest.raises(ProtocolError):
             split_two_documents("Document 2: B Document 1: A")
+        with pytest.raises(ProtocolError, match="empty document segment"):
+            split_two_documents("Document 1:  \n\nDocument 2: B")
         assert split_two_documents("Document 1: A\n\nDocument 2: B") == ("A", "B")
 
 
@@ -660,6 +712,14 @@ class TestResponseCache:
         with cache_db(tmp_path) as db:
             assert db.execute("SELECT count(*) FROM responses").fetchone() == (600,)
         assert all(cache.get("scorer", {"w": w, "k": 99}) == {"probability": 0.99} for w in range(6))
+
+    def test_a_failed_query_names_the_database(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        with cache_db(tmp_path) as db:
+            db.execute("DROP TABLE responses")
+        for call in (lambda: cache.get("scorer", {"q": 1}), lambda: cache.put("scorer", {"q": 1}, {"probability": 0.5})):
+            with pytest.raises(ContractViolation, match=re.escape(f"response cache {tmp_path / 'responses.sqlite3'}: no such table")):
+                call()
 
     def test_new_table_is_without_rowid(self, tmp_path):
         ResponseCache(tmp_path).close()
