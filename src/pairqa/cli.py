@@ -1,30 +1,38 @@
-"""Pipeline orchestration: one subcommand per stage, file handoffs between
-stages, a single nested config file with dotted-name flag overrides.
+"""pairqa: pair retrieved and generated passages by compatibility, one stage per command.
 
-    pairqa score  --config run.json --dataset data/dev.jsonl --out runs/a
-    pairqa match  --dataset data/dev.jsonl --strategy optimal --out runs/a
-    pairqa serialize --dataset data/dev.jsonl --variant pairwise --budget 400 --out runs/a
+usage: pairqa COMMAND [--config FILE] [--FIELD VALUE | --FIELD=VALUE]...   (or -h, --help)
 
-Every config field is declared once, in ``FIELDS``, with its default and
-its kind; a value is converted by that kind whenever it is set, from the
-default, the config file (in JSON types: ``3.9`` is no integer) or a flag
-of its dotted name (``--scorer.backend remote``), and a wrong one stops
-the run with "<dotted> must be <kind>, got <value>". Endpoint URLs and
-tokens can also come from PAIRQA_SCORER_URL, PAIRQA_SCORER_TOKEN and the
-like for PREDICTOR and GENERATOR, or PAIRQA_TOKEN.
+    pairqa simulate --out runs/a --simulate.num_questions 100
+    pairqa score --config run.json --dataset runs/a/sim_corpus.jsonl --out runs/a --strict
 
-Each dataset stage is one function in ``STAGES``, which reads its inputs,
-runs its per-item function through ``each`` and writes its outputs. ``each``
-joins each question-keyed file the stage reads to the dataset by question
-id; a question on one side only, like every per-item failure, is collected
-into the stage report and aborts the run only under ``--strict``. Given
-identical config, seeds, and cached provider responses, every stage writes
-byte-identical outputs.
+COMMAND, the one bare word, may stand anywhere: simulate, generate, score,
+match, serialize, mine or analyze. A stage reads the files an earlier one
+wrote to --out. --config FILE names a JSON object of fields, nested by
+section ({"scorer": {"backend": "remote"}}). Each field takes a flag of its
+dotted name; the defaults, then the config file, then the flags in argv
+order apply, so the last one given wins. A flag's value is text: null for
+null, JSON text for analyze.predictions. The flag of a true/false field
+(--strict, --simulate.single_pivot) alone means true; it takes the next word
+only if that is true, false, yes, no, on, off, 1 or 0, in any case (--strict
+false, or --strict=false). Flags are never abbreviated. --strategy,
+--scoring-mode, --variant and --budget are short for matching.strategy,
+scoring.mode, serialize.variant and serialize.budget. The fields:
+  dataset out workers seed strict cache_dir scoring.mode matching.strategy matching.matrices
+  scorer.backend scorer.url scorer.token generator.url generator.token generator.n generator.mode
+  predictor.backend predictor.url predictor.token predictor.truth analyze.predictions
+  serialize.variant serialize.budget serialize.matchings analyze.annotations analyze.matrices
+  simulate.num_questions simulate.n simulate.m simulate.p_retrieved_evidential
+  simulate.p_llm_hallucinated simulate.single_pivot simulate.hop_type
+Endpoint URLs and tokens can also come from PAIRQA_SCORER_URL,
+PAIRQA_SCORER_TOKEN and the like for PREDICTOR and GENERATOR, or PAIRQA_TOKEN.
+
+A bad command, flag or value exits 1 with one {"error", "message"} line on stderr.
+A per-item failure is listed in <stage>_report.json and exits 1 only under --strict.
+Given identical config, seeds and cached responses, every stage writes the same bytes.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import dataclasses
 import hashlib
@@ -41,7 +49,7 @@ from typing import Any, Callable, Mapping, NoReturn, Sequence
 from . import matching, readerio, scoring  # analysis, mining and sim: imported by the functions that use them
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import atomic_open, boolean, clipped, integer, member, number, quoted, read_jsonl, read_keyed, string
+from .lineio import atomic_open, boolean, clipped, integer, member, number, quoted, read_keyed, read_records, string
 from .lineio import write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
@@ -177,22 +185,6 @@ def derive_seed(base: int, item_key: str) -> int:
     """Stable per-item seed so parallel workers never share RNG streams."""
     digest = hashlib.sha256(f"{base}:{item_key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _parse_extra_flags(extras: Sequence[str]) -> list[tuple[str, str]]:
-    """``--name value`` or ``--name=value`` pairs, with the short flags
-    replaced by the dotted names they stand for."""
-    pairs, args = [], iter(extras)
-    for arg in args:
-        if not arg.startswith("--"):
-            raise ContractViolation(f"unexpected argument {quoted(arg)}")
-        name, eq, value = arg[2:].partition("=")
-        if not eq:
-            value = next(args, None)
-            if value is None:
-                raise ContractViolation(f"flag --{clipped(name)} is missing a value")
-        pairs.append((_FLAG_ALIASES.get(name, name), value))
-    return pairs
 
 
 def _service(cfg: PipelineConfig, service: str) -> tuple[str, str | None]:
@@ -416,17 +408,11 @@ def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable)
     annotations_file = cfg["analyze.annotations"]
     confusion = None
     if annotations_file:
-        predicted, annotated = [], []
-        for lineno, rec in read_jsonl(annotations_file):
-            try:
-                predicted.append(member(scoring.PairType, rec["predicted"]))
-                annotated.append(member(scoring.PairType, rec["annotated"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                problem = f"missing field {quoted(exc.args[0])}" if type(exc) is KeyError else exc
-                raise ContractViolation(f"{annotations_file} line {lineno}: bad annotation record: {problem}") from None
-        if not predicted:
+        pair = lambda rec: (member(scoring.PairType, rec["predicted"]), member(scoring.PairType, rec["annotated"]))
+        pairs = read_records(annotations_file, "annotation", pair)
+        if not pairs:
             raise ContractViolation(f"{annotations_file}: no annotation records")
-        confusion = analysis.label_confusion(predicted, annotated)
+        confusion = analysis.label_confusion(*zip(*pairs))
 
     types = list(scoring.PairType)
     write_jsonl(cfg["out"] / "conflict_stats.jsonl", (s.to_record() for s in stats))
@@ -494,63 +480,65 @@ _FLAG_ALIASES = {
     "variant": "serialize.variant",
     "budget": "serialize.budget",
 }
+_COMMANDS = sorted([*STAGES, "simulate"])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pairqa",
-        description="Compatibility-guided pairing of retrieved and generated passages. Any config field is set"
-        " with a flag of its dotted name (--dataset PATH, --out DIR, --seed INT, --workers INT|null,"
-        " --scorer.backend remote); --strategy, --scoring-mode, --variant and --budget are short for"
-        " matching.strategy, scoring.mode, serialize.variant and serialize.budget.",
-    )
-    parser.add_argument("command", choices=sorted([*STAGES, "simulate"]))
-    parser.add_argument("--config", help="JSON config file (nested object)")
-    parser.add_argument("--strict", action="store_true", help="make any per-item failure fatal")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    return parser
-
-
-def load_config(args: argparse.Namespace, extras: Sequence[str]) -> PipelineConfig:
-    """The config of a run: the defaults, then the config file's fields, then
-    ``--strict``, then the dotted flags, each value converted as it is set."""
-    cfg, named = PipelineConfig(), []
-    if args.config:
+def load_config(argv: Sequence[str]) -> tuple[str, PipelineConfig]:
+    """The command of a run, its one bare word, and its config: the defaults, then the
+    ``--config`` file's fields, then every other ``--name value`` or ``--name=value`` flag
+    in argv order. A true/false field's flag takes the next word only if it is a boolean word."""
+    words, command, flags = list(argv), None, []
+    while words:
+        word = words.pop(0)
+        name, eq, value = word[2:].partition("=")
+        dotted = _FLAG_ALIASES.get(name, name)
+        if not word.startswith("--"):
+            if command is not None or word.startswith("-"):
+                raise ContractViolation(f"unexpected argument {quoted(word)}")
+            command = word
+        elif eq:
+            flags.append((dotted, value))
+        elif FIELDS.get(dotted, (None, None))[1] is _BOOLEAN and not (words and words[0].lower() in _BOOLEAN_WORDS):
+            flags.append((dotted, "true"))
+        elif words:
+            flags.append((dotted, words.pop(0)))
+        else:
+            raise ContractViolation(f"flag --{clipped(name)} is missing a value")
+    if command not in _COMMANDS:
+        raise ContractViolation(f"command must be one of {', '.join(_COMMANDS)}, got {quoted(command)}")
+    config_file, settings = dict(flags).get("config"), []
+    if config_file:
         try:
-            document = json.loads(Path(args.config).read_bytes().decode("utf-8"))
+            document = json.loads(Path(config_file).read_bytes().decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise ContractViolation(f"config file {args.config} is not UTF-8: {exc}") from None
+            raise ContractViolation(f"config file {config_file} is not UTF-8: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() takes
-            raise ContractViolation(f"config file {args.config} is not JSON: {exc}") from None
+            raise ContractViolation(f"config file {config_file} is not JSON: {exc}") from None
         if not isinstance(document, dict):
-            raise ContractViolation(f"config file {args.config} must hold one JSON object")
+            raise ContractViolation(f"config file {config_file} must hold one JSON object")
         for key, value in document.items():
             # a top-level object that is not a field is a section: each of its members is one field
             section = isinstance(value, dict) and key not in FIELDS
-            members = [(f"{key}.{k}", v) for k, v in value.items()] if section else [(key, value)]
-            for dotted, field_value in members:
-                cfg.set(dotted, field_value)
-                named.append(dotted)
-    if args.strict:
-        cfg.set("strict", True)
-    for dotted, text in _parse_extra_flags(extras):
-        cfg.set(dotted, text, text=True)
-        named.append(dotted)
-    if any(dotted.startswith("simulate.") for dotted in named):
+            settings += [(f"{key}.{k}", v, False) for k, v in value.items()] if section else [(key, value, False)]
+    settings += [(dotted, text, True) for dotted, text in flags if dotted != "config"]
+    cfg = PipelineConfig()
+    for dotted, value, text in settings:
+        cfg.set(dotted, value, text)
+    if any(dotted.startswith("simulate.") for dotted, _, _ in settings):
         _synth_spec(cfg)  # its checks stop every command that sets a simulate.* field; the defaults pass them
-    return cfg
+    return command, cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    argv = sys.argv[1:] if argv is None else argv
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    if "-h" in argv or "--help" in argv:
+        # python -OO strips docstrings
+        sys.stdout.write(__doc__ or "usage: pairqa COMMAND [--config FILE] [--FIELD VALUE]...\n")
+        return 0
     try:
-        cfg = load_config(args, extras)
-        return cmd_simulate(cfg) if args.command == "simulate" else run_stage(args.command, cfg)
+        command, cfg = load_config(argv)
+        return cmd_simulate(cfg) if command == "simulate" else run_stage(command, cfg)
     except (ContractViolation, PipelineError, OSError) as exc:
         summary = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True), file=sys.stderr)

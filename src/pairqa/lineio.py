@@ -110,20 +110,31 @@ def read_jsonl(path: str | Path, errors: list[LineError] | None = None) -> Itera
                 errors.append(LineError(lineno, problem))
 
 
-def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dict[str, Any]:
-    """``parse`` of each record of a question-keyed file, by question id in file order. A line that is
-    not a JSON object, a repeated or non-string question_id, or a record that ``parse`` rejects (one
-    missing a field included) raises ContractViolation "<path> line N: bad <what> record: ..."."""
-    records = {}
+def read_records(path: str | Path, what: str, parse: Callable[[dict], Any]) -> list:
+    """``parse`` of each record of a handoff file, in file order. A line that is not a JSON object, or a
+    record that ``parse`` rejects (one missing a field included), raises ContractViolation
+    "<path> line N: bad <what> record: ..."."""
+    records = []
     for lineno, rec in read_jsonl(path):
         try:
-            qid = string(rec["question_id"])
-            if qid in records:
-                raise ValueError(f"repeated question_id {quoted(qid)}")
-            records[qid] = parse(rec)
+            records.append(parse(rec))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge integer
             problem = f"missing field {quoted(exc.args[0])}" if type(exc) is KeyError else exc
             raise ContractViolation(f"{path} line {lineno}: bad {what} record: {problem}") from None
+    return records
+
+
+def read_keyed(path: str | Path, what: str, parse: Callable[[dict], Any]) -> dict[str, Any]:
+    """``read_records`` of a question-keyed file, by question id; a repeated or non-string one is a bad record."""
+    records = {}
+
+    def keyed(rec: dict) -> None:
+        qid = string(rec["question_id"])
+        if qid in records:
+            raise ValueError(f"repeated question_id {quoted(qid)}")
+        records[qid] = parse(rec)
+
+    read_records(path, what, keyed)
     return records
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pairqa
-from pairqa.cli import FIELDS, STAGES, build_parser, load_config, main, worker_threads
+from pairqa.cli import FIELDS, STAGES, load_config, main, worker_threads
 from pairqa.corpus import HopType, read_examples, text_contains_answer, write_examples
 from pairqa.lineio import clipped
 from pairqa.matching import Strategy
@@ -494,10 +494,21 @@ def _flag_without_value(name):
     return case
 
 
+def _bad_words(*words, message):
+    """Run ``words`` followed by the dataset and an out directory; the summary must hold ``message``."""
+
+    def case(tmp, dataset, truth):
+        return [*words, "--dataset", dataset, "--out", tmp / "o"], message
+
+    return case
+
+
+_BAD_COMMAND = "command must be one of analyze, generate, match, mine, score, serialize, simulate"
+
+
 def _loaded(*argv):
     """The config ``serialize`` would run with, given ``argv``."""
-    args, extras = build_parser().parse_known_args(["serialize", *map(str, argv)])
-    return load_config(args, extras)
+    return load_config(["serialize", *map(str, argv)])[1]
 
 
 class _InFlight:
@@ -1694,6 +1705,11 @@ class TestErrorHandling:
             _bad_flag("score", "stray", "1", "unexpected argument 'stray'"),
             _bad_flag("score", "--scorer.backend", "remote", "scorer backend 'remote' needs a url (config or PAIRQA_SCORER_URL)"),
             _bad_flag("mine", "--predictor.truth", "null", "predictor backend 'sim' needs predictor.truth"),
+            _bad_flag("score", "--conf", "config.json", "unknown config field conf"),
+            _bad_flag("score", "--str", "true", "unknown config field str"),
+            _bad_words("-v", "score", message="unexpected argument '-v'"),
+            _bad_words("bogus", message=f"{_BAD_COMMAND}, got 'bogus'"),
+            _bad_words(message=f"{_BAD_COMMAND}, got None"),
         ],
         ids=[
             "matching-strategy",
@@ -1747,6 +1763,11 @@ class TestErrorHandling:
             "stray-positional-argument",
             "remote-scorer-without-url",
             "sim-mine-without-truth",
+            "config-flag-abbreviated",
+            "strict-flag-abbreviated",
+            "short-verbose-flag",
+            "unknown-command",
+            "no-command",
         ],
     )
     def test_bad_enum_value_rejected(self, sim_workspace, case, capsys):
@@ -1809,6 +1830,50 @@ class TestConfigMerging:
         )
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == "greedy" for m in matchings)
+
+    @pytest.mark.parametrize(
+        "flag", [["--strict", "false"], ["--strict=false"], ["--strict", "Off"]], ids=["two-words", "equals", "any-case"]
+    )
+    def test_strict_flag_beats_config_file(self, sim_workspace, flag):
+        tmp, dataset, _ = sim_workspace
+        with open(dataset, "a") as fh:
+            fh.write("{broken json\n")
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"strict": True}))
+        assert run("score", "--config", config, "--dataset", dataset, "--out", tmp / "o", *flag) == 0
+        report = json.loads((tmp / "o" / "score_report.json").read_text())
+        assert [e["stage"] for e in report["errors"]] == ["ingest"]
+
+    @pytest.mark.parametrize("at", [0, 1, 5], ids=["before-command", "before-flag", "last"])
+    def test_bare_strict_flag_means_true(self, sim_workspace, at, capsys):
+        tmp, dataset, _ = sim_workspace
+        with open(dataset, "a") as fh:
+            fh.write("{broken json\n")
+        argv = ["score", "--dataset", dataset, "--out", tmp / "o"]
+        argv.insert(at, "--strict")
+        capsys.readouterr()
+        assert run(*argv) == 1
+        summary = json.loads(capsys.readouterr().err)
+        assert summary == {"error": "PipelineError", "message": "1 malformed dataset records"}
+
+    def test_bare_boolean_flag_takes_no_other_word(self):
+        assert _loaded("--simulate.single_pivot") == _loaded("--simulate.single_pivot", "true")
+        flipped = _loaded("--simulate.single_pivot", "false", "--simulate.single_pivot", "--seed", 3)
+        assert flipped == _loaded("--seed", 3) != _loaded("--simulate.single_pivot", "off", "--seed", 3)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["score", "--help"]], ids=["short", "long"])
+    def test_help_prints_the_usage_text(self, argv, capsys):
+        assert run(*argv) == 0
+        out = capsys.readouterr().out
+        assert out == pairqa.cli.__doc__
+        assert set(FIELDS) <= set(out.split())  # it lists every field
+
+    def test_help_without_docstrings_prints_the_usage_line(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(pairqa.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-OO", "-m", "pairqa.cli", "-h"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: pairqa COMMAND [--config FILE]")
 
     def test_workers_null_runs_at_the_default(self, sim_workspace):
         tmp, dataset, _ = sim_workspace
