@@ -361,8 +361,7 @@ def _mine(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) ->
         kind_labels = [l for l in labels if l.kind is kind]
         out_path = cfg["out"] / f"labels.{kind.value}.jsonl"
         counts[kind.value] = dict(mining.emit_training_records(kind_labels, out_path, examples))
-    audit = (record for qid, _, log in results for record in mining.audit_records(qid, log))
-    write_jsonl(cfg["out"] / "mining_audit.jsonl", audit)
+    write_jsonl(cfg["out"] / "mining_audit.jsonl", (mining.audit_record(qid, log) for qid, _, log in results))
     written = sum(sum(class_counts.values()) for class_counts in counts.values())
     undetermined = len(labels) - written  # emit_training_records drops these
     fields = {"questions": len(results), "labels": written, "undetermined": undetermined, "class_counts": counts}

@@ -24,7 +24,9 @@ passages: I once, II once per retrieved passage, III once per generated
 passage in a gated pair and IV once per gated pair. When a generated passage
 is in several gated pairs, its III call is shared and the count is lower.
 The pass also returns its reader-call log, one outcome per call that
-answered, in call order; the mining audit writes that log as it stands.
+answered, in call order. The mining audit writes each question's log as one
+record of five parallel lists (``audit_record``); a question whose every call
+failed keeps a record of five empty lists.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import QAExample, exact_match
 from .errors import ContractViolation, PipelineError
@@ -199,14 +201,14 @@ def emit_training_records(
     return counts
 
 
-def audit_records(question_id: str, log: Sequence[ConfigOutcome]) -> Iterator[dict]:
-    """One record per reader call in a question's call log, in call order."""
-    for outcome in log:
-        yield {
-            "question_id": question_id,
-            "config": outcome.config.value,
-            "lp_index": outcome.lp_index,
-            "rp_index": outcome.rp_index,
-            "prediction": outcome.prediction,
-            "correct": outcome.correct,
-        }
+def audit_record(question_id: str, log: Sequence[ConfigOutcome]) -> dict:
+    """A question's reader-call log as one record: entry k of each list is
+    the k-th call that answered, in call order."""
+    return {
+        "question_id": question_id,
+        "config": [outcome.config.value for outcome in log],
+        "lp_index": [outcome.lp_index for outcome in log],
+        "rp_index": [outcome.rp_index for outcome in log],
+        "prediction": [outcome.prediction for outcome in log],
+        "correct": [outcome.correct for outcome in log],
+    }

@@ -14,7 +14,7 @@ import pytest
 import pairqa
 from pairqa.cli import FIELDS, STAGES, load_config, main, worker_threads
 from pairqa.corpus import HopType, read_examples, text_contains_answer, write_examples
-from pairqa.lineio import clipped
+from pairqa.lineio import clipped, read_keyed
 from pairqa.matching import Strategy
 from pairqa.sim import SynthSpec, generate_corpus, load_truth, write_truth
 
@@ -506,6 +506,19 @@ def _bad_words(*words, message):
 _BAD_COMMAND = "command must be one of analyze, generate, match, mine, score, serialize, simulate"
 
 
+def _audit_calls(path) -> dict[str, int]:
+    """The reader calls of each question in a mining audit, which loads as a
+    question-keyed handoff: one record per question, its five lists of one length."""
+    lists = ("config", "lp_index", "rp_index", "prediction", "correct")
+
+    def calls(rec: dict) -> int:
+        assert set(rec) == {"question_id", *lists}
+        (length,) = {len(rec[key]) for key in lists}
+        return length
+
+    return read_keyed(path, "audit", calls)
+
+
 def _loaded(*argv):
     """The config ``serialize`` would run with, given ``argv``."""
     return load_config(["serialize", *map(str, argv)])[1]
@@ -735,10 +748,10 @@ class TestCacheDir:
         flags = ["--scorer.backend", "remote", "--scorer.url", http_service.url("/score"), "--cache_dir", cache]
         self._score_and_mine(tmp, dataset, truth, tmp / "cold", *flags, "--workers", 2)
         rows = _cache_rows(cache)
-        # one row per remote score request, and one per reader call, each of which the mining audit records once
-        audit = (tmp / "cold" / "mining_audit.jsonl").read_text().splitlines()
-        assert rows == len(http_service.requests["/score"]) + len(audit)
-        assert len(audit) == 8 * (1 + 4 + 2 * 3)
+        # one row per remote score request, and one per reader call, each an entry of the mining audit
+        calls = sum(_audit_calls(tmp / "cold" / "mining_audit.jsonl").values())
+        assert rows == len(http_service.requests["/score"]) + calls
+        assert calls == 8 * (1 + 4 + 2 * 3)
         http_service.close()  # from here on any request fails, so the warm pass must send none
         self._score_and_mine(tmp, dataset, truth, tmp / "warm", *flags, "--workers", 1, "--strict")
         for name in self._OUTPUTS:
@@ -947,10 +960,10 @@ class TestMine:
         assert code == 0
         assert (out / "labels.evidentiality.jsonl").exists()
         assert (out / "labels.consistency.jsonl").exists()
-        audit = [json.loads(l) for l in (out / "mining_audit.jsonl").read_text().splitlines()]
-        assert audit and {"question_id", "config", "prediction", "correct"} <= set(audit[0])
-        # one record per reader call: I, II per retrieved passage, III and IV per generated one
-        assert len(audit) == 8 * (1 + 4 + 2 * 3)
+        audit = _audit_calls(out / "mining_audit.jsonl")
+        assert list(audit) == [ex.question_id for ex in read_examples(dataset)[0]]
+        # one entry per reader call: I, II per retrieved passage, III and IV per generated one
+        assert sum(audit.values()) == 8 * (1 + 4 + 2 * 3)
         report = json.loads((out / "mine_report.json").read_text())
         assert report["questions"] == 8
         cons = [
@@ -986,6 +999,26 @@ class TestMine:
             outputs[workers] = [(out / name).read_bytes() for name in names]
         assert 1 < peaks[None] <= 4 and peaks[1] == 1
         assert outputs[None] == outputs[1] and all(outputs[1])
+
+    def test_a_question_whose_every_reader_call_fails_keeps_an_audit_record(self, sim_workspace, http_service):
+        """The reader refuses the first question, so its I call fails and no other call is made:
+        the audit still names it, in dataset order, with a record of five empty lists."""
+        tmp, dataset, _ = sim_workspace
+        examples = read_examples(dataset)[0]
+        refused = examples[0]
+
+        def predict(body):
+            return (400, {}) if body["question"] == refused.question else {"answer": "nobody"}
+
+        http_service.responses["/predict"] = predict
+        out = tmp / "refused"
+        remote = ["--predictor.backend", "remote", "--predictor.url", http_service.url("/predict")]
+        assert run("mine", "--dataset", dataset, "--out", out, *remote) == 0
+        audit = _audit_calls(out / "mining_audit.jsonl")
+        assert list(audit) == [ex.question_id for ex in examples]
+        # five empty lists for the refused question; I and each II for the others, whose I is wrong
+        assert audit[refused.question_id] == 0 and all(audit[ex.question_id] == 1 + ex.n for ex in examples[1:])
+        assert json.loads((out / "mine_report.json").read_text())["questions"] == len(examples)
 
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     @pytest.mark.parametrize(
@@ -1830,6 +1863,13 @@ class TestConfigMerging:
         )
         matchings = [json.loads(l) for l in (out / "matchings.jsonl").read_text().splitlines()]
         assert all(m["strategy"] == "greedy" for m in matchings)
+
+    def test_the_last_config_flag_names_the_one_file_read(self, tmp_path):
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        first.write_text(json.dumps({"seed": 1, "simulate": {"n": 4}}))
+        last.write_text(json.dumps({"seed": 2}))
+        assert _loaded("--config", first, "--config", last) == _loaded("--seed", 2)
+        assert _loaded(f"--config={last}", "--config", first) == _loaded("--seed", 1, "--simulate.n", 4)
 
     @pytest.mark.parametrize(
         "flag", [["--strict", "false"], ["--strict=false"], ["--strict", "Off"]], ids=["two-words", "equals", "any-case"]

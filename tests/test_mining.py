@@ -11,7 +11,7 @@ from pairqa.mining import (
     LabelKind,
     SilverLabel,
     Verdict,
-    audit_records,
+    audit_record,
     consistency_verdict,
     emit_training_records,
     evidentiality_verdict,
@@ -27,6 +27,7 @@ FILLER = ["filler passage one", "filler passage two"]
 GOOD_LP = "a faithful account of gold entity"
 BAD_LP = "a hallucinated account of wrong entity"
 LINK = "the linking passage names the entity"
+AUDIT_LISTS = ("config", "lp_index", "rp_index", "prediction", "correct")  # an audit record's lists, in order
 
 
 def labels_of(kind, example, predictor):
@@ -264,17 +265,15 @@ class TestEmitTrainingRecords:
         predictor = ScriptedPredictor()
         example = pivot_example()
         labels, log = mine_question(example, predictor)
-        records = list(audit_records(example.question_id, log))
-        assert len(records) == len(predictor.calls)
-        assert all(r["question_id"] == example.question_id for r in records)
-        assert all(
-            set(r) == {"question_id", "config", "lp_index", "rp_index", "prediction", "correct"} for r in records
-        )
+        record = audit_record(example.question_id, log)
+        assert record["question_id"] == example.question_id
+        assert set(record) == {"question_id", *AUDIT_LISTS}
+        assert [len(record[key]) for key in AUDIT_LISTS] == [len(predictor.calls)] * 5
         by_call = {
-            (r["config"], r["lp_index"], r["rp_index"]): ConfigOutcome(Config(r["config"]), r["prediction"], r["correct"])
-            for r in records
+            (config, i, j): ConfigOutcome(Config(config), prediction, correct)
+            for config, i, j, prediction, correct in zip(*(record[key] for key in AUDIT_LISTS))
         }
-        assert len(by_call) == len(records)
+        assert len(by_call) == len(predictor.calls)
         for label in labels:
             i, j = label.lp_index, label.rp_index
             full, drop = by_call[("I", None, None)], by_call[("II", None, j)]
@@ -323,9 +322,9 @@ class TestCallLog:
         assert [(o.config.value, o.lp_index, o.rp_index) for o in log] == [
             ("I", None, None), ("II", None, 0), ("II", None, 2), ("III", 0, None), ("III", 1, None), ("IV", 1, 0),
         ]  # fmt: skip
-        records = list(audit_records(example.question_id, log))
-        assert [(r["config"], r["lp_index"], r["rp_index"], r["prediction"]) for r in records] == [
-            (o.config.value, o.lp_index, o.rp_index, o.prediction) for o in log
+        record = audit_record(example.question_id, log)
+        assert list(zip(*(record[key] for key in AUDIT_LISTS))) == [
+            (o.config.value, o.lp_index, o.rp_index, o.prediction, o.correct) for o in log
         ]
 
         # II of rp 1 decides its evidentiality label and gates both (lp, 1) pairs; IV of (0, 0) decides that pair
@@ -344,3 +343,14 @@ class TestCallLog:
                 assert label.verdict is earlier.verdict
         # left decided: evidentiality of rp 0 and the consistency of (1, 0)
         assert sum(l.verdict is not Verdict.UNDETERMINED for l in labels) == 2
+
+    def test_a_question_whose_every_call_fails_keeps_one_audit_record_of_empty_lists(self):
+        example = make_example(
+            answers=(GOLD,), retrieved_texts=(PIVOT, LINK, FILLER[0]), generated_texts=(GOOD_LP, BAD_LP)
+        )
+        reader = BridgeReader(fail=[(PIVOT, LINK, FILLER[0])])  # I fails, so no other call is made
+        labels, log = mine_question(example, reader)
+        assert len(reader.received) == 1 and log == []
+        assert len(labels) == 3 + 2 * 3 and all(l.verdict is Verdict.UNDETERMINED for l in labels)
+        empty = {key: [] for key in AUDIT_LISTS}
+        assert audit_record(example.question_id, log) == {"question_id": example.question_id, **empty}
