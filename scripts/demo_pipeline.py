@@ -2,9 +2,11 @@
 """End-to-end demo on a synthetic corpus with offline backends.
 
 Synthesizes a corpus, scores every pair with the lexical scorer, runs all
-four matching strategies, serializes reader inputs, mines silver labels
-against the simulator's reader, and prints the conflict report. Artifacts
-land in the output directory, one file per stage.
+four matching strategies, serializes reader inputs from the optimal
+matching, mines silver labels against the simulator's reader, and prints
+the conflict report. Artifacts land in the output directory, one file per
+stage; each strategy's matchings and match report land in
+<out>/<strategy>/.
 
 Usage:
     python scripts/demo_pipeline.py --out runs/demo --questions 50 --seed 7
@@ -50,15 +52,11 @@ def main() -> None:
     truth = out / "sim_truth.jsonl"
 
     run(["score", "--dataset", dataset, "--out", out, "--scoring-mode", "cutoff"])
+    # each strategy's matchings and match report land in <out>/<strategy>; serialize reads the optimal one
+    matrices, matchings = out / "matrices.jsonl", out / "optimal" / "matchings.jsonl"
     for strategy in ("optimal", "greedy", "random", "same-answer"):
-        strategy_out = out / strategy
-        run(["match", "--dataset", dataset, "--out", out, "--strategy", strategy])
-        (strategy_out).mkdir(parents=True, exist_ok=True)
-        (out / "matchings.jsonl").rename(strategy_out / "matchings.jsonl")
-    # keep the optimal matching as the pipeline handoff
-    (out / "optimal" / "matchings.jsonl").replace(out / "matchings.jsonl")
-
-    run(["serialize", "--dataset", dataset, "--out", out, "--variant", "pairwise"])
+        run(["match", "--dataset", dataset, "--out", out / strategy, "--strategy", strategy, "--matching.matrices", matrices])
+    run(["serialize", "--dataset", dataset, "--out", out, "--variant", "pairwise", "--serialize.matchings", matchings])
     run(["mine", "--dataset", dataset, "--out", out, "--predictor.truth", truth])
     run(["analyze", "--dataset", dataset, "--out", out])
     print(f"\nartifacts in {out}/")

@@ -20,8 +20,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pairqa import analysis, matching, scoring, sim
-from pairqa.cli import derive_seed
+from pairqa.cli import PipelineConfig, derive_seed
 from pairqa.corpus import HopType
+from pairqa.errors import ContractViolation
 from pairqa.providers import LexicalMockScorer
 from pairqa.scoring import CombineMode, PairType
 
@@ -72,6 +73,20 @@ def main() -> None:
         "--sweep", type=float, nargs="+", default=[0.0, 0.25, 0.5, 0.75, 1.0]
     )
     args = parser.parse_args()
+    # each value is checked by the kind of the simulate field it sets, as `pairqa simulate` checks it
+    checks = [
+        ("--questions", "simulate.num_questions", args.questions),
+        ("--n", "simulate.n", args.n),
+        ("--m", "simulate.m", args.m),
+        ("--p-evidential", "simulate.p_retrieved_evidential", args.p_evidential),
+        *(("--sweep", "simulate.p_llm_hallucinated", p) for p in args.sweep),
+    ]
+    cfg = PipelineConfig()
+    for flag, dotted, value in checks:
+        try:
+            cfg.set(dotted, value)
+        except ContractViolation as exc:
+            parser.error(f"{flag}: {exc}")
 
     header = f"{'p_halluc':>9} {'conflict':>9} | {'w(opt)':>7} {'w(greedy)':>9} {'w(rand)':>8} | {'top-compat opt/greedy/rand':>28}"
     print(header)

@@ -101,9 +101,9 @@ _BOOLEAN_WORDS = {
     **dict.fromkeys(("0", "false", "no", "off"), False),
 }
 _INTEGER = Kind("an integer", integer, int)
-_NUMBER = Kind("a number", number, float)
 _BOOLEAN = Kind("true or false", boolean, lambda text: _BOOLEAN_WORDS.get(text.lower(), text))
 _POSITIVE = Kind("an integer >= 1", _checked(integer, lambda value: value >= 1), int)
+_PROBABILITY = Kind("a number in [0, 1]", _checked(number, lambda value: 0 <= value <= 1), float)  # NaN fails too
 _PATH, _URL, _TOKEN = (Kind(what, string).or_null() for what in ("a path", "a URL", "a token"))
 
 # Every config field, by dotted name: its default, as a config file spells
@@ -136,11 +136,11 @@ FIELDS: dict[str, tuple[Any, Kind]] = {
     "analyze.predictions": ({}, Kind("an object of file paths", _paths_by_method, json.loads)),
     "analyze.annotations": (None, _PATH),
     "analyze.matrices": (None, _PATH),
-    "simulate.num_questions": (100, _INTEGER),
-    "simulate.n": (10, _INTEGER),
-    "simulate.m": (10, _INTEGER),
-    "simulate.p_retrieved_evidential": (0.5, _NUMBER),
-    "simulate.p_llm_hallucinated": (0.5, _NUMBER),
+    "simulate.num_questions": (100, _POSITIVE),
+    "simulate.n": (10, _POSITIVE),
+    "simulate.m": (10, _POSITIVE),
+    "simulate.p_retrieved_evidential": (0.5, _PROBABILITY),
+    "simulate.p_llm_hallucinated": (0.5, _PROBABILITY),
     "simulate.single_pivot": (True, _BOOLEAN),
     "simulate.hop_type": ("single", _enum(HopType)),
 }
@@ -171,14 +171,9 @@ class PipelineConfig(dict):
             if text:
                 value = None if value == "null" else kind.parse(value)
             self[dotted] = kind.convert(value)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge integer
+        # OverflowError: float() of a huge integer; RecursionError: JSON text nested too deep
+        except (TypeError, ValueError, OverflowError, RecursionError):
             raise ContractViolation(f"{dotted} must be {kind.what}, got {quoted(value)}") from None
-
-
-def _synth_spec(cfg: PipelineConfig) -> sim.SynthSpec:
-    from . import sim  # here: a stage that sets no simulate.* field never loads it
-    fields = {dotted.removeprefix("simulate."): v for dotted, v in cfg.items() if dotted.startswith("simulate.")}
-    return sim.SynthSpec(seed=cfg["seed"], **fields)
 
 
 def derive_seed(base: int, item_key: str) -> int:
@@ -462,7 +457,8 @@ def run_stage(name: str, cfg: PipelineConfig) -> int:
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
     from . import sim  # here: only the commands that use sim load it
-    examples, truth = sim.generate_corpus(_synth_spec(cfg))
+    fields = {dotted.removeprefix("simulate."): v for dotted, v in cfg.items() if dotted.startswith("simulate.")}
+    examples, truth = sim.generate_corpus(sim.SynthSpec(seed=cfg["seed"], **fields))
     corpus_path = cfg["out"] / "sim_corpus.jsonl"
     truth_path = cfg["out"] / "sim_truth.jsonl"
     write_examples(corpus_path, examples)
@@ -511,7 +507,8 @@ def load_config(argv: Sequence[str]) -> tuple[str, PipelineConfig]:
             document = json.loads(Path(config_file).read_bytes().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ContractViolation(f"config file {config_file} is not UTF-8: {exc}") from None
-        except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() takes
+        # JSONDecodeError, an integer of more digits than int() takes, or JSON nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ContractViolation(f"config file {config_file} is not JSON: {exc}") from None
         if not isinstance(document, dict):
             raise ContractViolation(f"config file {config_file} must hold one JSON object")
@@ -523,8 +520,6 @@ def load_config(argv: Sequence[str]) -> tuple[str, PipelineConfig]:
     cfg = PipelineConfig()
     for dotted, value, text in settings:
         cfg.set(dotted, value, text)
-    if any(dotted.startswith("simulate.") for dotted, _, _ in settings):
-        _synth_spec(cfg)  # its checks stop every command that sets a simulate.* field; the defaults pass them
     return command, cfg
 
 

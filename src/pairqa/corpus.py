@@ -117,19 +117,11 @@ def exact_match(prediction: str, answers: Sequence[str]) -> bool:
 
 
 def text_contains_answer(text: str, answers: Sequence[str]) -> bool:
-    """True iff some normalized alias is a contiguous token run in the text."""
-    tokens = normalize_answer(text).split()
-    if not tokens:
-        return False
-    for alias in answers:
-        alias_tokens = normalize_answer(alias).split()
-        if not alias_tokens or len(alias_tokens) > len(tokens):
-            continue
-        k = len(alias_tokens)
-        for start in range(len(tokens) - k + 1):
-            if tokens[start : start + k] == alias_tokens:
-                return True
-    return False
+    """True iff some normalized alias is a contiguous token run in the text:
+    normalized strings join their tokens with single spaces, so that is a
+    substring test with a space on each side."""
+    padded = f" {normalize_answer(text)} "
+    return any(alias and f" {alias} " in padded for alias in map(normalize_answer, answers))
 
 
 def contains_answer(chain: PassageChain, answers: Sequence[str]) -> bool:

@@ -98,7 +98,8 @@ def read_jsonl(path: str | Path, errors: list[LineError] | None = None) -> Itera
                 obj = json.loads(line)
             except UnicodeDecodeError as exc:
                 problem = f"not UTF-8: {exc}"
-            except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() takes
+            # JSONDecodeError, an integer of more digits than int() takes, or JSON nested too deep
+            except (ValueError, RecursionError) as exc:
                 problem = f"invalid JSON: {exc}"
             else:
                 problem = None if isinstance(obj, dict) else "record is not an object"

@@ -25,11 +25,12 @@ number ``probability`` or a predictor entry without a string ``answer``
 raises ``ContractViolation`` naming the database file and the entry's key,
 when its request is asked: the requests asked before it are answered, and
 their misses sent and stored, by then.
-A probability from the wire or a cache entry must be a number; one outside
-[0, 1], a JSON integer too large for a float included, is clamped with a
-warning. Then ``scoring.CompatibilityMatrix`` checks it. Replies and cache
-entries are checked here, where they enter; the request classes are built by
-pairqa's own stages only, so they check nothing.
+One check per answer kind serves replies and cache entries alike: a
+probability must be a number, and one outside [0, 1], a JSON integer too large
+for a float included, is clamped with a warning (``scoring.CompatibilityMatrix``
+then checks it); an answer must be a string. Replies and cache entries are
+checked here, where they enter; the request classes are built by pairqa's own
+stages only, so they check nothing.
 Backends are duck-typed and answer one request per call, on the calling
 thread: a scorer ``score(req) -> float``, a predictor ``predict(req) -> str``
 and a generator ``generate(req)``. ``CachingBackend`` wraps a scorer and a
@@ -49,7 +50,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, ProtocolError, TransportError
@@ -160,7 +161,8 @@ class ResponseCache:
             entry = json.loads(row[0])
             if not isinstance(entry, dict):
                 raise ValueError("not a JSON object")
-        except (TypeError, ValueError) as exc:  # TypeError: a row whose response is not text
+        # TypeError: a row whose response is not text; RecursionError: JSON nested too deep
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ContractViolation(f"corrupt cache entry {self.path(service, body)}: {exc}") from None
         return entry
 
@@ -245,32 +247,39 @@ class _ServiceClient:
             time.sleep(delay)
         try:
             payload = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise ProtocolError(f"POST {self.url}: response is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProtocolError(f"POST {self.url}: response is not an object")
         return payload
 
 
-def _clamp_probability(value, origin: str) -> float:
+def _probability(reply: dict, origin: str) -> float:
+    """The ``probability`` of a scorer reply or cache entry from ``origin``."""
+    value = reply.get("probability")
     # NaN (not equal to itself) fails no range test, and a cached NaN would replay
     # forever; the bounds come before float(), which overflows on a huge integer
     if not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
-        raise ProtocolError(f"{origin}: probability is not a number: {quoted(value)}")
+        raise ProtocolError(f"{origin}: no number 'probability' (not a number: {quoted(value)})")
     if value < 0 or value > 1:
         logger.warning("%s: probability %s outside [0,1]; clamping", origin, quoted(value))
         value = min(1, max(0, value))
     return float(value)
 
 
+def _answer(reply: dict, origin: str) -> str:
+    """The ``answer`` of a predictor reply or cache entry from ``origin``."""
+    answer = reply.get("answer")
+    if not isinstance(answer, str):
+        raise ProtocolError(f"{origin}: no string 'answer' (not a string: {quoted(answer)})")
+    return answer
+
+
 class RemoteScorer(_ServiceClient):
     """HTTP client for the discriminator scoring service."""
 
     def score(self, req: ScoreRequest) -> float:
-        payload = self._post(req.wire_body())
-        if "probability" not in payload:
-            raise ProtocolError("scorer response missing 'probability'")
-        return _clamp_probability(payload["probability"], self.url)
+        return _probability(self._post(req.wire_body()), self.url)
 
 
 class RemotePredictor(_ServiceClient):
@@ -279,11 +288,7 @@ class RemotePredictor(_ServiceClient):
     timeout = 60.0
 
     def predict(self, req: PredictRequest) -> str:
-        payload = self._post(req.wire_body())
-        answer = payload.get("answer")
-        if not isinstance(answer, str):
-            raise ProtocolError("predictor response missing string 'answer'")
-        return answer
+        return _answer(self._post(req.wire_body()), self.url)
 
 
 class CachingBackend:
@@ -303,28 +308,22 @@ class CachingBackend:
 
     def score(self, req: ScoreRequest) -> float:
         body = {**req.wire_body(), "question_id": req.question_id}
+        return self._lookup(body, "probability", _probability, "scorer cache", lambda: self.inner.score(req))
+
+    def predict(self, req: PredictRequest) -> str:
+        return self._lookup(req.wire_body(), "answer", _answer, "predictor cache", lambda: self.inner.predict(req))
+
+    def _lookup(self, body: dict, field: str, check: Callable, origin: str, ask: Callable):
+        """The cached answer to ``body``, checked by ``check`` as a reply is;
+        on a miss, ``ask()``'s, stored as ``{field: answer}``."""
         cached = self.cache.get(self.service, body)
         if cached is not None:
             try:
-                return _clamp_probability(cached.get("probability"), "scorer cache")
-            except ProtocolError:
-                entry = self.cache.path(self.service, body)
-                raise ContractViolation(f"corrupt cache entry {entry}: no number 'probability'") from None
-        value = self.inner.score(req)
-        self.cache.put(self.service, body, {"probability": value})
-        return value
-
-    def predict(self, req: PredictRequest) -> str:
-        body = req.wire_body()
-        cached = self.cache.get(self.service, body)
-        if cached is not None:
-            # not a ProtocolError: mining records those as failed reader calls
-            if not isinstance(cached.get("answer"), str):
-                entry = self.cache.path(self.service, body)
-                raise ContractViolation(f"corrupt cache entry {entry}: no string 'answer'")
-            return cached["answer"]
-        answer = self.inner.predict(req)
-        self.cache.put(self.service, body, {"answer": answer})
+                return check(cached, origin)
+            except ProtocolError as exc:  # not a ProtocolError: mining records those as failed reader calls
+                raise ContractViolation(f"corrupt cache entry {self.cache.path(self.service, body)}: {exc}") from None
+        answer = ask()
+        self.cache.put(self.service, body, {field: answer})
         return answer
 
 

@@ -32,8 +32,9 @@ from .providers import PredictRequest
 
 @dataclass(slots=True)
 class SynthSpec:
-    """The shape of a synthetic corpus; ``pairqa.cli.FIELDS`` holds the
-    defaults of its ``simulate`` fields."""
+    """The shape of a synthetic corpus. ``pairqa.cli.FIELDS`` holds the
+    defaults of its ``simulate`` fields and checks their ranges where a
+    config value enters; the spec checks nothing again."""
 
     num_questions: int
     n: int
@@ -43,14 +44,6 @@ class SynthSpec:
     seed: int
     hop_type: HopType
     single_pivot: bool
-
-    def __post_init__(self):
-        if self.num_questions < 1 or self.n < 1 or self.m < 1:
-            raise ContractViolation("num_questions, n, and m must all be >= 1")
-        for name in ("p_retrieved_evidential", "p_llm_hallucinated"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ContractViolation(f"{name} must lie in [0,1]")
 
 
 @dataclass(slots=True)
@@ -70,15 +63,17 @@ class QuestionTruth:
     chains: dict[str, ChainTruth]
 
 
-@dataclass
+@dataclass(slots=True)
 class GroundTruth:
     questions: dict[str, QuestionTruth] = field(default_factory=dict)
+    _by_question_text: dict[str, str] = field(init=False, repr=False, compare=False)
+    # question id -> chain text -> the question's chains that text contains. A question's
+    # entry is built on its first lookup; threads that race build equal dicts.
+    _index: dict[str, dict[str, list[ChainTruth]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_question_text = {qt.question: qid for qid, qt in self.questions.items()}
-        # question id -> chain text -> the question's chains that text contains. A question's
-        # entry is built on its first lookup; threads that race build equal dicts.
-        self._index: dict[str, dict[str, list[ChainTruth]]] = {}
+        self._index = {}
 
     def for_question_text(self, question: str) -> QuestionTruth:
         qid = self._by_question_text.get(question)

@@ -421,7 +421,7 @@ def _empty_annotations(tmp, dataset, truth):
 
 
 def _unparsable_override(tmp, dataset, truth):
-    return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "simulate.n must be an integer, got 'abc'"
+    return ["simulate", "--out", tmp / "out", "--simulate.n", "abc"], "simulate.n must be an integer >= 1, got 'abc'"
 
 
 def _unknown_strategy(tmp, dataset, truth):
@@ -539,6 +539,34 @@ class _InFlight:
         with self.lock:
             self.count -= 1
         return self.reply(body)
+
+
+# past about 1000 levels json.loads raises RecursionError, not ValueError
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+def _deep_dataset_line(tmp, dataset, truth):
+    with open(dataset, "a") as fh:
+        fh.write(_DEEP + "\n")
+    return ["score", "--dataset", dataset, "--out", tmp / "out"], 0, "invalid JSON: maximum recursion depth"
+
+
+def _deep_handoff_line(tmp, dataset, truth):
+    assert run("score", "--dataset", dataset, "--out", tmp / "out") == 0
+    with open(tmp / "out" / "matrices.jsonl", "a") as fh:
+        fh.write(_DEEP + "\n")
+    return ["match", "--dataset", dataset, "--out", tmp / "out"], 1, f"{tmp / 'out' / 'matrices.jsonl'} line 9: invalid JSON"
+
+
+def _deep_config_file(tmp, dataset, truth):
+    config = tmp / "config.json"
+    config.write_text(_DEEP)
+    return ["score", "--dataset", dataset, "--out", tmp / "out", "--config", config], 1, f"config file {config} is not JSON"
+
+
+def _deep_predictions_flag(tmp, dataset, truth):
+    argv = ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.predictions", _DEEP]
+    return argv, 1, "analyze.predictions must be an object of file paths, got '[[["
 
 
 def _score_argv(dataset, truth):
@@ -808,7 +836,7 @@ class TestStartup:
     ``_LAZY_MODULES``. ``sqlite3`` is loaded only by a run with a ``cache_dir``.
     Of ``_STAGE_MODULES``, a command loads only those its own work calls:
     ``mining`` for ``mine``, ``analysis`` for ``analyze`` and ``sim`` for
-    ``simulate``, for the ``sim`` reader and for a set simulate.* field."""
+    ``simulate`` and for the ``sim`` reader."""
 
     def test_import_leaves_requests_unloaded(self):
         modules = (*_LAZY_MODULES, "sqlite3", *_STAGE_MODULES)
@@ -821,6 +849,7 @@ class TestStartup:
         remote = ["--predictor.backend", "remote", "--predictor.url", http_service.url("/predict")]
         expected = [
             (["score", *stage], []),
+            (["score", *stage, "--simulate.n", 5], []),
             (["match", *stage], []),
             (["serialize", *stage], []),
             (["mine", *stage, "--predictor.truth", truth], ["pairqa.mining", "pairqa.sim"]),
@@ -1132,6 +1161,15 @@ def test_scripts_run_and_the_demo_reruns_byte_identical(tmp_path):
         proc = subprocess.run(argv, env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
     assert _tree(tmp_path / "1") == _tree(tmp_path / "2")
+
+
+def test_sweep_script_stops_on_an_out_of_range_value():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_hallucination.py"
+    argv = [sys.executable, str(script), "--questions", "2", "--sweep", "0.5", "1.5"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "--sweep: simulate.p_llm_hallucinated must be a number in [0, 1], got 1.5" in proc.stderr
+    assert proc.stdout == ""
 
 
 def _every_stage(tmp, lines, truth, *flags) -> dict[str, bytes]:
@@ -1693,14 +1731,14 @@ class TestErrorHandling:
             _bad_config("score", {"workers": "two"}, "'two'"),
             _bad_config("simulate", {"simulate": {"num_questions": "many"}}, "'many'"),
             _bad_config("simulate", {"simulate": {"n": "ten"}}, "'ten'"),
-            _bad_config("simulate", {"simulate": {"m": [10]}}, "simulate.m must be an integer, got [10]"),
+            _bad_config("simulate", {"simulate": {"m": [10]}}, "simulate.m must be an integer >= 1, got [10]"),
             _bad_config("simulate", {"simulate": {"p_retrieved_evidential": "half"}}, "'half'"),
-            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": None}}, "simulate.p_llm_hallucinated must be a number, got None"),
+            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": None}}, "simulate.p_llm_hallucinated must be a number in [0, 1], got None"),
             _bad_config("generate", {"generator": {"n": "five"}}, "'five'"),
             _bad_config("generate", {"generator": {"n": 0}}, "generator.n must be an integer >= 1, got 0"),
             _bad_config("score", {"strict": "false"}, "strict must be true or false, got 'false'"),
             _bad_config("simulate", {"simulate": {"single_pivot": "false"}}, "simulate.single_pivot must be"),
-            _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer, got 3.9"),
+            _bad_config("simulate", {"simulate": {"n": 3.9}}, "simulate.n must be an integer >= 1, got 3.9"),
             _bad_config("score", {"workers": True}, "workers must be an integer >= 1 or null, got True"),
             _bad_config("score", {"workers": {"a": 1}}, "workers must be an integer >= 1 or null, got {'a': 1}"),
             _bad_config("serialize", {"serialize": {"budget": 0}}, "serialize.budget must be an integer >= 1 or null, got 0"),
@@ -1720,17 +1758,19 @@ class TestErrorHandling:
             _config_file(b'{"seed": "\xff"}', "is not UTF-8"),
             _config_file(b'{"seed": 1', "is not JSON"),
             _config_file(b"[1]", "must hold one JSON object"),
-            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": 10**400 - 1}}, "simulate.p_llm_hallucinated must be a number, got 999"),
+            _bad_config("simulate", {"simulate": {"p_llm_hallucinated": 10**400 - 1}}, "simulate.p_llm_hallucinated must be a number in [0, 1], got 999"),
             _bad_flag("match", "--strategy", "psychic"),
             _bad_flag("score", "--scoring-mode", "sum"),
             _bad_flag("serialize", "--variant", "jumbled"),
             _bad_flag("serialize", "--budget", "many"),
             _bad_flag("score", "--workers", "two"),
             _bad_flag("score", "--seed", "1.5"),
-            _bad_flag("score", "--simulate.n", "0", "num_questions, n, and m must all be >= 1"),
-            _bad_flag("score", "--simulate.p_llm_hallucinated", "1.5", "p_llm_hallucinated must lie in [0,1]"),
-            _bad_config("score", {"simulate": {"m": 0}}, "num_questions, n, and m must all be >= 1"),
-            _bad_config("score", {"simulate.num_questions": 0}, "num_questions, n, and m must all be >= 1"),
+            _bad_flag("score", "--simulate.n", "0", "simulate.n must be an integer >= 1, got 0"),
+            _bad_flag("score", "--simulate.p_llm_hallucinated", "1.5", "simulate.p_llm_hallucinated must be a number in [0, 1], got 1.5"),
+            _bad_flag("score", "--simulate.p_retrieved_evidential", "-0.1", "p_retrieved_evidential must be a number in [0, 1], got -0.1"),
+            _bad_flag("score", "--simulate.p_retrieved_evidential", "nan", "p_retrieved_evidential must be a number in [0, 1], got nan"),
+            _bad_config("score", {"simulate": {"m": 0}}, "simulate.m must be an integer >= 1, got 0"),
+            _bad_config("score", {"simulate.num_questions": 0}, "simulate.num_questions must be an integer >= 1, got 0"),
             _long_unknown_flag("scorer." + "z" * 100000, "unknown config field scorer.zzz"),
             _long_unknown_flag("z" * 100000 + ".x", "unknown config section 'zzz"),
             _flag_without_value("seed"),
@@ -1787,6 +1827,8 @@ class TestErrorHandling:
             "flag-seed",
             "score-simulate-n-zero",
             "score-simulate-p-above-one",
+            "score-simulate-p-below-zero",
+            "score-simulate-p-nan",
             "score-config-simulate-m-zero",
             "score-config-dotted-simulate-num-questions-zero",
             "flag-long-unknown-field",
@@ -1821,8 +1863,9 @@ class TestErrorHandling:
             (_score_argv, '{"probab', "Unterminated string"),
             (_score_argv, "{}", "no number 'probability'"),
             (_mine_argv, '{"answer": null}', "no string 'answer'"),
+            (_score_argv, _DEEP, "maximum recursion depth"),
         ],
-        ids=["score-not-an-object", "score-truncated", "score-no-probability", "mine-no-answer"],
+        ids=["score-not-an-object", "score-truncated", "score-no-probability", "mine-no-answer", "score-nested-too-deep"],
     )
     def test_corrupt_cache_entry_is_a_per_item_error(self, sim_workspace, stage_argv, corruption, message):
         tmp, dataset, truth = sim_workspace
@@ -1838,6 +1881,25 @@ class TestErrorHandling:
         assert f"corrupt cache entry {entry}" in report["errors"][0]["error"]
         assert message in report["errors"][0]["error"]
         assert run(*argv, "--strict") == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [_deep_dataset_line, _deep_handoff_line, _deep_config_file, _deep_predictions_flag],
+        ids=["dataset-line", "handoff-line", "config-file", "predictions-flag"],
+    )
+    def test_deeply_nested_json_is_a_bad_value(self, sim_workspace, case, capsys):
+        """JSON nested too deep for ``json.loads`` is the decode site's usual error: an
+        ingest error (exit 0), or one summary line naming the file or field (exit 1)."""
+        argv, code, where = case(*sim_workspace)
+        capsys.readouterr()
+        assert run(*argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert len(err.encode()) < 1000
+            assert where in json.loads(err)["message"]
+        else:
+            errors = json.loads((sim_workspace[0] / "out" / "score_report.json").read_text())["errors"]
+            assert len(errors) == 1 and errors[0]["stage"] == "ingest" and where in errors[0]["error"]
 
 
 class TestConfigMerging:
@@ -1923,14 +1985,6 @@ class TestConfigMerging:
             assert run("score", "--dataset", dataset, "--out", tmp / name, *flags) == 0
         dumps = {(tmp / name / "matrices.jsonl").read_bytes() for name in ("default", "config", "flag")}
         assert len(dumps) == 1
-
-    def test_synth_spec_takes_every_simulate_default(self):
-        """``load_config`` checks the simulate.* fields only when the config file or a flag
-        names one; that changes no outcome because their defaults pass ``SynthSpec``'s checks."""
-        simulate = {dotted: field for dotted, field in FIELDS.items() if dotted.startswith("simulate.")}
-        defaults = {dotted.removeprefix("simulate."): kind.convert(default) for dotted, (default, kind) in simulate.items()}
-        assert len(defaults) == 7
-        SynthSpec(seed=FIELDS["seed"][0], **defaults)
 
     def test_workers_null_is_four_threads_for_remote_score_and_mine(self):
         def threads(*argv):

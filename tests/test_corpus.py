@@ -113,6 +113,19 @@ class TestContainsAnswer:
         )
         assert contains_answer(chain, ["Don Shula"]) is True
 
+    # words, articles, accented capitals, punctuation and runs of whitespace, joined as drawn
+    _pieces = st.lists(
+        st.sampled_from(["bob", "Bob", "x1", "a", "An", "THE", "Élan", "élan", ",", ".", "'", "-", " ", "  ", "\t", "\u00a0"]),
+        max_size=14,
+    ).map("".join)
+
+    @given(_pieces, st.lists(_pieces, min_size=1, max_size=3))
+    def test_matches_a_token_window_scan(self, text, answers):
+        tokens = normalize_answer(text).split()
+        windows = [normalize_answer(alias).split() for alias in answers]
+        found = any(w and any(tokens[k : k + len(w)] == w for k in range(len(tokens))) for w in windows)
+        assert text_contains_answer(text, answers) is found
+
     @given(st.text(alphabet="abcd ", min_size=1, max_size=20), st.lists(st.text(alphabet="abcd ", min_size=1, max_size=10), min_size=1, max_size=3))
     def test_em_implies_containment(self, prediction, answers):
         if exact_match(prediction, answers) and normalize_answer(prediction):

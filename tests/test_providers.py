@@ -497,6 +497,14 @@ class TestRemotePredictor:
         with pytest.raises(ProtocolError):
             predictor.predict(PredictRequest("who won", ("block",)))
 
+    def test_reply_nested_too_deep_is_a_protocol_error_not_retried(self, http_service):
+        # past about 1000 levels json.loads raises RecursionError, not ValueError
+        http_service.responses["/predict"] = b"[" * 100000 + b"]" * 100000
+        predictor = RemotePredictor(http_service.url("/predict"))
+        with pytest.raises(ProtocolError, match="response is not JSON: maximum recursion depth"):
+            predictor.predict(PredictRequest("who won", ("block",)))
+        assert len(http_service.requests["/predict"]) == 1
+
     def test_caching_backend_wraps_any_predictor(self, tmp_path):
         class Flaky:
             def __init__(self):

@@ -18,10 +18,6 @@ from pathlib import Path
 
 import pairqa
 
-# builds two private lookup indexes in __post_init__, so it keeps a __dict__
-UNSLOTTED = {"pairqa.sim.GroundTruth"}
-
-
 def _dataclasses() -> dict[str, type]:
     """Every dataclass defined in a pairqa module, by dotted name."""
     found = {}
@@ -34,8 +30,8 @@ def _dataclasses() -> dict[str, type]:
 
 
 def test_every_record_is_slotted():
-    records = {name: cls for name, cls in _dataclasses().items() if name not in UNSLOTTED}
-    assert "pairqa.providers.ScoreRequest" in records and "pairqa.lineio.LineError" in records
+    records = _dataclasses()
+    assert {"pairqa.providers.ScoreRequest", "pairqa.lineio.LineError", "pairqa.sim.GroundTruth"} <= set(records)
     unslotted = [name for name, cls in records.items() if "__slots__" not in vars(cls)]
     # __new__ alone: a real instance, without the field values __init__ would check
     with_dict = [name for name, cls in records.items() if hasattr(cls.__new__(cls), "__dict__")]

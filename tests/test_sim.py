@@ -83,12 +83,6 @@ class TestGenerateCorpus:
         examples, _ = generate_corpus(spec(hop_type=HopType.MULTI_HOP_BRIDGE))
         assert all(len(c.segments) == 2 for ex in examples for c in ex.retrieved + ex.generated)
 
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ContractViolation):
-            spec(num_questions=0)
-        with pytest.raises(ContractViolation):
-            spec(num_questions=1, p_llm_hallucinated=1.5)
-
     def test_monotone_conflict_in_hallucination_rate(self):
         sweep = [0.0, 0.25, 0.5, 0.75, 1.0]
         means = []
