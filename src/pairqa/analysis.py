@@ -32,16 +32,6 @@ class ConflictStats:
     m_a: int
     conflicting_rate: float
 
-    def to_record(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "n": self.n,
-            "m": self.m,
-            "n_a": self.n_a,
-            "m_a": self.m_a,
-            "conflicting_rate": self.conflicting_rate,
-        }
-
 
 @dataclass(slots=True)
 class Bin:

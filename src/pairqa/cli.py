@@ -49,8 +49,8 @@ from typing import Any, Callable, Mapping, NoReturn, Sequence
 from . import matching, readerio, scoring  # analysis, mining and sim: imported by the functions that use them
 from .corpus import HopType, QAExample, named_chain, read_examples, write_examples
 from .errors import ContractViolation, PipelineError
-from .lineio import atomic_open, boolean, clipped, integer, member, number, quoted, read_keyed, read_records, string
-from .lineio import write_jsonl
+from .lineio import atomic_open, boolean, clipped, integer, loads, member, number, quoted, read_keyed, read_records
+from .lineio import string, write_jsonl
 from .matching import load_matchings
 from .providers import CachingBackend, GenerationMode, GenerationRequest, LexicalMockScorer
 from .providers import RemoteGenerator, RemotePredictor, RemoteScorer, ResponseCache
@@ -133,7 +133,7 @@ FIELDS: dict[str, tuple[Any, Kind]] = {
     "serialize.variant": ("pairwise", _enum(readerio.Variant)),
     "serialize.budget": (None, _POSITIVE.or_null()),
     "serialize.matchings": (None, _PATH),
-    "analyze.predictions": ({}, Kind("an object of file paths", _paths_by_method, json.loads)),
+    "analyze.predictions": ({}, Kind("an object of file paths", _paths_by_method, loads)),
     "analyze.annotations": (None, _PATH),
     "analyze.matrices": (None, _PATH),
     "simulate.num_questions": (100, _POSITIVE),
@@ -171,8 +171,7 @@ class PipelineConfig(dict):
             if text:
                 value = None if value == "null" else kind.parse(value)
             self[dotted] = kind.convert(value)
-        # OverflowError: float() of a huge integer; RecursionError: JSON text nested too deep
-        except (TypeError, ValueError, OverflowError, RecursionError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge integer
             raise ContractViolation(f"{dotted} must be {kind.what}, got {quoted(value)}") from None
 
 
@@ -341,7 +340,7 @@ def _match(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable) -
 
     results = each(match, ("no compatibility matrix", _handoff(cfg, "matching.matrices", scoring.load_matrix_dump)))
     out_path = cfg["out"] / "matchings.jsonl"
-    write_jsonl(out_path, (r.to_record() for r in results))
+    write_jsonl(out_path, results)
     summary = f"matched {len(results)} questions ({strategy.value}) -> {out_path}"
     return {"strategy": strategy.value, "matched": len(results)}, summary
 
@@ -409,7 +408,7 @@ def _analyze(cfg: PipelineConfig, examples: Sequence[QAExample], each: Callable)
         confusion = analysis.label_confusion(*zip(*pairs))
 
     types = list(scoring.PairType)
-    write_jsonl(cfg["out"] / "conflict_stats.jsonl", (s.to_record() for s in stats))
+    write_jsonl(cfg["out"] / "conflict_stats.jsonl", stats)
     mean_rate = math.fsum(s.conflicting_rate for s in stats) / len(stats) if stats else 0.0
     lines = [f"conflicting rate over {len(stats)} questions: mean {mean_rate:.4f}"]
     if bins is not None:
@@ -502,13 +501,14 @@ def load_config(argv: Sequence[str]) -> tuple[str, PipelineConfig]:
     if command not in _COMMANDS:
         raise ContractViolation(f"command must be one of {', '.join(_COMMANDS)}, got {quoted(command)}")
     config_file, settings = dict(flags).get("config"), []
-    if config_file:
+    if config_file == "":
+        raise ContractViolation("--config must name a file")
+    if config_file is not None:
         try:
-            document = json.loads(Path(config_file).read_bytes().decode("utf-8"))
+            document = loads(Path(config_file).read_bytes().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ContractViolation(f"config file {config_file} is not UTF-8: {exc}") from None
-        # JSONDecodeError, an integer of more digits than int() takes, or JSON nested too deep
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
             raise ContractViolation(f"config file {config_file} is not JSON: {exc}") from None
         if not isinstance(document, dict):
             raise ContractViolation(f"config file {config_file} must hold one JSON object")

@@ -12,11 +12,8 @@ class ContractViolation(ValueError):
 
 
 class TransportError(PipelineError):
-    """A remote call failed after exhausting its retry budget."""
-
-    def __init__(self, message: str, attempts: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
+    """A remote call failed after exhausting its retry budget, or with a failure no retry can mend;
+    the message says which ("after N attempts", "not retried")."""
 
 
 class ProtocolError(PipelineError):

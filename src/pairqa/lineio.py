@@ -1,8 +1,10 @@
-"""Line-delimited JSON input/output used by every stage.
+"""Line-delimited JSON input/output used by every stage, and pairqa's one JSON codec.
 
-All files are UTF-8 without BOM, one object per line. Writing uses a
-canonical encoding (sorted keys, compact separators) so that re-running a
-stage with identical inputs produces byte-identical files.
+All files are UTF-8 without BOM, one object per line. ``loads`` decodes every JSON
+text from outside; JSON nested too deep, or a lone surrogate escape, which no UTF-8
+file can hold, is a ValueError like any other bad JSON. Writing is canonical (sorted
+keys, compact separators), so a rerun on identical inputs writes identical bytes; an
+enum member is written as its value, and a slotted dataclass record as its fields.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -24,12 +26,37 @@ class LineError:
     message: str
 
 
+def _fields(obj: Any) -> Any:
+    """The JSON value of a value the encoder does not know: an enum member's value, a slotted record's fields."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj) and hasattr(obj, "__slots__"):
+        return {name: getattr(obj, name) for name in obj.__slots__}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 # One encoder for every record: ``json.dumps`` with these options builds a new one per call.
-_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"), default=_fields)
 
 
 def dumps_canonical(obj: Any) -> str:
     return _CANONICAL.encode(obj)
+
+
+def loads(text: str) -> Any:
+    """``json.loads`` of a JSON text from outside; ValueError for JSON nested too deep
+    (a RecursionError there) and for a lone surrogate escape, which no UTF-8 output can hold."""
+    if type(text) is not str:  # json.loads would decode bytes with surrogatepass
+        raise TypeError(f"JSON text must be a str, not {type(text).__name__}")
+    try:
+        value = json.loads(text)
+        if "\\ud" in text or "\\uD" in text:  # only an escape makes a surrogate in text decoded as UTF-8
+            _CANONICAL.encode(value).encode("utf-8")
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"lone surrogate {quoted(exc.object[exc.start])}") from None
+    return value
 
 
 def clipped(text: str) -> str:
@@ -95,11 +122,10 @@ def read_jsonl(path: str | Path, errors: list[LineError] | None = None) -> Itera
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                obj = loads(line)
             except UnicodeDecodeError as exc:
                 problem = f"not UTF-8: {exc}"
-            # JSONDecodeError, an integer of more digits than int() takes, or JSON nested too deep
-            except (ValueError, RecursionError) as exc:
+            except ValueError as exc:
                 problem = f"invalid JSON: {exc}"
             else:
                 problem = None if isinstance(obj, dict) else "record is not an object"
@@ -162,9 +188,9 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write records canonically through ``atomic_open``; returns the
-    number of lines written."""
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
+    """Write records (objects, or records ``_fields`` encodes) canonically
+    through ``atomic_open``; returns the number of lines written."""
     count = 0
     with atomic_open(path) as fh:
         for record in records:

@@ -52,17 +52,9 @@ class PairMatching:
     pairs: tuple[Pair, ...]
     total_weight: float
 
-    def to_record(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "strategy": self.strategy.value,
-            "pairs": [[i, j, s] for i, j, s in self.pairs],
-            "total_weight": self.total_weight,
-        }
-
 
 def load_matchings(path: str | Path) -> dict[str, PairMatching]:
-    """Read the records ``PairMatching.to_record`` writes, by question id in file
+    """Read the records ``write_jsonl`` makes of ``PairMatching``s, by question id in file
     order; a malformed or repeated record raises ContractViolation naming the line."""
 
     def parse(rec: dict) -> PairMatching:

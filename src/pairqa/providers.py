@@ -20,7 +20,8 @@ can be wrapped in ``CachingBackend``, a response cache (one sqlite table
 per cache directory, in ``responses.sqlite3``) keyed by the backend's
 identity and a content hash of the request body (for a scorer, plus the
 question id), so that re-running a mining or scoring pass replays identical
-bytes. A cache entry that is not a JSON object, a scorer entry without a
+bytes. Replies and cache entries are decoded by ``lineio.loads``; a reply must
+be UTF-8. A cache entry that is not a JSON object, a scorer entry without a
 number ``probability`` or a predictor entry without a string ``answer``
 raises ``ContractViolation`` naming the database file and the entry's key,
 when its request is asked: the requests asked before it are answered, and
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import QAExample, text_contains_answer
 from .errors import ContractViolation, ProtocolError, TransportError
-from .lineio import dumps_canonical, quoted
+from .lineio import dumps_canonical, loads, quoted
 
 logger = logging.getLogger(__name__)
 
@@ -158,11 +159,10 @@ class ResponseCache:
         if row is None:
             return None
         try:
-            entry = json.loads(row[0])
+            entry = loads(row[0])
             if not isinstance(entry, dict):
                 raise ValueError("not a JSON object")
-        # TypeError: a row whose response is not text; RecursionError: JSON nested too deep
-        except (TypeError, ValueError, RecursionError) as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: a row whose response is a number or a blob
             raise ContractViolation(f"corrupt cache entry {self.path(service, body)}: {exc}") from None
         return entry
 
@@ -228,26 +228,22 @@ class _ServiceClient:
                     raw = resp.read()
                 break
             except ValueError as exc:  # no URL scheme, or a bad header: no attempt can succeed
-                raise TransportError(f"POST {self.url}: {exc}; not retried", attempts=attempt) from exc
+                raise TransportError(f"POST {self.url}: {exc}; not retried") from exc
             except urllib.error.HTTPError as exc:
                 exc.close()
                 if exc.code < 500 and exc.code not in (408, 429):
-                    raise TransportError(
-                        f"POST {self.url} failed with status {exc.code}; not retried", attempts=attempt
-                    ) from exc
+                    raise TransportError(f"POST {self.url} failed with status {exc.code}; not retried") from exc
                 failure = exc
             except (OSError, http.client.HTTPException) as exc:
                 failure = exc
             if attempt > self.max_retries:
-                raise TransportError(
-                    f"POST {self.url} failed after {attempt} attempts: {failure}", attempts=attempt
-                ) from failure
+                raise TransportError(f"POST {self.url} failed after {attempt} attempts: {failure}") from failure
             delay = self.backoff * (2 ** (attempt - 1))
             logger.warning("POST %s attempt %d failed (%s); retrying in %.2fs", self.url, attempt, failure, delay)
             time.sleep(delay)
         try:
-            payload = json.loads(raw)
-        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            payload = loads(raw.decode("utf-8"))  # strict: json.loads of bytes would pass a surrogate through
+        except ValueError as exc:  # UnicodeDecodeError too
             raise ProtocolError(f"POST {self.url}: response is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProtocolError(f"POST {self.url}: response is not an object")

@@ -45,9 +45,6 @@ class ReaderExample:
     question_id: str
     blocks: tuple[str, ...]
 
-    def to_record(self) -> dict:
-        return {"question_id": self.question_id, "blocks": list(self.blocks)}
-
 
 def default_budget(example: QAExample, variant: Variant = Variant.PAIRWISE) -> int:
     """400/1000 tokens per pair block, 200/500 per linearized block
@@ -149,5 +146,5 @@ def parse_pair_block(block: str) -> tuple[str, str, str]:
 
 
 def write_reader_examples(path: str | Path, examples: Iterable[ReaderExample]) -> int:
-    return write_jsonl(path, (ex.to_record() for ex in examples))
+    return write_jsonl(path, examples)
 

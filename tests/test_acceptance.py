@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 import time
@@ -19,6 +18,7 @@ from collections import Counter
 from pairqa import analysis, matching, mining, readerio, scoring, sim
 from pairqa.cli import derive_seed, main as cli_main
 from pairqa.corpus import HopType, Source, write_examples
+from pairqa.lineio import dumps_canonical
 from pairqa.providers import LexicalMockScorer, PredictRequest
 from pairqa.scoring import CombineMode, PairType
 
@@ -232,7 +232,7 @@ def test_criterion_07_order_invariants():
         for variant in (readerio.Variant.SHUFFLED_PAIRS, readerio.Variant.SHUFFLED_WITHIN_PAIR):
             a = readerio.serialize_variant(example, result, variant, 400, seed=trial)
             b = readerio.serialize_variant(example, result, variant, 400, seed=trial)
-            assert json.dumps(a.to_record()) == json.dumps(b.to_record())
+            assert dumps_canonical(a) == dumps_canonical(b)
 
 
 @criterion(8, "bin assignment fixture and confusion-matrix fixtures")

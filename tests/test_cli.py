@@ -569,6 +569,65 @@ def _deep_predictions_flag(tmp, dataset, truth):
     return argv, 1, "analyze.predictions must be an object of file paths, got '[[["
 
 
+# a string whose escape is half a surrogate pair: valid JSON, whose value no UTF-8 file can hold
+_LONE = "q\ud800x"
+
+
+def _with_lone_question_id(record):
+    record["question_id"] = _LONE
+    return record
+
+
+def _lone_dataset_line(tmp, dataset, truth, service):
+    _copy_with_first_record(dataset, dataset, _with_lone_question_id)
+    line_one = lambda report: [(e["stage"], e["line"]) for e in report["errors"]] == [("ingest", 1)]
+    return ["score", "--dataset", dataset, "--out", tmp / "out"], 0, "invalid JSON: lone surrogate", line_one
+
+
+def _lone_handoff_line(tmp, dataset, truth, service):
+    out = tmp / "out"
+    assert run("score", "--dataset", dataset, "--out", out) == run("match", "--dataset", dataset, "--out", out) == 0
+    _copy_with_first_record(out / "matchings.jsonl", out / "matchings.jsonl", _with_lone_question_id)
+    where = f"{out / 'matchings.jsonl'} line 1: invalid JSON: lone surrogate"
+    return ["serialize", "--dataset", dataset, "--out", out], 1, where, None
+
+
+def _lone_config_file(tmp, dataset, truth, service):
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"out": str(tmp / _LONE)}))
+    argv = ["score", "--dataset", dataset, "--config", config]
+    return argv, 1, f"config file {config} is not JSON: lone surrogate", None
+
+
+def _lone_predictions_flag(tmp, dataset, truth, service):
+    argv = ["analyze", "--dataset", dataset, "--out", tmp / "out", "--analyze.predictions", json.dumps({"m": _LONE})]
+    return argv, 1, "analyze.predictions must be an object of file paths", None
+
+
+def _lone_predict_reply(tmp, dataset, truth, service):
+    """Each question's first reader call fails, once, so every label is undetermined."""
+    service.responses["/predict"] = json.dumps({"answer": _LONE}).encode()
+    questions = len(read_examples(dataset)[0])
+
+    def undetermined(report):
+        sent = len(service.requests["/predict"])  # not retried
+        audited = (tmp / "out" / "mining_audit.jsonl").exists()
+        return (report["labels"], report["errors"], sent, audited) == (0, [], questions, True)
+
+    remote = ["--predictor.backend", "remote", "--predictor.url", service.url("/predict")]
+    return ["mine", "--dataset", dataset, "--out", tmp / "out", *remote], 0, "response is not JSON: lone surrogate", undetermined
+
+
+def _lone_cache_entry(tmp, dataset, truth, service):
+    argv = ["mine", "--dataset", dataset, "--predictor.truth", truth, "--out", tmp / "out", "--cache_dir", tmp / "cache"]
+    assert run(*argv) == 0
+    with cache_db(tmp / "cache") as db:
+        (key,) = db.execute("SELECT min(key) FROM responses").fetchone()
+        db.execute("UPDATE responses SET response = ? WHERE key = ?", (json.dumps({"answer": _LONE}), key))
+    where = f"corrupt cache entry {tmp / 'cache' / 'responses.sqlite3'} key {key}: lone surrogate"
+    return argv, 0, where, lambda report: len(report["errors"]) == 1
+
+
 def _score_argv(dataset, truth):
     return ["score", "--dataset", dataset]
 
@@ -1901,6 +1960,34 @@ class TestErrorHandling:
             errors = json.loads((sim_workspace[0] / "out" / "score_report.json").read_text())["errors"]
             assert len(errors) == 1 and errors[0]["stage"] == "ingest" and where in errors[0]["error"]
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _lone_dataset_line,
+            _lone_handoff_line,
+            _lone_config_file,
+            _lone_predictions_flag,
+            _lone_predict_reply,
+            _lone_cache_entry,
+        ],
+        ids=["dataset-line", "handoff-line", "config-file", "predictions-flag", "predict-reply", "cache-entry"],
+    )
+    def test_lone_surrogate_is_a_bad_value(self, sim_workspace, http_service, case, capsys, caplog):
+        """A lone surrogate escape is the decode site's usual error, where the value enters: an
+        ingest error, a per-item error or a logged failed reader call (exit 0, with every output
+        and the report written), or one summary line naming the file or field (exit 1)."""
+        argv, code, where, check = case(*sim_workspace, http_service)
+        capsys.readouterr()
+        with caplog.at_level("WARNING"):
+            assert run(*argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert where in json.loads(err)["message"]
+        else:
+            report = json.loads((sim_workspace[0] / "out" / f"{argv[0]}_report.json").read_text())
+            texts = [e["error"] for e in report["errors"]] or [caplog.text]  # a failed reader call is logged
+            assert check(report) and all(where in text for text in texts)
+
 
 class TestConfigMerging:
     def test_dotted_override_changes_mode(self, sim_workspace):
@@ -1932,6 +2019,12 @@ class TestConfigMerging:
         last.write_text(json.dumps({"seed": 2}))
         assert _loaded("--config", first, "--config", last) == _loaded("--seed", 2)
         assert _loaded(f"--config={last}", "--config", first) == _loaded("--seed", 1, "--simulate.n", 4)
+
+    @pytest.mark.parametrize("flag", [["--config", ""], ["--config="]], ids=["two-words", "equals"])
+    def test_an_empty_config_name_is_an_error_not_the_defaults(self, tmp_path, flag, capsys):
+        assert run("simulate", "--out", tmp_path / "o", *flag) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ContractViolation", "message": "--config must name a file"}
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flag", [["--strict", "false"], ["--strict=false"], ["--strict", "Off"]], ids=["two-words", "equals", "any-case"]

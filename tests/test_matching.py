@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -305,7 +306,7 @@ class TestMatchRandom:
         a = match_random(zeros(4, 4), seed=99)
         b = match_random(zeros(4, 4), seed=99)
         assert a == b
-        assert dumps_canonical(a.to_record()) == dumps_canonical(b.to_record())
+        assert dumps_canonical(a) == dumps_canonical(b)
 
     def test_trivial_instance(self):
         assert match_random(zeros(1, 1), seed=0).pairs == ((0, 0, 0.0),)
@@ -399,8 +400,8 @@ class TestSerialization:
         graph = WeightedBipartiteGraph.from_weights([[0.25, 0.5], [0.75, 0.125]])
         first = match_optimal(graph, "q9")
         second = match_optimal(graph, "q9")
-        assert dumps_canonical(first.to_record()) == dumps_canonical(second.to_record())
-        record = first.to_record()
+        assert dumps_canonical(first) == dumps_canonical(second)
+        record = json.loads(dumps_canonical(first))
         assert record["strategy"] == "optimal"
         assert record["total_weight"] == first.total_weight
 

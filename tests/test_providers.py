@@ -94,10 +94,8 @@ class TestRemoteScorer:
         # the fixture answers 404 on a path with no response set
         scorer = RemoteScorer(http_service.url("/missing"))
         scorer.max_retries = 3
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="404; not retried"):
             scorer.score(evid_request())
-        assert err.value.attempts == 1
-        assert "404" in str(err.value)
         assert len(http_service.requests["/missing"]) == 1
 
     @pytest.mark.parametrize("status", [408, 429])
@@ -111,17 +109,16 @@ class TestRemoteScorer:
     def test_connection_refused_is_a_transport_error(self):
         scorer = RemoteScorer("http://127.0.0.1:9")
         scorer.max_retries = 0
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="failed after 1 attempts"):
             scorer.score(evid_request())
-        assert err.value.attempts == 1
 
     def test_retry_budget_exhausted(self, http_service):
         http_service.responses["/score"] = [(500, {})] * 10
         scorer = RemoteScorer(http_service.url("/score"))
         scorer.max_retries = 2
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="failed after 3 attempts"):
             scorer.score(evid_request())
-        assert err.value.attempts == 3
+        assert len(http_service.requests["/score"]) == 3
 
     def test_out_of_range_probability_clamped(self, http_service, caplog):
         http_service.responses["/score"] = {"probability": 1.7}
@@ -190,6 +187,17 @@ class TestRemoteScorer:
         entry = f"{tmp_path / 'cache' / 'responses.sqlite3'} key {key}"
         assert cache.path("scorer:lexical", body) == entry
         with pytest.raises(ContractViolation, match=re.escape(f"corrupt cache entry {entry}")):
+            scorer.score(evid_request())
+
+    def test_blob_cache_entry_is_corrupt_and_named(self, tmp_path):
+        # sqlite returns a blob as bytes, which json.loads would decode with surrogatepass
+        cache = ResponseCache(tmp_path / "cache")
+        scorer = CachingBackend(LexicalMockScorer.from_examples([make_example()]), cache, "scorer:lexical")
+        scorer.score(evid_request())
+        key = cache.key("scorer:lexical", {**evid_request().wire_body(), "question_id": "q1"})
+        with cache_db(tmp_path / "cache") as db:
+            db.execute("UPDATE responses SET response = ? WHERE key = ?", (b'{"probability":0.5}', key))
+        with pytest.raises(ContractViolation, match=f"corrupt cache entry .* key {key}: JSON text must be a str, not bytes"):
             scorer.score(evid_request())
 
 
@@ -409,9 +417,8 @@ class TestTransport:
         scorer.max_retries = 1
         scorer.timeout = 0.2
         start = time.monotonic()
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="failed after 2 attempts"):
             scorer.score(evid_request())
-        assert err.value.attempts == 2
         assert time.monotonic() - start < 0.9
         assert len(http_service.requests["/score"]) == 2
 
@@ -428,10 +435,8 @@ class TestTransport:
         http_service.responses["/score"] = [(307, {})]
         scorer = RemoteScorer(http_service.url("/score"))
         scorer.max_retries = 3
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="307; not retried"):
             scorer.score(evid_request())
-        assert err.value.attempts == 1
-        assert "307" in str(err.value)
         assert len(http_service.requests["/score"]) == 1
 
     @pytest.mark.parametrize("url, attempts", [("example/score", 1), ("localhost:9/score", 2)])
@@ -439,9 +444,8 @@ class TestTransport:
         # a URL without a scheme is never sent; an unknown scheme is a URLError, retried as such
         scorer = RemoteScorer(url)
         scorer.max_retries = 1
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="; not retried" if attempts == 1 else f" after {attempts} attempts"):
             scorer.score(evid_request())
-        assert err.value.attempts == attempts
 
     def test_http_proxy_is_honoured(self, http_service, loopback_only):
         monkeypatch, lookups = loopback_only
@@ -459,9 +463,8 @@ class TestTransport:
         monkeypatch.setenv("no_proxy", "example.invalid")
         scorer = RemoteScorer("http://example.invalid/score")
         scorer.max_retries = 0
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="failed after 1 attempts"):
             scorer.score(evid_request())
-        assert err.value.attempts == 1
         assert "example.invalid" in lookups
         assert http_service.requests == {}
 
@@ -477,9 +480,8 @@ def test_retries_wait_half_a_second_doubling(http_service, monkeypatch):
     http_service.responses["/score"] = [(500, {})] * 4
     sleeps = []
     monkeypatch.setattr(providers, "time", SimpleNamespace(sleep=sleeps.append))
-    with pytest.raises(TransportError) as err:
+    with pytest.raises(TransportError, match="failed after 4 attempts"):
         RemoteScorer(http_service.url("/score")).score(evid_request())
-    assert err.value.attempts == 4
     assert sleeps == [0.5, 1.0, 2.0]
     assert len(http_service.requests["/score"]) == 4
 
@@ -502,6 +504,19 @@ class TestRemotePredictor:
         http_service.responses["/predict"] = b"[" * 100000 + b"]" * 100000
         predictor = RemotePredictor(http_service.url("/predict"))
         with pytest.raises(ProtocolError, match="response is not JSON: maximum recursion depth"):
+            predictor.predict(PredictRequest("who won", ("block",)))
+        assert len(http_service.requests["/predict"]) == 1
+
+    @pytest.mark.parametrize(
+        "reply, problem",
+        [(b'{"answer": "x\\ud800"}', "lone surrogate"), (b'{"answer": "x\xed\xa0\x80"}', "can't decode byte 0xed")],
+        ids=["escaped", "raw-bytes"],
+    )
+    def test_reply_with_a_lone_surrogate_is_a_protocol_error_not_retried(self, http_service, reply, problem):
+        # json.loads of bytes decodes them with surrogatepass: the reply is decoded as strict UTF-8 first
+        http_service.responses["/predict"] = reply
+        predictor = RemotePredictor(http_service.url("/predict"))
+        with pytest.raises(ProtocolError, match=f"response is not JSON: .*{problem}"):
             predictor.predict(PredictRequest("who won", ("block",)))
         assert len(http_service.requests["/predict"]) == 1
 
